@@ -259,34 +259,9 @@ def _prepare(c: BenchCase, block_size: int):
 
 def run_case(c: BenchCase) -> BenchRow:
     """Run one benchmark case and return its row of medians and counters."""
-    block_size = _env_block_size()
-    runner, validate = _prepare(c, block_size)
-
-    # The validation run doubles as the first warmup iteration.
-    out, metrics = runner()
-    validate(out)
-    for _ in range(max(0, c.warmup - 1)):
-        runner()
-
-    times = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(c.reps):
-            t0 = time.perf_counter_ns()
-            runner()
-            times.append(time.perf_counter_ns() - t0)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    return BenchRow(
-        case=c.case,
-        engine=c.engine,
-        size=2**c.k,
-        wall_time_ns=max(1, int(statistics.median(times))),
-        **metrics,
-    )
+    return run_series(
+        c.case, c.engine, [c.k], reps=c.reps, warmup=c.warmup, seed=c.seed
+    )[c.k]
 
 
 def run_series(

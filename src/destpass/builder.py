@@ -7,6 +7,12 @@ flag, every consuming operation checks and flips it, and ``with_region``
 audits at scope exit that nothing live was dropped. Violations surface as
 ``UseAfterConsume`` or ``LinearityLeak``; they never corrupt the region.
 
+Besides the flags, the ledger is one hole count per lineage (``_Lineage``)
+and two tallies on the region, of live tokens and live incompletes. Live
+destinations need no tally of their own: every unfilled hole of a builder
+region has exactly one live ``Dest``, so the region's ``outstanding_holes``
+counts them.
+
 Consuming operations:
 
 ==============  =====================================================
@@ -39,24 +45,24 @@ from .errors import (
     UnknownCtor,
     UseAfterConsume,
 )
-from .region import CellRef, Leaf, Ref, Region, region_new
+from .region import _SCALARS, CellRef, Leaf, Ref, Region, region_new
 from .shapes import CtorDescriptor, FieldKind, LeafType, Recursive, ShapeRegistry
 
 
 class _Lineage:
-    """Union-find node tracking one incomplete's outstanding obligations.
+    """Union-find node counting one incomplete's outstanding obligations.
 
-    ``holes`` and ``live`` are only meaningful on a root; ``fill_comp``
-    merges the child's lineage into the parent's so that the whole ledger
-    stays single-rooted.
+    ``holes`` is the number of live destinations of the lineage, and is only
+    meaningful on a root; ``fill_comp`` adds the child's count to the
+    parent's and links the child's root under the parent's, so each lineage
+    has one count.
     """
 
-    __slots__ = ("parent", "holes", "live")
+    __slots__ = ("parent", "holes")
 
     def __init__(self) -> None:
         self.parent: _Lineage | None = None
         self.holes = 0
-        self.live: set[Dest] = set()
 
     def find(self) -> "_Lineage":
         node = self
@@ -77,7 +83,7 @@ class Token:
     def __init__(self, region: Region) -> None:
         self.region = region
         self.alive = True
-        region.live_tokens[id(self)] = self
+        region._tokens_alive += 1
 
     def __repr__(self) -> str:
         state = "live" if self.alive else "consumed"
@@ -103,8 +109,6 @@ class Dest:
         self.kind = kind
         self.lineage = lineage
         self.alive = True
-        region.live_dests[id(self)] = self
-        lineage.find().live.add(self)
 
     def __repr__(self) -> str:
         state = "live" if self.alive else "consumed"
@@ -125,7 +129,7 @@ class Incomplete:
         self.payload = payload
         self.lineage = lineage
         self.alive = True
-        region.live_incompletes[id(self)] = self
+        region._incompletes_alive += 1
 
     @property
     def holes_outstanding(self) -> int:
@@ -142,7 +146,6 @@ class Incomplete:
 # -- linear-value scanning ----------------------------------------------------
 
 _CONTAINERS = (tuple, list, set, frozenset, deque)
-_SCALARS = (int, float, bool, str, bytes, type(None))
 
 
 def _collect_linear(value) -> set:
@@ -180,7 +183,7 @@ def _consume_token(t: Token, op: str) -> None:
     if not t.alive:
         raise UseAfterConsume(f"{op} on an already-consumed token")
     t.alive = False
-    del t.region.live_tokens[id(t)]
+    t.region._tokens_alive -= 1
 
 
 def _consume_dest(d: Dest, op: str) -> None:
@@ -189,10 +192,7 @@ def _consume_dest(d: Dest, op: str) -> None:
     if not d.alive:
         raise UseAfterConsume(f"{op} on an already-consumed destination")
     d.alive = False
-    del d.region.live_dests[id(d)]
-    root = d.lineage.find()
-    root.live.discard(d)
-    root.holes -= 1
+    d.lineage.find().holes -= 1
 
 
 def _consume_incomplete(i: Incomplete, op: str) -> None:
@@ -201,7 +201,7 @@ def _consume_incomplete(i: Incomplete, op: str) -> None:
     if not i.alive:
         raise UseAfterConsume(f"{op} on an already-consumed incomplete")
     i.alive = False
-    del i.region.live_incompletes[id(i)]
+    i.region._incompletes_alive -= 1
 
 
 # -- scope ---------------------------------------------------------------------
@@ -226,8 +226,13 @@ def with_region(
     except BaseException:
         region._close()
         raise
-    leaks = region._scope_leaks()
     region._close()
+    counts = (
+        (region._tokens_alive, "token"),
+        (region.outstanding_holes, "destination"),
+        (region._incompletes_alive, "incomplete"),
+    )
+    leaks = [f"{n} live {what}(s)" for n, what in counts if n]
     if leaks:
         raise LinearityLeak(
             "scope exit with unconsumed linear values: " + ", ".join(leaks)
@@ -291,15 +296,30 @@ def map_b(i: Incomplete, f: Callable[[Any], Any]) -> Incomplete:
     _consume_incomplete(i, "map_b")
     new_payload = f(i.payload)
     root = i.lineage.find()
-    if root.live:
-        reachable = _collect_linear(new_payload)
-        orphans = [d for d in root.live if d not in reachable]
-        if orphans:
+    if root.holes:
+        kept = sum(
+            1
+            for x in _collect_linear(new_payload)
+            if isinstance(x, Dest) and x.alive and x.lineage.find() is root
+        )
+        if kept < root.holes:
             raise LinearityLeak(
-                f"map_b callback dropped {len(orphans)} live destination(s) "
-                f"of its own lineage"
+                f"map_b callback dropped {root.holes - kept} live "
+                f"destination(s) of its own lineage"
             )
     return Incomplete(i.region, i.root, new_payload, root)
+
+
+def _check_release(i: Incomplete, op: str) -> None:
+    """Checks shared by both releases. They change nothing, so a failed
+    release leaves ``i`` alive."""
+    if not isinstance(i, Incomplete):
+        raise TypeError(f"{op} expects an Incomplete, got {type(i).__name__}")
+    if not i.alive:
+        raise UseAfterConsume(f"{op} on an already-consumed incomplete")
+    holes = i.lineage.find().holes
+    if holes > 0:
+        raise UnfilledHoles(f"incomplete still has {holes} unfilled destination(s)")
 
 
 def from_incomplete_(i: Incomplete):
@@ -308,15 +328,7 @@ def from_incomplete_(i: Incomplete):
     On failure the incomplete is left alive, so the caller can finish the
     remaining holes and try again.
     """
-    if not isinstance(i, Incomplete):
-        raise TypeError(f"from_incomplete_ expects an Incomplete, got {type(i).__name__}")
-    if not i.alive:
-        raise UseAfterConsume("from_incomplete_ on an already-consumed incomplete")
-    root = i.lineage.find()
-    if root.holes > 0:
-        raise UnfilledHoles(
-            f"incomplete still has {root.holes} unfilled destination(s)"
-        )
+    _check_release(i, "from_incomplete_")
     if i.payload is not None:
         raise TypeError(
             f"from_incomplete_ needs a unit payload, got {type(i.payload).__name__}"
@@ -331,15 +343,7 @@ def from_incomplete(i: Incomplete):
 
     Returns ``(value, payload)``.
     """
-    if not isinstance(i, Incomplete):
-        raise TypeError(f"from_incomplete expects an Incomplete, got {type(i).__name__}")
-    if not i.alive:
-        raise UseAfterConsume("from_incomplete on an already-consumed incomplete")
-    root = i.lineage.find()
-    if root.holes > 0:
-        raise UnfilledHoles(
-            f"incomplete still has {root.holes} unfilled destination(s)"
-        )
+    _check_release(i, "from_incomplete")
     smuggled = [x for x in _collect_linear(i.payload) if getattr(x, "alive", False)]
     if smuggled:
         raise LinearityLeak(
@@ -355,7 +359,7 @@ def from_incomplete(i: Incomplete):
 
 
 def _check_fillable(d: Dest, ctor: CtorDescriptor) -> None:
-    d.region.registry.resolve(ctor)
+    # Registration is checked by alloc_hollow, before it changes anything.
     kind = d.kind
     if kind is None:
         return
@@ -441,13 +445,7 @@ def fill_comp(child: Incomplete, d: Dest):
     if parent_root is child_root:
         raise SelfPlug("incomplete plugged into a destination of its own lineage")
     _region.write_field(d.region, d.cell, d.index, Ref(child.root))
-    # Merge the child's ledger into the parent's (small-to-large on the
-    # live sets keeps this amortized cheap).
-    if len(child_root.live) > len(parent_root.live):
-        parent_root.live, child_root.live = child_root.live, parent_root.live
-    parent_root.live |= child_root.live
     parent_root.holes += child_root.holes
-    child_root.live = set()
     child_root.holes = 0
     child_root.parent = parent_root
     _consume_dest(d, "fill_comp")

@@ -100,10 +100,6 @@ class Cell:
         self.ctor = ctor
         self.slots = [HOLE] * ctor.arity
 
-    @property
-    def tag(self) -> int:
-        return self.ctor.tag
-
 
 @dataclass
 class AllocStats:
@@ -116,14 +112,6 @@ class AllocStats:
     oversize_blocks: int = 0
 
 
-class _Block:
-    __slots__ = ("capacity", "used")
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self.used = 0
-
-
 class Region:
     """An arena of immovable cells; reclaimed as a whole, never per-cell."""
 
@@ -131,20 +119,17 @@ class Region:
         self.region_id = next(_region_ids)
         self.block_size = block_size
         self.registry = registry
-        self.blocks: list[_Block] = [_Block(block_size)]
+        # Bytes used in each block; a block's capacity is block_size, or
+        # exactly its use for a dedicated oversize block.
+        self.blocks: list[int] = [0]
         self.outstanding_holes = 0
         self.stats = AllocStats()
         self.alive = True
         self._cells: list[Cell] = []
-        # Live linear values minted against this region; used by the scope
-        # audit in the builder layer.
-        self.live_tokens: dict[int, object] = {}
-        self.live_dests: dict[int, object] = {}
-        self.live_incompletes: dict[int, object] = {}
-
-    @property
-    def bump_offset(self) -> int:
-        return self.blocks[-1].used
+        # Live tokens and incompletes minted against this region, counted
+        # by the builder for its scope audit.
+        self._tokens_alive = 0
+        self._incompletes_alive = 0
 
     def __repr__(self) -> str:
         return (
@@ -162,16 +147,12 @@ class Region:
         """Reserve nbytes in the block chain, growing it as needed."""
         if nbytes > self.block_size:
             # A single object larger than a block gets a dedicated block.
-            block = _Block(nbytes)
-            block.used = nbytes
-            self.blocks.append(block)
+            self.blocks.append(nbytes)
             self.stats.oversize_blocks += 1
+        elif self.blocks[-1] + nbytes > self.block_size:
+            self.blocks.append(nbytes)
         else:
-            block = self.blocks[-1]
-            if block.used + nbytes > block.capacity:
-                block = _Block(self.block_size)
-                self.blocks.append(block)
-            block.used += nbytes
+            self.blocks[-1] += nbytes
         self.stats.bytes_allocated += nbytes
 
     def _new_cell(self, ctor: CtorDescriptor) -> CellRef:
@@ -200,41 +181,38 @@ class Region:
     def _close(self) -> None:
         self.alive = False
 
-    def _scope_leaks(self) -> list[str]:
-        leaks = []
-        if self.live_tokens:
-            leaks.append(f"{len(self.live_tokens)} live token(s)")
-        if self.live_dests:
-            leaks.append(f"{len(self.live_dests)} live destination(s)")
-        if self.live_incompletes:
-            leaks.append(f"{len(self.live_incompletes)} live incomplete(s)")
-        return leaks
-
     def copy_value(self, value, type_id: str) -> CellRef:
         """Structurally copy a complete host value into fresh region cells.
 
         Constructor nodes become cells, leaf fields become region-owned leaf
-        copies. Returns the root cell of the copy.
+        copies. Returns the root cell of the copy. A copy that fails part way
+        is unreachable and owes no writes, so its holes are taken back out of
+        ``outstanding_holes``.
         """
         self._require_alive()
         shape = self.registry.shape(type_id)
         tag, parts = shape.classify(value)
+        holes = self.outstanding_holes
         root = self._new_cell(shape.ctors[tag])
         self.stats.cells_allocated += 1
         pending = deque([(root, shape.ctors[tag], parts)])
-        while pending:
-            ref, ctor, parts = pending.popleft()
-            for idx, (kind, part) in enumerate(zip(ctor.fields, parts)):
-                if isinstance(kind, Recursive):
-                    sub_shape = self.registry.shape(kind.type_id)
-                    sub_tag, sub_parts = sub_shape.classify(part)
-                    sub_ctor = sub_shape.ctors[sub_tag]
-                    sub_ref = self._new_cell(sub_ctor)
-                    self.stats.cells_allocated += 1
-                    write_field(self, ref, idx, Ref(sub_ref))
-                    pending.append((sub_ref, sub_ctor, sub_parts))
-                else:
-                    write_field(self, ref, idx, Leaf(part))
+        try:
+            while pending:
+                ref, ctor, parts = pending.popleft()
+                for idx, (kind, part) in enumerate(zip(ctor.fields, parts)):
+                    if isinstance(kind, Recursive):
+                        sub_shape = self.registry.shape(kind.type_id)
+                        sub_tag, sub_parts = sub_shape.classify(part)
+                        sub_ctor = sub_shape.ctors[sub_tag]
+                        sub_ref = self._new_cell(sub_ctor)
+                        self.stats.cells_allocated += 1
+                        write_field(self, ref, idx, Ref(sub_ref))
+                        pending.append((sub_ref, sub_ctor, sub_parts))
+                    else:
+                        write_field(self, ref, idx, Leaf(part))
+        except BaseException:
+            self.outstanding_holes = holes
+            raise
         return root
 
 
@@ -246,11 +224,19 @@ def _round_word(n: int) -> int:
 
 
 def _nominal_size(value) -> int:
-    """Bytes charged to the region for one deep-copied leaf payload."""
+    """Bytes charged to the region for one deep-copied leaf payload.
+
+    Each object is charged once, however often it is reachable, as the deep
+    copy shares it; so a self-containing payload is finite.
+    """
     total = 0
+    seen: set[int] = set()
     stack = [value]
     while stack:
         v = stack.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
         if isinstance(v, (str, bytes, bytearray)):
             total += WORD + _round_word(len(v))
         elif isinstance(v, (tuple, list, set, frozenset)):

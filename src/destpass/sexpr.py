@@ -12,7 +12,9 @@ and failures alike.
 Grammar (byte-oriented):
 
 * whitespace: space, tab, newline, carriage return
-* integer: optional ``-`` then one or more digits
+* integer: optional ``-`` then one or more digits; an integer with more
+  digits than the host converts to ``int`` (``sys.get_int_max_str_digits()``,
+  4300 by default) is an ``InvalidAtom`` at its first byte
 * string: ``"``-delimited; a backslash makes the next byte literal
 * symbol: any other nonempty run of non-space, non-paren, non-quote bytes
 * list: ``(`` elements ``)``
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .builder import alloc, fill, fill_leaf, from_incomplete, map_b, with_region
-from .dlist import NIL, Cons, Nil, to_pylist
+from .dlist import NIL, Cons, _classify_list, to_pylist
 from .region import DEFAULT_BLOCK_SIZE, region_stats
 from .shapes import LeafType, Recursive, TypeShape, ctor, register_shapes
 
@@ -103,14 +105,6 @@ def _classify_sexpr(value):
     raise TypeError(f"not an s-expression: {type(value).__name__}")
 
 
-def _classify_sexpr_list(value):
-    if isinstance(value, Nil):
-        return 0, ()
-    if isinstance(value, Cons):
-        return 1, (value.head, value.tail)
-    raise TypeError(f"not a linked list: {type(value).__name__}")
-
-
 SEXPR_SLIST = ctor(
     "sexpr", "SList", 0, (LeafType("int"), Recursive("sexpr_list")), SList
 )
@@ -134,7 +128,7 @@ SEXPR_LIST_CONS = ctor(
     "sexpr_list", "cons", 1, (Recursive("sexpr"), Recursive("sexpr_list")), Cons
 )
 SEXPR_LIST_SHAPE = TypeShape(
-    "sexpr_list", (SEXPR_LIST_NIL, SEXPR_LIST_CONS), _classify_sexpr_list
+    "sexpr_list", (SEXPR_LIST_NIL, SEXPR_LIST_CONS), _classify_list
 )
 
 register_shapes(SEXPR_SHAPE, SEXPR_LIST_SHAPE)
@@ -175,6 +169,14 @@ def _scan_atom(bs: bytes, i: int) -> tuple[bytes, int]:
     while j < n and bs[j] not in _ATOM_END:
         j += 1
     return bs[i:j], j - 1
+
+
+def _int_value(tok: bytes):
+    """The value of an integer token, or None past the host's digit limit."""
+    try:
+        return int(tok.decode("ascii"))
+    except ValueError:
+        return None
 
 
 def _scan_string(bs: bytes, i: int):
@@ -230,7 +232,10 @@ def _parse_sexpr(bs: bytes, i: int):
     if not tok:
         return InvalidAtom(i)
     if _INT_RE.fullmatch(tok):
-        return SInteger(end, int(tok.decode("ascii")))
+        value = _int_value(tok)
+        if value is None:
+            return InvalidAtom(i)
+        return SInteger(end, value)
     return SSymbol(end, tok)
 
 
@@ -302,9 +307,13 @@ def _parse_sexpr_dps(bs: bytes, i: int, d):
         _fill_default_sexpr(d, i)
         return InvalidAtom(i)
     if _INT_RE.fullmatch(tok):
+        value = _int_value(tok)
+        if value is None:
+            _fill_default_sexpr(d, i)
+            return InvalidAtom(i)
         d_end, d_value = fill(d, SEXPR_SINTEGER)
         fill_leaf(end, d_end)
-        fill_leaf(int(tok.decode("ascii")), d_value)
+        fill_leaf(value, d_value)
     else:
         d_end, d_text = fill(d, SEXPR_SSYMBOL)
         fill_leaf(end, d_end)

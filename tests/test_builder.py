@@ -28,7 +28,7 @@ from destpass import (
     with_region,
 )
 from destpass.bfs import TREE_NODE
-from destpass.dlist import LIST_CONS, LIST_NIL, NIL, from_pylist
+from destpass.dlist import LIST_CONS, LIST_NIL, NIL, Cons, from_pylist
 
 from support import build_top_down, random_value, structurally_equal
 
@@ -411,6 +411,62 @@ def test_fill_comp_merges_hole_counts():
         return from_incomplete_(map_b(i3, close_with(0)))
 
     assert with_region(body) == 0
+
+
+def test_map_b_reports_how_many_dests_it_dropped():
+    def body(t):
+        t1, t2 = token_dup2(t)
+        other = alloc(t2)
+
+        def f(d):
+            dv, dl, dr = fill(d, TREE_NODE)
+            fill_leaf(0, dv)
+            # a consumed dest and another lineage's dest count as not kept
+            return dv, dl, other.payload
+
+        map_b(alloc(t1), f)
+
+    with pytest.raises(LinearityLeak, match=r"dropped 1 live destination\(s\)"):
+        with_region(body)
+
+
+def test_scope_audit_counts_dests_merged_by_fill_comp():
+    def body(t):
+        t1, t2 = token_dup2(t)
+        child = map_b(alloc(t2), lambda d: fill(d, LIST_CONS))
+        map_b(alloc(t1), lambda d: fill_comp(child, d))
+        return 0
+
+    with pytest.raises(
+        LinearityLeak, match=r": 2 live destination\(s\), 1 live incomplete\(s\)$"
+    ):
+        with_region(body)
+
+
+def test_failed_into_incomplete_leaves_no_holes_to_audit():
+    def body(t):
+        with pytest.raises(TypeError):
+            into_incomplete(t, Cons(1, "not a list"), "list")
+        return 0
+
+    assert with_region(body) == 0
+
+
+def test_fill_leaf_of_self_containing_payload():
+    x = []
+    x.append(x)
+
+    def body(t):
+        def f(d):
+            dh, dt = fill(d, LIST_CONS)
+            fill_leaf(x, dh)
+            fill(dt, LIST_NIL)
+            return None
+
+        return from_incomplete_(map_b(alloc(t), f))
+
+    head = with_region(body).head
+    assert head is not x and head[0] is head
 
 
 @given(st.integers(0, 2**32), st.sampled_from(["list", "tree", "sexpr"]))

@@ -111,6 +111,12 @@ def test_top_level_atom(parse):
     assert parse(b"sym") == SSymbol(2, b"sym")
 
 
+def test_integer_past_host_digit_limit_is_invalid_atom():
+    big = b"1" * 5000  # the host converts at most 4300 digits by default
+    for data, pos in ((big, 0), (b"(1 -" + big + b" 2)", 3)):
+        assert parse_naive(data) == parse_dps(data) == InvalidAtom(pos)
+
+
 def test_dps_never_reverses_naive_does():
     data = b"(1 2 3)"
     reset_counters()
