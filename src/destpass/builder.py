@@ -186,15 +186,6 @@ def _consume_token(t: Token, op: str) -> None:
     t.region._tokens_alive -= 1
 
 
-def _consume_dest(d: Dest, op: str) -> None:
-    if not isinstance(d, Dest):
-        raise TypeError(f"{op} expects a Dest, got {type(d).__name__}")
-    if not d.alive:
-        raise UseAfterConsume(f"{op} on an already-consumed destination")
-    d.alive = False
-    d.lineage.find().holes -= 1
-
-
 def _consume_incomplete(i: Incomplete, op: str) -> None:
     if not isinstance(i, Incomplete):
         raise TypeError(f"{op} expects an Incomplete, got {type(i).__name__}")
@@ -358,11 +349,8 @@ def from_incomplete(i: Incomplete):
 # -- filling destinations -----------------------------------------------------------
 
 
-def _check_fillable(d: Dest, ctor: CtorDescriptor) -> None:
+def _check_fillable(kind: FieldKind, ctor: CtorDescriptor) -> None:
     # Registration is checked by alloc_hollow, before it changes anything.
-    kind = d.kind
-    if kind is None:
-        return
     if isinstance(kind, LeafType):
         raise UnknownCtor(
             f"hole expects a leaf of {kind.type_id!r}; "
@@ -385,22 +373,23 @@ def fill(d: Dest, ctor: CtorDescriptor):
         raise TypeError(f"fill expects a Dest, got {type(d).__name__}")
     if not d.alive:
         raise UseAfterConsume("fill on an already-consumed destination")
-    _check_fillable(d, ctor)
+    kind = d.kind
+    if kind is not None and (type(kind) is not Recursive or kind.type_id != ctor.type_id):
+        _check_fillable(kind, ctor)
     region = d.region
     cell = _region.alloc_hollow(region, ctor)
     _region.write_field(region, d.cell, d.index, Ref(cell))
-    lineage = d.lineage.find()
-    _consume_dest(d, "fill")
-    dests = tuple(
-        Dest(region, cell, idx, kind, lineage)
-        for idx, kind in enumerate(ctor.fields)
-    )
-    lineage.holes += ctor.arity
-    if ctor.arity == 0:
+    d.alive = False
+    lineage = d.lineage
+    if lineage.parent is not None:
+        lineage = lineage.find()
+    arity = ctor.arity
+    lineage.holes += arity - 1
+    if arity == 0:
         return None
-    if ctor.arity == 1:
-        return dests[0]
-    return dests
+    if arity == 1:
+        return Dest(region, cell, 0, ctor.fields[0], lineage)
+    return tuple([Dest(region, cell, i, k, lineage) for i, k in enumerate(ctor.fields)])
 
 
 def fill_leaf(value, d: Dest) -> None:
@@ -419,7 +408,11 @@ def fill_leaf(value, d: Dest) -> None:
             "leaf payload contains tokens, destinations, or incompletes"
         )
     _region.write_field(d.region, d.cell, d.index, Leaf(value))
-    _consume_dest(d, "fill_leaf")
+    d.alive = False
+    lineage = d.lineage
+    if lineage.parent is not None:
+        lineage = lineage.find()
+    lineage.holes -= 1
 
 
 def fill_comp(child: Incomplete, d: Dest):
@@ -445,9 +438,9 @@ def fill_comp(child: Incomplete, d: Dest):
     if parent_root is child_root:
         raise SelfPlug("incomplete plugged into a destination of its own lineage")
     _region.write_field(d.region, d.cell, d.index, Ref(child.root))
-    parent_root.holes += child_root.holes
+    parent_root.holes += child_root.holes - 1
     child_root.holes = 0
     child_root.parent = parent_root
-    _consume_dest(d, "fill_comp")
+    d.alive = False
     _consume_incomplete(child, "fill_comp")
     return child.payload

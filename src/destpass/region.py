@@ -1,11 +1,15 @@
 """Arena heap of immovable, tagged, write-once cells.
 
 A region owns a growing chain of fixed-capacity blocks and bump-allocates
-cells into them. A cell is one constructor application: a tag plus a fixed
-number of field slots, each of which starts as a hole and is written exactly
-once, either with a reference to another cell of the same region or with a
-leaf payload that is deep-copied into the region at write time. Cells never
-move, so a CellRef stays valid for the region's whole lifetime.
+cells into them. A cell is one constructor application: a constructor plus a
+fixed number of field slots, each of which starts as a hole and is written
+exactly once, either with a reference to another cell of the same region or
+with a leaf payload that is deep-copied into the region at write time.
+
+A cell is a single object, a ``CellRef``: it carries its region's id, its
+handle (its index in allocation order), its constructor and its slots, and
+callers hold and pass that object itself; there is no separate locator.
+Cells never move, so a cell stays valid for the region's whole lifetime.
 
 Decoding (``read_value``) walks the cell graph, checks that no reachable
 hole remains and that the graph is acyclic, and rebuilds the host value
@@ -19,7 +23,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-from collections import deque
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -48,14 +51,15 @@ _region_ids = itertools.count(1)
 # Hole marker stored in unwritten slots.
 HOLE = type("Hole", (), {"__repr__": lambda self: "HOLE", "__slots__": ()})()
 
-# Root-receiver indirection: a private one-field constructor that decoding
-# resolves transparently. Never registered; never visible to callers.
+# Root-receiver indirection: a private one-field constructor that decodes to
+# its field's value. Never registered; never visible to callers.
 _INDIRECTION = CtorDescriptor(
     type_id="_indirection",
     name="_ind",
     tag=0,
     arity=1,
     fields=(LeafType("any"),),
+    make=lambda value: value,
 )
 
 _SCALARS = (int, float, bool, str, bytes, type(None))
@@ -85,20 +89,23 @@ class Leaf:
         return f"Leaf({self.payload!r})"
 
 
-@dataclass(frozen=True)
 class CellRef:
-    """Stable locator of one cell inside one region."""
+    """One cell of one region: its constructor and its field slots.
 
-    region_id: int
-    handle: int
+    Compared and hashed by identity; ``handle`` is its index in the region's
+    allocation order.
+    """
 
+    __slots__ = ("region_id", "handle", "ctor", "slots")
 
-class Cell:
-    __slots__ = ("ctor", "slots")
-
-    def __init__(self, ctor: CtorDescriptor) -> None:
+    def __init__(self, region_id: int, handle: int, ctor: CtorDescriptor) -> None:
+        self.region_id = region_id
+        self.handle = handle
         self.ctor = ctor
         self.slots = [HOLE] * ctor.arity
+
+    def __repr__(self) -> str:
+        return f"<CellRef {self.ctor.name} {self.region_id}:{self.handle}>"
 
 
 @dataclass
@@ -125,7 +132,7 @@ class Region:
         self.outstanding_holes = 0
         self.stats = AllocStats()
         self.alive = True
-        self._cells: list[Cell] = []
+        self._cells: list[CellRef] = []
         # Live tokens and incompletes minted against this region, counted
         # by the builder for its scope audit.
         self._tokens_alive = 0
@@ -157,26 +164,22 @@ class Region:
 
     def _new_cell(self, ctor: CtorDescriptor) -> CellRef:
         self._bump(WORD * (1 + ctor.arity))
-        cell = Cell(ctor)
-        handle = len(self._cells)
+        cell = CellRef(self.region_id, len(self._cells), ctor)
         self._cells.append(cell)
         self.outstanding_holes += ctor.arity
-        return CellRef(self.region_id, handle)
+        return cell
 
     def _alloc_receiver(self) -> CellRef:
         """Allocate a root-receiver indirection cell (not a user cell)."""
         self._require_alive()
-        ref = self._new_cell(_INDIRECTION)
+        cell = self._new_cell(_INDIRECTION)
         self.stats.receiver_cells += 1
-        return ref
+        return cell
 
-    def _cell(self, ref: CellRef) -> Cell:
-        if ref.region_id != self.region_id:
-            raise RegionMismatch(
-                f"cell of region {ref.region_id} dereferenced in "
-                f"region {self.region_id}"
-            )
-        return self._cells[ref.handle]
+    def _foreign(self, cell: CellRef, what: str) -> RegionMismatch:
+        return RegionMismatch(
+            f"{what} of region {cell.region_id} used in region {self.region_id}"
+        )
 
     def _close(self) -> None:
         self.alive = False
@@ -185,31 +188,45 @@ class Region:
         """Structurally copy a complete host value into fresh region cells.
 
         Constructor nodes become cells, leaf fields become region-owned leaf
-        copies. Returns the root cell of the copy. A copy that fails part way
-        is unreachable and owes no writes, so its holes are taken back out of
-        ``outstanding_holes``.
+        copies; a node reached twice is copied twice. Returns the root cell of
+        the copy. Iterative depth-first; a node reachable from itself raises
+        CyclicStructure. A copy that fails part way is unreachable and owes no
+        writes, so its holes are taken back out of ``outstanding_holes``.
         """
         self._require_alive()
-        shape = self.registry.shape(type_id)
-        tag, parts = shape.classify(value)
         holes = self.outstanding_holes
-        root = self._new_cell(shape.ctors[tag])
-        self.stats.cells_allocated += 1
-        pending = deque([(root, shape.ctors[tag], parts)])
+        on_path: set[int] = set()  # ids of the host nodes being copied
+        # Entries: (cell, field index, host node, type id) to copy the node
+        # into that field (the root has no cell), or (None, None, node, None)
+        # once the node's subtree is copied.
+        stack: list = [(None, 0, value, type_id)]
+        root = None
         try:
-            while pending:
-                ref, ctor, parts = pending.popleft()
-                for idx, (kind, part) in enumerate(zip(ctor.fields, parts)):
-                    if isinstance(kind, Recursive):
-                        sub_shape = self.registry.shape(kind.type_id)
-                        sub_tag, sub_parts = sub_shape.classify(part)
-                        sub_ctor = sub_shape.ctors[sub_tag]
-                        sub_ref = self._new_cell(sub_ctor)
-                        self.stats.cells_allocated += 1
-                        write_field(self, ref, idx, Ref(sub_ref))
-                        pending.append((sub_ref, sub_ctor, sub_parts))
+            while stack:
+                parent, idx, node, tid = stack.pop()
+                if idx is None:
+                    on_path.discard(id(node))
+                    continue
+                if id(node) in on_path:
+                    raise CyclicStructure(
+                        f"host {type(node).__name__} is reachable from itself"
+                    )
+                shape = self.registry.shape(tid)
+                tag, parts = shape.classify(node)
+                cell = self._new_cell(shape.ctors[tag])
+                self.stats.cells_allocated += 1
+                if parent is None:
+                    root = cell
+                else:
+                    write_field(self, parent, idx, Ref(cell))
+                on_path.add(id(node))
+                stack.append((None, None, node, None))
+                fields = cell.ctor.fields
+                for i in range(len(fields) - 1, -1, -1):
+                    if isinstance(fields[i], Recursive):
+                        stack.append((cell, i, parts[i], fields[i].type_id))
                     else:
-                        write_field(self, ref, idx, Leaf(part))
+                        write_field(self, cell, i, Leaf(parts[i]))
         except BaseException:
             self.outstanding_holes = holes
             raise
@@ -229,6 +246,10 @@ def _nominal_size(value) -> int:
     Each object is charged once, however often it is reachable, as the deep
     copy shares it; so a self-containing payload is finite.
     """
+    if isinstance(value, (str, bytes)):
+        return WORD + _round_word(len(value))
+    if isinstance(value, (int, float, type(None))):
+        return WORD
     total = 0
     seen: set[int] = set()
     stack = [value]
@@ -251,12 +272,6 @@ def _nominal_size(value) -> int:
     return total
 
 
-def _copy_leaf(value):
-    if isinstance(value, _SCALARS):
-        return value
-    return copy.deepcopy(value)
-
-
 # -- public operations -------------------------------------------------------
 
 
@@ -275,90 +290,98 @@ def alloc_hollow(region: Region, ctor: CtorDescriptor) -> CellRef:
     """Allocate a cell for ``ctor`` with every field left as a hole."""
     region._require_alive()
     region.registry.resolve(ctor)
-    ref = region._new_cell(ctor)
+    cell = region._new_cell(ctor)
     region.stats.cells_allocated += 1
-    return ref
+    return cell
 
 
 def write_field(region: Region, cell: CellRef, index: int, value) -> None:
-    """Write one hole, transitioning it to Ref or Leaf state forever."""
-    target = region._cell(cell)
-    if not 0 <= index < target.ctor.arity:
+    """Write one hole, transitioning it to Ref or Leaf state forever.
+
+    A Leaf of a scalar payload is stored as given (the payload is immutable);
+    any other payload is deep-copied into a new Leaf.
+    """
+    if cell.region_id != region.region_id:
+        raise region._foreign(cell, "cell")
+    slots = cell.slots
+    if not 0 <= index < len(slots):
         raise FieldIndexOutOfRange(
-            f"field {index} out of range for {target.ctor.name} "
-            f"(arity {target.ctor.arity})"
+            f"field {index} out of range for {cell.ctor.name} "
+            f"(arity {len(slots)})"
         )
-    if target.slots[index] is not HOLE:
+    if slots[index] is not HOLE:
         raise DoubleFill(
-            f"field {index} of {target.ctor.name} cell {cell.handle} "
+            f"field {index} of {cell.ctor.name} cell {cell.handle} "
             f"already written"
         )
     if isinstance(value, Ref):
         if value.target.region_id != region.region_id:
-            raise RegionMismatch(
-                f"reference into region {value.target.region_id} cannot be "
-                f"stored in region {region.region_id}"
-            )
-        region._cells[value.target.handle]  # handle validity
-        target.slots[index] = value
+            raise region._foreign(value.target, "reference")
     elif isinstance(value, Leaf):
-        stored = Leaf(_copy_leaf(value.payload))
-        region._bump(_nominal_size(stored.payload))
+        if not isinstance(value.payload, _SCALARS):
+            value = Leaf(copy.deepcopy(value.payload))
+        region._bump(_nominal_size(value.payload))
         region.stats.leaf_copies += 1
-        target.slots[index] = stored
     else:
         raise TypeError(f"expected Ref or Leaf, got {type(value).__name__}")
+    slots[index] = value
     region.outstanding_holes -= 1
+
+
+_ON_PATH, _DONE = 1, 2
 
 
 def read_value(region: Region, root: CellRef):
     """Decode the value rooted at ``root`` back into a host value.
 
-    Iterative post-order walk; raises IncompleteRead on any reachable hole
-    and CyclicStructure if a cell is reachable from itself. Leaf payloads are
-    returned as stored (the region's copy), not re-copied.
+    Iterative depth-first walk in slot order; raises IncompleteRead on any
+    reachable hole and CyclicStructure if a cell is reachable from itself,
+    whichever it meets first. A cell reached twice decodes to one object.
+    Leaf payloads are returned as stored (the region's copy), not re-copied.
     """
-    region._cell(root)  # region check
-    done: dict[int, object] = {}
-    gray: set[int] = set()
-    # frame: [handle, next slot index, decoded children]
-    stack = [[root.handle, 0, []]]
-    gray.add(root.handle)
+    if root.region_id != region.region_id:
+        raise region._foreign(root, "cell")
+    cells = region._cells
+    marks = bytearray(len(cells))  # 0, _ON_PATH or _DONE, by handle
+    values: list = [None] * len(cells)  # decoded value of each _DONE cell
+    # Entries: a cell to enter, the handle of an entered cell to complete
+    # once its children are done, or (cell, index) of a hole, in slot order.
+    stack: list = [root]
     while stack:
-        frame = stack[-1]
-        handle, idx, vals = frame
-        cell = region._cells[handle]
-        if idx == cell.ctor.arity:
-            if cell.ctor is _INDIRECTION:
-                value = vals[0]
-            else:
-                value = cell.ctor.make(*vals)
-            done[handle] = value
-            gray.discard(handle)
-            stack.pop()
-            if stack:
-                stack[-1][2].append(value)
-            continue
-        frame[1] += 1
-        slot = cell.slots[idx]
-        if slot is HOLE:
-            raise IncompleteRead(
-                f"hole at field {idx} of {cell.ctor.name} cell {handle}"
-            )
-        if isinstance(slot, Leaf):
-            vals.append(slot.payload)
+        cell = stack.pop()
+        if type(cell) is CellRef:
+            mark = marks[cell.handle]
+            if mark == _DONE:
+                continue
+            if mark == _ON_PATH:
+                raise CyclicStructure(f"cell {cell.handle} is reachable from itself")
+            slots = cell.slots
+            base = len(stack)
+            for idx in range(len(slots) - 1, -1, -1):
+                slot = slots[idx]
+                if isinstance(slot, Ref):
+                    stack.append(slot.target)
+                elif slot is HOLE:
+                    stack.append((cell, idx))
+            if len(stack) > base:
+                marks[cell.handle] = _ON_PATH
+                stack.insert(base, cell.handle)
+                continue
+        elif type(cell) is int:
+            cell = cells[cell]
         else:
-            child = slot.target.handle
-            if child in done:
-                vals.append(done[child])
-            elif child in gray:
-                raise CyclicStructure(
-                    f"cell {child} is reachable from itself"
-                )
-            else:
-                gray.add(child)
-                stack.append([child, 0, []])
-    return done[root.handle]
+            cell, idx = cell
+            raise IncompleteRead(
+                f"hole at field {idx} of {cell.ctor.name} cell {cell.handle}"
+            )
+        args = []
+        for slot in cell.slots:
+            args.append(
+                values[slot.target.handle] if isinstance(slot, Ref) else slot.payload
+            )
+        marks[cell.handle] = _DONE
+        values[cell.handle] = cell.ctor.make(*args)
+    return values[root.handle]
 
 
 def region_stats(region: Region) -> AllocStats:

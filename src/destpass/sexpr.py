@@ -1,13 +1,14 @@
 """S-expression parsing, two ways.
 
-``parse_naive`` is a standard recursive-descent parser: list elements are
-accumulated in reverse (the natural build order for a linked list) and
-reversed when the closing parenthesis arrives. ``parse_dps`` writes every
-element straight into its final location through destinations: a hollow cons
-cell is plugged into the pending tail hole, the element is parsed into the
-head destination, and the loop continues with the tail destination. No
-accumulator, no reversal. Both parsers return identical results, successes
-and failures alike.
+``parse_naive`` is the standard accumulate-and-reverse parser: list elements
+are consed up in reverse (the natural build order for a linked list) and
+reversed when the closing parenthesis arrives. ``parse_dps`` writes every element straight into
+its final location through destinations: a hollow cons cell is plugged into
+the pending tail hole, the element is parsed into the head destination, and
+the loop continues with the tail destination. No accumulator, no reversal.
+Both parsers return identical results, successes and failures alike, and
+both keep the open lists on an explicit stack instead of recursing, so any
+nesting depth parses.
 
 Grammar (byte-oriented):
 
@@ -171,19 +172,11 @@ def _scan_atom(bs: bytes, i: int) -> tuple[bytes, int]:
     return bs[i:j], j - 1
 
 
-def _int_value(tok: bytes):
-    """The value of an integer token, or None past the host's digit limit."""
-    try:
-        return int(tok.decode("ascii"))
-    except ValueError:
-        return None
-
-
 def _scan_string(bs: bytes, i: int):
     """Quoted string starting at the opening quote ``bs[i]``.
 
-    Returns (text, offset of the closing quote) or UnterminatedString at the
-    opening quote's position.
+    Returns (SEXPR_SSTRING, offset of the closing quote, text) or
+    UnterminatedString at the opening quote's position.
     """
     out = bytearray()
     j = i + 1
@@ -196,11 +189,31 @@ def _scan_string(bs: bytes, i: int):
             out.append(bs[j + 1])
             j += 2
         elif c == _QUOTE:
-            return bytes(out), j
+            return SEXPR_SSTRING, j, bytes(out)
         else:
             out.append(c)
             j += 1
     return UnterminatedString(i)
+
+
+def _scan_leaf(bs: bytes, i: int):
+    """The string, integer or symbol starting at ``i``.
+
+    Returns (constructor, offset of its last byte, payload) or a ParseError.
+    """
+    if i >= len(bs):
+        return UnexpectedEOFAtom(i)
+    if bs[i] == _QUOTE:
+        return _scan_string(bs, i)
+    tok, end = _scan_atom(bs, i)
+    if not tok:
+        return InvalidAtom(i)
+    if _INT_RE.fullmatch(tok):
+        try:
+            return SEXPR_SINTEGER, end, int(tok)
+        except ValueError:  # more digits than the host's int conversion allows
+            return InvalidAtom(i)
+    return SEXPR_SSYMBOL, end, tok
 
 
 # -- naive parser -----------------------------------------------------------------
@@ -216,138 +229,107 @@ def _reverse(lst):
     return out
 
 
-def _parse_sexpr(bs: bytes, i: int):
-    if i >= len(bs):
-        return UnexpectedEOFAtom(i)
-    x = bs[i]
-    if x == _OPEN:
-        return _parse_slist(bs, i + 1)
-    if x == _QUOTE:
-        r = _scan_string(bs, i)
-        if isinstance(r, ParseError):
-            return r
-        text, end = r
-        return SString(end, text)
-    tok, end = _scan_atom(bs, i)
-    if not tok:
-        return InvalidAtom(i)
-    if _INT_RE.fullmatch(tok):
-        value = _int_value(tok)
-        if value is None:
-            return InvalidAtom(i)
-        return SInteger(end, value)
-    return SSymbol(end, tok)
-
-
-def _parse_slist(bs: bytes, i: int):
-    acc = NIL
-    n = len(bs)
-    while True:
-        if i >= n:
-            return UnexpectedEOFSList(i)
-        x = bs[i]
-        if x == _CLOSE:
-            return SList(i, _reverse(acc))
-        if x in _WHITESPACE:
-            i += 1
-            continue
-        child = _parse_sexpr(bs, i)
-        if isinstance(child, ParseError):
-            return child
-        acc = Cons(child, acc)
-        i = child.end_pos + 1
-
-
 def parse_naive(data: bytes):
     """Parse the first s-expression in ``data``; SExpr or ParseError."""
     bs = bytes(data)
-    return _parse_sexpr(bs, _skip_ws(bs, 0))
+    n = len(bs)
+    i = _skip_ws(bs, 0)
+    accs = []  # per open list, innermost last: its elements so far, reversed
+    while True:
+        if i < n and bs[i] == _OPEN:
+            accs.append(NIL)
+            i += 1
+        else:
+            leaf = _scan_leaf(bs, i)
+            if isinstance(leaf, ParseError):
+                return leaf
+            leaf_ctor, end, payload = leaf
+            node = leaf_ctor.make(end, payload)
+            if not accs:
+                return node
+            accs[-1] = Cons(node, accs[-1])
+            i = end + 1
+        # Inside a list: close each list that ends here.
+        while True:
+            while i < n and bs[i] in _WHITESPACE:
+                i += 1
+            if i >= n:
+                return UnexpectedEOFSList(i)
+            if bs[i] != _CLOSE:
+                break
+            node = SList(i, _reverse(accs.pop()))
+            if not accs:
+                return node
+            accs[-1] = Cons(node, accs[-1])
+            i += 1
 
 
 # -- destination-passing parser ------------------------------------------------------
 
 
-def _fill_default_sexpr(d, pos: int) -> None:
-    # Error paths must still consume the destination; plug a sentinel.
-    d_end, d_text = fill(d, SEXPR_SSYMBOL)
-    fill_leaf(pos, d_end)
-    fill_leaf(b"", d_text)
+def _close_lists(opened: list, tails: list, error):
+    """After ``error``, end every open list, innermost first: nil into its
+    pending tail, the offset of its ``(`` into its end_pos. Returns error."""
+    while opened:
+        fill(tails.pop(), SEXPR_LIST_NIL)
+        start, d_end = opened.pop()
+        fill_leaf(start, d_end)
+    return error
 
 
 def _parse_sexpr_dps(bs: bytes, i: int, d):
     """Parse one expression into destination ``d``.
 
     Returns the offset of the expression's last byte, or a ParseError.
-    ``d`` is consumed on every path.
-    """
-    if i >= len(bs):
-        _fill_default_sexpr(d, i)
-        return UnexpectedEOFAtom(i)
-    x = bs[i]
-    if x == _OPEN:
-        d_end, d_children = fill(d, SEXPR_SLIST)
-        r = _parse_slist_dps(bs, i + 1, d_children)
-        if isinstance(r, ParseError):
-            fill_leaf(i, d_end)
-            return r
-        fill_leaf(r, d_end)
-        return r
-    if x == _QUOTE:
-        r = _scan_string(bs, i)
-        if isinstance(r, ParseError):
-            _fill_default_sexpr(d, i)
-            return r
-        text, end = r
-        d_end, d_text = fill(d, SEXPR_SSTRING)
-        fill_leaf(end, d_end)
-        fill_leaf(text, d_text)
-        return end
-    tok, end = _scan_atom(bs, i)
-    if not tok:
-        _fill_default_sexpr(d, i)
-        return InvalidAtom(i)
-    if _INT_RE.fullmatch(tok):
-        value = _int_value(tok)
-        if value is None:
-            _fill_default_sexpr(d, i)
-            return InvalidAtom(i)
-        d_end, d_value = fill(d, SEXPR_SINTEGER)
-        fill_leaf(end, d_end)
-        fill_leaf(value, d_value)
-    else:
-        d_end, d_text = fill(d, SEXPR_SSYMBOL)
-        fill_leaf(end, d_end)
-        fill_leaf(tok, d_text)
-    return end
+    ``d`` and every destination created here are consumed on every path.
 
-
-def _parse_slist_dps(bs: bytes, i: int, d):
-    """Parse list elements into destination ``d`` until ``)``.
-
-    Each element gets a fresh cons cell plugged into the pending tail hole;
-    the element itself is written through the head destination. Returns the
-    offset of the closing paren or a ParseError; ``d`` and every destination
-    created here are consumed on every path.
+    Each element of a list gets a fresh cons cell plugged into the list's
+    pending tail hole; the element is written through the head destination
+    and the loop goes on with the new tail. Nesting needs no recursion: the
+    stack ``tails`` holds the pending tail destination of every open list,
+    which is the tail-recursion-modulo-context form of a recursive descent
+    (Leijen & Lorenzen, POPL 2023).
     """
     n = len(bs)
+    opened = []  # per open list, innermost last: (offset of "(", end_pos dest)
+    tails = []  # per open list: its pending tail destination
     while True:
-        if i >= n:
-            fill(d, SEXPR_LIST_NIL)
-            return UnexpectedEOFSList(i)
-        x = bs[i]
-        if x == _CLOSE:
-            fill(d, SEXPR_LIST_NIL)
-            return i
-        if x in _WHITESPACE:
+        # d is the destination of the expression starting at i.
+        if i < n and bs[i] == _OPEN:
+            d_end, d_children = fill(d, SEXPR_SLIST)
+            opened.append((i, d_end))
+            tails.append(d_children)
             i += 1
-            continue
-        dh, dt = fill(d, SEXPR_LIST_CONS)
-        r = _parse_sexpr_dps(bs, i, dh)
-        if isinstance(r, ParseError):
-            fill(dt, SEXPR_LIST_NIL)
-            return r
-        i = r + 1
-        d = dt
+        else:
+            leaf = _scan_leaf(bs, i)
+            if isinstance(leaf, ParseError):
+                # The error path must still consume d; plug a sentinel.
+                d_end, d_text = fill(d, SEXPR_SSYMBOL)
+                fill_leaf(i, d_end)
+                fill_leaf(b"", d_text)
+                return _close_lists(opened, tails, leaf)
+            leaf_ctor, end, payload = leaf
+            d_end, d_payload = fill(d, leaf_ctor)
+            fill_leaf(end, d_end)
+            fill_leaf(payload, d_payload)
+            if not opened:
+                return end
+            i = end + 1
+        # Inside a list: close each list that ends here, then open a cell
+        # for the next element.
+        while True:
+            while i < n and bs[i] in _WHITESPACE:
+                i += 1
+            if i >= n:
+                return _close_lists(opened, tails, UnexpectedEOFSList(i))
+            if bs[i] != _CLOSE:
+                break
+            fill(tails.pop(), SEXPR_LIST_NIL)
+            fill_leaf(i, opened.pop()[1])
+            if not opened:
+                return i
+            i += 1
+        d, tails[-1] = fill(tails[-1], SEXPR_LIST_CONS)
 
 
 def parse_dps(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from destpass import (
+    CyclicStructure,
     DestinationInLeaf,
     LinearityLeak,
     RegionMismatch,
@@ -27,7 +28,8 @@ from destpass import (
     token_dup2,
     with_region,
 )
-from destpass.bfs import TREE_NODE
+from destpass.bfs import TREE_NODE, Node
+from destpass.shapes import LeafType, ctor
 from destpass.dlist import LIST_CONS, LIST_NIL, NIL, Cons, from_pylist
 
 from support import build_top_down, random_value, structurally_equal
@@ -450,6 +452,64 @@ def test_failed_into_incomplete_leaves_no_holes_to_audit():
         return 0
 
     assert with_region(body) == 0
+
+
+def test_into_incomplete_of_cyclic_value_is_cyclic_structure():
+    c = Cons(1, NIL)
+    c.tail = c
+
+    def body(t):
+        region = t.region
+        with pytest.raises(CyclicStructure):
+            into_incomplete(t, c, "list")
+        return region.outstanding_holes
+
+    assert with_region(body) == 0
+
+
+def test_into_incomplete_copies_shared_nodes_once_per_reference():
+    shared = Node(1, Node(2), None)
+    dag = Node(0, shared, Node(3, shared, shared))
+
+    def body(t):
+        value = from_incomplete_(into_incomplete(t, dag, "tree"))
+        return value, region_stats(t.region).cells_allocated
+
+    value, cells = with_region(body)
+    assert structurally_equal(value, dag)
+    assert value.left is not value.right.left
+    # three copies of shared (2 nodes and 3 nils each), plus the 2 outer nodes
+    assert cells == 3 * 5 + 2
+
+
+# Same type, tag and fields as LIST_CONS, but never registered.
+_UNREGISTERED = ctor("list", "cons", 1, (LeafType("int"), LeafType("int")), Cons)
+
+
+@pytest.mark.parametrize(
+    "bad, hole",
+    [(_UNREGISTERED, 1), (TREE_NODE, 1), (LIST_NIL, 0)],
+    ids=["unregistered", "wrong-type", "ctor-into-leaf-hole"],
+)
+def test_failed_fill_changes_nothing(bad, hole):
+    def body(t):
+        region = t.region
+
+        def f(d):
+            dh, dt = fill(d, LIST_CONS)
+            target = (dh, dt)[hole]
+            before = (region.outstanding_holes, target.lineage.find().holes)
+            with pytest.raises(UnknownCtor):
+                fill(target, bad)
+            assert target.alive
+            assert (region.outstanding_holes, target.lineage.find().holes) == before
+            fill_leaf(1, dh)
+            fill(dt, LIST_NIL)
+            return None
+
+        return from_incomplete_(map_b(alloc(t), f))
+
+    assert list(with_region(body)) == [1]
 
 
 def test_fill_leaf_of_self_containing_payload():

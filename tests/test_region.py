@@ -177,6 +177,38 @@ def test_leaf_payloads_are_deep_copied():
     assert list(read_value(r, cell)) == [[1, [2, 3]]]
 
 
+def test_shared_cell_decodes_to_one_object():
+    r = region_new(1024)
+    shared = make_list_cells(r, [1, 2])
+    pair = alloc_hollow(r, LIST_CONS)
+    write_field(r, pair, 0, Ref(shared))
+    write_field(r, pair, 1, Ref(shared))
+    out = read_value(r, pair)
+    assert out.head is out.tail
+    assert list(out.head) == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "payload, charged",
+    [
+        (7, WORD),
+        (True, WORD),
+        (2.5, WORD),
+        (None, WORD),
+        ("abc", WORD + WORD),
+        (b"x" * 9, WORD + 2 * WORD),
+        ((1, "ab"), (WORD + 2 * WORD) + WORD + (WORD + WORD)),
+    ],
+    ids=["int", "bool", "float", "None", "str", "bytes", "tuple"],
+)
+def test_leaf_bytes_charged(payload, charged):
+    r = region_new(1024)
+    cell = alloc_hollow(r, LIST_CONS)
+    before = region_stats(r).bytes_allocated
+    write_field(r, cell, 0, Leaf(payload))
+    assert region_stats(r).bytes_allocated - before == charged
+
+
 def test_stats_are_snapshots():
     r = region_new(1024)
     before = region_stats(r)

@@ -240,6 +240,39 @@ def test_differential_on_mutated_corpus():
     assert agreements == 200
 
 
+@pytest.mark.parametrize("depth", [600, 10_000])
+def test_deep_nesting_parses_without_recursion(depth):
+    unbalanced = b"(" * depth
+    assert parse_naive(unbalanced) == UnexpectedEOFSList(depth)
+    assert parse_dps(unbalanced) == UnexpectedEOFSList(depth)
+    balanced = b"(" * depth + b")" * depth
+    a, b = parse_naive(balanced), parse_dps(balanced)
+    assert print_sexpr(a) == print_sexpr(b) == balanced
+    assert structurally_equal(a, b)
+
+
+def _agree(data):
+    """Both parsers return a value or a ParseError, and the same one."""
+    a, b = parse_naive(data), parse_dps(data)
+    if isinstance(a, ParseError) or isinstance(b, ParseError):
+        assert a == b, f"error mismatch on {data!r}"
+    else:
+        assert isinstance(a, (SList, SInteger, SString, SSymbol))
+        assert structurally_equal(a, b), f"tree mismatch on {data!r}"
+
+
+@given(st.binary(max_size=80))
+@settings(max_examples=300, deadline=None)
+def test_parsers_agree_on_arbitrary_bytes(data):
+    _agree(data)
+
+
+@given(st.lists(st.sampled_from([b"(", b")", b" ", b'"', b"\\", b"-", b"7", b"x"]), max_size=120))
+@settings(max_examples=300, deadline=None)
+def test_parsers_agree_on_paren_heavy_bytes(parts):
+    _agree(b"".join(parts))
+
+
 # -- CLI -------------------------------------------------------------------------
 
 
