@@ -377,8 +377,7 @@ def fill(d: Dest, ctor: CtorDescriptor):
     if kind is not None and (type(kind) is not Recursive or kind.type_id != ctor.type_id):
         _check_fillable(kind, ctor)
     region = d.region
-    cell = _region.alloc_hollow(region, ctor)
-    _region.write_field(region, d.cell, d.index, Ref(cell))
+    cell = _region.alloc_hollow(region, ctor, d.cell, d.index)
     d.alive = False
     lineage = d.lineage
     if lineage.parent is not None:
@@ -387,9 +386,18 @@ def fill(d: Dest, ctor: CtorDescriptor):
     lineage.holes += arity - 1
     if arity == 0:
         return None
+    fields = ctor.fields
+    d0 = Dest(region, cell, 0, fields[0], lineage)
     if arity == 1:
-        return Dest(region, cell, 0, ctor.fields[0], lineage)
-    return tuple([Dest(region, cell, i, k, lineage) for i, k in enumerate(ctor.fields)])
+        return d0
+    d1 = Dest(region, cell, 1, fields[1], lineage)
+    if arity == 2:
+        return d0, d1
+    d2 = Dest(region, cell, 2, fields[2], lineage)
+    if arity == 3:
+        return d0, d1, d2
+    rest = [Dest(region, cell, i, fields[i], lineage) for i in range(3, arity)]
+    return (d0, d1, d2, *rest)
 
 
 def fill_leaf(value, d: Dest) -> None:

@@ -11,6 +11,11 @@ handle (its index in allocation order), its constructor and its slots, and
 callers hold and pass that object itself; there is no separate locator.
 Cells never move, so a cell stays valid for the region's whole lifetime.
 
+A slot is in one of four states, told apart by its type: ``HOLE``; the
+target ``CellRef`` of a reference (never the caller's ``Ref``); an immutable
+``Leaf``; or a nullary ``CtorDescriptor`` that ``alloc_hollow`` wrote into
+the hole, charged exactly as a cell but never materialized as one.
+
 Decoding (``read_value``) walks the cell graph, checks that no reachable
 hole remains and that the graph is acyclic, and rebuilds the host value
 bottom-up through the registered constructor ``make`` functions.
@@ -78,15 +83,20 @@ class Ref:
 
 
 class Leaf:
-    """Slot state: opaque payload copied into the region."""
+    """Slot state: opaque payload copied into the region. Immutable, so a
+    region may keep the caller's Leaf of a scalar payload as its own."""
 
-    __slots__ = ("payload",)
+    __slots__ = ("_payload",)
 
     def __init__(self, payload) -> None:
-        self.payload = payload
+        self._payload = payload
+
+    @property
+    def payload(self):
+        return self._payload
 
     def __repr__(self) -> str:
-        return f"Leaf({self.payload!r})"
+        return f"Leaf({self._payload!r})"
 
 
 class CellRef:
@@ -140,7 +150,8 @@ class Region:
 
     def __repr__(self) -> str:
         return (
-            f"<Region {self.region_id}: {len(self._cells)} cells, "
+            f"<Region {self.region_id}: "
+            f"{self.stats.cells_allocated + self.stats.receiver_cells} cells, "
             f"{self.outstanding_holes} holes, {len(self.blocks)} blocks>"
         )
 
@@ -213,12 +224,10 @@ class Region:
                     )
                 shape = self.registry.shape(tid)
                 tag, parts = shape.classify(node)
-                cell = self._new_cell(shape.ctors[tag])
-                self.stats.cells_allocated += 1
-                if parent is None:
-                    root = cell
-                else:
-                    write_field(self, parent, idx, Ref(cell))
+                cell = alloc_hollow(self, shape.ctors[tag], parent, idx)
+                if cell is None:  # a nullary constructor: nothing below it
+                    continue
+                root = root or cell
                 on_path.add(id(node))
                 stack.append((None, None, node, None))
                 fields = cell.ctor.fields
@@ -286,21 +295,35 @@ def region_new(
     return Region(block_size, registry or DEFAULT_REGISTRY)
 
 
-def alloc_hollow(region: Region, ctor: CtorDescriptor) -> CellRef:
-    """Allocate a cell for ``ctor`` with every field left as a hole."""
+def alloc_hollow(
+    region: Region, ctor: CtorDescriptor, into: CellRef | None = None, index: int = 0
+) -> CellRef | None:
+    """Allocate a cell for ``ctor`` with every field left as a hole.
+
+    With ``into``, the new cell is also written into hole ``index`` of
+    ``into``; every check of both steps runs before anything changes. A
+    nullary constructor written that way is stored in the hole as the
+    descriptor itself and None is returned: it is charged as one cell but
+    has no ``CellRef``.
+    """
     region._require_alive()
     region.registry.resolve(ctor)
-    cell = region._new_cell(ctor)
+    if into is None:
+        cell = region._new_cell(ctor)
+    else:
+        slots = _hole(region, into, index)
+        if ctor.arity:
+            cell = slots[index] = region._new_cell(ctor)
+        else:
+            cell, slots[index] = None, ctor
+            region._bump(WORD)
+        region.outstanding_holes -= 1
     region.stats.cells_allocated += 1
     return cell
 
 
-def write_field(region: Region, cell: CellRef, index: int, value) -> None:
-    """Write one hole, transitioning it to Ref or Leaf state forever.
-
-    A Leaf of a scalar payload is stored as given (the payload is immutable);
-    any other payload is deep-copied into a new Leaf.
-    """
+def _hole(region: Region, cell: CellRef, index: int) -> list:
+    """The slots of ``cell`` once its field ``index`` is a hole of ``region``."""
     if cell.region_id != region.region_id:
         raise region._foreign(cell, "cell")
     slots = cell.slots
@@ -314,13 +337,21 @@ def write_field(region: Region, cell: CellRef, index: int, value) -> None:
             f"field {index} of {cell.ctor.name} cell {cell.handle} "
             f"already written"
         )
+    return slots
+
+
+def write_field(region: Region, cell: CellRef, index: int, value) -> None:
+    """Write one hole, forever, with a ``Ref`` (stored as its target cell) or
+    a ``Leaf`` (kept as given for a scalar payload, else deep-copied)."""
+    slots = _hole(region, cell, index)
     if isinstance(value, Ref):
-        if value.target.region_id != region.region_id:
-            raise region._foreign(value.target, "reference")
+        value = value.target
+        if value.region_id != region.region_id:
+            raise region._foreign(value, "reference")
     elif isinstance(value, Leaf):
-        if not isinstance(value.payload, _SCALARS):
-            value = Leaf(copy.deepcopy(value.payload))
-        region._bump(_nominal_size(value.payload))
+        if not isinstance(value._payload, _SCALARS):
+            value = Leaf(copy.deepcopy(value._payload))
+        region._bump(_nominal_size(value._payload))
         region.stats.leaf_copies += 1
     else:
         raise TypeError(f"expected Ref or Leaf, got {type(value).__name__}")
@@ -328,7 +359,7 @@ def write_field(region: Region, cell: CellRef, index: int, value) -> None:
     region.outstanding_holes -= 1
 
 
-_ON_PATH, _DONE = 1, 2
+_ON_PATH = object()  # value of a cell while its children are decoded
 
 
 def read_value(region: Region, root: CellRef):
@@ -336,35 +367,35 @@ def read_value(region: Region, root: CellRef):
 
     Iterative depth-first walk in slot order; raises IncompleteRead on any
     reachable hole and CyclicStructure if a cell is reachable from itself,
-    whichever it meets first. A cell reached twice decodes to one object.
-    Leaf payloads are returned as stored (the region's copy), not re-copied.
+    whichever it meets first. A cell reached twice decodes to one object; a
+    nullary constructor slot decodes to its own ``make()``. Leaf payloads
+    are returned as stored (the region's copy), not re-copied. Work and
+    memory are proportional to the value read, not to the region.
     """
     if root.region_id != region.region_id:
         raise region._foreign(root, "cell")
     cells = region._cells
-    marks = bytearray(len(cells))  # 0, _ON_PATH or _DONE, by handle
-    values: list = [None] * len(cells)  # decoded value of each _DONE cell
+    values: dict = {}  # by handle: _ON_PATH, then the decoded value
     # Entries: a cell to enter, the handle of an entered cell to complete
     # once its children are done, or (cell, index) of a hole, in slot order.
     stack: list = [root]
     while stack:
         cell = stack.pop()
         if type(cell) is CellRef:
-            mark = marks[cell.handle]
-            if mark == _DONE:
+            if cell.handle in values:
+                if values[cell.handle] is _ON_PATH:
+                    raise CyclicStructure(f"cell {cell.handle} is reachable from itself")
                 continue
-            if mark == _ON_PATH:
-                raise CyclicStructure(f"cell {cell.handle} is reachable from itself")
             slots = cell.slots
             base = len(stack)
             for idx in range(len(slots) - 1, -1, -1):
                 slot = slots[idx]
-                if isinstance(slot, Ref):
-                    stack.append(slot.target)
+                if type(slot) is CellRef:
+                    stack.append(slot)
                 elif slot is HOLE:
                     stack.append((cell, idx))
             if len(stack) > base:
-                marks[cell.handle] = _ON_PATH
+                values[cell.handle] = _ON_PATH
                 stack.insert(base, cell.handle)
                 continue
         elif type(cell) is int:
@@ -376,10 +407,13 @@ def read_value(region: Region, root: CellRef):
             )
         args = []
         for slot in cell.slots:
-            args.append(
-                values[slot.target.handle] if isinstance(slot, Ref) else slot.payload
-            )
-        marks[cell.handle] = _DONE
+            kind = type(slot)
+            if kind is CellRef:
+                args.append(values[slot.handle])
+            elif kind is Leaf:
+                args.append(slot._payload)
+            else:
+                args.append(slot.make())
         values[cell.handle] = cell.ctor.make(*args)
     return values[root.handle]
 

@@ -20,6 +20,7 @@ from destpass import (
     from_incomplete_,
     into_incomplete,
     map_b,
+    region_stats,
     token_consume,
     token_dup2,
     with_region,
@@ -90,11 +91,14 @@ def random_value(type_id: str, rng, depth: int):
     return c.make(*parts)
 
 
-def build_top_down(value, type_id: str, rng, *, splice_prob: float = 0.0):
+def build_top_down(
+    value, type_id: str, rng, *, splice_prob: float = 0.0, with_stats: bool = False
+):
     """Rebuild ``value`` through the destination API and return the decoded
     result. Holes are consumed in a randomized order; with ``splice_prob``,
     a pending subvalue is occasionally copied in whole via into_incomplete
-    and plugged with fill_comp instead of being built hole by hole."""
+    and plugged with fill_comp instead of being built hole by hole. With
+    ``with_stats``, return ``(result, region stats after the release)``."""
 
     def body(token):
         token, bank = token_dup2(token)
@@ -130,7 +134,8 @@ def build_top_down(value, type_id: str, rng, *, splice_prob: float = 0.0):
 
         done = map_b(inc, lambda d: consume_all(d))
         token_consume(bank)
-        return from_incomplete_(done)
+        out = from_incomplete_(done)
+        return (out, region_stats(bank.region)) if with_stats else out
 
     return with_region(body)
 

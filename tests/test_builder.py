@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import destpass.region
 from destpass import (
     CyclicStructure,
     DestinationInLeaf,
@@ -29,10 +30,11 @@ from destpass import (
     with_region,
 )
 from destpass.bfs import TREE_NODE, Node
-from destpass.shapes import LeafType, ctor
+from destpass.region import WORD
+from destpass.shapes import LeafType, Recursive, ShapeRegistry, TypeShape, ctor
 from destpass.dlist import LIST_CONS, LIST_NIL, NIL, Cons, from_pylist
 
-from support import build_top_down, random_value, structurally_equal
+from support import CASE_TYPES, build_top_down, random_value, structurally_equal
 
 
 def close_with(x):
@@ -536,3 +538,73 @@ def test_random_build_matches_oracle(seed, type_id):
     value = random_value(type_id, rng, depth=5)
     rebuilt = build_top_down(value, type_id, rng, splice_prob=0.2)
     assert structurally_equal(rebuilt, value)
+
+
+@given(st.sampled_from(CASE_TYPES), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_fill_and_copy_charge_the_same(type_id, seed):
+    """A value built through fill and the same value copied by
+    into_incomplete decode alike and cost the same, but for the receiver."""
+    rng = random.Random(seed)
+    value = random_value(type_id, rng, depth=4)
+    built, by_fill = build_top_down(value, type_id, rng, with_stats=True)
+
+    def copy(t):
+        out = from_incomplete_(into_incomplete(t, value, type_id))
+        return out, region_stats(t.region)
+
+    copied, by_copy = with_region(copy)
+    assert structurally_equal(built, value) and structurally_equal(copied, value)
+    assert by_fill.cells_allocated == by_copy.cells_allocated
+    assert by_fill.leaf_copies == by_copy.leaf_copies
+    assert by_fill.bytes_allocated - by_copy.bytes_allocated == 2 * WORD
+
+
+# A type with one constructor of each arity 0..4; wN's fields are all "wide".
+_WIDE_REGISTRY = ShapeRegistry()
+_WIDE = tuple(
+    ctor("wide", f"w{n}", n, [Recursive("wide")] * n, (lambda *kids: kids) if n else list)
+    for n in range(5)
+)
+_WIDE_REGISTRY.register(TypeShape("wide", _WIDE))
+
+
+def _fill_wide(d, n, fills):
+    """Fill ``d`` with wN, whose holes get w(N-1), down to w0."""
+    pending = [(d, n)]
+    while pending:
+        d, n = pending.pop()
+        fills.append(n)
+        out = fill(d, _WIDE[n])
+        dests = () if n == 0 else (out,) if n == 1 else out
+        pending.extend((child, n - 1) for child in dests)
+
+
+def test_each_fill_is_one_region_call(monkeypatch):
+    # The region layer's spans come from wrapping this module attribute; a
+    # fill that bypassed it would drop out of the trace without an error.
+    calls, fills = [], []
+    real = destpass.region.alloc_hollow
+
+    def counted(region, c, *args):
+        calls.append(c.arity)
+        return real(region, c, *args)
+
+    monkeypatch.setattr(destpass.region, "alloc_hollow", counted)
+
+    def body(t):
+        out = from_incomplete_(map_b(alloc(t), lambda d: _fill_wide(d, 4, fills)))
+        return out, region_stats(t.region).cells_allocated
+
+    value, cells = with_region(body, registry=_WIDE_REGISTRY)
+    assert calls == fills and sorted(set(fills)) == [0, 1, 2, 3, 4]
+    assert cells == len(fills) == 1 + 4 + 12 + 24 + 24
+    assert len(value) == 4 and value[0][0][0] == ([],)
+
+
+def test_each_nullary_occurrence_decodes_by_its_own_make():
+    def body(t):
+        return from_incomplete_(map_b(alloc(t), lambda d: _fill_wide(d, 2, [])))
+
+    (a,), (b,) = with_region(body, registry=_WIDE_REGISTRY)
+    assert a == b == [] and a is not b

@@ -1,6 +1,8 @@
 """Region core: allocation, write-once fields, decoding, stats."""
 
+import contextlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,9 @@ from destpass import (
     InvalidBlockSize,
     Leaf,
     Ref,
+    RegionClosed,
     RegionMismatch,
+    UnknownCtor,
     alloc_hollow,
     read_value,
     region_new,
@@ -24,6 +28,7 @@ from destpass import (
 )
 from destpass.dlist import Cons, LIST_CONS, LIST_NIL, NIL
 from destpass.region import WORD
+from destpass.shapes import ctor
 
 from support import structurally_equal
 
@@ -133,6 +138,99 @@ def test_read_value_with_hole_is_incomplete():
 def test_read_value_nullary():
     r = region_new(1024)
     assert read_value(r, alloc_hollow(r, LIST_NIL)) == NIL
+
+
+def test_nullary_written_into_a_hole_is_charged_but_not_materialized():
+    r = region_new(1024)
+    cell = alloc_hollow(r, LIST_CONS)
+    write_field(r, cell, 0, Leaf(1))
+    before = region_stats(r)
+    assert alloc_hollow(r, LIST_NIL, cell, 1) is None
+    after = region_stats(r)
+    assert cell.slots[1] is LIST_NIL and len(r._cells) == 1
+    assert after.cells_allocated - before.cells_allocated == 1
+    assert after.bytes_allocated - before.bytes_allocated == WORD
+    assert r.outstanding_holes == 0
+    assert read_value(r, cell).tail is NIL
+
+
+def test_written_fields_do_not_alias_the_callers_wrappers():
+    r, other = region_new(1024), region_new(1024)
+    cell, nil = alloc_hollow(r, LIST_CONS), alloc_hollow(r, LIST_NIL)
+    head, tail = Leaf(7), Ref(nil)
+    write_field(r, cell, 0, head)
+    write_field(r, cell, 1, tail)
+    tail.target = alloc_hollow(other, LIST_CONS)
+    with contextlib.suppress(AttributeError):
+        head.payload = 99
+    assert structurally_equal(read_value(r, cell), Cons(7, NIL))
+
+
+def test_read_cost_follows_the_value_not_the_region():
+    r = region_new()
+    for _ in range(200_000):
+        alloc_hollow(r, LIST_NIL)
+    one = alloc_hollow(r, LIST_NIL)
+    tracemalloc.start()
+    try:
+        assert read_value(r, one) is NIL
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+# Same type, tag and fields as the registered list constructors, never registered.
+_UNREGISTERED = {
+    LIST_CONS: ctor("list", "cons", 1, LIST_CONS.fields, Cons),
+    LIST_NIL: ctor("list", "nil", 0, (), lambda: NIL),
+}
+
+
+@pytest.mark.parametrize("new", [LIST_CONS, LIST_NIL], ids=["cons", "nil"])
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("closed", RegionClosed),
+        ("unregistered", UnknownCtor),
+        ("foreign-into", RegionMismatch),
+        ("index", FieldIndexOutOfRange),
+        ("written", DoubleFill),
+    ],
+)
+def test_one_call_fill_fails_atomically(case, error, new):
+    """alloc_hollow with a target hole raises what alloc_hollow followed by
+    write_field raises, and changes nothing."""
+
+    def setup():
+        r = region_new(1024)
+        into, c, index = alloc_hollow(r, LIST_CONS), new, 1
+        if case == "closed":
+            r._close()
+        elif case == "unregistered":
+            c = _UNREGISTERED[new]
+        elif case == "foreign-into":
+            into = alloc_hollow(region_new(1024), LIST_CONS)
+        elif case == "index":
+            index = 2
+        else:
+            write_field(r, into, index, Leaf(0))
+        return r, into, c, index
+
+    r, into, c, index = setup()
+    with pytest.raises(error):
+        write_field(r, into, index, Ref(alloc_hollow(r, c)))
+
+    r, into, c, index = setup()
+
+    def state():
+        slot = into.slots[index] if index < len(into.slots) else None
+        return region_stats(r), list(r.blocks), list(r._cells), r.outstanding_holes, slot
+
+    before = state()
+    with pytest.raises(error):
+        alloc_hollow(r, c, into, index)
+    assert state() == before
 
 
 def test_read_value_detects_cycle():
