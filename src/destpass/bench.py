@@ -20,9 +20,9 @@ garbage collector paused. Region counters come from one instrumented run.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import gc
 import io
-import os
 import random
 import statistics
 import time
@@ -33,7 +33,7 @@ from . import dlist as _dlist
 from . import sexpr as _sexpr
 from .builder import token_dup2, with_region
 from .errors import OracleMismatch
-from .region import DEFAULT_BLOCK_SIZE, region_stats
+from .region import AllocStats, region_stats
 
 K_BOUNDS = {"dlist": (6, 14), "bfs": (6, 16), "sexpr": (10, 22)}
 VALID_ENGINES = {
@@ -41,22 +41,6 @@ VALID_ENGINES = {
     "bfs": ("naive", "dps"),
     "sexpr": ("naive", "dps"),
 }
-CSV_FIELDS = (
-    "case",
-    "engine",
-    "size",
-    "wall_time_ns",
-    "region_bytes",
-    "region_cells",
-    "leaf_copies",
-    "aux_counter",
-)
-
-BLOCK_SIZE_ENV = "DPS_REGION_BLOCK"
-
-
-def _env_block_size() -> int:
-    return int(os.environ.get(BLOCK_SIZE_ENV, DEFAULT_BLOCK_SIZE))
 
 
 @dataclass(frozen=True)
@@ -73,7 +57,8 @@ class BenchCase:
             raise ValueError(f"unknown case {self.case!r}")
         if self.engine not in VALID_ENGINES[self.case]:
             raise ValueError(
-                f"engine {self.engine!r} is not valid for case {self.case!r}"
+                f"engine {self.engine!r} not valid for case {self.case} "
+                f"(valid: {', '.join(VALID_ENGINES[self.case])})"
             )
         lo, hi = K_BOUNDS[self.case]
         if not lo <= self.k <= hi:
@@ -96,18 +81,26 @@ class BenchRow:
     aux_counter: int
 
 
-_ZERO_METRICS = {
-    "region_bytes": 0,
-    "region_cells": 0,
-    "leaf_copies": 0,
-    "aux_counter": 0,
-}
+CSV_FIELDS = tuple(f.name for f in dataclasses.fields(BenchRow))
+
+
+def _region_metrics(stats: AllocStats, aux_counter: int) -> dict:
+    """The metric columns of a run, from its region's counters."""
+    return {
+        "region_bytes": stats.bytes_allocated,
+        "region_cells": stats.cells_allocated,
+        "leaf_copies": stats.leaf_copies,
+        "aux_counter": aux_counter,
+    }
+
+
+_ZERO_METRICS = _region_metrics(AllocStats(), 0)
 
 
 # -- dlist engines ---------------------------------------------------------------
 
 
-def _dlist_dps_run(n: int, block_size: int):
+def _dlist_dps_run(n: int):
     def body(token):
         region = token.region
         singles = []
@@ -123,14 +116,8 @@ def _dlist_dps_run(n: int, block_size: int):
         out = _dlist.dlist_to_list(acc)
         return out, region_stats(region), concat_cells
 
-    out, stats, concat_cells = with_region(body, block_size=block_size)
-    metrics = {
-        "region_bytes": stats.bytes_allocated,
-        "region_cells": stats.cells_allocated,
-        "leaf_copies": stats.leaf_copies,
-        "aux_counter": concat_cells,
-    }
-    return _dlist.to_pylist(out), metrics
+    out, stats, concat_cells = with_region(body)
+    return _dlist.to_pylist(out), _region_metrics(stats, concat_cells)
 
 
 def _dlist_naive_run(n: int):
@@ -150,14 +137,14 @@ def _dlist_functional_run(n: int):
 # -- case preparation --------------------------------------------------------------
 
 
-def _prepare(c: BenchCase, block_size: int):
+def _prepare(c: BenchCase):
     """Return (runner, validator) for one benchmark case."""
     n = 2**c.k
 
     if c.case == "dlist":
         expected = list(range(n))
         if c.engine == "dps":
-            runner = lambda: _dlist_dps_run(n, block_size)
+            runner = lambda: _dlist_dps_run(n)
         elif c.engine == "naive":
             runner = lambda: _dlist_naive_run(n)
         else:
@@ -180,19 +167,9 @@ def _prepare(c: BenchCase, block_size: int):
             def runner():
                 counters: dict = {}
                 out, _ = _bfs.map_accum_bfs(
-                    lambda st, _x: (st + 1, st),
-                    1,
-                    tree,
-                    counters=counters,
-                    block_size=block_size,
+                    lambda st, _x: (st + 1, st), 1, tree, counters=counters
                 )
-                stats = counters["stats"]
-                return out, {
-                    "region_bytes": stats.bytes_allocated,
-                    "region_cells": stats.cells_allocated,
-                    "leaf_copies": stats.leaf_copies,
-                    "aux_counter": counters["visits"],
-                }
+                return out, _region_metrics(counters["stats"], counters["visits"])
 
         else:
 
@@ -217,14 +194,8 @@ def _prepare(c: BenchCase, block_size: int):
         def runner():
             _sexpr.reset_counters()
             sink: dict = {}
-            out = _sexpr.parse_dps(data, stats_out=sink, block_size=block_size)
-            stats = sink["stats"]
-            return out, {
-                "region_bytes": stats.bytes_allocated,
-                "region_cells": stats.cells_allocated,
-                "leaf_copies": stats.leaf_copies,
-                "aux_counter": _sexpr.reversal_count(),
-            }
+            out = _sexpr.parse_dps(data, stats_out=sink)
+            return out, _region_metrics(sink["stats"], _sexpr.reversal_count())
 
         other = _sexpr.parse_naive
 
@@ -233,26 +204,13 @@ def _prepare(c: BenchCase, block_size: int):
         def runner():
             _sexpr.reset_counters()
             out = _sexpr.parse_naive(data)
-            metrics = dict(_ZERO_METRICS)
-            metrics["aux_counter"] = _sexpr.reversal_count()
-            return out, metrics
+            return out, dict(_ZERO_METRICS, aux_counter=_sexpr.reversal_count())
 
-        def other(payload):
-            return _sexpr.parse_dps(payload, block_size=block_size)
+        other = _sexpr.parse_dps
 
     def validate(out):
-        reference = other(data)
-        if isinstance(out, _sexpr.ParseError) or isinstance(
-            reference, _sexpr.ParseError
-        ):
-            if out != reference:
-                raise OracleMismatch(
-                    f"sexpr/{c.engine} k={c.k}: parsers disagree on errors"
-                )
-        elif out != reference:
-            raise OracleMismatch(
-                f"sexpr/{c.engine} k={c.k}: parsers produced different trees"
-            )
+        if out != other(data):
+            raise OracleMismatch(f"sexpr/{c.engine} k={c.k}: parsers disagree")
 
     return runner, validate
 
@@ -280,7 +238,6 @@ def run_series(
     point of the curve. Preferred over repeated ``run_case`` calls whenever
     the quantity of interest is a ratio between sizes.
     """
-    block_size = _env_block_size()
     specs = {
         k: BenchCase(case=case, engine=engine, k=k, reps=reps, warmup=warmup, seed=seed)
         for k in ks
@@ -288,7 +245,7 @@ def run_series(
     runners = {}
     metrics = {}
     for k, spec in specs.items():
-        runner, validate = _prepare(spec, block_size)
+        runner, validate = _prepare(spec)
         out, m = runner()
         validate(out)
         for _ in range(max(0, warmup - 1)):
@@ -319,10 +276,8 @@ def run_series(
     }
 
 
-def emit_report(rows, fmt: str = "csv") -> str:
+def emit_report(rows) -> str:
     """Render rows as CSV, deterministically ordered by (case, engine, size)."""
-    if fmt != "csv":
-        raise ValueError(f"unsupported report format {fmt!r}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
@@ -337,8 +292,4 @@ def parse_report(text: str) -> list[BenchRow]:
     header = next(reader)
     if tuple(header) != CSV_FIELDS:
         raise ValueError(f"unexpected header: {header!r}")
-    rows = []
-    for rec in reader:
-        case, engine = rec[0], rec[1]
-        rows.append(BenchRow(case, engine, *map(int, rec[2:])))
-    return rows
+    return [BenchRow(rec[0], rec[1], *map(int, rec[2:])) for rec in reader]

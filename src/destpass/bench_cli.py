@@ -3,8 +3,9 @@
     bench run --case dlist --engines naive,dps --sizes 6..10 --reps 5 \
         --seed 7 --out results.csv
 
-Exit code 0 on success, 2 when an engine's output fails oracle validation.
-The environment variable DPS_REGION_BLOCK overrides the region block size.
+Exit code 0 on success, 1 when the plan is invalid (nothing runs then), 2
+when an engine's output fails oracle validation. With ``--case all`` each
+case keeps the engines and size exponents valid for it.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ DEFAULT_SIZES = {"dlist": "6..10", "bfs": "6..10", "sexpr": "10..14"}
 def parse_sizes(spec: str) -> list[int]:
     """Accept "k", "k1..k2", or a comma list of either."""
     out: list[int] = []
-    for part in spec.split(","):
-        part = part.strip()
+    for part in spec.split(","):  # int() ignores surrounding spaces
         if ".." in part:
             lo, hi = part.split("..", 1)
             out.extend(range(int(lo), int(hi) + 1))
@@ -43,7 +43,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("run", help="run benchmark cases and emit CSV")
     p.add_argument(
         "--case",
-        choices=["dlist", "bfs", "sexpr", "all"],
+        choices=[*K_BOUNDS, "all"],
         default="all",
     )
     p.add_argument(
@@ -65,61 +65,45 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     run_all = args.case == "all"
-    cases = ["dlist", "bfs", "sexpr"] if run_all else [args.case]
 
-    # Validate the whole plan before any benchmark runs.
+    # Build the whole plan before any benchmark runs; BenchCase checks it.
     plan = []
-    for case in cases:
-        if args.engines == "all":
-            engines = list(VALID_ENGINES[case])
-        else:
-            engines = [e.strip() for e in args.engines.split(",")]
-            bad = [e for e in engines if e not in VALID_ENGINES[case]]
-            if bad:
-                if run_all:
-                    engines = [e for e in engines if e in VALID_ENGINES[case]]
-                    if not engines:
-                        continue
-                else:
+    try:
+        for case in list(K_BOUNDS) if run_all else [args.case]:
+            if args.engines == "all":
+                engines = list(VALID_ENGINES[case])
+            else:
+                engines = [e.strip() for e in args.engines.split(",")]
+            sizes = parse_sizes(args.sizes or DEFAULT_SIZES[case])
+            if run_all:
+                # cases have different engines and valid ranges: keep what fits
+                engines = [e for e in engines if e in VALID_ENGINES[case]]
+                if not engines:
+                    continue
+                lo, hi = K_BOUNDS[case]
+                skipped = [k for k in sizes if not lo <= k <= hi]
+                if skipped:
                     print(
-                        f"error: engine(s) {', '.join(bad)} not valid for "
-                        f"case {case} (valid: {', '.join(VALID_ENGINES[case])})",
+                        f"note: case {case} skips size(s) {skipped} "
+                        f"(valid {lo}..{hi})",
                         file=sys.stderr,
                     )
-                    return 1
-        sizes = parse_sizes(args.sizes or DEFAULT_SIZES[case])
-        lo, hi = K_BOUNDS[case]
-        bad_k = [k for k in sizes if not lo <= k <= hi]
-        if bad_k:
-            if run_all:
-                # cases have different valid ranges: keep what fits
-                sizes = [k for k in sizes if lo <= k <= hi]
-                print(
-                    f"note: case {case} skips size(s) {bad_k} "
-                    f"(valid {lo}..{hi})",
-                    file=sys.stderr,
+                    sizes = [k for k in sizes if lo <= k <= hi]
+            plan.extend(
+                BenchCase(
+                    case=case,
+                    engine=engine,
+                    k=k,
+                    reps=args.reps,
+                    warmup=args.warmup,
+                    seed=args.seed,
                 )
-                if not sizes:
-                    continue
-            else:
-                print(
-                    f"error: size exponent(s) {bad_k} outside {lo}..{hi} "
-                    f"for case {case}",
-                    file=sys.stderr,
-                )
-                return 1
-        plan.extend(
-            BenchCase(
-                case=case,
-                engine=engine,
-                k=k,
-                reps=args.reps,
-                warmup=args.warmup,
-                seed=args.seed,
+                for engine in engines
+                for k in sizes
             )
-            for engine in engines
-            for k in sizes
-        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     rows = []
     for case_spec in plan:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .builder import alloc, fill, fill_leaf, from_incomplete, map_b, with_region
-from .region import DEFAULT_BLOCK_SIZE, region_stats
+from .region import region_stats
 from .shapes import LeafType, Recursive, TypeShape, ctor, register_shape
 
 
@@ -53,7 +53,6 @@ def map_accum_bfs(
     tree: Node | None,
     *,
     counters: dict | None = None,
-    block_size: int = DEFAULT_BLOCK_SIZE,
 ):
     """Map ``f`` over node values in breadth-first order, threading a state.
 
@@ -89,7 +88,7 @@ def map_accum_bfs(
             counters["stats"] = region_stats(region)
         return result
 
-    out_tree, final_state = with_region(run, block_size=block_size)
+    out_tree, final_state = with_region(run)
     if counters is not None:
         counters["visits"] = visits
     return out_tree, final_state

@@ -39,7 +39,6 @@ from . import region as _region
 from .errors import (
     DestinationInLeaf,
     LinearityLeak,
-    RegionMismatch,
     SelfPlug,
     UnfilledHoles,
     UnknownCtor,
@@ -199,10 +198,7 @@ def _consume_incomplete(i: Incomplete, op: str) -> None:
 
 
 def with_region(
-    body: Callable[[Token], Any],
-    *,
-    block_size: int = _region.DEFAULT_BLOCK_SIZE,
-    registry: ShapeRegistry | None = None,
+    body: Callable[[Token], Any], *, registry: ShapeRegistry | None = None
 ) -> Any:
     """Run ``body`` with a fresh region and a fresh token bound to it.
 
@@ -210,7 +206,7 @@ def with_region(
     checks that the body left no live token, destination, or incomplete and
     raises LinearityLeak otherwise. The region is closed either way.
     """
-    region = region_new(block_size, registry=registry)
+    region = region_new(registry=registry)
     token = Token(region)
     try:
         result = body(token)
@@ -411,6 +407,8 @@ def fill_leaf(value, d: Dest) -> None:
         raise TypeError(f"fill_leaf expects a Dest, got {type(d).__name__}")
     if not d.alive:
         raise UseAfterConsume("fill_leaf on an already-consumed destination")
+    if type(d.kind) is Recursive:
+        raise UnknownCtor(f"hole expects type {d.kind.type_id!r}, not a leaf")
     if not isinstance(value, _SCALARS) and _collect_linear(value):
         raise DestinationInLeaf(
             "leaf payload contains tokens, destinations, or incompletes"
@@ -437,10 +435,6 @@ def fill_comp(child: Incomplete, d: Dest):
         raise TypeError(f"fill_comp expects a Dest, got {type(d).__name__}")
     if not d.alive:
         raise UseAfterConsume("fill_comp on an already-consumed destination")
-    if child.region is not d.region:
-        raise RegionMismatch(
-            "fill_comp child and destination belong to different regions"
-        )
     parent_root = d.lineage.find()
     child_root = child.lineage.find()
     if parent_root is child_root:

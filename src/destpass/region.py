@@ -306,12 +306,13 @@ def alloc_hollow(
     descriptor itself and None is returned: it is charged as one cell but
     has no ``CellRef``.
     """
-    region._require_alive()
-    region.registry.resolve(ctor)
     if into is None:
+        region._require_alive()
+        region.registry.resolve(ctor)
         cell = region._new_cell(ctor)
     else:
         slots = _hole(region, into, index)
+        region.registry.resolve(ctor)
         if ctor.arity:
             cell = slots[index] = region._new_cell(ctor)
         else:
@@ -323,7 +324,8 @@ def alloc_hollow(
 
 
 def _hole(region: Region, cell: CellRef, index: int) -> list:
-    """The slots of ``cell`` once its field ``index`` is a hole of ``region``."""
+    """The slots of ``cell`` once its field ``index`` is a hole of live ``region``."""
+    region._require_alive()
     if cell.region_id != region.region_id:
         raise region._foreign(cell, "cell")
     slots = cell.slots

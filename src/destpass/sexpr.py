@@ -34,7 +34,7 @@ from typing import Any
 
 from .builder import alloc, fill, fill_leaf, from_incomplete, map_b, with_region
 from .dlist import NIL, Cons, _classify_list, to_pylist
-from .region import DEFAULT_BLOCK_SIZE, region_stats
+from .region import region_stats
 from .shapes import LeafType, Recursive, TypeShape, ctor, register_shapes
 
 
@@ -332,12 +332,7 @@ def _parse_sexpr_dps(bs: bytes, i: int, d):
         d, tails[-1] = fill(tails[-1], SEXPR_LIST_CONS)
 
 
-def parse_dps(
-    data: bytes,
-    *,
-    stats_out: dict | None = None,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-):
+def parse_dps(data: bytes, *, stats_out: dict | None = None):
     """Parse like ``parse_naive`` but build the AST top-down in a region.
 
     Same result, success or error, as the naive parser. When ``stats_out``
@@ -355,7 +350,7 @@ def parse_dps(
             stats_out["stats"] = region_stats(region)
         return value, outcome
 
-    value, outcome = with_region(run, block_size=block_size)
+    value, outcome = with_region(run)
     if isinstance(outcome, ParseError):
         return outcome
     return value

@@ -173,15 +173,13 @@ class ShapeRegistry:
 DEFAULT_REGISTRY = ShapeRegistry()
 
 
-def register_shape(shape: TypeShape, *, registry: ShapeRegistry | None = None) -> None:
-    (registry or DEFAULT_REGISTRY).register(shape)
+def register_shape(shape: TypeShape) -> None:
+    DEFAULT_REGISTRY.register(shape)
 
 
-def register_shapes(*shapes: TypeShape, registry: ShapeRegistry | None = None) -> None:
-    (registry or DEFAULT_REGISTRY).register(*shapes)
+def register_shapes(*shapes: TypeShape) -> None:
+    DEFAULT_REGISTRY.register(*shapes)
 
 
-def dests_spec_of(
-    c: CtorDescriptor, *, registry: ShapeRegistry | None = None
-) -> tuple[tuple[int, FieldKind], ...]:
-    return (registry or DEFAULT_REGISTRY).dests_spec_of(c)
+def dests_spec_of(c: CtorDescriptor) -> tuple[tuple[int, FieldKind], ...]:
+    return DEFAULT_REGISTRY.dests_spec_of(c)

@@ -96,14 +96,6 @@ def test_emit_report_sorted_and_round_trips():
     assert parse_report(text) == sorted(rows, key=lambda r: (r.case, r.engine, r.size))
 
 
-def test_env_var_overrides_block_size(monkeypatch):
-    monkeypatch.setenv("DPS_REGION_BLOCK", "512")
-    assert bench._env_block_size() == 512
-    # tiny blocks still produce correct results
-    row = run_case(quick("dlist", "dps", 6))
-    assert row.region_cells == 65
-
-
 def test_cli_writes_csv(tmp_path):
     out = tmp_path / "rows.csv"
     code = bench_cli.main(
@@ -148,6 +140,11 @@ def test_cli_rejects_invalid_engine(capsys):
 def test_cli_rejects_out_of_bounds_k(capsys):
     assert bench_cli.main(["run", "--case", "sexpr", "--sizes", "5"]) == 1
     assert "outside" in capsys.readouterr().err
+    # every plan error is reported before anything runs
+    for bad in (["--reps", "0"], ["--sizes", "6..x"]):
+        assert bench_cli.main(["run", *bad]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_cli_case_all_clamps_sizes_per_case(capsys):

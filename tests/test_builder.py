@@ -11,6 +11,7 @@ from destpass import (
     CyclicStructure,
     DestinationInLeaf,
     LinearityLeak,
+    RegionClosed,
     RegionMismatch,
     SelfPlug,
     UnfilledHoles,
@@ -30,7 +31,7 @@ from destpass import (
     with_region,
 )
 from destpass.bfs import TREE_NODE, Node
-from destpass.region import WORD
+from destpass.region import HOLE, WORD, Leaf
 from destpass.shapes import LeafType, Recursive, ShapeRegistry, TypeShape, ctor
 from destpass.dlist import LIST_CONS, LIST_NIL, NIL, Cons, from_pylist
 
@@ -319,11 +320,28 @@ def test_fill_leaf_rejects_linear_payload():
 
 
 def test_fill_comp_across_regions_rejected():
+    seen = {}
+
     def outer(t):
         def f(d):
             def inner(t2):
-                fill_comp(alloc(t2), d)  # d belongs to the outer region
-                return None
+                child = alloc(t2)
+
+                def state():
+                    return (
+                        d.alive,
+                        child.alive,
+                        d.region.outstanding_holes,
+                        child.region.outstanding_holes,
+                        d.lineage.find().holes,
+                        child.holes_outstanding,
+                    )
+
+                seen["before"] = state()
+                try:
+                    fill_comp(child, d)  # d belongs to the outer region
+                finally:
+                    seen["after"] = state()
 
             with_region(inner)
 
@@ -332,6 +350,51 @@ def test_fill_comp_across_regions_rejected():
 
     with pytest.raises(RegionMismatch):
         with_region(outer)
+    # rejected before anything changed: both stay alive, counts unchanged
+    assert seen["after"] == seen["before"]
+    assert seen["before"][:2] == (True, True)
+
+
+def test_writes_into_closed_region_rejected():
+    kept = {}
+
+    def body(t):
+        t1, t2 = token_dup2(t)
+        kept.update(d=alloc(t1).payload, child=alloc(t2))
+        raise RuntimeError("leave the scope with both still live")
+
+    with pytest.raises(RuntimeError):
+        with_region(body)
+    d, child = kept["d"], kept["child"]
+    assert not d.region.alive
+    with pytest.raises(RegionClosed):
+        fill_leaf(5, d)
+    with pytest.raises(RegionClosed):
+        fill_comp(child, d)
+    with pytest.raises(RegionClosed):
+        destpass.region.write_field(d.region, d.cell, d.index, Leaf(5))
+    assert d.alive and child.alive
+    assert d.cell.slots == [HOLE]
+
+
+def test_fill_leaf_into_recursive_hole_rejected():
+    def body(t):
+        region = t.region
+
+        def f(d):
+            dh, dt = fill(d, LIST_CONS)
+            before = (region.outstanding_holes, dt.lineage.find().holes)
+            with pytest.raises(UnknownCtor):
+                fill_leaf(5, dt)  # tail hole expects a list
+            assert dt.alive
+            assert (region.outstanding_holes, dt.lineage.find().holes) == before
+            fill_leaf(1, dh)
+            fill(dt, LIST_NIL)
+            return None
+
+        return from_incomplete_(map_b(alloc(t), f))
+
+    assert list(with_region(body)) == [1]
 
 
 def test_fill_comp_self_plug_rejected():
