@@ -15,6 +15,10 @@ Every engine run is validated against an oracle before any timing counts;
 a wrong result aborts with OracleMismatch. Timings are wall-clock medians
 over ``reps`` repetitions after discarded warmup runs, with the host
 garbage collector paused. Region counters come from one instrumented run.
+A row of ``run_case`` also has ``peak_kib``: the tracemalloc peak of one
+more, untimed run, whose output is checked as well (``run_series`` leaves
+it 0.0, as tracemalloc makes a run of the quadratic engines several times
+slower).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import io
 import random
 import statistics
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 from . import bfs as _bfs
@@ -79,6 +84,7 @@ class BenchRow:
     region_cells: int
     leaf_copies: int
     aux_counter: int
+    peak_kib: float = 0.0
 
 
 CSV_FIELDS = tuple(f.name for f in dataclasses.fields(BenchRow))
@@ -215,11 +221,25 @@ def _prepare(c: BenchCase):
     return runner, validate
 
 
+def _peak_kib(runner, validate) -> float:
+    """The tracemalloc peak of one checked run, in KiB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out, _ = runner()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    validate(out)
+    return round(peak / 1024, 1)
+
+
 def run_case(c: BenchCase) -> BenchRow:
     """Run one benchmark case and return its row of medians and counters."""
-    return run_series(
+    row = run_series(
         c.case, c.engine, [c.k], reps=c.reps, warmup=c.warmup, seed=c.seed
     )[c.k]
+    return dataclasses.replace(row, peak_kib=_peak_kib(*_prepare(c)))
 
 
 def run_series(
@@ -292,4 +312,6 @@ def parse_report(text: str) -> list[BenchRow]:
     header = next(reader)
     if tuple(header) != CSV_FIELDS:
         raise ValueError(f"unexpected header: {header!r}")
-    return [BenchRow(rec[0], rec[1], *map(int, rec[2:])) for rec in reader]
+    return [
+        BenchRow(rec[0], rec[1], *map(int, rec[2:-1]), float(rec[-1])) for rec in reader
+    ]

@@ -24,6 +24,16 @@ Incomplete      map_b, from_incomplete_, from_incomplete,
                 fill_comp (as the child)
 ==============  =====================================================
 
+Each incomplete's value sits in the hole of its root receiver, and a fill
+builds a constructor that qualifies (see ``shapes``) as its final host
+object in place. So a release reads the receiver's one slot in O(1) and
+decodes nothing; only a value of a type that does not qualify is decoded
+from region cells. ``fill_comp`` writes the content of a filled child's
+receiver straight into the hole. An empty child has no content yet: the
+live ``Dest`` of its receiver's hole is re-pointed at the hole instead
+(cell, index and kind), so whatever later fills it lands in place and is
+checked against the hole's kind then.
+
 Values returned out of ``with_region`` are ordinary host values with no
 linear obligations; the scope-exit audit is what guarantees they contain no
 live handles into the dead region.
@@ -44,7 +54,7 @@ from .errors import (
     UnknownCtor,
     UseAfterConsume,
 )
-from .region import _SCALARS, CellRef, Leaf, Ref, Region, region_new
+from .region import _SCALARS, HOLE, CellRef, Leaf, Receiver, Ref, Region, region_new
 from .shapes import CtorDescriptor, FieldKind, LeafType, Recursive, ShapeRegistry
 
 
@@ -90,14 +100,18 @@ class Token:
 
 
 class Dest:
-    """Handle to exactly one unfilled hole; consumable exactly once."""
+    """Handle to exactly one unfilled hole; consumable exactly once.
+
+    ``cell`` is a region cell or a host object under construction; ``kind``
+    is None exactly when the hole is a receiver's.
+    """
 
     __slots__ = ("region", "cell", "index", "kind", "lineage", "alive")
 
     def __init__(
         self,
         region: Region,
-        cell: CellRef,
+        cell,
         index: int,
         kind: FieldKind | None,
         lineage: _Lineage,
@@ -111,7 +125,9 @@ class Dest:
 
     def __repr__(self) -> str:
         state = "live" if self.alive else "consumed"
-        return f"<Dest cell={self.cell.handle}[{self.index}] {state}>"
+        cell = self.cell
+        where = cell.handle if isinstance(cell, CellRef) else type(cell).__name__
+        return f"<Dest cell={where}[{self.index}] {state}>"
 
 
 class Incomplete:
@@ -121,7 +137,7 @@ class Incomplete:
     __slots__ = ("region", "root", "payload", "lineage", "alive")
 
     def __init__(
-        self, region: Region, root: CellRef, payload, lineage: _Lineage
+        self, region: Region, root: Receiver, payload, lineage: _Lineage
     ) -> None:
         self.region = region
         self.root = root
@@ -253,7 +269,7 @@ def alloc(t: Token) -> Incomplete:
     receiver = region._alloc_receiver()
     lineage = _Lineage()
     lineage.holes = 1
-    dest = Dest(region, receiver, 0, None, lineage)
+    dest = receiver.dest = Dest(region, receiver, 0, None, lineage)
     return Incomplete(region, receiver, dest, lineage)
 
 
@@ -261,7 +277,8 @@ def into_incomplete(t: Token, value, type_id: str) -> Incomplete:
     """Copy a complete host value of registered type ``type_id`` into the
     region and wrap it as an incomplete with nothing left to consume.
 
-    No root receiver is allocated; the root refers directly to the copy.
+    No receiver cell is charged: the root is an uncharged receiver that
+    holds the copy, built as host objects when the type qualifies.
     """
     _consume_token(t, "into_incomplete")
     region = t.region
@@ -284,11 +301,14 @@ def map_b(i: Incomplete, f: Callable[[Any], Any]) -> Incomplete:
     new_payload = f(i.payload)
     root = i.lineage.find()
     if root.holes:
-        kept = sum(
-            1
-            for x in _collect_linear(new_payload)
-            if isinstance(x, Dest) and x.alive and x.lineage.find() is root
-        )
+        if type(new_payload) is Dest:
+            kept = new_payload.alive and new_payload.lineage.find() is root
+        else:
+            kept = sum(
+                1
+                for x in _collect_linear(new_payload)
+                if isinstance(x, Dest) and x.alive and x.lineage.find() is root
+            )
         if kept < root.holes:
             raise LinearityLeak(
                 f"map_b callback dropped {root.holes - kept} live "
@@ -345,17 +365,20 @@ def from_incomplete(i: Incomplete):
 # -- filling destinations -----------------------------------------------------------
 
 
-def _check_fillable(kind: FieldKind, ctor: CtorDescriptor) -> None:
+def _check_fillable(kind: FieldKind | None, type_id: str | None, what: str) -> None:
+    """Raise UnknownCtor unless a value of type ``type_id`` (None for a
+    leaf), made by ``what``, may fill a hole of ``kind`` (None for any)."""
     # Registration is checked by alloc_hollow, before it changes anything.
-    if isinstance(kind, LeafType):
+    if type_id is None:
+        if isinstance(kind, Recursive):
+            raise UnknownCtor(f"hole expects type {kind.type_id!r}, not a leaf")
+    elif isinstance(kind, LeafType):
         raise UnknownCtor(
-            f"hole expects a leaf of {kind.type_id!r}; "
-            f"constructor {ctor.name} cannot fill it"
+            f"hole expects a leaf of {kind.type_id!r}; {what} cannot fill it"
         )
-    if isinstance(kind, Recursive) and kind.type_id != ctor.type_id:
+    elif isinstance(kind, Recursive) and kind.type_id != type_id:
         raise UnknownCtor(
-            f"hole expects type {kind.type_id!r}, "
-            f"constructor {ctor.name} builds {ctor.type_id!r}"
+            f"hole expects type {kind.type_id!r}, {what} builds {type_id!r}"
         )
 
 
@@ -371,9 +394,11 @@ def fill(d: Dest, ctor: CtorDescriptor):
         raise UseAfterConsume("fill on an already-consumed destination")
     kind = d.kind
     if kind is not None and (type(kind) is not Recursive or kind.type_id != ctor.type_id):
-        _check_fillable(kind, ctor)
+        _check_fillable(kind, ctor.type_id, f"constructor {ctor.name}")
     region = d.region
     cell = _region.alloc_hollow(region, ctor, d.cell, d.index)
+    if kind is None:  # a receiver's hole
+        d.cell.type_id, d.cell.dest = ctor.type_id, None
     d.alive = False
     lineage = d.lineage
     if lineage.parent is not None:
@@ -408,12 +433,14 @@ def fill_leaf(value, d: Dest) -> None:
     if not d.alive:
         raise UseAfterConsume("fill_leaf on an already-consumed destination")
     if type(d.kind) is Recursive:
-        raise UnknownCtor(f"hole expects type {d.kind.type_id!r}, not a leaf")
+        _check_fillable(d.kind, None, "a leaf")
     if not isinstance(value, _SCALARS) and _collect_linear(value):
         raise DestinationInLeaf(
             "leaf payload contains tokens, destinations, or incompletes"
         )
     _region.write_field(d.region, d.cell, d.index, Leaf(value))
+    if d.kind is None:  # a receiver's hole
+        d.cell.dest = None
     d.alive = False
     lineage = d.lineage
     if lineage.parent is not None:
@@ -424,7 +451,11 @@ def fill_leaf(value, d: Dest) -> None:
 def fill_comp(child: Incomplete, d: Dest):
     """Plug ``child`` into the hole behind ``d`` and return child's payload.
 
-    Only a field write: no cell is allocated, nothing moves. The child's
+    No cell is allocated and nothing is copied: the value in child's
+    receiver is written into the hole, or, while child is still empty, the
+    live destination of child's receiver is re-pointed at the hole. The
+    value must fit the hole's kind as a fill would (else UnknownCtor); an
+    empty child is checked when its destination is filled. The child's
     remaining destinations re-home into d's lineage before this returns.
     """
     if not isinstance(child, Incomplete):
@@ -439,7 +470,25 @@ def fill_comp(child: Incomplete, d: Dest):
     child_root = child.lineage.find()
     if parent_root is child_root:
         raise SelfPlug("incomplete plugged into a destination of its own lineage")
-    _region.write_field(d.region, d.cell, d.index, Ref(child.root))
+    region = d.region
+    region._require_alive()
+    receiver = child.root
+    if child.region is not region:
+        raise region._foreign(receiver, "incomplete")
+    kind = d.kind
+    content = receiver.slots[0]
+    if content is HOLE:
+        moved = receiver.dest
+        moved.cell, moved.index, moved.kind = d.cell, d.index, kind
+        if kind is None:
+            d.cell.dest = moved
+        region.outstanding_holes -= 1  # child's receiver hole is given up
+    else:
+        if kind is not None:
+            _check_fillable(kind, receiver.type_id, "the plugged incomplete")
+        _region.write_field(region, d.cell, d.index, Ref(content))
+        if kind is None:
+            d.cell.type_id, d.cell.dest = receiver.type_id, None
     parent_root.holes += child_root.holes - 1
     child_root.holes = 0
     child_root.parent = parent_root

@@ -6,19 +6,31 @@ fixed number of field slots, each of which starts as a hole and is written
 exactly once, either with a reference to another cell of the same region or
 with a leaf payload that is deep-copied into the region at write time.
 
-A cell is a single object, a ``CellRef``: it carries its region's id, its
-handle (its index in allocation order), its constructor and its slots, and
-callers hold and pass that object itself; there is no separate locator.
+A raw cell is a single object, a ``CellRef``: it carries its region's id,
+its handle (its index in allocation order), its constructor and its slots,
+and callers hold and pass that object itself; there is no separate locator.
 Cells never move, so a cell stays valid for the region's whole lifetime.
 
-A slot is in one of four states, told apart by its type: ``HOLE``; the
+A raw slot is in one of four states, told apart by its type: ``HOLE``; the
 target ``CellRef`` of a reference (never the caller's ``Ref``); an immutable
 ``Leaf``; or a nullary ``CtorDescriptor`` that ``alloc_hollow`` wrote into
 the hole, charged exactly as a cell but never materialized as one.
 
+The builder's cells are host objects. Written into a root ``Receiver`` or
+into a host object, a constructor that the registry lets build in place (see
+``shapes``) is allocated as its final host object: ``object.__new__`` of its
+``make`` with every field preset to ``HOLE``, linked into its parent's field
+with ``object.__setattr__`` (so frozen dataclasses work too); a nullary one
+is stored as its ``make()``. Such a cell is charged exactly as a raw cell,
+has no handle and is not in ``_cells``; its fields are written through
+``write_field`` with the same checks, a leaf field holding the payload
+itself. A raw slot can therefore hold a fifth state, a host value plugged
+in whole. Receivers, raw cells and the raw API are otherwise unchanged.
+
 Decoding (``read_value``) walks the cell graph, checks that no reachable
 hole remains and that the graph is acyclic, and rebuilds the host value
-bottom-up through the registered constructor ``make`` functions.
+bottom-up through the registered constructor ``make`` functions. A receiver
+that holds a host value or a leaf decodes in O(1), to that value.
 
 A region and everything pointing into it belong to one thread at a time;
 none of these operations synchronize.
@@ -56,22 +68,23 @@ _region_ids = itertools.count(1)
 # Hole marker stored in unwritten slots.
 HOLE = type("Hole", (), {"__repr__": lambda self: "HOLE", "__slots__": ()})()
 
-# Root-receiver indirection: a private one-field constructor that decodes to
-# its field's value. Never registered; never visible to callers.
+# Constructor of every root receiver: one field, which read_value returns as
+# the receiver's value. Never registered; never visible to callers.
 _INDIRECTION = CtorDescriptor(
     type_id="_indirection",
     name="_ind",
     tag=0,
     arity=1,
     fields=(LeafType("any"),),
-    make=lambda value: value,
 )
 
 _SCALARS = (int, float, bool, str, bytes, type(None))
 
 
 class Ref:
-    """Slot state: reference to another cell of the same region."""
+    """What ``write_field`` plugs into a hole: another cell of the same
+    region, or the content of a filled receiver (a host value or a
+    ``Leaf``), stored as it is and charged nothing."""
 
     __slots__ = ("target",)
 
@@ -116,6 +129,23 @@ class CellRef:
 
     def __repr__(self) -> str:
         return f"<CellRef {self.ctor.name} {self.region_id}:{self.handle}>"
+
+
+class Receiver(CellRef):
+    """A root receiver: the one-hole indirection cell whose hole takes an
+    incomplete's whole value.
+
+    ``type_id`` and ``dest`` are the builder's: the type of what filled the
+    hole (None for a leaf), and the live destination of the hole while it is
+    still empty.
+    """
+
+    __slots__ = ("type_id", "dest")
+
+    def __init__(self, region_id: int, handle: int) -> None:
+        super().__init__(region_id, handle, _INDIRECTION)
+        self.type_id = None
+        self.dest = None
 
 
 @dataclass
@@ -180,10 +210,13 @@ class Region:
         self.outstanding_holes += ctor.arity
         return cell
 
-    def _alloc_receiver(self) -> CellRef:
+    def _alloc_receiver(self) -> Receiver:
         """Allocate a root-receiver indirection cell (not a user cell)."""
         self._require_alive()
-        cell = self._new_cell(_INDIRECTION)
+        self._bump(2 * WORD)
+        cell = Receiver(self.region_id, len(self._cells))
+        self._cells.append(cell)
+        self.outstanding_holes += 1
         self.stats.receiver_cells += 1
         return cell
 
@@ -195,23 +228,28 @@ class Region:
     def _close(self) -> None:
         self.alive = False
 
-    def copy_value(self, value, type_id: str) -> CellRef:
+    def copy_value(self, value, type_id: str) -> Receiver:
         """Structurally copy a complete host value into fresh region cells.
 
-        Constructor nodes become cells, leaf fields become region-owned leaf
-        copies; a node reached twice is copied twice. Returns the root cell of
-        the copy. Iterative depth-first; a node reachable from itself raises
-        CyclicStructure. A copy that fails part way is unreachable and owes no
-        writes, so its holes are taken back out of ``outstanding_holes``.
+        Returns an uncharged receiver (no handle, not in ``_cells``) whose
+        hole holds the copy, written exactly as the fills of a build would
+        write it: host objects for a type that builds in place, else raw
+        cells. Leaf fields become region-owned leaf copies; a node reached
+        twice is copied twice. Iterative depth-first; a node reachable from
+        itself raises CyclicStructure. A copy that fails part way is
+        unreachable and owes no writes, so its holes are taken back out of
+        ``outstanding_holes``.
         """
         self._require_alive()
         holes = self.outstanding_holes
+        holder = Receiver(self.region_id, -1)
+        holder.type_id = type_id
+        self.outstanding_holes += 1
         on_path: set[int] = set()  # ids of the host nodes being copied
         # Entries: (cell, field index, host node, type id) to copy the node
-        # into that field (the root has no cell), or (None, None, node, None)
-        # once the node's subtree is copied.
-        stack: list = [(None, 0, value, type_id)]
-        root = None
+        # into that field, or (None, None, node, None) once the node's
+        # subtree is copied.
+        stack: list = [(holder, 0, value, type_id)]
         try:
             while stack:
                 parent, idx, node, tid = stack.pop()
@@ -224,13 +262,13 @@ class Region:
                     )
                 shape = self.registry.shape(tid)
                 tag, parts = shape.classify(node)
-                cell = alloc_hollow(self, shape.ctors[tag], parent, idx)
-                if cell is None:  # a nullary constructor: nothing below it
+                ctor = shape.ctors[tag]
+                cell = alloc_hollow(self, ctor, parent, idx)
+                if not ctor.arity:  # nothing below it
                     continue
-                root = root or cell
                 on_path.add(id(node))
                 stack.append((None, None, node, None))
-                fields = cell.ctor.fields
+                fields = ctor.fields
                 for i in range(len(fields) - 1, -1, -1):
                     if isinstance(fields[i], Recursive):
                         stack.append((cell, i, parts[i], fields[i].type_id))
@@ -239,7 +277,7 @@ class Region:
         except BaseException:
             self.outstanding_holes = holes
             raise
-        return root
+        return holder
 
 
 # -- leaf accounting --------------------------------------------------------
@@ -296,21 +334,23 @@ def region_new(
 
 
 def alloc_hollow(
-    region: Region, ctor: CtorDescriptor, into: CellRef | None = None, index: int = 0
-) -> CellRef | None:
+    region: Region, ctor: CtorDescriptor, into=None, index: int = 0
+):
     """Allocate a cell for ``ctor`` with every field left as a hole.
 
     With ``into``, the new cell is also written into hole ``index`` of
-    ``into``; every check of both steps runs before anything changes. A
-    nullary constructor written that way is stored in the hole as the
-    descriptor itself and None is returned: it is charged as one cell but
-    has no ``CellRef``.
+    ``into``; every check of both steps runs before anything changes. Into a
+    raw ``CellRef`` the new cell is a raw one, and a nullary constructor is
+    stored in the hole as the descriptor itself. Into a ``Receiver`` or a
+    host object, a constructor that builds in place becomes its host object,
+    and a nullary one its ``make()``. Either way a nullary constructor is
+    charged as one cell and None is returned; otherwise the new cell is.
     """
     if into is None:
         region._require_alive()
         region.registry.resolve(ctor)
         cell = region._new_cell(ctor)
-    else:
+    elif type(into) is CellRef:
         slots = _hole(region, into, index)
         region.registry.resolve(ctor)
         if ctor.arity:
@@ -318,6 +358,28 @@ def alloc_hollow(
         else:
             cell, slots[index] = None, ctor
             region._bump(WORD)
+        region.outstanding_holes -= 1
+    else:
+        if type(into) is Receiver:
+            slots = _hole(region, into, index)
+        else:
+            name = _field(region, into, index)
+        names = region.registry.resolve(ctor)
+        if names is None:
+            cell = value = region._new_cell(ctor)
+        else:
+            if names:
+                cell = value = object.__new__(ctor.make)
+                for n in names:
+                    object.__setattr__(cell, n, HOLE)
+                region.outstanding_holes += ctor.arity
+            else:
+                cell, value = None, ctor.make()
+            region._bump(WORD * (1 + ctor.arity))
+        if type(into) is Receiver:
+            slots[index] = value
+        else:
+            object.__setattr__(into, name, value)
         region.outstanding_holes -= 1
     region.stats.cells_allocated += 1
     return cell
@@ -342,22 +404,49 @@ def _hole(region: Region, cell: CellRef, index: int) -> list:
     return slots
 
 
-def write_field(region: Region, cell: CellRef, index: int, value) -> None:
-    """Write one hole, forever, with a ``Ref`` (stored as its target cell) or
-    a ``Leaf`` (kept as given for a scalar payload, else deep-copied)."""
-    slots = _hole(region, cell, index)
-    if isinstance(value, Ref):
-        value = value.target
-        if value.region_id != region.region_id:
-            raise region._foreign(value, "reference")
-    elif isinstance(value, Leaf):
+def _field(region: Region, obj, index: int) -> str:
+    """The name of field ``index`` of host object ``obj`` once that field is
+    a hole of live ``region``."""
+    if not region.alive:
+        region._require_alive()
+    names = region.registry.host_fields[type(obj)]
+    if not 0 <= index < len(names):
+        raise FieldIndexOutOfRange(
+            f"field {index} out of range for {type(obj).__name__} "
+            f"(arity {len(names)})"
+        )
+    name = names[index]
+    if getattr(obj, name) is not HOLE:
+        raise DoubleFill(f"field {name} of a {type(obj).__name__} already written")
+    return name
+
+
+def write_field(region: Region, cell, index: int, value) -> None:
+    """Write one hole of a cell or host object, forever, with a ``Ref``
+    (stored as its target) or a ``Leaf`` (kept as given for a scalar
+    payload, else deep-copied; a host object's field holds the payload)."""
+    host = not isinstance(cell, CellRef)
+    if host:
+        name = _field(region, cell, index)
+    else:
+        slots = _hole(region, cell, index)
+    if isinstance(value, Leaf):
         if not isinstance(value._payload, _SCALARS):
             value = Leaf(copy.deepcopy(value._payload))
         region._bump(_nominal_size(value._payload))
         region.stats.leaf_copies += 1
+    elif isinstance(value, Ref):
+        value = value.target
+        if type(value) is CellRef and value.region_id != region.region_id:
+            raise region._foreign(value, "reference")
     else:
         raise TypeError(f"expected Ref or Leaf, got {type(value).__name__}")
-    slots[index] = value
+    if not host:
+        slots[index] = value
+    elif type(value) is Leaf:
+        object.__setattr__(cell, name, value._payload)
+    else:
+        object.__setattr__(cell, name, value)
     region.outstanding_holes -= 1
 
 
@@ -367,15 +456,26 @@ _ON_PATH = object()  # value of a cell while its children are decoded
 def read_value(region: Region, root: CellRef):
     """Decode the value rooted at ``root`` back into a host value.
 
-    Iterative depth-first walk in slot order; raises IncompleteRead on any
-    reachable hole and CyclicStructure if a cell is reachable from itself,
-    whichever it meets first. A cell reached twice decodes to one object; a
-    nullary constructor slot decodes to its own ``make()``. Leaf payloads
-    are returned as stored (the region's copy), not re-copied. Work and
-    memory are proportional to the value read, not to the region.
+    A receiver holding a host value or a leaf returns it at once. Otherwise
+    an iterative depth-first walk in slot order; raises IncompleteRead on
+    any reachable hole and CyclicStructure if a cell is reachable from
+    itself, whichever it meets first. A cell reached twice decodes to one
+    object; a nullary constructor slot decodes to its own ``make()``; a host
+    value plugged into a slot is returned as it is. Leaf payloads are
+    returned as stored (the region's copy), not re-copied. Work and memory
+    are proportional to the value read, not to the region.
     """
     if root.region_id != region.region_id:
         raise region._foreign(root, "cell")
+    if type(root) is Receiver:
+        content = root.slots[0]
+        if content is HOLE:
+            raise IncompleteRead(f"hole at field 0 of receiver cell {root.handle}")
+        if type(content) is Leaf:
+            return content._payload
+        if type(content) is not CellRef:
+            return content
+        root = content
     cells = region._cells
     values: dict = {}  # by handle: _ON_PATH, then the decoded value
     # Entries: a cell to enter, the handle of an entered cell to complete
@@ -414,8 +514,10 @@ def read_value(region: Region, root: CellRef):
                 args.append(values[slot.handle])
             elif kind is Leaf:
                 args.append(slot._payload)
-            else:
+            elif kind is CtorDescriptor:
                 args.append(slot.make())
+            else:
+                args.append(slot)
         values[cell.handle] = cell.ctor.make(*args)
     return values[root.handle]
 

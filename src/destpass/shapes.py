@@ -12,10 +12,26 @@ each shape also carries two callables used at the region boundary:
 value is decoded back into a host value, and ``classify`` (per type) is its
 inverse, splitting a host value into (tag, field values) when a complete
 value is copied into a region.
+
+Registration also decides, once per constructor, whether a fill builds it
+as its final host object in place (``ShapeRegistry.resolve`` returns its
+field names) or as a region cell (``resolve`` returns None). A constructor
+qualifies when
+
+* it is nullary (its fill stores ``make()``), or its ``make`` is a
+  dataclass whose generated ``__init__`` only assigns fields: no
+  ``__post_init__``, no ``__new__`` of its own, and exactly one ``init``
+  field per declared field, in order; and
+* every type reachable through its ``Recursive`` fields, transitively, has
+  only constructors of that first kind.
+
+So a host object never holds a region cell, and its release decodes
+nothing.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -102,6 +118,22 @@ def ctor(type_id, name, tag, fields, make):
     )
 
 
+def _host_fields(c: CtorDescriptor) -> tuple[str, ...] | None:
+    """The fields a fill of ``c`` presets on ``object.__new__(c.make)``, or
+    None when ``make`` does more than assign them (see the module docstring)."""
+    if not c.arity:
+        return ()
+    make = c.make
+    if not (isinstance(make, type) and dataclasses.is_dataclass(make)):
+        return None
+    if hasattr(make, "__post_init__") or make.__new__ is not object.__new__:
+        return None
+    fs = dataclasses.fields(make)
+    if len(fs) != c.arity or not all(f.init for f in fs):
+        return None
+    return tuple(f.name for f in fs)
+
+
 class ShapeRegistry:
     """Registration-phase store of type shapes; read-only afterwards.
 
@@ -111,6 +143,10 @@ class ShapeRegistry:
 
     def __init__(self) -> None:
         self._shapes: dict[str, TypeShape] = {}
+        # By id of each registered descriptor: what resolve returns for it.
+        self._layouts: dict[int, tuple[str, ...] | None] = {}
+        # The field names of every class a fill builds in place.
+        self.host_fields: dict[type, tuple[str, ...]] = {}
 
     def register(self, *shapes: TypeShape) -> None:
         """Register one or more shapes atomically.
@@ -145,6 +181,41 @@ class ShapeRegistry:
                             f"to unregistered type {fk.type_id!r}"
                         )
         self._shapes.update(batch)
+        self._qualify(batch.values())
+
+    def _qualify(self, shapes: Iterable[TypeShape]) -> None:
+        """Record the layout of every constructor of ``shapes``."""
+        plain: dict[str, bool] = {}  # type id -> every ctor has host fields
+
+        def type_is_plain(type_id: str) -> bool:
+            if type_id not in plain:
+                plain[type_id] = all(
+                    _host_fields(c) is not None for c in self._shapes[type_id].ctors
+                )
+            return plain[type_id]
+
+        for shape in shapes:
+            for c in shape.ctors:
+                names = _host_fields(c)
+                if names is not None and not all(map(type_is_plain, self._reachable(c))):
+                    names = None
+                self._layouts[id(c)] = names
+                if names:
+                    self.host_fields[c.make] = names
+
+    def _reachable(self, c: CtorDescriptor) -> set[str]:
+        """Type ids reachable from ``c`` through Recursive fields."""
+        seen: set[str] = set()
+        stack = [fk.type_id for fk in c.fields if isinstance(fk, Recursive)]
+        while stack:
+            type_id = stack.pop()
+            if type_id not in seen:
+                seen.add(type_id)
+                for other in self._shapes[type_id].ctors:
+                    stack.extend(
+                        fk.type_id for fk in other.fields if isinstance(fk, Recursive)
+                    )
+        return seen
 
     def shape(self, type_id: str) -> TypeShape:
         try:
@@ -155,14 +226,17 @@ class ShapeRegistry:
     def is_registered(self, type_id: str) -> bool:
         return type_id in self._shapes
 
-    def resolve(self, c: CtorDescriptor) -> CtorDescriptor:
-        """Return the registered descriptor matching ``c`` or raise UnknownCtor."""
-        shape = self._shapes.get(c.type_id)
-        if shape is None or c.tag >= len(shape.ctors) or shape.ctors[c.tag] is not c:
+    def resolve(self, c: CtorDescriptor) -> tuple[str, ...] | None:
+        """The layout of registered descriptor ``c``: the field names a fill
+        presets on its host object (``()`` for a nullary one), or None when
+        a fill builds it as a region cell. Raises UnknownCtor when ``c``
+        itself is not registered."""
+        try:
+            return self._layouts[id(c)]
+        except KeyError:
             raise UnknownCtor(
                 f"constructor {c.type_id}.{c.name} (tag {c.tag}) is not registered"
-            )
-        return c
+            ) from None
 
     def dests_spec_of(self, c: CtorDescriptor) -> tuple[tuple[int, FieldKind], ...]:
         """Hole specifications for a constructor: (field index, kind) per field."""

@@ -60,6 +60,25 @@ def test_sexpr_rows_validate_against_each_other():
     assert dps.region_cells > 0
 
 
+def test_rows_report_the_peak_of_a_checked_run(monkeypatch):
+    naive = run_case(quick("sexpr", "naive", 12))
+    dps = run_case(quick("sexpr", "dps", 12))
+    assert naive.peak_kib > 0 and dps.peak_kib > 0
+    # the peak run is checked by the oracle like every other run
+    runs = []
+    real = bench._dlist_naive_run
+
+    def once_wrong(n):
+        runs.append(n)
+        out, m = real(n)
+        return (out if len(runs) < 3 else out[::-1]), m
+
+    monkeypatch.setattr(bench, "_dlist_naive_run", once_wrong)
+    with pytest.raises(OracleMismatch):
+        run_case(BenchCase(case="dlist", engine="naive", k=6, reps=1, warmup=1))
+    assert len(runs) == 3  # checked run, timed run, peak run
+
+
 def test_oracle_mismatch_aborts(monkeypatch):
     monkeypatch.setattr(
         bench, "_dlist_naive_run", lambda n: ([0, 0, 0], dict(bench._ZERO_METRICS))
@@ -78,7 +97,7 @@ def test_run_series_interleaves_sizes():
 def test_emit_report_empty():
     assert emit_report([]) == (
         "case,engine,size,wall_time_ns,region_bytes,region_cells,"
-        "leaf_copies,aux_counter\n"
+        "leaf_copies,aux_counter,peak_kib\n"
     )
 
 

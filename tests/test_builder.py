@@ -30,7 +30,7 @@ from destpass import (
     token_dup2,
     with_region,
 )
-from destpass.bfs import TREE_NODE, Node
+from destpass.bfs import TREE_NIL, TREE_NODE, Node
 from destpass.region import HOLE, WORD, Leaf
 from destpass.shapes import LeafType, Recursive, ShapeRegistry, TypeShape, ctor
 from destpass.dlist import LIST_CONS, LIST_NIL, NIL, Cons, from_pylist
@@ -236,7 +236,7 @@ def test_fill_returns_dests_in_declaration_order():
     def body(t):
         def f(d):
             dh, dt = fill(d, LIST_CONS)
-            assert dh.cell == dt.cell
+            assert dh.cell is dt.cell
             assert (dh.index, dt.index) == (0, 1)
             fill_leaf(11, dh)
             assert fill(dt, LIST_NIL) is None  # 0-ary: no dests
@@ -393,6 +393,76 @@ def test_fill_leaf_into_recursive_hole_rejected():
             return None
 
         return from_incomplete_(map_b(alloc(t), f))
+
+    assert list(with_region(body)) == [1]
+
+
+def test_fill_comp_rejects_a_child_of_another_type():
+    """A finished tree plugged into a list's tail hole fails at the plug,
+    as fill and fill_leaf fail on a mismatch, and changes nothing."""
+
+    def body(t):
+        region = t.region
+        t1, t2 = token_dup2(t)
+        tree = map_b(alloc(t2), lambda d: fill(d, TREE_NIL))
+
+        def f(d):
+            dh, dt = fill(d, LIST_CONS)
+            fill_leaf(1, dh)
+
+            def state():
+                return (dt.alive, tree.alive, region.outstanding_holes,
+                        dt.lineage.find().holes, tree.holes_outstanding)
+
+            before = state()
+            with pytest.raises(UnknownCtor):
+                fill_comp(tree, dt)
+            assert state() == before
+            assert dh.cell.tail is HOLE
+            fill(dt, LIST_NIL)
+            return None
+
+        out = from_incomplete_(map_b(alloc(t1), f))
+        assert from_incomplete_(tree) is None
+        return out
+
+    assert list(with_region(body)) == [1]
+
+
+def test_empty_child_dest_takes_the_holes_place_and_kind():
+    def body(t):
+        t1, t2 = token_dup2(t)
+        child = alloc(t2)
+
+        def f(d):
+            dh, dt = fill(d, LIST_CONS)
+            fill_leaf(1, dh)
+            moved = fill_comp(child, dt)
+            assert moved is child.payload and moved.alive
+            assert (moved.cell, moved.index, moved.kind) == (dt.cell, 1, dt.kind)
+            with pytest.raises(UnknownCtor):
+                fill(moved, TREE_NIL)  # checked now, against the list hole
+            fill(moved, LIST_NIL)
+            return None
+
+        return from_incomplete_(map_b(alloc(t1), f))
+
+    assert list(with_region(body)) == [1]
+
+
+def test_release_returns_the_object_the_fills_built():
+    def body(t):
+        built = []
+
+        def f(d):
+            dh, dt = fill(d, LIST_CONS)
+            built.append(dh.cell)
+            fill_leaf(1, dh)
+            return fill(dt, LIST_NIL)
+
+        value = from_incomplete_(map_b(alloc(t), f))
+        assert value is built[0] and type(value) is Cons
+        return value
 
     assert list(with_region(body)) == [1]
 

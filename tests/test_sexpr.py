@@ -1,6 +1,8 @@
 """Parsers, printer, and generator for s-expressions."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +140,24 @@ def test_dps_region_cells_equal_ast_nodes():
     assert stats.receiver_cells == 1
     # leaves: SList end_pos, plus (end_pos, value) per atom
     assert stats.leaf_copies == 7
+
+
+def _peak_bytes(parse, data) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        parse(data)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dps_peak_memory_is_within_5_percent_of_the_naive_peak():
+    """The AST is built in place as its final host objects, so parsing
+    holds no second copy of it (the paper's memory result)."""
+    data = generate_input(2**14, seed=14)
+    naive, dps = _peak_bytes(parse_naive, data), _peak_bytes(parse_dps, data)
+    assert dps <= 1.05 * naive, f"dps peak {dps} B vs naive {naive} B"
 
 
 def test_error_paths_consume_all_destinations():

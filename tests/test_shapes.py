@@ -1,5 +1,8 @@
 """Shape registration and constructor metadata."""
 
+from dataclasses import dataclass, field
+from typing import Any
+
 import pytest
 
 from destpass import (
@@ -9,10 +12,19 @@ from destpass import (
     ShapeRegistry,
     TypeShape,
     UnknownCtor,
+    alloc,
     ctor,
     dests_spec_of,
+    fill,
+    fill_comp,
+    fill_leaf,
+    from_incomplete_,
+    map_b,
     register_shape,
+    token_dup2,
+    with_region,
 )
+from destpass.shapes import DEFAULT_REGISTRY
 from destpass.bfs import TREE_NODE, TREE_SHAPE
 from destpass.dlist import LIST_CONS, LIST_NIL, LIST_SHAPE
 
@@ -110,3 +122,111 @@ def test_shape_validation():
         ctor("u", "a", 0, (), lambda: None).__class__(
             type_id="u", name="a", tag=0, arity=2, fields=(), make=None
         )
+
+
+# -- which constructors a fill builds in place ---------------------------------
+
+
+@dataclass
+class _Pair:
+    a: Any
+    b: Any
+
+
+@dataclass(frozen=True)
+class _FrozenPair:
+    a: Any
+    b: Any
+
+
+@dataclass
+class _Checked:
+    a: Any
+    b: Any
+
+    def __post_init__(self):
+        if self.a is None:
+            raise ValueError("a is required")
+
+
+@dataclass
+class _Counted:
+    a: Any
+    b: Any
+    n: int = field(default=0, init=False)
+
+
+def _pair_shape(type_id, make, kid_type=None):
+    kid = Recursive(kid_type or type_id)
+    return TypeShape(
+        type_id,
+        (ctor(type_id, "nil", 0, (), lambda: None),
+         ctor(type_id, "pair", 1, (LeafType("int"), kid), make)),
+        lambda v: (0, ()) if v is None else (1, (v.a, v.b)),
+    )
+
+
+def test_which_constructors_build_in_place():
+    reg = ShapeRegistry()
+    shapes = {
+        "plain": _pair_shape("plain", _Pair),
+        "frozen": _pair_shape("frozen", _FrozenPair),
+        "post_init": _pair_shape("post_init", _Checked),
+        "init_false": _pair_shape("init_false", _Counted),
+        "lambda": _pair_shape("lambda", lambda a, b: (a, b)),
+        "reaches_lambda": _pair_shape("reaches_lambda", _Pair, "lambda"),
+    }
+    reg.register(*shapes.values())
+    layouts = {t: [reg.resolve(c) for c in s.ctors] for t, s in shapes.items()}
+    assert layouts == {
+        "plain": [(), ("a", "b")],
+        "frozen": [(), ("a", "b")],
+        "post_init": [(), None],
+        "init_false": [(), None],
+        "lambda": [(), None],
+        "reaches_lambda": [(), None],
+    }
+    assert DEFAULT_REGISTRY.resolve(LIST_CONS) == ("head", "tail")
+    assert DEFAULT_REGISTRY.resolve(LIST_NIL) == ()
+    assert DEFAULT_REGISTRY.resolve(TREE_NODE) == ("value", "left", "right")
+
+
+@pytest.mark.parametrize(
+    "type_id", ["plain", "frozen", "post_init", "reaches_lambda", "lambda_of_plain"]
+)
+def test_in_place_and_cell_built_values_plug_and_release_alike(type_id):
+    """The pair's kid is built as its own incomplete and plugged in, so the
+    plug writes a host object into a host object or a raw cell, or a raw
+    cell into a raw cell."""
+    reg = ShapeRegistry()
+    reg.register(
+        _pair_shape("plain", _Pair),
+        _pair_shape("frozen", _FrozenPair),
+        _pair_shape("post_init", _Checked),
+        _pair_shape("lambda", lambda a, b: (a, b)),
+        _pair_shape("reaches_lambda", _Pair, "lambda"),
+        _pair_shape("lambda_of_plain", lambda a, b: (a, b), "plain"),
+    )
+    nil, pair = reg.shape(type_id).ctors
+    kid_nil, kid_pair = reg.shape(pair.fields[1].type_id).ctors
+
+    def body(t):
+        t1, t2 = token_dup2(t)
+
+        def build_kid(d):
+            da, db = fill(d, kid_pair)
+            fill_leaf(2, da)
+            fill(db, kid_nil)
+            return None
+
+        kid = map_b(alloc(t2), build_kid)
+
+        def build(d):
+            da, db = fill(d, pair)
+            fill_leaf(1, da)
+            return fill_comp(kid, db)
+
+        return from_incomplete_(map_b(alloc(t1), build))
+
+    value = with_region(body, registry=reg)
+    assert value == pair.make(1, kid_pair.make(2, None))
