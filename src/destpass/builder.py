@@ -426,7 +426,8 @@ def fill_leaf(value, d: Dest) -> None:
 
     The value is copied into the region, so later mutation of the source
     cannot affect the structure. Leaf payloads must not contain live linear
-    values; destination-backed structures cannot store destinations.
+    values; destination-backed structures cannot store destinations. A
+    payload that is itself a region cell raises TypeError.
     """
     if not isinstance(d, Dest):
         raise TypeError(f"fill_leaf expects a Dest, got {type(d).__name__}")

@@ -11,26 +11,24 @@ its handle (its index in allocation order), its constructor and its slots,
 and callers hold and pass that object itself; there is no separate locator.
 Cells never move, so a cell stays valid for the region's whole lifetime.
 
-A raw slot is in one of four states, told apart by its type: ``HOLE``; the
-target ``CellRef`` of a reference (never the caller's ``Ref``); an immutable
-``Leaf``; or a nullary ``CtorDescriptor`` that ``alloc_hollow`` wrote into
-the hole, charged exactly as a cell but never materialized as one.
+A field, of a raw cell or of a host object, holds what a host object's
+field holds: ``HOLE`` until it is written, then either a reference to a raw
+cell (the target ``CellRef``, never the caller's ``Ref``) or the finished
+value itself. That value is a leaf's payload (the region's copy), a nullary
+constructor's ``make()``, or a host value plugged in whole.
 
 The builder's cells are host objects. Written into a root ``Receiver`` or
 into a host object, a constructor that the registry lets build in place (see
 ``shapes``) is allocated as its final host object: ``object.__new__`` of its
 ``make`` with every field preset to ``HOLE``, linked into its parent's field
-with ``object.__setattr__`` (so frozen dataclasses work too); a nullary one
-is stored as its ``make()``. Such a cell is charged exactly as a raw cell,
-has no handle and is not in ``_cells``; its fields are written through
-``write_field`` with the same checks, a leaf field holding the payload
-itself. A raw slot can therefore hold a fifth state, a host value plugged
-in whole. Receivers, raw cells and the raw API are otherwise unchanged.
+with ``object.__setattr__`` (so frozen dataclasses work too). Such a cell is
+charged exactly as a raw cell, has no handle and is not in ``_cells``; its
+fields are written through ``write_field`` with the same checks.
 
-Decoding (``read_value``) walks the cell graph, checks that no reachable
-hole remains and that the graph is acyclic, and rebuilds the host value
-bottom-up through the registered constructor ``make`` functions. A receiver
-that holds a host value or a leaf decodes in O(1), to that value.
+Decoding (``read_value``) walks the raw cell graph, checks that no
+reachable hole remains and that the graph is acyclic, and rebuilds the host
+value bottom-up through the registered constructor ``make`` functions. A
+receiver that holds anything but a raw cell decodes in O(1), to that value.
 
 A region and everything pointing into it belong to one thread at a time;
 none of these operations synchronize.
@@ -83,12 +81,12 @@ _SCALARS = (int, float, bool, str, bytes, type(None))
 
 class Ref:
     """What ``write_field`` plugs into a hole: another cell of the same
-    region, or the content of a filled receiver (a host value or a
-    ``Leaf``), stored as it is and charged nothing."""
+    region, or a finished host value such as a filled receiver's content,
+    stored as it is and charged nothing."""
 
     __slots__ = ("target",)
 
-    def __init__(self, target: CellRef) -> None:
+    def __init__(self, target) -> None:
         self.target = target
 
     def __repr__(self) -> str:
@@ -96,20 +94,16 @@ class Ref:
 
 
 class Leaf:
-    """Slot state: opaque payload copied into the region. Immutable, so a
-    region may keep the caller's Leaf of a scalar payload as its own."""
+    """What ``write_field`` writes as a leaf: ``payload``, which the field
+    then holds, deep-copied into the region unless it is a scalar."""
 
-    __slots__ = ("_payload",)
+    __slots__ = ("payload",)
 
     def __init__(self, payload) -> None:
-        self._payload = payload
-
-    @property
-    def payload(self):
-        return self._payload
+        self.payload = payload
 
     def __repr__(self) -> str:
-        return f"Leaf({self._payload!r})"
+        return f"Leaf({self.payload!r})"
 
 
 class CellRef:
@@ -339,47 +333,39 @@ def alloc_hollow(
     """Allocate a cell for ``ctor`` with every field left as a hole.
 
     With ``into``, the new cell is also written into hole ``index`` of
-    ``into``; every check of both steps runs before anything changes. Into a
-    raw ``CellRef`` the new cell is a raw one, and a nullary constructor is
-    stored in the hole as the descriptor itself. Into a ``Receiver`` or a
-    host object, a constructor that builds in place becomes its host object,
-    and a nullary one its ``make()``. Either way a nullary constructor is
-    charged as one cell and None is returned; otherwise the new cell is.
+    ``into``: a raw cell, a ``Receiver``, or a host object that a fill of
+    this same region built (its region is not checked). Every check of both
+    steps runs before anything changes. A nullary constructor is stored as
+    its ``make()``, charged as one cell, and None is returned. Otherwise the
+    new cell is returned: a raw cell into a raw cell or for a constructor
+    that does not build in place, else its host object.
     """
     if into is None:
         region._require_alive()
         region.registry.resolve(ctor)
         cell = region._new_cell(ctor)
-    elif type(into) is CellRef:
-        slots = _hole(region, into, index)
-        region.registry.resolve(ctor)
-        if ctor.arity:
-            cell = slots[index] = region._new_cell(ctor)
-        else:
-            cell, slots[index] = None, ctor
-            region._bump(WORD)
-        region.outstanding_holes -= 1
     else:
-        if type(into) is Receiver:
-            slots = _hole(region, into, index)
-        else:
+        if type(into) is not CellRef and type(into) is not Receiver:
             name = _field(region, into, index)
+            slots = None
+        else:
+            slots = _hole(region, into, index)
         names = region.registry.resolve(ctor)
-        if names is None:
+        if not ctor.arity:
+            cell, value = None, ctor.make()
+            region._bump(WORD)
+        elif names is None or type(into) is CellRef:
             cell = value = region._new_cell(ctor)
         else:
-            if names:
-                cell = value = object.__new__(ctor.make)
-                for n in names:
-                    object.__setattr__(cell, n, HOLE)
-                region.outstanding_holes += ctor.arity
-            else:
-                cell, value = None, ctor.make()
+            cell = value = object.__new__(ctor.make)
+            for n in names:
+                object.__setattr__(cell, n, HOLE)
             region._bump(WORD * (1 + ctor.arity))
-        if type(into) is Receiver:
-            slots[index] = value
-        else:
+            region.outstanding_holes += ctor.arity
+        if slots is None:
             object.__setattr__(into, name, value)
+        else:
+            slots[index] = value
         region.outstanding_holes -= 1
     region.stats.cells_allocated += 1
     return cell
@@ -409,7 +395,13 @@ def _field(region: Region, obj, index: int) -> str:
     a hole of live ``region``."""
     if not region.alive:
         region._require_alive()
-    names = region.registry.host_fields[type(obj)]
+    try:
+        names = region.registry.host_fields[type(obj)]
+    except KeyError:
+        raise TypeError(
+            f"expected a CellRef or a host object built in place, "
+            f"got {type(obj).__name__}"
+        ) from None
     if not 0 <= index < len(names):
         raise FieldIndexOutOfRange(
             f"field {index} out of range for {type(obj).__name__} "
@@ -422,18 +414,22 @@ def _field(region: Region, obj, index: int) -> str:
 
 
 def write_field(region: Region, cell, index: int, value) -> None:
-    """Write one hole of a cell or host object, forever, with a ``Ref``
-    (stored as its target) or a ``Leaf`` (kept as given for a scalar
-    payload, else deep-copied; a host object's field holds the payload)."""
-    host = not isinstance(cell, CellRef)
-    if host:
+    """Write one hole of a ``CellRef``, or of a host object that a fill of
+    this same region built (its region is not checked), forever. The field
+    then holds a ``Ref``'s target, or a ``Leaf``'s payload: kept as given if
+    a scalar, else deep-copied, and never a ``CellRef`` (TypeError)."""
+    if type(cell) is not CellRef and type(cell) is not Receiver:
         name = _field(region, cell, index)
+        slots = None
     else:
         slots = _hole(region, cell, index)
     if isinstance(value, Leaf):
-        if not isinstance(value._payload, _SCALARS):
-            value = Leaf(copy.deepcopy(value._payload))
-        region._bump(_nominal_size(value._payload))
+        value = value.payload
+        if not isinstance(value, _SCALARS):
+            if isinstance(value, CellRef):
+                raise TypeError("a leaf payload cannot be a region cell")
+            value = copy.deepcopy(value)
+        region._bump(_nominal_size(value))
         region.stats.leaf_copies += 1
     elif isinstance(value, Ref):
         value = value.target
@@ -441,12 +437,10 @@ def write_field(region: Region, cell, index: int, value) -> None:
             raise region._foreign(value, "reference")
     else:
         raise TypeError(f"expected Ref or Leaf, got {type(value).__name__}")
-    if not host:
-        slots[index] = value
-    elif type(value) is Leaf:
-        object.__setattr__(cell, name, value._payload)
-    else:
+    if slots is None:
         object.__setattr__(cell, name, value)
+    else:
+        slots[index] = value
     region.outstanding_holes -= 1
 
 
@@ -454,25 +448,24 @@ _ON_PATH = object()  # value of a cell while its children are decoded
 
 
 def read_value(region: Region, root: CellRef):
-    """Decode the value rooted at ``root`` back into a host value.
+    """Decode the value rooted at raw cell ``root`` back into a host value.
 
-    A receiver holding a host value or a leaf returns it at once. Otherwise
+    A receiver holding anything but a raw cell returns it at once. Otherwise
     an iterative depth-first walk in slot order; raises IncompleteRead on
     any reachable hole and CyclicStructure if a cell is reachable from
     itself, whichever it meets first. A cell reached twice decodes to one
-    object; a nullary constructor slot decodes to its own ``make()``; a host
-    value plugged into a slot is returned as it is. Leaf payloads are
-    returned as stored (the region's copy), not re-copied. Work and memory
-    are proportional to the value read, not to the region.
+    object; any other slot content is the finished value and is returned as
+    stored, not re-copied. Work and memory are proportional to the value
+    read, not to the region.
     """
+    if not isinstance(root, CellRef):
+        raise TypeError(f"read_value expects a CellRef, got {type(root).__name__}")
     if root.region_id != region.region_id:
         raise region._foreign(root, "cell")
     if type(root) is Receiver:
         content = root.slots[0]
         if content is HOLE:
             raise IncompleteRead(f"hole at field 0 of receiver cell {root.handle}")
-        if type(content) is Leaf:
-            return content._payload
         if type(content) is not CellRef:
             return content
         root = content
@@ -507,18 +500,9 @@ def read_value(region: Region, root: CellRef):
             raise IncompleteRead(
                 f"hole at field {idx} of {cell.ctor.name} cell {cell.handle}"
             )
-        args = []
-        for slot in cell.slots:
-            kind = type(slot)
-            if kind is CellRef:
-                args.append(values[slot.handle])
-            elif kind is Leaf:
-                args.append(slot._payload)
-            elif kind is CtorDescriptor:
-                args.append(slot.make())
-            else:
-                args.append(slot)
-        values[cell.handle] = cell.ctor.make(*args)
+        values[cell.handle] = cell.ctor.make(
+            *[values[s.handle] if type(s) is CellRef else s for s in cell.slots]
+        )
     return values[root.handle]
 
 

@@ -31,7 +31,7 @@ from destpass import (
     with_region,
 )
 from destpass.bfs import TREE_NIL, TREE_NODE, Node
-from destpass.region import HOLE, WORD, Leaf
+from destpass.region import HOLE, WORD, Leaf, alloc_hollow, region_new, write_field
 from destpass.shapes import LeafType, Recursive, ShapeRegistry, TypeShape, ctor
 from destpass.dlist import LIST_CONS, LIST_NIL, NIL, Cons, from_pylist
 
@@ -310,6 +310,42 @@ def test_fill_leaf_rejects_linear_payload():
             dh, dt = fill(d, LIST_CONS)
             with pytest.raises(DestinationInLeaf):
                 fill_leaf([dt], dh)  # destination hiding in the payload
+            fill_leaf(1, dh)
+            fill(dt, LIST_NIL)
+            return None
+
+        return from_incomplete_(map_b(alloc(t), f))
+
+    assert list(with_region(body)) == [1]
+
+
+def test_a_region_cell_is_refused_as_a_leaf_payload():
+    """A field holding a CellRef is a reference, so no leaf may be one."""
+    other = alloc_hollow(region_new(1024), LIST_NIL)
+    r = region_new(1024)
+    hollow = alloc_hollow(r, LIST_CONS, r._alloc_receiver(), 0)
+    for into in (alloc_hollow(r, LIST_CONS), r._alloc_receiver(), hollow):
+        before = (region_stats(r), r.outstanding_holes)
+        with pytest.raises(TypeError):
+            write_field(r, into, 0, Leaf(other))
+        assert (region_stats(r), r.outstanding_holes) == before
+
+    def body(t):
+        region = t.region
+
+        def refused(d, field):
+            def state():
+                return region_stats(region), region.outstanding_holes, d.lineage.find().holes
+
+            before = state()
+            with pytest.raises(TypeError):
+                fill_leaf(other, d)
+            assert d.alive and field() is HOLE and state() == before
+
+        def f(d):
+            refused(d, lambda: d.cell.slots[0])  # a receiver's hole
+            dh, dt = fill(d, LIST_CONS)
+            refused(dh, lambda: dh.cell.head)  # a host object's field
             fill_leaf(1, dh)
             fill(dt, LIST_NIL)
             return None

@@ -147,7 +147,7 @@ def test_nullary_written_into_a_hole_is_charged_but_not_materialized():
     before = region_stats(r)
     assert alloc_hollow(r, LIST_NIL, cell, 1) is None
     after = region_stats(r)
-    assert cell.slots[1] is LIST_NIL and len(r._cells) == 1
+    assert cell.slots[1] is NIL and len(r._cells) == 1
     assert after.cells_allocated - before.cells_allocated == 1
     assert after.bytes_allocated - before.bytes_allocated == WORD
     assert r.outstanding_holes == 0
@@ -164,6 +164,25 @@ def test_written_fields_do_not_alias_the_callers_wrappers():
     with contextlib.suppress(AttributeError):
         head.payload = 99
     assert structurally_equal(read_value(r, cell), Cons(7, NIL))
+
+
+def test_raw_api_refuses_what_is_not_a_cell_with_type_error():
+    r = region_new(1024)
+    hollow = alloc_hollow(r, LIST_CONS, r._alloc_receiver(), 0)
+    assert type(hollow) is Cons
+
+    def state():
+        return region_stats(r), list(r.blocks), list(r._cells), r.outstanding_holes
+
+    before = state()
+    with pytest.raises(TypeError):
+        alloc_hollow(r, LIST_NIL, object(), 0)
+    with pytest.raises(TypeError):
+        write_field(r, object(), 0, Leaf(1))
+    with pytest.raises(TypeError):
+        read_value(r, hollow)
+    assert state() == before
+    assert hollow.head is HOLE and hollow.tail is HOLE
 
 
 def test_read_cost_follows_the_value_not_the_region():
@@ -338,7 +357,7 @@ def test_write_once_property(script, seed):
             written[(cell, idx)] = value
     for (cell, idx), value in written.items():
         slot = r._cells[cell.handle].slots[idx]
-        assert slot is not HOLE and slot.payload == value
+        assert slot is not HOLE and slot == value
 
 
 @given(st.integers(0, 2**32))
