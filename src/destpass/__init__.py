@@ -33,7 +33,6 @@ from .errors import (
     DpsError,
     FieldIndexOutOfRange,
     IncompleteRead,
-    InvalidBlockSize,
     LinearityLeak,
     OracleMismatch,
     RegionClosed,
@@ -45,7 +44,6 @@ from .errors import (
     UseAfterConsume,
 )
 from .region import (
-    DEFAULT_BLOCK_SIZE,
     HOLE,
     AllocStats,
     CellRef,

@@ -5,10 +5,6 @@ class DpsError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
-class InvalidBlockSize(DpsError):
-    """Requested region block size is below the supported minimum."""
-
-
 class RegionClosed(DpsError):
     """Operation on a region whose scope has already ended."""
 

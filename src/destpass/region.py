@@ -1,10 +1,11 @@
 """Arena heap of immovable, tagged, write-once cells.
 
-A region owns a growing chain of fixed-capacity blocks and bump-allocates
-cells into them. A cell is one constructor application: a constructor plus a
-fixed number of field slots, each of which starts as a hole and is written
-exactly once, either with a reference to another cell of the same region or
-with a leaf payload that is deep-copied into the region at write time.
+A region counts the cells and bytes allocated in it but holds none of them:
+a cell lives as long as something refers to it. A cell is one constructor
+application: a constructor plus a fixed number of field slots, each of which
+starts as a hole and is written exactly once, either with a reference to
+another cell of the same region or with a leaf payload that is deep-copied
+into the region at write time.
 
 A raw cell is a single object, a ``CellRef``: it carries its region's id,
 its handle (its index in allocation order), its constructor and its slots,
@@ -22,8 +23,8 @@ into a host object, a constructor that the registry lets build in place (see
 ``shapes``) is allocated as its final host object: ``object.__new__`` of its
 ``make`` with every field preset to ``HOLE``, linked into its parent's field
 with ``object.__setattr__`` (so frozen dataclasses work too). Such a cell is
-charged exactly as a raw cell, has no handle and is not in ``_cells``; its
-fields are written through ``write_field`` with the same checks.
+charged exactly as a raw cell and has no handle; its fields are written
+through ``write_field`` with the same checks.
 
 Decoding (``read_value``) walks the raw cell graph, checks that no
 reachable hole remains and that the graph is acyclic, and rebuilds the host
@@ -45,7 +46,6 @@ from .errors import (
     DoubleFill,
     FieldIndexOutOfRange,
     IncompleteRead,
-    InvalidBlockSize,
     RegionClosed,
     RegionMismatch,
 )
@@ -58,8 +58,6 @@ from .shapes import (
 )
 
 WORD = 8
-MIN_BLOCK_SIZE = 256
-DEFAULT_BLOCK_SIZE = 32 * 1024
 
 _region_ids = itertools.count(1)
 
@@ -150,23 +148,19 @@ class AllocStats:
     bytes_allocated: int = 0
     leaf_copies: int = 0
     receiver_cells: int = 0
-    oversize_blocks: int = 0
 
 
 class Region:
-    """An arena of immovable cells; reclaimed as a whole, never per-cell."""
+    """The scope of a set of immovable cells: counts and checks them, while
+    the host heap holds each one and reclaims it once unreferenced."""
 
-    def __init__(self, block_size: int, registry: ShapeRegistry) -> None:
+    def __init__(self, registry: ShapeRegistry) -> None:
         self.region_id = next(_region_ids)
-        self.block_size = block_size
         self.registry = registry
-        # Bytes used in each block; a block's capacity is block_size, or
-        # exactly its use for a dedicated oversize block.
-        self.blocks: list[int] = [0]
         self.outstanding_holes = 0
         self.stats = AllocStats()
         self.alive = True
-        self._cells: list[CellRef] = []
+        self._handles = itertools.count()
         # Live tokens and incompletes minted against this region, counted
         # by the builder for its scope audit.
         self._tokens_alive = 0
@@ -176,7 +170,7 @@ class Region:
         return (
             f"<Region {self.region_id}: "
             f"{self.stats.cells_allocated + self.stats.receiver_cells} cells, "
-            f"{self.outstanding_holes} holes, {len(self.blocks)} blocks>"
+            f"{self.outstanding_holes} holes>"
         )
 
     # -- internal helpers ---------------------------------------------------
@@ -185,34 +179,18 @@ class Region:
         if not self.alive:
             raise RegionClosed(f"region {self.region_id} is closed")
 
-    def _bump(self, nbytes: int) -> None:
-        """Reserve nbytes in the block chain, growing it as needed."""
-        if nbytes > self.block_size:
-            # A single object larger than a block gets a dedicated block.
-            self.blocks.append(nbytes)
-            self.stats.oversize_blocks += 1
-        elif self.blocks[-1] + nbytes > self.block_size:
-            self.blocks.append(nbytes)
-        else:
-            self.blocks[-1] += nbytes
-        self.stats.bytes_allocated += nbytes
-
     def _new_cell(self, ctor: CtorDescriptor) -> CellRef:
-        self._bump(WORD * (1 + ctor.arity))
-        cell = CellRef(self.region_id, len(self._cells), ctor)
-        self._cells.append(cell)
+        self.stats.bytes_allocated += WORD * (1 + ctor.arity)
         self.outstanding_holes += ctor.arity
-        return cell
+        return CellRef(self.region_id, next(self._handles), ctor)
 
     def _alloc_receiver(self) -> Receiver:
         """Allocate a root-receiver indirection cell (not a user cell)."""
         self._require_alive()
-        self._bump(2 * WORD)
-        cell = Receiver(self.region_id, len(self._cells))
-        self._cells.append(cell)
+        self.stats.bytes_allocated += 2 * WORD
         self.outstanding_holes += 1
         self.stats.receiver_cells += 1
-        return cell
+        return Receiver(self.region_id, next(self._handles))
 
     def _foreign(self, cell: CellRef, what: str) -> RegionMismatch:
         return RegionMismatch(
@@ -225,14 +203,13 @@ class Region:
     def copy_value(self, value, type_id: str) -> Receiver:
         """Structurally copy a complete host value into fresh region cells.
 
-        Returns an uncharged receiver (no handle, not in ``_cells``) whose
-        hole holds the copy, written exactly as the fills of a build would
-        write it: host objects for a type that builds in place, else raw
-        cells. Leaf fields become region-owned leaf copies; a node reached
-        twice is copied twice. Iterative depth-first; a node reachable from
-        itself raises CyclicStructure. A copy that fails part way is
-        unreachable and owes no writes, so its holes are taken back out of
-        ``outstanding_holes``.
+        Returns an uncharged receiver (no handle) whose hole holds the copy,
+        written exactly as the fills of a build would write it: host objects
+        for a type that builds in place, else raw cells. Leaf fields become
+        region-owned leaf copies; a node reached twice is copied twice.
+        Iterative depth-first; a node reachable from itself raises
+        CyclicStructure. A copy that fails part way is unreachable and owes
+        no writes, so its holes are taken back out of ``outstanding_holes``.
         """
         self._require_alive()
         holes = self.outstanding_holes
@@ -316,15 +293,9 @@ def _nominal_size(value) -> int:
 # -- public operations -------------------------------------------------------
 
 
-def region_new(
-    block_size: int = DEFAULT_BLOCK_SIZE, *, registry: ShapeRegistry | None = None
-) -> Region:
-    """Create an empty region with blocks of ``block_size`` bytes."""
-    if block_size < MIN_BLOCK_SIZE:
-        raise InvalidBlockSize(
-            f"block size {block_size} below minimum {MIN_BLOCK_SIZE}"
-        )
-    return Region(block_size, registry or DEFAULT_REGISTRY)
+def region_new(*, registry: ShapeRegistry | None = None) -> Region:
+    """Create an empty region whose constructors come from ``registry``."""
+    return Region(registry or DEFAULT_REGISTRY)
 
 
 def alloc_hollow(
@@ -353,14 +324,14 @@ def alloc_hollow(
         names = region.registry.resolve(ctor)
         if not ctor.arity:
             cell, value = None, ctor.make()
-            region._bump(WORD)
+            region.stats.bytes_allocated += WORD
         elif names is None or type(into) is CellRef:
             cell = value = region._new_cell(ctor)
         else:
             cell = value = object.__new__(ctor.make)
             for n in names:
                 object.__setattr__(cell, n, HOLE)
-            region._bump(WORD * (1 + ctor.arity))
+            region.stats.bytes_allocated += WORD * (1 + ctor.arity)
             region.outstanding_holes += ctor.arity
         if slots is None:
             object.__setattr__(into, name, value)
@@ -416,8 +387,9 @@ def _field(region: Region, obj, index: int) -> str:
 def write_field(region: Region, cell, index: int, value) -> None:
     """Write one hole of a ``CellRef``, or of a host object that a fill of
     this same region built (its region is not checked), forever. The field
-    then holds a ``Ref``'s target, or a ``Leaf``'s payload: kept as given if
-    a scalar, else deep-copied, and never a ``CellRef`` (TypeError)."""
+    then holds a ``Ref``'s target, never ``HOLE`` or a ``Receiver``
+    (TypeError), or a ``Leaf``'s payload: kept as given if a scalar, else
+    deep-copied, and never a ``CellRef`` (TypeError)."""
     if type(cell) is not CellRef and type(cell) is not Receiver:
         name = _field(region, cell, index)
         slots = None
@@ -429,12 +401,15 @@ def write_field(region: Region, cell, index: int, value) -> None:
             if isinstance(value, CellRef):
                 raise TypeError("a leaf payload cannot be a region cell")
             value = copy.deepcopy(value)
-        region._bump(_nominal_size(value))
+        region.stats.bytes_allocated += _nominal_size(value)
         region.stats.leaf_copies += 1
     elif isinstance(value, Ref):
         value = value.target
-        if type(value) is CellRef and value.region_id != region.region_id:
-            raise region._foreign(value, "reference")
+        if type(value) is CellRef:
+            if value.region_id != region.region_id:
+                raise region._foreign(value, "reference")
+        elif value is HOLE or type(value) is Receiver:
+            raise TypeError(f"a reference target cannot be {value!r}")
     else:
         raise TypeError(f"expected Ref or Leaf, got {type(value).__name__}")
     if slots is None:
@@ -469,10 +444,9 @@ def read_value(region: Region, root: CellRef):
         if type(content) is not CellRef:
             return content
         root = content
-    cells = region._cells
     values: dict = {}  # by handle: _ON_PATH, then the decoded value
-    # Entries: a cell to enter, the handle of an entered cell to complete
-    # once its children are done, or (cell, index) of a hole, in slot order.
+    # Entries: a cell to enter, (cell, index) of a hole, in slot order, or
+    # (cell, None) to complete an entered cell once its children are done.
     stack: list = [root]
     while stack:
         cell = stack.pop()
@@ -491,15 +465,14 @@ def read_value(region: Region, root: CellRef):
                     stack.append((cell, idx))
             if len(stack) > base:
                 values[cell.handle] = _ON_PATH
-                stack.insert(base, cell.handle)
+                stack.insert(base, (cell, None))
                 continue
-        elif type(cell) is int:
-            cell = cells[cell]
         else:
             cell, idx = cell
-            raise IncompleteRead(
-                f"hole at field {idx} of {cell.ctor.name} cell {cell.handle}"
-            )
+            if idx is not None:
+                raise IncompleteRead(
+                    f"hole at field {idx} of {cell.ctor.name} cell {cell.handle}"
+                )
         values[cell.handle] = cell.ctor.make(
             *[values[s.handle] if type(s) is CellRef else s for s in cell.slots]
         )

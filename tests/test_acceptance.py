@@ -108,7 +108,7 @@ def _expected_read_errors(shadow, root):
 
 
 def _region_sequence(rng, foreign_ref):
-    region = region_new(1024)
+    region = region_new()
     shadow = {}  # handle -> slot list: None | ("leaf",) | ("ref", handle)
     cells = []  # (ref, ctor)
     arity_sum = 0
@@ -248,7 +248,7 @@ def _builder_sequence(rng):
 def test_criterion_1_write_once_safety():
     started = time.monotonic()
     rng = random.Random(0xC1)
-    other = region_new(1024)
+    other = region_new()
     foreign_ref = alloc_hollow(other, LIST_NIL)
     for _ in range(7000):
         _region_sequence(rng, foreign_ref)

@@ -321,8 +321,8 @@ def test_fill_leaf_rejects_linear_payload():
 
 def test_a_region_cell_is_refused_as_a_leaf_payload():
     """A field holding a CellRef is a reference, so no leaf may be one."""
-    other = alloc_hollow(region_new(1024), LIST_NIL)
-    r = region_new(1024)
+    other = alloc_hollow(region_new(), LIST_NIL)
+    r = region_new()
     hollow = alloc_hollow(r, LIST_CONS, r._alloc_receiver(), 0)
     for into in (alloc_hollow(r, LIST_CONS), r._alloc_receiver(), hollow):
         before = (region_stats(r), r.outstanding_holes)

@@ -1,6 +1,7 @@
 """Region core: allocation, write-once fields, decoding, stats."""
 
 import contextlib
+import gc
 import random
 import tracemalloc
 
@@ -14,7 +15,6 @@ from destpass import (
     FieldIndexOutOfRange,
     HOLE,
     IncompleteRead,
-    InvalidBlockSize,
     Leaf,
     Ref,
     RegionClosed,
@@ -45,49 +45,40 @@ def make_list_cells(region, items):
 
 
 def test_new_region_is_empty():
-    r = region_new(32768)
+    r = region_new()
     assert r.outstanding_holes == 0
     s = region_stats(r)
     assert (s.cells_allocated, s.bytes_allocated, s.leaf_copies) == (0, 0, 0)
-    assert s.receiver_cells == 0 and s.oversize_blocks == 0
+    assert s.receiver_cells == 0
 
 
-def test_block_size_minimum():
-    with pytest.raises(InvalidBlockSize):
-        region_new(64)
-    with pytest.raises(InvalidBlockSize):
-        region_new(255)
-    region_new(256)
-
-
-def test_handles_stay_valid_across_block_growth():
-    r = region_new(4096)
+def test_handles_stay_valid_across_many_allocations():
+    r = region_new()
     refs = [alloc_hollow(r, LIST_NIL) for _ in range(10_000)]
-    assert len(r.blocks) > 1
     # every earlier handle still decodes to the value it was created for
     for ref in refs:
         assert read_value(r, ref) == NIL
 
 
 def test_alloc_hollow_cons_has_two_holes():
-    r = region_new(1024)
+    r = region_new()
     alloc_hollow(r, LIST_CONS)
     assert r.outstanding_holes == 2
 
 
 def test_alloc_hollow_nil_has_no_holes():
-    r = region_new(1024)
+    r = region_new()
     alloc_hollow(r, LIST_NIL)
     assert r.outstanding_holes == 0
 
 
 def test_alloc_hollow_returns_fresh_refs():
-    r = region_new(1024)
+    r = region_new()
     assert alloc_hollow(r, LIST_CONS) != alloc_hollow(r, LIST_CONS)
 
 
 def test_write_field_fills_hole():
-    r = region_new(1024)
+    r = region_new()
     cell = alloc_hollow(r, LIST_CONS)
     assert r.outstanding_holes == 2
     write_field(r, cell, 0, Leaf(7))
@@ -95,7 +86,7 @@ def test_write_field_fills_hole():
 
 
 def test_double_fill_rejected_and_field_unchanged():
-    r = region_new(1024)
+    r = region_new()
     cell = alloc_hollow(r, LIST_CONS)
     nil = alloc_hollow(r, LIST_NIL)
     write_field(r, cell, 0, Leaf(7))
@@ -106,28 +97,61 @@ def test_double_fill_rejected_and_field_unchanged():
 
 
 def test_field_index_out_of_range():
-    r = region_new(1024)
+    r = region_new()
     cell = alloc_hollow(r, LIST_CONS)
     with pytest.raises(FieldIndexOutOfRange):
         write_field(r, cell, 5, Leaf(1))
 
 
 def test_cross_region_ref_rejected():
-    r1, r2 = region_new(1024), region_new(1024)
+    r1, r2 = region_new(), region_new()
     cell = alloc_hollow(r1, LIST_CONS)
     foreign = alloc_hollow(r2, LIST_NIL)
     with pytest.raises(RegionMismatch):
         write_field(r1, cell, 1, Ref(foreign))
 
 
+@pytest.mark.parametrize("into", ["raw", "receiver", "host"])
+def test_a_hole_is_refused_as_a_reference_target(into):
+    r = region_new()
+    if into == "raw":
+        cell, index = alloc_hollow(r, LIST_CONS), 1
+    elif into == "receiver":
+        cell, index = r._alloc_receiver(), 0
+    else:
+        cell, index = alloc_hollow(r, LIST_CONS, r._alloc_receiver(), 0), 1
+    before = region_stats(r), r.outstanding_holes
+    with pytest.raises(TypeError):
+        write_field(r, cell, index, Ref(HOLE))
+    assert (region_stats(r), r.outstanding_holes) == before
+    write_field(r, cell, index, Leaf(1))
+    with pytest.raises(DoubleFill):
+        write_field(r, cell, index, Leaf(2))
+
+
+@pytest.mark.parametrize("foreign", [False, True], ids=["same-region", "other-region"])
+def test_a_receiver_is_refused_as_a_reference_target(foreign):
+    r = region_new()
+    receiver = (region_new() if foreign else r)._alloc_receiver()
+    cell = alloc_hollow(r, LIST_CONS)
+    write_field(r, cell, 0, Leaf(1))
+    before = region_stats(r), r.outstanding_holes
+    with pytest.raises(TypeError):
+        write_field(r, cell, 1, Ref(receiver))
+    assert (region_stats(r), r.outstanding_holes) == before
+    assert cell.slots[1] is HOLE
+    write_field(r, cell, 1, Ref(alloc_hollow(r, LIST_NIL)))
+    assert structurally_equal(read_value(r, cell), Cons(1, NIL))
+
+
 def test_read_value_matches_bottom_up_oracle():
-    r = region_new(1024)
+    r = region_new()
     root = make_list_cells(r, [1])
     assert structurally_equal(read_value(r, root), Cons(1, NIL))
 
 
 def test_read_value_with_hole_is_incomplete():
-    r = region_new(1024)
+    r = region_new()
     cell = alloc_hollow(r, LIST_CONS)
     nil = alloc_hollow(r, LIST_NIL)
     write_field(r, cell, 1, Ref(nil))
@@ -136,18 +160,18 @@ def test_read_value_with_hole_is_incomplete():
 
 
 def test_read_value_nullary():
-    r = region_new(1024)
+    r = region_new()
     assert read_value(r, alloc_hollow(r, LIST_NIL)) == NIL
 
 
 def test_nullary_written_into_a_hole_is_charged_but_not_materialized():
-    r = region_new(1024)
+    r = region_new()
     cell = alloc_hollow(r, LIST_CONS)
     write_field(r, cell, 0, Leaf(1))
     before = region_stats(r)
     assert alloc_hollow(r, LIST_NIL, cell, 1) is None
     after = region_stats(r)
-    assert cell.slots[1] is NIL and len(r._cells) == 1
+    assert cell.slots[1] is NIL
     assert after.cells_allocated - before.cells_allocated == 1
     assert after.bytes_allocated - before.bytes_allocated == WORD
     assert r.outstanding_holes == 0
@@ -155,7 +179,7 @@ def test_nullary_written_into_a_hole_is_charged_but_not_materialized():
 
 
 def test_written_fields_do_not_alias_the_callers_wrappers():
-    r, other = region_new(1024), region_new(1024)
+    r, other = region_new(), region_new()
     cell, nil = alloc_hollow(r, LIST_CONS), alloc_hollow(r, LIST_NIL)
     head, tail = Leaf(7), Ref(nil)
     write_field(r, cell, 0, head)
@@ -167,12 +191,12 @@ def test_written_fields_do_not_alias_the_callers_wrappers():
 
 
 def test_raw_api_refuses_what_is_not_a_cell_with_type_error():
-    r = region_new(1024)
+    r = region_new()
     hollow = alloc_hollow(r, LIST_CONS, r._alloc_receiver(), 0)
     assert type(hollow) is Cons
 
     def state():
-        return region_stats(r), list(r.blocks), list(r._cells), r.outstanding_holes
+        return region_stats(r), r.outstanding_holes
 
     before = state()
     with pytest.raises(TypeError):
@@ -199,6 +223,20 @@ def test_read_cost_follows_the_value_not_the_region():
     assert peak < 64 * 1024
 
 
+def test_region_keeps_no_unreferenced_cell_alive():
+    r = region_new()
+    tracemalloc.start()
+    try:
+        for _ in range(100_000):
+            alloc_hollow(r, LIST_CONS)
+        gc.collect()
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert region_stats(r).cells_allocated == 100_000
+    assert current < 64 * 1024
+
+
 # Same type, tag and fields as the registered list constructors, never registered.
 _UNREGISTERED = {
     LIST_CONS: ctor("list", "cons", 1, LIST_CONS.fields, Cons),
@@ -222,14 +260,14 @@ def test_one_call_fill_fails_atomically(case, error, new):
     write_field raises, and changes nothing."""
 
     def setup():
-        r = region_new(1024)
+        r = region_new()
         into, c, index = alloc_hollow(r, LIST_CONS), new, 1
         if case == "closed":
             r._close()
         elif case == "unregistered":
             c = _UNREGISTERED[new]
         elif case == "foreign-into":
-            into = alloc_hollow(region_new(1024), LIST_CONS)
+            into = alloc_hollow(region_new(), LIST_CONS)
         elif case == "index":
             index = 2
         else:
@@ -244,7 +282,7 @@ def test_one_call_fill_fails_atomically(case, error, new):
 
     def state():
         slot = into.slots[index] if index < len(into.slots) else None
-        return region_stats(r), list(r.blocks), list(r._cells), r.outstanding_holes, slot
+        return region_stats(r), r.outstanding_holes, slot
 
     before = state()
     with pytest.raises(error):
@@ -253,7 +291,7 @@ def test_one_call_fill_fails_atomically(case, error, new):
 
 
 def test_read_value_detects_cycle():
-    r = region_new(1024)
+    r = region_new()
     cell = alloc_hollow(r, LIST_CONS)
     write_field(r, cell, 0, Leaf(1))
     write_field(r, cell, 1, Ref(cell))
@@ -262,7 +300,7 @@ def test_read_value_detects_cycle():
 
 
 def test_stats_after_one_cons():
-    r = region_new(1024)
+    r = region_new()
     alloc_hollow(r, LIST_CONS)
     s = region_stats(r)
     assert s.cells_allocated == 1
@@ -271,20 +309,13 @@ def test_stats_after_one_cons():
 
 
 def test_leaf_copies_counted_per_leaf_write():
-    r = region_new(1024)
+    r = region_new()
     make_list_cells(r, [1, 2, 3])
     assert region_stats(r).leaf_copies == 3
 
 
-def test_oversized_leaf_gets_dedicated_block():
-    r = region_new(256)
-    cell = alloc_hollow(r, LIST_CONS)
-    write_field(r, cell, 0, Leaf(b"x" * 4096))
-    assert region_stats(r).oversize_blocks == 1
-
-
 def test_leaf_payloads_are_deep_copied():
-    r = region_new(1024)
+    r = region_new()
     cell = alloc_hollow(r, LIST_CONS)
     nil = alloc_hollow(r, LIST_NIL)
     source = [1, [2, 3]]
@@ -295,7 +326,7 @@ def test_leaf_payloads_are_deep_copied():
 
 
 def test_shared_cell_decodes_to_one_object():
-    r = region_new(1024)
+    r = region_new()
     shared = make_list_cells(r, [1, 2])
     pair = alloc_hollow(r, LIST_CONS)
     write_field(r, pair, 0, Ref(shared))
@@ -319,7 +350,7 @@ def test_shared_cell_decodes_to_one_object():
     ids=["int", "bool", "float", "None", "str", "bytes", "tuple"],
 )
 def test_leaf_bytes_charged(payload, charged):
-    r = region_new(1024)
+    r = region_new()
     cell = alloc_hollow(r, LIST_CONS)
     before = region_stats(r).bytes_allocated
     write_field(r, cell, 0, Leaf(payload))
@@ -327,7 +358,7 @@ def test_leaf_bytes_charged(payload, charged):
 
 
 def test_stats_are_snapshots():
-    r = region_new(1024)
+    r = region_new()
     before = region_stats(r)
     alloc_hollow(r, LIST_CONS)
     assert before.cells_allocated == 0
@@ -340,7 +371,7 @@ def test_write_once_property(script, seed):
     """Any second write to the same slot fails with DoubleFill and leaves the
     slot as the first write made it."""
     rng = random.Random(seed)
-    r = region_new(1024)
+    r = region_new()
     cells = [alloc_hollow(r, LIST_CONS)]
     written = {}
     for move in script:
@@ -356,7 +387,7 @@ def test_write_once_property(script, seed):
             write_field(r, cell, idx, Leaf(value))
             written[(cell, idx)] = value
     for (cell, idx), value in written.items():
-        slot = r._cells[cell.handle].slots[idx]
+        slot = cell.slots[idx]
         assert slot is not HOLE and slot == value
 
 
@@ -365,7 +396,7 @@ def test_write_once_property(script, seed):
 def test_hole_accounting(seed):
     """outstanding_holes == total arity allocated - successful writes."""
     rng = random.Random(seed)
-    r = region_new(1024)
+    r = region_new()
     arity_sum = 0
     writes = 0
     open_slots = []
@@ -387,7 +418,7 @@ def test_topdown_build_in_any_order_decodes_exactly(items, seed):
     """Hollow-allocate the whole spine first, then write fields in a random
     topological-compatible order; decoding must give the value exactly."""
     rng = random.Random(seed)
-    r = region_new(2048)
+    r = region_new()
     cells = [alloc_hollow(r, LIST_CONS) for _ in items]
     cells.append(alloc_hollow(r, LIST_NIL))
     writes = []
@@ -404,7 +435,7 @@ def test_topdown_build_in_any_order_decodes_exactly(items, seed):
 @settings(max_examples=25, deadline=None)
 def test_refs_stable_under_later_allocations(items, extra):
     """A ref taken early decodes to the same value after many allocations."""
-    r = region_new(2048)
+    r = region_new()
     root = make_list_cells(r, items)
     before = read_value(r, root)
     for _ in range(min(extra, 10**5)):
