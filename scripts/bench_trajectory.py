@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Print the performance trajectory recorded in ``BENCH_<n>.json`` files.
+
+    python3 scripts/bench_trajectory.py [BENCH_6.json ...]
+
+Without arguments it reads every ``BENCH_*.json`` in the repository root,
+in the order of their numbers. Each file holds the perfbench runs of one
+change and of its parent. For each file, workload and end-to-end metric it
+prints the parent's median, the change's median, ``change_over_parent`` and
+how many paired runs the change won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+HEADER = ("workload", "metric", "unit", "parent", "change", "change/parent", "wins")
+
+
+def bench_files(root: Path) -> list[Path]:
+    """The ``BENCH_<n>.json`` files under ``root``, ordered by ``n``."""
+    found = [(re.fullmatch(r"BENCH_(\d+)\.json", p.name), p) for p in root.iterdir()]
+    return [p for _, p in sorted((int(m[1]), p) for m, p in found if m)]
+
+
+def _number(x: float) -> str:
+    return f"{x:,.0f}" if abs(x) >= 1000 else f"{x:.4g}"
+
+
+def rows(bench: dict) -> list[tuple[str, ...]]:
+    """One row per workload and metric that has a parent and a change median."""
+    out = []
+    for workload, metrics in sorted(bench["summary"].items()):
+        for metric, entry in metrics.items():
+            if not isinstance(entry.get("parent"), dict) or "median" not in entry["parent"]:
+                continue  # counts and single traced runs carry no medians
+            out.append((
+                workload,
+                metric,
+                entry.get("unit", ""),
+                _number(entry["parent"]["median"]),
+                _number(entry["change"]["median"]),
+                f"{entry['change_over_parent']:.3f}",
+                entry.get("change_wins", ""),
+            ))
+    return out
+
+
+def render(table: list[tuple[str, ...]]) -> str:
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
+    return "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("files", nargs="*", type=Path, help="default: BENCH_*.json in the repo root")
+    args = parser.parse_args(argv)
+    files = args.files or bench_files(ROOT)
+    if not files:
+        print(f"no BENCH_*.json in {ROOT}", file=sys.stderr)
+        return 1
+    for i, path in enumerate(files):
+        bench = json.loads(path.read_text())
+        print(("\n" if i else "") + f"{path.name}: {bench.get('change', '')}")
+        print(render([HEADER, *rows(bench)]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

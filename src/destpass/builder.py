@@ -24,15 +24,16 @@ Incomplete      map_b, from_incomplete_, from_incomplete,
                 fill_comp (as the child)
 ==============  =====================================================
 
-Each incomplete's value sits in the hole of its root receiver, and a fill
-builds a constructor that qualifies (see ``shapes``) as its final host
-object in place. So a release reads the receiver's one slot in O(1) and
-decodes nothing; only a value of a type that does not qualify is decoded
-from region cells. ``fill_comp`` writes the content of a filled child's
-receiver straight into the hole. An empty child has no content yet: the
-live ``Dest`` of its receiver's hole is re-pointed at the hole instead
-(cell, index and kind), so whatever later fills it lands in place and is
-checked against the hole's kind then.
+Each incomplete's value sits in the hole of its root receiver, a plain
+region cell whose lineage root records what filled it, and a fill builds a
+constructor that qualifies (see ``shapes``) as its final host object in
+place. So a release reads the receiver's one slot in O(1) and decodes
+nothing; only a value of a type that does not qualify is decoded from region
+cells. ``fill_comp`` writes the content of a filled child's receiver straight
+into the hole. An empty child has no content yet: the live ``Dest`` of its
+receiver's hole is re-pointed at the hole instead (cell, index and kind), so
+whatever later fills it lands in place and is checked against the hole's
+kind then.
 
 Values returned out of ``with_region`` are ordinary host values with no
 linear obligations; the scope-exit audit is what guarantees they contain no
@@ -54,7 +55,7 @@ from .errors import (
     UnknownCtor,
     UseAfterConsume,
 )
-from .region import _SCALARS, HOLE, CellRef, Leaf, Receiver, Ref, Region, region_new
+from .region import _SCALARS, HOLE, CellRef, Leaf, Ref, Region, region_new
 from .shapes import CtorDescriptor, FieldKind, LeafType, Recursive, ShapeRegistry
 
 
@@ -65,13 +66,20 @@ class _Lineage:
     meaningful on a root; ``fill_comp`` adds the child's count to the
     parent's and links the child's root under the parent's, so each lineage
     has one count.
+
+    A root also stands for its incomplete's one receiver: ``type_id`` is the
+    type of what filled the receiver's hole (None for a leaf or while empty)
+    and ``dest`` the live destination of that hole while it is empty. A live
+    incomplete's lineage is always a root.
     """
 
-    __slots__ = ("parent", "holes")
+    __slots__ = ("parent", "holes", "type_id", "dest")
 
-    def __init__(self) -> None:
+    def __init__(self, type_id: str | None = None) -> None:
         self.parent: _Lineage | None = None
         self.holes = 0
+        self.type_id = type_id
+        self.dest: Dest | None = None
 
     def find(self) -> "_Lineage":
         node = self
@@ -137,7 +145,7 @@ class Incomplete:
     __slots__ = ("region", "root", "payload", "lineage", "alive")
 
     def __init__(
-        self, region: Region, root: Receiver, payload, lineage: _Lineage
+        self, region: Region, root: CellRef, payload, lineage: _Lineage
     ) -> None:
         self.region = region
         self.root = root
@@ -192,11 +200,13 @@ def _collect_linear(value) -> set:
 # -- consumption bookkeeping ---------------------------------------------------
 
 
-def _consume_token(t: Token, op: str) -> None:
+def _consume_token(t: Token, op: str, writes: bool = False) -> None:
     if not isinstance(t, Token):
         raise TypeError(f"{op} expects a Token, got {type(t).__name__}")
     if not t.alive:
         raise UseAfterConsume(f"{op} on an already-consumed token")
+    if writes:  # refused on a closed region while t is still live
+        t.region._require_alive()
     t.alive = False
     t.region._tokens_alive -= 1
 
@@ -264,12 +274,12 @@ def alloc(t: Token) -> Incomplete:
     single destination pointing at its hole, so whatever fills the
     destination is exactly the value the incomplete will hold.
     """
-    _consume_token(t, "alloc")
+    _consume_token(t, "alloc", writes=True)
     region = t.region
     receiver = region._alloc_receiver()
     lineage = _Lineage()
     lineage.holes = 1
-    dest = receiver.dest = Dest(region, receiver, 0, None, lineage)
+    dest = lineage.dest = Dest(region, receiver, 0, None, lineage)
     return Incomplete(region, receiver, dest, lineage)
 
 
@@ -280,10 +290,10 @@ def into_incomplete(t: Token, value, type_id: str) -> Incomplete:
     No receiver cell is charged: the root is an uncharged receiver that
     holds the copy, built as host objects when the type qualifies.
     """
-    _consume_token(t, "into_incomplete")
+    _consume_token(t, "into_incomplete", writes=True)
     region = t.region
     root = region.copy_value(value, type_id)
-    return Incomplete(region, root, None, _Lineage())
+    return Incomplete(region, root, None, _Lineage(type_id))
 
 
 # -- transforming and releasing ---------------------------------------------------
@@ -397,12 +407,12 @@ def fill(d: Dest, ctor: CtorDescriptor):
         _check_fillable(kind, ctor.type_id, f"constructor {ctor.name}")
     region = d.region
     cell = _region.alloc_hollow(region, ctor, d.cell, d.index)
-    if kind is None:  # a receiver's hole
-        d.cell.type_id, d.cell.dest = ctor.type_id, None
     d.alive = False
     lineage = d.lineage
     if lineage.parent is not None:
         lineage = lineage.find()
+    if kind is None:  # a receiver's hole
+        lineage.type_id, lineage.dest = ctor.type_id, None
     arity = ctor.arity
     lineage.holes += arity - 1
     if arity == 0:
@@ -440,12 +450,12 @@ def fill_leaf(value, d: Dest) -> None:
             "leaf payload contains tokens, destinations, or incompletes"
         )
     _region.write_field(d.region, d.cell, d.index, Leaf(value))
-    if d.kind is None:  # a receiver's hole
-        d.cell.dest = None
     d.alive = False
     lineage = d.lineage
     if lineage.parent is not None:
         lineage = lineage.find()
+    if d.kind is None:  # a receiver's hole
+        lineage.dest = None
     lineage.holes -= 1
 
 
@@ -479,17 +489,17 @@ def fill_comp(child: Incomplete, d: Dest):
     kind = d.kind
     content = receiver.slots[0]
     if content is HOLE:
-        moved = receiver.dest
+        moved = child_root.dest
         moved.cell, moved.index, moved.kind = d.cell, d.index, kind
         if kind is None:
-            d.cell.dest = moved
+            parent_root.dest = moved
         region.outstanding_holes -= 1  # child's receiver hole is given up
     else:
         if kind is not None:
-            _check_fillable(kind, receiver.type_id, "the plugged incomplete")
+            _check_fillable(kind, child_root.type_id, "the plugged incomplete")
         _region.write_field(region, d.cell, d.index, Ref(content))
         if kind is None:
-            d.cell.type_id, d.cell.dest = receiver.type_id, None
+            parent_root.type_id, parent_root.dest = child_root.type_id, None
     parent_root.holes += child_root.holes - 1
     child_root.holes = 0
     child_root.parent = parent_root

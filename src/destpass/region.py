@@ -18,13 +18,15 @@ cell (the target ``CellRef``, never the caller's ``Ref``) or the finished
 value itself. That value is a leaf's payload (the region's copy), a nullary
 constructor's ``make()``, or a host value plugged in whole.
 
-The builder's cells are host objects. Written into a root ``Receiver`` or
-into a host object, a constructor that the registry lets build in place (see
-``shapes``) is allocated as its final host object: ``object.__new__`` of its
-``make`` with every field preset to ``HOLE``, linked into its parent's field
-with ``object.__setattr__`` (so frozen dataclasses work too). Such a cell is
-charged exactly as a raw cell and has no handle; its fields are written
-through ``write_field`` with the same checks.
+A root receiver, whose one hole takes an incomplete's whole value, is a raw
+cell of the private ``_INDIRECTION`` constructor; there is no receiver type.
+The builder's cells are host objects. Written into a receiver or into a host
+object, a constructor that the registry lets build in place (see ``shapes``)
+is allocated as its final host object: ``object.__new__`` of its ``make``
+with every field preset to ``HOLE``, linked into its parent's field with
+``object.__setattr__`` (so frozen dataclasses work too). Such a cell is
+charged exactly as a raw cell and has no handle; ``_hole`` checks its fields
+as it checks a raw cell's.
 
 Decoding (``read_value``) walks the raw cell graph, checks that no
 reachable hole remains and that the graph is acyclic, and rebuilds the host
@@ -64,8 +66,8 @@ _region_ids = itertools.count(1)
 # Hole marker stored in unwritten slots.
 HOLE = type("Hole", (), {"__repr__": lambda self: "HOLE", "__slots__": ()})()
 
-# Constructor of every root receiver: one field, which read_value returns as
-# the receiver's value. Never registered; never visible to callers.
+# The constructor that makes a raw cell a root receiver: one field, which
+# read_value returns as the receiver's value. Never registered; no Ref target.
 _INDIRECTION = CtorDescriptor(
     type_id="_indirection",
     name="_ind",
@@ -123,23 +125,6 @@ class CellRef:
         return f"<CellRef {self.ctor.name} {self.region_id}:{self.handle}>"
 
 
-class Receiver(CellRef):
-    """A root receiver: the one-hole indirection cell whose hole takes an
-    incomplete's whole value.
-
-    ``type_id`` and ``dest`` are the builder's: the type of what filled the
-    hole (None for a leaf), and the live destination of the hole while it is
-    still empty.
-    """
-
-    __slots__ = ("type_id", "dest")
-
-    def __init__(self, region_id: int, handle: int) -> None:
-        super().__init__(region_id, handle, _INDIRECTION)
-        self.type_id = None
-        self.dest = None
-
-
 @dataclass
 class AllocStats:
     """Monotone allocation counters, snapshot via region_stats."""
@@ -184,13 +169,11 @@ class Region:
         self.outstanding_holes += ctor.arity
         return CellRef(self.region_id, next(self._handles), ctor)
 
-    def _alloc_receiver(self) -> Receiver:
+    def _alloc_receiver(self) -> CellRef:
         """Allocate a root-receiver indirection cell (not a user cell)."""
         self._require_alive()
-        self.stats.bytes_allocated += 2 * WORD
-        self.outstanding_holes += 1
         self.stats.receiver_cells += 1
-        return Receiver(self.region_id, next(self._handles))
+        return self._new_cell(_INDIRECTION)
 
     def _foreign(self, cell: CellRef, what: str) -> RegionMismatch:
         return RegionMismatch(
@@ -200,7 +183,7 @@ class Region:
     def _close(self) -> None:
         self.alive = False
 
-    def copy_value(self, value, type_id: str) -> Receiver:
+    def copy_value(self, value, type_id: str) -> CellRef:
         """Structurally copy a complete host value into fresh region cells.
 
         Returns an uncharged receiver (no handle) whose hole holds the copy,
@@ -213,8 +196,7 @@ class Region:
         """
         self._require_alive()
         holes = self.outstanding_holes
-        holder = Receiver(self.region_id, -1)
-        holder.type_id = type_id
+        holder = CellRef(self.region_id, -1, _INDIRECTION)
         self.outstanding_holes += 1
         on_path: set[int] = set()  # ids of the host nodes being copied
         # Entries: (cell, field index, host node, type id) to copy the node
@@ -304,28 +286,25 @@ def alloc_hollow(
     """Allocate a cell for ``ctor`` with every field left as a hole.
 
     With ``into``, the new cell is also written into hole ``index`` of
-    ``into``: a raw cell, a ``Receiver``, or a host object that a fill of
-    this same region built (its region is not checked). Every check of both
-    steps runs before anything changes. A nullary constructor is stored as
-    its ``make()``, charged as one cell, and None is returned. Otherwise the
-    new cell is returned: a raw cell into a raw cell or for a constructor
-    that does not build in place, else its host object.
+    ``into``: a raw cell, a receiver, or a host object that a fill of this
+    same region built (its region is not checked). Every check of both steps
+    runs before anything changes. A nullary constructor is stored as its
+    ``make()``, charged as one cell, and None is returned. Otherwise the new
+    cell is returned: a raw cell into a raw cell that is not a receiver or
+    for a constructor that does not build in place, else its host object.
     """
     if into is None:
         region._require_alive()
         region.registry.resolve(ctor)
         cell = region._new_cell(ctor)
     else:
-        if type(into) is not CellRef and type(into) is not Receiver:
-            name = _field(region, into, index)
-            slots = None
-        else:
-            slots = _hole(region, into, index)
+        key = _hole(region, into, index)
         names = region.registry.resolve(ctor)
+        raw = type(into) is CellRef
         if not ctor.arity:
             cell, value = None, ctor.make()
             region.stats.bytes_allocated += WORD
-        elif names is None or type(into) is CellRef:
+        elif names is None or raw and into.ctor is not _INDIRECTION:
             cell = value = region._new_cell(ctor)
         else:
             cell = value = object.__new__(ctor.make)
@@ -333,68 +312,53 @@ def alloc_hollow(
                 object.__setattr__(cell, n, HOLE)
             region.stats.bytes_allocated += WORD * (1 + ctor.arity)
             region.outstanding_holes += ctor.arity
-        if slots is None:
-            object.__setattr__(into, name, value)
+        if raw:
+            into.slots[key] = value
         else:
-            slots[index] = value
+            object.__setattr__(into, key, value)
         region.outstanding_holes -= 1
     region.stats.cells_allocated += 1
     return cell
 
 
-def _hole(region: Region, cell: CellRef, index: int) -> list:
-    """The slots of ``cell`` once its field ``index`` is a hole of live ``region``."""
-    region._require_alive()
-    if cell.region_id != region.region_id:
-        raise region._foreign(cell, "cell")
-    slots = cell.slots
-    if not 0 <= index < len(slots):
-        raise FieldIndexOutOfRange(
-            f"field {index} out of range for {cell.ctor.name} "
-            f"(arity {len(slots)})"
-        )
-    if slots[index] is not HOLE:
-        raise DoubleFill(
-            f"field {index} of {cell.ctor.name} cell {cell.handle} "
-            f"already written"
-        )
-    return slots
-
-
-def _field(region: Region, obj, index: int) -> str:
-    """The name of field ``index`` of host object ``obj`` once that field is
-    a hole of live ``region``."""
+def _hole(region: Region, cell, index: int):
+    """Where field ``index`` of ``cell`` is stored, once that field is a hole
+    of live ``region``: the index into the slots of a raw cell or receiver,
+    or the field name of a host object that a fill built."""
     if not region.alive:
         region._require_alive()
-    try:
-        names = region.registry.host_fields[type(obj)]
-    except KeyError:
-        raise TypeError(
-            f"expected a CellRef or a host object built in place, "
-            f"got {type(obj).__name__}"
-        ) from None
-    if not 0 <= index < len(names):
-        raise FieldIndexOutOfRange(
-            f"field {index} out of range for {type(obj).__name__} "
-            f"(arity {len(names)})"
-        )
-    name = names[index]
-    if getattr(obj, name) is not HOLE:
-        raise DoubleFill(f"field {name} of a {type(obj).__name__} already written")
-    return name
+    if type(cell) is CellRef:
+        if cell.region_id != region.region_id:
+            raise region._foreign(cell, "cell")
+        names, arity = None, len(cell.slots)
+    else:
+        try:
+            names = region.registry.host_fields[type(cell)]
+        except KeyError:
+            raise TypeError(
+                f"expected a CellRef or a host object built in place, "
+                f"got {type(cell).__name__}"
+            ) from None
+        arity = len(names)
+    if 0 <= index < arity:
+        if names is None:
+            if cell.slots[index] is HOLE:
+                return index
+        elif getattr(cell, names[index]) is HOLE:
+            return names[index]
+    what = repr(cell) if names is None else f"a {type(cell).__name__}"
+    if not 0 <= index < arity:
+        raise FieldIndexOutOfRange(f"field {index} out of range for {what} (arity {arity})")
+    raise DoubleFill(f"field {index} of {what} already written")
 
 
 def write_field(region: Region, cell, index: int, value) -> None:
     """Write one hole of a ``CellRef``, or of a host object that a fill of
     this same region built (its region is not checked), forever. The field
-    then holds a ``Ref``'s target, never ``HOLE`` or a ``Receiver``
-    (TypeError), or a ``Leaf``'s payload: kept as given if a scalar, else
-    deep-copied, and never a ``CellRef`` (TypeError)."""
-    if type(cell) is not CellRef and type(cell) is not Receiver:
-        name = _field(region, cell, index)
-        slots = None
-    else:
-        slots = _hole(region, cell, index)
+    then holds a ``Ref``'s target, never ``HOLE`` or a receiver (TypeError),
+    or a ``Leaf``'s payload: kept as given if a scalar, else deep-copied, and
+    never a ``CellRef`` (TypeError)."""
+    key = _hole(region, cell, index)
     if isinstance(value, Leaf):
         value = value.payload
         if not isinstance(value, _SCALARS):
@@ -405,17 +369,16 @@ def write_field(region: Region, cell, index: int, value) -> None:
         region.stats.leaf_copies += 1
     elif isinstance(value, Ref):
         value = value.target
-        if type(value) is CellRef:
-            if value.region_id != region.region_id:
-                raise region._foreign(value, "reference")
-        elif value is HOLE or type(value) is Receiver:
+        if value is HOLE or type(value) is CellRef and value.ctor is _INDIRECTION:
             raise TypeError(f"a reference target cannot be {value!r}")
+        if type(value) is CellRef and value.region_id != region.region_id:
+            raise region._foreign(value, "reference")
     else:
         raise TypeError(f"expected Ref or Leaf, got {type(value).__name__}")
-    if slots is None:
-        object.__setattr__(cell, name, value)
+    if type(cell) is CellRef:
+        cell.slots[key] = value
     else:
-        slots[index] = value
+        object.__setattr__(cell, key, value)
     region.outstanding_holes -= 1
 
 
@@ -437,7 +400,7 @@ def read_value(region: Region, root: CellRef):
         raise TypeError(f"read_value expects a CellRef, got {type(root).__name__}")
     if root.region_id != region.region_id:
         raise region._foreign(root, "cell")
-    if type(root) is Receiver:
+    if root.ctor is _INDIRECTION:
         content = root.slots[0]
         if content is HOLE:
             raise IncompleteRead(f"hole at field 0 of receiver cell {root.handle}")

@@ -1,0 +1,30 @@
+"""The trajectory printer over the committed BENCH_<n>.json files."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "bench_trajectory", ROOT / "scripts" / "bench_trajectory.py"
+)
+bench_trajectory = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_trajectory)
+
+
+def test_files_are_read_in_the_order_of_their_numbers(tmp_path):
+    for name in ("BENCH_10.json", "BENCH_9.json", "BENCH_x.json", "notes.json"):
+        (tmp_path / name).write_text("{}")
+    assert [p.name for p in bench_trajectory.bench_files(tmp_path)] == [
+        "BENCH_9.json",
+        "BENCH_10.json",
+    ]
+
+
+def test_prints_each_workloads_medians_and_ratio(capsys):
+    assert bench_trajectory.main([str(ROOT / "BENCH_6.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("BENCH_6.json: ")
+    assert lines[1].split() == list(bench_trajectory.HEADER)
+    rows = [line.split() for line in lines[2:]]
+    assert len(rows) == 3 * 5  # three workloads, five end-to-end metrics each
+    assert ["bfs-relabel", "dps_peak_kib", "KiB", "3,154", "1,189", "0.377", "10/10"] in rows

@@ -310,6 +310,8 @@ def test_fill_leaf_rejects_linear_payload():
             dh, dt = fill(d, LIST_CONS)
             with pytest.raises(DestinationInLeaf):
                 fill_leaf([dt], dh)  # destination hiding in the payload
+            with pytest.raises(DestinationInLeaf):
+                fill_leaf({"tail": dt}, dh)  # or among a dict's values
             fill_leaf(1, dh)
             fill(dt, LIST_NIL)
             return None
@@ -413,6 +415,29 @@ def test_writes_into_closed_region_rejected():
     assert d.cell.slots == [HOLE]
 
 
+@pytest.mark.parametrize("op", ["alloc", "into_incomplete"])
+def test_a_closed_region_refuses_to_mint_and_keeps_the_token(op):
+    kept = {}
+
+    def body(t):
+        kept["t"] = t
+        raise RuntimeError("leave the scope with the token still live")
+
+    with pytest.raises(RuntimeError):
+        with_region(body)
+    t = kept["t"]
+    region = t.region
+
+    def state():
+        return t.alive, region._tokens_alive, region.outstanding_holes, region_stats(region)
+
+    before = state()
+    with pytest.raises(RegionClosed):
+        alloc(t) if op == "alloc" else into_incomplete(t, Cons(1, NIL), "list")
+    assert state() == before
+    assert t.alive
+
+
 def test_fill_leaf_into_recursive_hole_rejected():
     def body(t):
         region = t.region
@@ -463,6 +488,41 @@ def test_fill_comp_rejects_a_child_of_another_type():
         return out
 
     assert list(with_region(body)) == [1]
+
+
+def test_fill_comp_rejects_a_copied_child_of_another_type():
+    """A tree copied in by into_incomplete is typed as a filled one is: in a
+    list's tail hole it fails at the plug and changes nothing."""
+    copied = Node(1, Node(2), None)
+
+    def body(t):
+        region = t.region
+        t1, t2 = token_dup2(t)
+        tree = into_incomplete(t2, copied, "tree")
+
+        def f(d):
+            dh, dt = fill(d, LIST_CONS)
+            fill_leaf(1, dh)
+
+            def state():
+                return (dt.alive, tree.alive, region.outstanding_holes,
+                        dt.lineage.find().holes, tree.holes_outstanding,
+                        region_stats(region))
+
+            before = state()
+            with pytest.raises(UnknownCtor):
+                fill_comp(tree, dt)
+            assert state() == before
+            assert dh.cell.tail is HOLE
+            fill(dt, LIST_NIL)
+            return None
+
+        out = from_incomplete_(map_b(alloc(t1), f))
+        return out, from_incomplete_(tree)
+
+    out, tree = with_region(body)
+    assert list(out) == [1]
+    assert structurally_equal(tree, copied)
 
 
 def test_empty_child_dest_takes_the_holes_place_and_kind():

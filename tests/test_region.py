@@ -144,6 +144,48 @@ def test_a_receiver_is_refused_as_a_reference_target(foreign):
     assert structurally_equal(read_value(r, cell), Cons(1, NIL))
 
 
+@pytest.mark.parametrize("into", ["raw", "receiver", "host"])
+@pytest.mark.parametrize(
+    "case, error",
+    [("closed", RegionClosed), ("index", FieldIndexOutOfRange), ("bare", TypeError)],
+)
+def test_every_kind_of_hole_is_checked_alike(into, case, error):
+    """A raw cell, a receiver and a host object refuse the same writes, and
+    a refused write changes nothing."""
+    r = region_new()
+    if into == "raw":
+        cell, index = alloc_hollow(r, LIST_CONS), 1
+    elif into == "receiver":
+        cell, index = r._alloc_receiver(), 0
+    else:
+        cell, index = alloc_hollow(r, LIST_CONS, r._alloc_receiver(), 0), 1
+
+    def state():
+        fields = cell.slots if into != "host" else [cell.head, cell.tail]
+        return region_stats(r), r.outstanding_holes, list(fields)
+
+    value = 7 if case == "bare" else Leaf(7)  # a bare value is neither Ref nor Leaf
+    if case == "closed":
+        r._close()
+    elif case == "index":
+        index += 1
+    before = state()
+    with pytest.raises(error):
+        write_field(r, cell, index, value)
+    if case != "bare":
+        with pytest.raises(error):
+            alloc_hollow(r, LIST_NIL, cell, index)
+    assert state() == before
+
+
+def test_read_value_refuses_a_foreign_root_and_an_empty_receiver():
+    r = region_new()
+    with pytest.raises(RegionMismatch):
+        read_value(r, alloc_hollow(region_new(), LIST_NIL))
+    with pytest.raises(IncompleteRead):
+        read_value(r, r._alloc_receiver())
+
+
 def test_read_value_matches_bottom_up_oracle():
     r = region_new()
     root = make_list_cells(r, [1])
@@ -346,8 +388,9 @@ def test_shared_cell_decodes_to_one_object():
         ("abc", WORD + WORD),
         (b"x" * 9, WORD + 2 * WORD),
         ((1, "ab"), (WORD + 2 * WORD) + WORD + (WORD + WORD)),
+        ({"a": 1}, (WORD + 2 * WORD) + (WORD + WORD) + WORD),
     ],
-    ids=["int", "bool", "float", "None", "str", "bytes", "tuple"],
+    ids=["int", "bool", "float", "None", "str", "bytes", "tuple", "dict"],
 )
 def test_leaf_bytes_charged(payload, charged):
     r = region_new()
