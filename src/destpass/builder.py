@@ -4,8 +4,12 @@ The API follows one discipline: tokens, destinations, and incompletes are
 *linear* — each accepts exactly one consuming operation. The host language
 cannot enforce that statically, so every linear value carries a liveness
 flag, every consuming operation checks and flips it, and ``with_region``
-audits at scope exit that nothing live was dropped. Violations surface as
-``UseAfterConsume`` or ``LinearityLeak``; they never corrupt the region.
+audits at scope exit that nothing live was dropped (else ``LinearityLeak``).
+Each operation first admits every handle it takes: TypeError for a wrong
+type, ``UseAfterConsume`` once consumed, ``RegionClosed`` once its region is
+closed, for once ``with_region`` has closed a region and read its counts, no
+operation may change them. A refused call changes nothing, so violations
+never corrupt the region.
 
 Besides the flags, the ledger is one hole count per lineage (``_Lineage``)
 and two tallies on the region, of live tokens and live incompletes. Live
@@ -197,25 +201,29 @@ def _collect_linear(value) -> set:
     return found
 
 
-# -- consumption bookkeeping ---------------------------------------------------
+# -- admission and consumption ---------------------------------------------------
 
 
-def _consume_token(t: Token, op: str, writes: bool = False) -> None:
-    if not isinstance(t, Token):
-        raise TypeError(f"{op} expects a Token, got {type(t).__name__}")
-    if not t.alive:
-        raise UseAfterConsume(f"{op} on an already-consumed token")
-    if writes:  # refused on a closed region while t is still live
-        t.region._require_alive()
+def _admit(x, cls: type, op: str) -> None:
+    """Admit handle ``x`` to ``op``: TypeError unless it is a ``cls``, else
+    UseAfterConsume once consumed and RegionClosed once its region is."""
+    if not isinstance(x, cls):
+        raise TypeError(f"{op} expects {cls.__name__}, got {type(x).__name__}")
+    if not x.alive:
+        raise UseAfterConsume(f"{op} on an already-consumed {cls.__name__}")
+    x.region._require_alive()
+
+
+def _consume_token(t: Token, op: str) -> None:
+    if type(t) is not Token or not t.alive or not t.region.alive:
+        _admit(t, Token, op)
     t.alive = False
     t.region._tokens_alive -= 1
 
 
 def _consume_incomplete(i: Incomplete, op: str) -> None:
-    if not isinstance(i, Incomplete):
-        raise TypeError(f"{op} expects an Incomplete, got {type(i).__name__}")
-    if not i.alive:
-        raise UseAfterConsume(f"{op} on an already-consumed incomplete")
+    if type(i) is not Incomplete or not i.alive or not i.region.alive:
+        _admit(i, Incomplete, op)
     i.alive = False
     i.region._incompletes_alive -= 1
 
@@ -236,10 +244,8 @@ def with_region(
     token = Token(region)
     try:
         result = body(token)
-    except BaseException:
+    finally:
         region._close()
-        raise
-    region._close()
     counts = (
         (region._tokens_alive, "token"),
         (region.outstanding_holes, "destination"),
@@ -254,12 +260,12 @@ def with_region(
 
 
 def token_consume(t: Token) -> None:
-    """Discard a token."""
+    """Discard a token. RegionClosed once its region is closed."""
     _consume_token(t, "token_consume")
 
 
 def token_dup2(t: Token) -> tuple[Token, Token]:
-    """Exchange one token for two fresh ones bound to the same region."""
+    """Exchange a token for two fresh ones of its region; RegionClosed once closed."""
     _consume_token(t, "token_dup2")
     return Token(t.region), Token(t.region)
 
@@ -274,7 +280,7 @@ def alloc(t: Token) -> Incomplete:
     single destination pointing at its hole, so whatever fills the
     destination is exactly the value the incomplete will hold.
     """
-    _consume_token(t, "alloc", writes=True)
+    _consume_token(t, "alloc")
     region = t.region
     receiver = region._alloc_receiver()
     lineage = _Lineage()
@@ -288,12 +294,13 @@ def into_incomplete(t: Token, value, type_id: str) -> Incomplete:
     region and wrap it as an incomplete with nothing left to consume.
 
     No receiver cell is charged: the root is an uncharged receiver that
-    holds the copy, built as host objects when the type qualifies.
+    holds the copy, built as host objects when the type qualifies. The token
+    is consumed only if the copy succeeds. RegionClosed on a closed region.
     """
-    _consume_token(t, "into_incomplete", writes=True)
-    region = t.region
-    root = region.copy_value(value, type_id)
-    return Incomplete(region, root, None, _Lineage(type_id))
+    _admit(t, Token, "into_incomplete")
+    root = t.region.copy_value(value, type_id)
+    _consume_token(t, "into_incomplete")
+    return Incomplete(t.region, root, None, _Lineage(type_id))
 
 
 # -- transforming and releasing ---------------------------------------------------
@@ -305,7 +312,8 @@ def map_b(i: Incomplete, f: Callable[[Any], Any]) -> Incomplete:
     ``f`` must consume its argument exactly once: every live destination of
     this incomplete's lineage must, after ``f`` returns, either have been
     consumed or be reachable from the new payload. Orphaned destinations
-    raise LinearityLeak immediately.
+    raise LinearityLeak immediately. On a closed region RegionClosed is
+    raised before ``f`` runs.
     """
     _consume_incomplete(i, "map_b")
     new_payload = f(i.payload)
@@ -330,10 +338,7 @@ def map_b(i: Incomplete, f: Callable[[Any], Any]) -> Incomplete:
 def _check_release(i: Incomplete, op: str) -> None:
     """Checks shared by both releases. They change nothing, so a failed
     release leaves ``i`` alive."""
-    if not isinstance(i, Incomplete):
-        raise TypeError(f"{op} expects an Incomplete, got {type(i).__name__}")
-    if not i.alive:
-        raise UseAfterConsume(f"{op} on an already-consumed incomplete")
+    _admit(i, Incomplete, op)
     holes = i.lineage.find().holes
     if holes > 0:
         raise UnfilledHoles(f"incomplete still has {holes} unfilled destination(s)")
@@ -343,7 +348,7 @@ def from_incomplete_(i: Incomplete):
     """Release a finished incomplete whose payload is unit (None).
 
     On failure the incomplete is left alive, so the caller can finish the
-    remaining holes and try again.
+    remaining holes and try again. RegionClosed once the region is closed.
     """
     _check_release(i, "from_incomplete_")
     if i.payload is not None:
@@ -358,7 +363,7 @@ def from_incomplete_(i: Incomplete):
 def from_incomplete(i: Incomplete):
     """Release a finished incomplete together with its (unrestricted) payload.
 
-    Returns ``(value, payload)``.
+    Returns ``(value, payload)``. RegionClosed once the region is closed.
     """
     _check_release(i, "from_incomplete")
     smuggled = [x for x in _collect_linear(i.payload) if getattr(x, "alive", False)]
@@ -398,10 +403,8 @@ def fill(d: Dest, ctor: CtorDescriptor):
     Returns the destinations for the constructor's fields in declaration
     order: None for arity 0, a single Dest for arity 1, a tuple otherwise.
     """
-    if not isinstance(d, Dest):
-        raise TypeError(f"fill expects a Dest, got {type(d).__name__}")
-    if not d.alive:
-        raise UseAfterConsume("fill on an already-consumed destination")
+    if type(d) is not Dest or not d.alive:  # its region: alloc_hollow checks
+        _admit(d, Dest, "fill")
     kind = d.kind
     if kind is not None and (type(kind) is not Recursive or kind.type_id != ctor.type_id):
         _check_fillable(kind, ctor.type_id, f"constructor {ctor.name}")
@@ -439,10 +442,8 @@ def fill_leaf(value, d: Dest) -> None:
     values; destination-backed structures cannot store destinations. A
     payload that is itself a region cell raises TypeError.
     """
-    if not isinstance(d, Dest):
-        raise TypeError(f"fill_leaf expects a Dest, got {type(d).__name__}")
-    if not d.alive:
-        raise UseAfterConsume("fill_leaf on an already-consumed destination")
+    if type(d) is not Dest or not d.alive:  # its region: write_field checks
+        _admit(d, Dest, "fill_leaf")
     if type(d.kind) is Recursive:
         _check_fillable(d.kind, None, "a leaf")
     if not isinstance(value, _SCALARS) and _collect_linear(value):
@@ -469,20 +470,13 @@ def fill_comp(child: Incomplete, d: Dest):
     empty child is checked when its destination is filled. The child's
     remaining destinations re-home into d's lineage before this returns.
     """
-    if not isinstance(child, Incomplete):
-        raise TypeError(f"fill_comp expects an Incomplete child, got {type(child).__name__}")
-    if not child.alive:
-        raise UseAfterConsume("fill_comp on an already-consumed incomplete")
-    if not isinstance(d, Dest):
-        raise TypeError(f"fill_comp expects a Dest, got {type(d).__name__}")
-    if not d.alive:
-        raise UseAfterConsume("fill_comp on an already-consumed destination")
+    _admit(child, Incomplete, "fill_comp")
+    _admit(d, Dest, "fill_comp")
     parent_root = d.lineage.find()
     child_root = child.lineage.find()
     if parent_root is child_root:
         raise SelfPlug("incomplete plugged into a destination of its own lineage")
     region = d.region
-    region._require_alive()
     receiver = child.root
     if child.region is not region:
         raise region._foreign(receiver, "incomplete")

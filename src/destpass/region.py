@@ -171,7 +171,6 @@ class Region:
 
     def _alloc_receiver(self) -> CellRef:
         """Allocate a root-receiver indirection cell (not a user cell)."""
-        self._require_alive()
         self.stats.receiver_cells += 1
         return self._new_cell(_INDIRECTION)
 

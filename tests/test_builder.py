@@ -415,7 +415,15 @@ def test_writes_into_closed_region_rejected():
     assert d.cell.slots == [HOLE]
 
 
-@pytest.mark.parametrize("op", ["alloc", "into_incomplete"])
+_TOKEN_OPS = {
+    "alloc": alloc,
+    "into_incomplete": lambda t: into_incomplete(t, Cons(1, NIL), "list"),
+    "token_dup2": token_dup2,
+    "token_consume": token_consume,
+}
+
+
+@pytest.mark.parametrize("op", list(_TOKEN_OPS))
 def test_a_closed_region_refuses_to_mint_and_keeps_the_token(op):
     kept = {}
 
@@ -433,9 +441,85 @@ def test_a_closed_region_refuses_to_mint_and_keeps_the_token(op):
 
     before = state()
     with pytest.raises(RegionClosed):
-        alloc(t) if op == "alloc" else into_incomplete(t, Cons(1, NIL), "list")
+        _TOKEN_OPS[op](t)
     assert state() == before
     assert t.alive
+
+
+@pytest.mark.parametrize("op", ["map_b", "from_incomplete_", "from_incomplete"])
+def test_a_closed_region_refuses_a_finished_incomplete(op):
+    kept = {}
+
+    def body(t):
+        kept["i"] = map_b(alloc(t), close_with(5))
+        raise RuntimeError("leave the scope with a finished incomplete")
+
+    with pytest.raises(RuntimeError):
+        with_region(body)
+    i, ran = kept["i"], []
+    region = i.region
+
+    def state():
+        return (
+            i.alive,
+            i.holes_outstanding,
+            (region._tokens_alive, region._incompletes_alive, region.outstanding_holes),
+            region_stats(region),
+        )
+
+    calls = {
+        "map_b": lambda: map_b(i, ran.append),
+        "from_incomplete_": lambda: from_incomplete_(i),
+        "from_incomplete": lambda: from_incomplete(i),
+    }
+    before = state()
+    with pytest.raises(RegionClosed):
+        calls[op]()
+    assert state() == before
+    assert i.alive and not ran
+
+
+# Each builder operation given a handle of the wrong type, as
+# call(live token, live empty incomplete, its root destination).
+_WRONG_HANDLE = [
+    ("token_consume", lambda t, i, d: token_consume(i)),
+    ("token_dup2", lambda t, i, d: token_dup2(d)),
+    ("alloc", lambda t, i, d: alloc(i)),
+    ("into_incomplete", lambda t, i, d: into_incomplete(d, NIL, "list")),
+    ("map_b", lambda t, i, d: map_b(t, lambda p: p)),
+    ("from_incomplete_", lambda t, i, d: from_incomplete_(d)),
+    ("from_incomplete", lambda t, i, d: from_incomplete(t)),
+    ("fill", lambda t, i, d: fill(i, LIST_NIL)),
+    ("fill_leaf", lambda t, i, d: fill_leaf(1, t)),
+    ("fill_comp", lambda t, i, d: fill_comp(d, d)),
+    ("fill_comp", lambda t, i, d: fill_comp(i, t)),
+]
+
+
+@pytest.mark.parametrize(
+    "op, call", _WRONG_HANDLE, ids=[f"{op}-{n}" for n, (op, _) in enumerate(_WRONG_HANDLE)]
+)
+def test_a_wrong_typed_handle_is_a_type_error_naming_the_operation(op, call):
+    def body(t):
+        t1, t2 = token_dup2(t)
+        i = alloc(t1)
+        d, region = i.payload, t.region
+
+        def state():
+            return (
+                (t2.alive, i.alive, d.alive, i.holes_outstanding),
+                (region._tokens_alive, region._incompletes_alive, region.outstanding_holes),
+                region_stats(region),
+            )
+
+        before = state()
+        with pytest.raises(TypeError, match=rf"^{op} "):
+            call(t2, i, d)
+        assert state() == before
+        token_consume(t2)
+        return from_incomplete_(map_b(i, close_with(1)))
+
+    assert with_region(body) == 1
 
 
 def test_fill_leaf_into_recursive_hole_rejected():
@@ -680,6 +764,9 @@ def test_failed_into_incomplete_leaves_no_holes_to_audit():
     def body(t):
         with pytest.raises(TypeError):
             into_incomplete(t, Cons(1, "not a list"), "list")
+        # the failed copy left the token live
+        assert t.alive and t.region._tokens_alive == 1
+        token_consume(t)
         return 0
 
     assert with_region(body) == 0
@@ -693,6 +780,8 @@ def test_into_incomplete_of_cyclic_value_is_cyclic_structure():
         region = t.region
         with pytest.raises(CyclicStructure):
             into_incomplete(t, c, "list")
+        assert t.alive and region._tokens_alive == 1
+        token_consume(t)
         return region.outstanding_holes
 
     assert with_region(body) == 0

@@ -1,13 +1,15 @@
 """Stateful test of the builder's linearity ledger.
 
 A hypothesis state machine calls the builder API in any order, wrong calls
-included, over two open scopes and one closed one. It keeps its own model of
+included, over two open scopes and one closed one, which keeps a live token,
+two empty incompletes and one finished one. It keeps its own model of
 every handle it was given: whether the handle is live, its region and
 lineage, and what fills each hole. After every step the flags and the
 region and lineage counts must match the model. A call the model says must
-fail raises a ``DpsError`` or ``TypeError`` and changes no flag or count. A
-release returns the model's value. Each scope's exit raises
-``LinearityLeak`` exactly when the model still holds a live handle of it.
+fail, every call on a handle of the closed region among them, raises a
+``DpsError`` or ``TypeError`` and changes no flag or count. A release
+returns the model's value. Each scope's exit raises ``LinearityLeak``
+exactly when the model still holds a live handle of it.
 """
 
 import itertools
@@ -29,13 +31,15 @@ from destpass import (
     fill_leaf,
     from_incomplete,
     from_incomplete_,
+    into_incomplete,
     map_b,
     region_stats,
+    token_consume,
     token_dup2,
     with_region,
 )
 from destpass.builder import Dest, Incomplete, Token
-from destpass.dlist import LIST_CONS, LIST_NIL, LIST_SHAPE
+from destpass.dlist import LIST_CONS, LIST_NIL, LIST_SHAPE, NIL, Cons, from_pylist
 from destpass.region import alloc_hollow, region_new
 from destpass.shapes import LeafType, Recursive, ShapeRegistry, TypeShape, ctor
 
@@ -60,6 +64,10 @@ _UNREGISTERED = ctor("list", "cons", 1, LIST_CONS.fields, LIST_CONS.make)
 CTORS = (LIST_NIL, LIST_CONS, *_PAIR, _UNREGISTERED)
 _RAW_CELL = alloc_hollow(region_new(), LIST_NIL)
 _MOSTLY = st.sampled_from((True,) * 7 + (False,))
+_CYCLIC = Cons(1, NIL)
+_CYCLIC.tail = _CYCLIC
+# Values into_incomplete copies as a "list": one well-formed, two it refuses.
+_COPIED = {"list": from_pylist([4, (5, 6)]), "malformed": Cons(1, "x"), "cyclic": _CYCLIC}
 
 
 _WAIT_S = 10  # bound on each wait for a scope's thread
@@ -121,6 +129,18 @@ def _value(hole: _Hole):
     return c.make(*map(_value, holes))
 
 
+def _copied(value) -> _Hole:
+    """The model hole of a well-formed list that into_incomplete copied."""
+    hole = _Hole()
+    if value is NIL:
+        hole.fill = ("node", LIST_NIL, ())
+    else:
+        head = _Hole()
+        head.fill = ("leaf", value.head)
+        hole.fill = ("node", LIST_CONS, (head, _copied(value.tail)))
+    return hole
+
+
 def _fits(kind, type_id) -> bool:
     """Whether a hole of ``kind`` (None for a receiver's) takes a value of
     ``type_id`` (None for a leaf)."""
@@ -155,10 +175,15 @@ class LedgerMachine(RuleBasedStateMachine):
             self.handles += map(_Model, token_dup2(s.token))
         closed = _Scope()
         t1, t2 = token_dup2(closed.token)
+        t2, t3 = token_dup2(t2)
+        t3, kept = token_dup2(t3)
         left = alloc(t1), alloc(t2)
+        done = into_incomplete(t3, _COPIED["list"], "list")
         assert isinstance(closed.exit(), LinearityLeak)
         for i in left:
             self._add_incomplete(i)
+        self._add_copy(done, _COPIED["list"])
+        self.handles.append(_Model(kept))
         self.regions = [s.region for s in self.scopes] + [closed.region]
 
     def teardown(self) -> None:
@@ -175,6 +200,10 @@ class LedgerMachine(RuleBasedStateMachine):
         lineage, root = next(self.lineage_ids), _Hole()
         d = _Model(i.payload, lineage=lineage, hole=root)
         self.handles += [_Model(i, lineage=lineage, root=root, payload=(d,)), d]
+
+    def _add_copy(self, i: Incomplete, value) -> None:
+        lineage = next(self.lineage_ids)
+        self.handles.append(_Model(i, lineage=lineage, root=_copied(value)))
 
     def _pick(self, data, kind, *prefer) -> _Model:
         """A handle of type ``kind``. Seven times in eight, it is live, of an
@@ -203,15 +232,20 @@ class LedgerMachine(RuleBasedStateMachine):
             [region_stats(r) for r in self.regions],
         )
 
-    def _call(self, fails: bool, call):
+    def _call(self, fails: bool, call, charges: bool = False):
         """Run ``call``. If the model says it fails, check that it raises a
-        DpsError or TypeError and changes no flag or count."""
+        DpsError or TypeError and changes no flag or count. With ``charges``
+        the region's allocation stats may differ: a copy that fails part way
+        stays charged for the cells it allocated."""
         if not fails:
             return call()
         before = self._snapshot()
         with pytest.raises((DpsError, TypeError)):
             call()
-        assert self._snapshot() == before
+        after = self._snapshot()
+        if charges:
+            before, after = before[:-1], after[:-1]
+        assert after == before
         return None
 
     # -- rules ---------------------------------------------------------------
@@ -219,18 +253,39 @@ class LedgerMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def dup2(self, data):
         t = self._pick(data, Token)
-        pair = self._call(not t.alive, lambda: token_dup2(t.obj))
-        if t.alive:
+        fails = not t.alive or not t.region.alive
+        pair = self._call(fails, lambda: token_dup2(t.obj))
+        if not fails:
             t.alive = False
             self.handles += [_Model(x) for x in pair]
 
     @rule(data=st.data())
+    def consume(self, data):
+        t = self._pick(data, Token)
+        fails = not t.alive or not t.region.alive
+        self._call(fails, lambda: token_consume(t.obj))
+        if not fails:
+            t.alive = False
+
+    @rule(data=st.data())
     def alloc(self, data):
         t = self._pick(data, Token)
-        i = self._call(not t.alive, lambda: alloc(t.obj))
-        if t.alive:
+        fails = not t.alive or not t.region.alive
+        i = self._call(fails, lambda: alloc(t.obj))
+        if not fails:
             t.alive = False
             self._add_incomplete(i)
+
+    @rule(data=st.data(), what=st.sampled_from(sorted(_COPIED)))
+    def into_incomplete(self, data, what):
+        t = self._pick(data, Token)
+        value = _COPIED[what]
+        refused = not t.alive or not t.region.alive
+        fails = refused or what != "list"
+        i = self._call(fails, lambda: into_incomplete(t.obj, value, "list"), not refused)
+        if not fails:
+            t.alive = False
+            self._add_copy(i, value)
 
     @rule(data=st.data())
     def fill(self, data):
@@ -314,8 +369,10 @@ class LedgerMachine(RuleBasedStateMachine):
         """The callback returns the payload, None, the lineage's live
         destinations, or one destination of another lineage."""
         i = self._pick(data, Incomplete)
-        if not i.alive:
-            self._call(True, lambda: map_b(i.obj, lambda p: p))
+        if not i.alive or not i.region.alive:
+            ran = []
+            self._call(True, lambda: map_b(i.obj, ran.append))
+            assert not ran
             return
         live = self._live_dests(i.lineage)
         if mode == "steal":
@@ -343,7 +400,7 @@ class LedgerMachine(RuleBasedStateMachine):
     @rule(data=st.data(), unit=st.booleans())
     def release(self, data, unit):
         i = self._pick(data, Incomplete)
-        fails = not i.alive or bool(self._live_dests(i.lineage))
+        fails = not i.alive or not i.region.alive or bool(self._live_dests(i.lineage))
         if unit:
             fails = fails or i.payload is not None
             value = self._call(fails, lambda: from_incomplete_(i.obj))

@@ -73,6 +73,9 @@ def test_mutually_recursive_batch_registration():
     # but neither alone would have resolved
     with pytest.raises(ShapeConflict):
         ShapeRegistry().register(even)
+    # and one type id may not come twice in one batch
+    with pytest.raises(ShapeConflict):
+        ShapeRegistry().register(even, odd, even)
 
 
 def test_self_recursion_resolves():
@@ -110,6 +113,8 @@ def test_dests_spec_of_unregistered_ctor():
     stray = ctor("list", "cons", 1, (LeafType("value"), Recursive("list")), None)
     with pytest.raises(UnknownCtor):
         dests_spec_of(stray)
+    with pytest.raises(UnknownCtor):
+        ShapeRegistry().shape("list")
 
 
 def test_shape_validation():
@@ -118,6 +123,8 @@ def test_shape_validation():
     bad_tag = ctor("t", "a", 1, (), lambda: None)
     with pytest.raises(ValueError):
         TypeShape("t", (bad_tag,))
+    with pytest.raises(ValueError):  # a ctor of another type
+        TypeShape("t", (ctor("u", "a", 0, (), lambda: None),))
     with pytest.raises(ValueError):
         ctor("u", "a", 0, (), lambda: None).__class__(
             type_id="u", name="a", tag=0, arity=2, fields=(), make=None
