@@ -44,9 +44,9 @@ from .errors import (
     UseAfterConsume,
 )
 from .region import (
-    HOLE,
     AllocStats,
     CellRef,
+    Hole,
     Leaf,
     Ref,
     Region,

@@ -40,8 +40,9 @@ whatever later fills it lands in place and is checked against the hole's
 kind then.
 
 Values returned out of ``with_region`` are ordinary host values with no
-linear obligations; the scope-exit audit is what guarantees they contain no
-live handles into the dead region.
+linear obligations: the scope-exit audit finds no live handle into the dead
+region, and no leaf can hold a handle, a region cell or a hole at all, for
+none of them can be deep-copied (``DestinationInLeaf``).
 """
 
 from __future__ import annotations
@@ -52,14 +53,13 @@ from typing import Any, Callable
 
 from . import region as _region
 from .errors import (
-    DestinationInLeaf,
     LinearityLeak,
     SelfPlug,
     UnfilledHoles,
     UnknownCtor,
     UseAfterConsume,
 )
-from .region import _SCALARS, HOLE, CellRef, Leaf, Ref, Region, region_new
+from .region import _SCALARS, CellRef, Leaf, Ref, Region, _NotALeaf, region_new
 from .shapes import CtorDescriptor, FieldKind, LeafType, Recursive, ShapeRegistry
 
 
@@ -96,7 +96,7 @@ class _Lineage:
         return node
 
 
-class Token:
+class Token(_NotALeaf):
     """Linear capability to mint one incomplete in its region."""
 
     __slots__ = ("region", "alive")
@@ -111,7 +111,7 @@ class Token:
         return f"<Token region={self.region.region_id} {state}>"
 
 
-class Dest:
+class Dest(_NotALeaf):
     """Handle to exactly one unfilled hole; consumable exactly once.
 
     ``cell`` is a region cell or a host object under construction; ``kind``
@@ -142,7 +142,7 @@ class Dest:
         return f"<Dest cell={where}[{self.index}] {state}>"
 
 
-class Incomplete:
+class Incomplete(_NotALeaf):
     """A structure under construction plus the payload that must be consumed
     before it becomes readable."""
 
@@ -438,18 +438,14 @@ def fill_leaf(value, d: Dest) -> None:
     """Fill the hole behind ``d`` with a leaf copy of ``value``.
 
     The value is copied into the region, so later mutation of the source
-    cannot affect the structure. Leaf payloads must not contain live linear
-    values; destination-backed structures cannot store destinations. A
-    payload that is itself a region cell raises TypeError.
+    cannot affect the structure. That copy raises DestinationInLeaf, a
+    TypeError, and changes nothing if the value holds a token, destination,
+    incomplete, region cell or hole anywhere: none of them can be copied.
     """
     if type(d) is not Dest or not d.alive:  # its region: write_field checks
         _admit(d, Dest, "fill_leaf")
     if type(d.kind) is Recursive:
         _check_fillable(d.kind, None, "a leaf")
-    if not isinstance(value, _SCALARS) and _collect_linear(value):
-        raise DestinationInLeaf(
-            "leaf payload contains tokens, destinations, or incompletes"
-        )
     _region.write_field(d.region, d.cell, d.index, Leaf(value))
     d.alive = False
     lineage = d.lineage
@@ -482,7 +478,7 @@ def fill_comp(child: Incomplete, d: Dest):
         raise region._foreign(receiver, "incomplete")
     kind = d.kind
     content = receiver.slots[0]
-    if content is HOLE:
+    if content is region.hole:
         moved = child_root.dest
         moved.cell, moved.index, moved.kind = d.cell, d.index, kind
         if kind is None:

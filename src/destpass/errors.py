@@ -53,8 +53,8 @@ class SelfPlug(DpsError):
     """An incomplete was plugged into a destination of its own lineage."""
 
 
-class DestinationInLeaf(DpsError):
-    """A leaf payload may not contain live linear values."""
+class DestinationInLeaf(DpsError, TypeError):
+    """A leaf payload holds a linear handle, a region cell or a hole."""
 
 
 class OracleMismatch(DpsError):

@@ -5,7 +5,8 @@ a cell lives as long as something refers to it. A cell is one constructor
 application: a constructor plus a fixed number of field slots, each of which
 starts as a hole and is written exactly once, either with a reference to
 another cell of the same region or with a leaf payload that is deep-copied
-into the region at write time.
+into the region at write time. A hole, a region cell and a linear handle
+each refuse that copy (``DestinationInLeaf``), at any depth in the payload.
 
 A raw cell is a single object, a ``CellRef``: it carries its region's id,
 its handle (its index in allocation order), its constructor and its slots,
@@ -13,18 +14,19 @@ and callers hold and pass that object itself; there is no separate locator.
 Cells never move, so a cell stays valid for the region's whole lifetime.
 
 A field, of a raw cell or of a host object, holds what a host object's
-field holds: ``HOLE`` until it is written, then either a reference to a raw
-cell (the target ``CellRef``, never the caller's ``Ref``) or the finished
-value itself. That value is a leaf's payload (the region's copy), a nullary
-constructor's ``make()``, or a host value plugged in whole.
+field holds: its region's own ``Hole``, ``region.hole``, until it is written
+(so no other region can write it), then either a reference to a raw cell
+(the target ``CellRef``, never the caller's ``Ref``) or the finished value
+itself: a leaf's payload (the region's copy), a nullary constructor's
+``make()``, or a host value plugged in whole.
 
 A root receiver, whose one hole takes an incomplete's whole value, is a raw
 cell of the private ``_INDIRECTION`` constructor; there is no receiver type.
 The builder's cells are host objects. Written into a receiver or into a host
 object, a constructor that the registry lets build in place (see ``shapes``)
 is allocated as its final host object: ``object.__new__`` of its ``make``
-with every field preset to ``HOLE``, linked into its parent's field with
-``object.__setattr__`` (so frozen dataclasses work too). Such a cell is
+with every field preset to ``region.hole``, linked into its parent's field
+with ``object.__setattr__`` (so frozen dataclasses work too). Such a cell is
 charged exactly as a raw cell and has no handle; ``_hole`` checks its fields
 as it checks a raw cell's.
 
@@ -45,6 +47,7 @@ from dataclasses import dataclass, replace
 
 from .errors import (
     CyclicStructure,
+    DestinationInLeaf,
     DoubleFill,
     FieldIndexOutOfRange,
     IncompleteRead,
@@ -63,8 +66,18 @@ WORD = 8
 
 _region_ids = itertools.count(1)
 
-# Hole marker stored in unwritten slots.
-HOLE = type("Hole", (), {"__repr__": lambda self: "HOLE", "__slots__": ()})()
+
+class _NotALeaf:
+    """What no leaf may hold: deep-copying one raises DestinationInLeaf."""
+
+    __slots__ = ()
+
+    def __deepcopy__(self, memo):
+        raise DestinationInLeaf(f"a leaf payload cannot hold {self!r}")
+
+
+# The marker in every unwritten field; each region has its own.
+Hole = type("Hole", (_NotALeaf,), {"__repr__": lambda self: "HOLE", "__slots__": ()})
 
 # The constructor that makes a raw cell a root receiver: one field, which
 # read_value returns as the receiver's value. Never registered; no Ref target.
@@ -106,7 +119,7 @@ class Leaf:
         return f"Leaf({self.payload!r})"
 
 
-class CellRef:
+class CellRef(_NotALeaf):
     """One cell of one region: its constructor and its field slots.
 
     Compared and hashed by identity; ``handle`` is its index in the region's
@@ -115,11 +128,11 @@ class CellRef:
 
     __slots__ = ("region_id", "handle", "ctor", "slots")
 
-    def __init__(self, region_id: int, handle: int, ctor: CtorDescriptor) -> None:
-        self.region_id = region_id
+    def __init__(self, region: Region, handle: int, ctor: CtorDescriptor) -> None:
+        self.region_id = region.region_id
         self.handle = handle
         self.ctor = ctor
-        self.slots = [HOLE] * ctor.arity
+        self.slots = [region.hole] * ctor.arity
 
     def __repr__(self) -> str:
         return f"<CellRef {self.ctor.name} {self.region_id}:{self.handle}>"
@@ -141,6 +154,7 @@ class Region:
 
     def __init__(self, registry: ShapeRegistry) -> None:
         self.region_id = next(_region_ids)
+        self.hole = Hole()
         self.registry = registry
         self.outstanding_holes = 0
         self.stats = AllocStats()
@@ -167,7 +181,7 @@ class Region:
     def _new_cell(self, ctor: CtorDescriptor) -> CellRef:
         self.stats.bytes_allocated += WORD * (1 + ctor.arity)
         self.outstanding_holes += ctor.arity
-        return CellRef(self.region_id, next(self._handles), ctor)
+        return CellRef(self, next(self._handles), ctor)
 
     def _alloc_receiver(self) -> CellRef:
         """Allocate a root-receiver indirection cell (not a user cell)."""
@@ -190,12 +204,13 @@ class Region:
         for a type that builds in place, else raw cells. Leaf fields become
         region-owned leaf copies; a node reached twice is copied twice.
         Iterative depth-first; a node reachable from itself raises
-        CyclicStructure. A copy that fails part way is unreachable and owes
-        no writes, so its holes are taken back out of ``outstanding_holes``.
+        CyclicStructure. A copy that fails part way, as on a leaf that holds a
+        hole or a handle, is unreachable and owes no writes, so its holes and
+        charges are taken back out of ``outstanding_holes`` and ``stats``.
         """
         self._require_alive()
-        holes = self.outstanding_holes
-        holder = CellRef(self.region_id, -1, _INDIRECTION)
+        holes, stats = self.outstanding_holes, replace(self.stats)
+        holder = CellRef(self, -1, _INDIRECTION)
         self.outstanding_holes += 1
         on_path: set[int] = set()  # ids of the host nodes being copied
         # Entries: (cell, field index, host node, type id) to copy the node
@@ -227,7 +242,7 @@ class Region:
                     else:
                         write_field(self, cell, i, Leaf(parts[i]))
         except BaseException:
-            self.outstanding_holes = holes
+            self.outstanding_holes, self.stats = holes, stats
             raise
         return holder
 
@@ -286,7 +301,7 @@ def alloc_hollow(
 
     With ``into``, the new cell is also written into hole ``index`` of
     ``into``: a raw cell, a receiver, or a host object that a fill of this
-    same region built (its region is not checked). Every check of both steps
+    same region built (else RegionMismatch). Every check of both steps
     runs before anything changes. A nullary constructor is stored as its
     ``make()``, charged as one cell, and None is returned. Otherwise the new
     cell is returned: a raw cell into a raw cell that is not a receiver or
@@ -308,7 +323,7 @@ def alloc_hollow(
         else:
             cell = value = object.__new__(ctor.make)
             for n in names:
-                object.__setattr__(cell, n, HOLE)
+                object.__setattr__(cell, n, region.hole)
             region.stats.bytes_allocated += WORD * (1 + ctor.arity)
             region.outstanding_holes += ctor.arity
         if raw:
@@ -340,35 +355,33 @@ def _hole(region: Region, cell, index: int):
             ) from None
         arity = len(names)
     if 0 <= index < arity:
-        if names is None:
-            if cell.slots[index] is HOLE:
-                return index
-        elif getattr(cell, names[index]) is HOLE:
-            return names[index]
+        slot = cell.slots[index] if names is None else getattr(cell, names[index])
+        if slot is region.hole:
+            return index if names is None else names[index]
     what = repr(cell) if names is None else f"a {type(cell).__name__}"
     if not 0 <= index < arity:
         raise FieldIndexOutOfRange(f"field {index} out of range for {what} (arity {arity})")
+    if type(slot) is Hole:  # another region's: a raw cell's region is checked above
+        raise RegionMismatch(f"{what} of another region used in region {region.region_id}")
     raise DoubleFill(f"field {index} of {what} already written")
 
 
 def write_field(region: Region, cell, index: int, value) -> None:
     """Write one hole of a ``CellRef``, or of a host object that a fill of
-    this same region built (its region is not checked), forever. The field
-    then holds a ``Ref``'s target, never ``HOLE`` or a receiver (TypeError),
-    or a ``Leaf``'s payload: kept as given if a scalar, else deep-copied, and
-    never a ``CellRef`` (TypeError)."""
+    this same region built (else RegionMismatch), forever. The field then
+    holds a ``Ref``'s target, never a hole or a receiver (TypeError), or a
+    ``Leaf``'s payload: kept as given if a scalar, else deep-copied, which
+    raises DestinationInLeaf on a hole, region cell or handle inside it."""
     key = _hole(region, cell, index)
     if isinstance(value, Leaf):
         value = value.payload
         if not isinstance(value, _SCALARS):
-            if isinstance(value, CellRef):
-                raise TypeError("a leaf payload cannot be a region cell")
             value = copy.deepcopy(value)
         region.stats.bytes_allocated += _nominal_size(value)
         region.stats.leaf_copies += 1
     elif isinstance(value, Ref):
         value = value.target
-        if value is HOLE or type(value) is CellRef and value.ctor is _INDIRECTION:
+        if type(value) is Hole or type(value) is CellRef and value.ctor is _INDIRECTION:
             raise TypeError(f"a reference target cannot be {value!r}")
         if type(value) is CellRef and value.region_id != region.region_id:
             raise region._foreign(value, "reference")
@@ -401,7 +414,7 @@ def read_value(region: Region, root: CellRef):
         raise region._foreign(root, "cell")
     if root.ctor is _INDIRECTION:
         content = root.slots[0]
-        if content is HOLE:
+        if content is region.hole:
             raise IncompleteRead(f"hole at field 0 of receiver cell {root.handle}")
         if type(content) is not CellRef:
             return content
@@ -423,7 +436,7 @@ def read_value(region: Region, root: CellRef):
                 slot = slots[idx]
                 if type(slot) is CellRef:
                     stack.append(slot)
-                elif slot is HOLE:
+                elif slot is region.hole:
                     stack.append((cell, idx))
             if len(stack) > base:
                 values[cell.handle] = _ON_PATH

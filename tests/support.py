@@ -65,6 +65,21 @@ def structurally_equal(a, b) -> bool:
     return True
 
 
+def ledger_state(regions, handles):
+    """What a refused call must leave as it was: each handle's flag, the
+    hole count of each destination's or incomplete's lineage, and each
+    region's outstanding holes, tallies of live tokens and incompletes, and
+    allocation stats."""
+    return (
+        [h.alive for h in handles],
+        [h.lineage.find().holes for h in handles if hasattr(h, "lineage")],
+        [
+            (r.outstanding_holes, r._tokens_alive, r._incompletes_alive, region_stats(r))
+            for r in regions
+        ],
+    )
+
+
 def random_value(type_id: str, rng, depth: int):
     """Random host value of a registered type, bottom-up (the oracle side).
 

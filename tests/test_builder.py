@@ -31,11 +31,11 @@ from destpass import (
     with_region,
 )
 from destpass.bfs import TREE_NIL, TREE_NODE, Node
-from destpass.region import HOLE, WORD, Leaf, alloc_hollow, region_new, write_field
+from destpass.region import WORD, Hole, Leaf, alloc_hollow, region_new, write_field
 from destpass.shapes import LeafType, Recursive, ShapeRegistry, TypeShape, ctor
 from destpass.dlist import LIST_CONS, LIST_NIL, NIL, Cons, from_pylist
 
-from support import CASE_TYPES, build_top_down, random_value, structurally_equal
+from support import CASE_TYPES, build_top_down, ledger_state, random_value, structurally_equal
 
 
 def close_with(x):
@@ -342,7 +342,7 @@ def test_a_region_cell_is_refused_as_a_leaf_payload():
             before = state()
             with pytest.raises(TypeError):
                 fill_leaf(other, d)
-            assert d.alive and field() is HOLE and state() == before
+            assert d.alive and field() is region.hole and state() == before
 
         def f(d):
             refused(d, lambda: d.cell.slots[0])  # a receiver's hole
@@ -353,6 +353,108 @@ def test_a_region_cell_is_refused_as_a_leaf_payload():
             return None
 
         return from_incomplete_(map_b(alloc(t), f))
+
+    assert list(with_region(body)) == [1]
+
+
+def _refused(call, regions, handles, error=DestinationInLeaf):
+    """``call`` raises ``error`` and leaves ``ledger_state`` as it was."""
+    before = ledger_state(regions, handles)
+    with pytest.raises(error):
+        call()
+    assert ledger_state(regions, handles) == before
+
+
+@pytest.mark.parametrize(
+    "what",
+    ["hollow host object", "incomplete root", "own hole", "other region's hole", "fresh hole"],
+)
+def test_a_leaf_refuses_what_holds_a_hole(what):
+    """A leaf copy of any of these would release a hole in another
+    incomplete's value: a Cons whose head is still a hole, the receiver
+    cell of an empty incomplete, or a hole marker itself."""
+    other = region_new()
+
+    def body(t):
+        region = t.region
+        t1, t2 = token_dup2(t)
+        i, j = alloc(t1), alloc(t2)
+        dh, dt = fill(i.payload, LIST_CONS)
+        e = j.payload
+        payload = {
+            "hollow host object": lambda: dh.cell,
+            "incomplete root": lambda: [j.root],
+            "own hole": lambda: region.hole,
+            "other region's hole": lambda: (1, other.hole),
+            "fresh hole": lambda: {"x": Hole()},
+        }[what]()
+        _refused(lambda: fill_leaf(payload, e), [region, other], [i, j, dh, dt, e])
+        assert e.cell.slots[0] is region.hole
+        fill_leaf(1, dh)
+        fill(dt, LIST_NIL)
+        fill_leaf(2, e)
+        return from_incomplete(i)[0], from_incomplete(j)[0]
+
+    out, leaf = with_region(body)
+    assert list(out) == [1] and leaf == 2
+
+
+@pytest.mark.parametrize(
+    "what, error",
+    [
+        ("malformed", TypeError),
+        ("cyclic", CyclicStructure),
+        ("live destination", DestinationInLeaf),
+        ("hole deep inside", DestinationInLeaf),
+        ("cell deep inside", DestinationInLeaf),
+    ],
+)
+def test_a_failed_copy_changes_nothing(what, error):
+    """into_incomplete copies cells and leaves before it fails; the copy is
+    unreachable, so its region charges nothing for it, and a destination in
+    a leaf would have been released as a live clone."""
+    cyclic = Cons(1, NIL)
+    cyclic.tail = cyclic
+
+    def body(t):
+        region = t.region
+        t1, t2 = token_dup2(t)
+        other = alloc(t2)
+        d = other.payload
+        value = {
+            "malformed": Cons(1, "x"),
+            "cyclic": cyclic,
+            "live destination": Cons(d, NIL),
+            "hole deep inside": from_pylist([1, 2, (3, region.hole)]),
+            "cell deep inside": from_pylist([1, {"cell": other.root}]),
+        }[what]
+        _refused(lambda: into_incomplete(t1, value, "list"), [region], [t1, other, d], error)
+        token_consume(t1)
+        fill_leaf(0, d)
+        return from_incomplete(other)[0]
+
+    assert with_region(body) == 0
+
+
+@pytest.mark.parametrize("op", ["write_field", "alloc_hollow"])
+def test_a_host_object_of_another_region_refuses_its_writes(op):
+    """A hollow Cons that a fill of one region built takes no write through
+    another region: its live destination stays the one way to fill it."""
+    other = region_new()
+    call = {
+        "write_field": lambda dh: write_field(other, dh.cell, 0, Leaf(5)),
+        "alloc_hollow": lambda dh: alloc_hollow(other, LIST_NIL, dh.cell, 1),
+    }[op]
+
+    def body(t):
+        region = t.region
+        i = alloc(t)
+        dh, dt = fill(i.payload, LIST_CONS)
+        _refused(lambda: call(dh), [region, other], [i, dh, dt], RegionMismatch)
+        assert dh.cell.head is region.hole and dh.cell.tail is region.hole
+        fill_leaf(1, dh)
+        fill(dt, LIST_NIL)
+        return from_incomplete(i)[0]
 
     assert list(with_region(body)) == [1]
 
@@ -412,7 +514,7 @@ def test_writes_into_closed_region_rejected():
     with pytest.raises(RegionClosed):
         destpass.region.write_field(d.region, d.cell, d.index, Leaf(5))
     assert d.alive and child.alive
-    assert d.cell.slots == [HOLE]
+    assert d.cell.slots == [d.region.hole]
 
 
 _TOKEN_OPS = {
@@ -563,7 +665,7 @@ def test_fill_comp_rejects_a_child_of_another_type():
             with pytest.raises(UnknownCtor):
                 fill_comp(tree, dt)
             assert state() == before
-            assert dh.cell.tail is HOLE
+            assert dh.cell.tail is region.hole
             fill(dt, LIST_NIL)
             return None
 
@@ -597,7 +699,7 @@ def test_fill_comp_rejects_a_copied_child_of_another_type():
             with pytest.raises(UnknownCtor):
                 fill_comp(tree, dt)
             assert state() == before
-            assert dh.cell.tail is HOLE
+            assert dh.cell.tail is region.hole
             fill(dt, LIST_NIL)
             return None
 

@@ -16,6 +16,7 @@ import itertools
 import queue
 import threading
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import settings
@@ -66,8 +67,16 @@ _RAW_CELL = alloc_hollow(region_new(), LIST_NIL)
 _MOSTLY = st.sampled_from((True,) * 7 + (False,))
 _CYCLIC = Cons(1, NIL)
 _CYCLIC.tail = _CYCLIC
-# Values into_incomplete copies as a "list": one well-formed, two it refuses.
+# Values into_incomplete copies as a "list": one well-formed, two it refuses;
+# the machine adds a third, a list that holds a handle.
 _COPIED = {"list": from_pylist([4, (5, 6)]), "malformed": Cons(1, "x"), "cyclic": _CYCLIC}
+
+
+@dataclass(frozen=True)
+class _Box:
+    """A dataclass payload, holding a handle in its one field."""
+
+    content: object
 
 
 _WAIT_S = 10  # bound on each wait for a scope's thread
@@ -232,20 +241,15 @@ class LedgerMachine(RuleBasedStateMachine):
             [region_stats(r) for r in self.regions],
         )
 
-    def _call(self, fails: bool, call, charges: bool = False):
+    def _call(self, fails: bool, call):
         """Run ``call``. If the model says it fails, check that it raises a
-        DpsError or TypeError and changes no flag or count. With ``charges``
-        the region's allocation stats may differ: a copy that fails part way
-        stays charged for the cells it allocated."""
+        DpsError or TypeError and changes no flag or count."""
         if not fails:
             return call()
         before = self._snapshot()
         with pytest.raises((DpsError, TypeError)):
             call()
-        after = self._snapshot()
-        if charges:
-            before, after = before[:-1], after[:-1]
-        assert after == before
+        assert self._snapshot() == before
         return None
 
     # -- rules ---------------------------------------------------------------
@@ -276,13 +280,15 @@ class LedgerMachine(RuleBasedStateMachine):
             t.alive = False
             self._add_incomplete(i)
 
-    @rule(data=st.data(), what=st.sampled_from(sorted(_COPIED)))
+    @rule(data=st.data(), what=st.sampled_from((*sorted(_COPIED), "handle")))
     def into_incomplete(self, data, what):
         t = self._pick(data, Token)
-        value = _COPIED[what]
-        refused = not t.alive or not t.region.alive
-        fails = refused or what != "list"
-        i = self._call(fails, lambda: into_incomplete(t.obj, value, "list"), not refused)
+        if what == "handle":  # a list whose head is a handle
+            value = Cons(data.draw(st.sampled_from(self.handles)).obj, NIL)
+        else:
+            value = _COPIED[what]
+        fails = not t.alive or not t.region.alive or what != "list"
+        i = self._call(fails, lambda: into_incomplete(t.obj, value, "list"))
         if not fails:
             t.alive = False
             self._add_copy(i, value)
@@ -312,18 +318,30 @@ class LedgerMachine(RuleBasedStateMachine):
 
     @rule(
         data=st.data(),
-        what=st.sampled_from(("int", "tuple", "int", "tuple", "cell", "handle")),
+        what=st.sampled_from(
+            ("int", "tuple", "int", "tuple", "cell", "handle", "dest cell", "root", "boxed")
+        ),
     )
     def fill_leaf(self, data, what):
+        """Every payload but an int or a tuple holds a handle, a region cell
+        or a hole: a live destination's cell has one in the field it fills."""
         d = self._pick(data, Dest, lambda m: not isinstance(m.kind, Recursive))
-        if what == "handle":
-            value = [data.draw(st.sampled_from(self.handles)).obj]
-        else:
-            value = {"int": 7, "tuple": (1, (2, 3)), "cell": _RAW_CELL}[what]
+        handle = data.draw(st.sampled_from(self.handles)).obj
+        live = [m.obj for m in self.handles if m.alive and type(m.obj) is Dest]
+        incompletes = [m.obj for m in self.handles if type(m.obj) is Incomplete]
+        value = {
+            "int": lambda: 7,
+            "tuple": lambda: (1, (2, 3)),
+            "cell": lambda: _RAW_CELL,
+            "handle": lambda: [handle],
+            "dest cell": lambda: [data.draw(st.sampled_from(live)).cell if live else _RAW_CELL],
+            "root": lambda: [data.draw(st.sampled_from(incompletes)).root],
+            "boxed": lambda: _Box(handle),
+        }[what]()
         fails = (
             not d.alive
             or isinstance(d.kind, Recursive)
-            or what in ("cell", "handle")
+            or what not in ("int", "tuple")
             or not d.region.alive
         )
         self._call(fails, lambda: fill_leaf(value, d.obj))

@@ -13,7 +13,6 @@ from destpass import (
     CyclicStructure,
     DoubleFill,
     FieldIndexOutOfRange,
-    HOLE,
     IncompleteRead,
     Leaf,
     Ref,
@@ -122,7 +121,7 @@ def test_a_hole_is_refused_as_a_reference_target(into):
         cell, index = alloc_hollow(r, LIST_CONS, r._alloc_receiver(), 0), 1
     before = region_stats(r), r.outstanding_holes
     with pytest.raises(TypeError):
-        write_field(r, cell, index, Ref(HOLE))
+        write_field(r, cell, index, Ref(r.hole))
     assert (region_stats(r), r.outstanding_holes) == before
     write_field(r, cell, index, Leaf(1))
     with pytest.raises(DoubleFill):
@@ -139,7 +138,7 @@ def test_a_receiver_is_refused_as_a_reference_target(foreign):
     with pytest.raises(TypeError):
         write_field(r, cell, 1, Ref(receiver))
     assert (region_stats(r), r.outstanding_holes) == before
-    assert cell.slots[1] is HOLE
+    assert cell.slots[1] is r.hole
     write_field(r, cell, 1, Ref(alloc_hollow(r, LIST_NIL)))
     assert structurally_equal(read_value(r, cell), Cons(1, NIL))
 
@@ -248,7 +247,7 @@ def test_raw_api_refuses_what_is_not_a_cell_with_type_error():
     with pytest.raises(TypeError):
         read_value(r, hollow)
     assert state() == before
-    assert hollow.head is HOLE and hollow.tail is HOLE
+    assert hollow.head is r.hole and hollow.tail is r.hole
 
 
 def test_read_cost_follows_the_value_not_the_region():
@@ -431,7 +430,7 @@ def test_write_once_property(script, seed):
             written[(cell, idx)] = value
     for (cell, idx), value in written.items():
         slot = cell.slots[idx]
-        assert slot is not HOLE and slot == value
+        assert slot is not r.hole and slot == value
 
 
 @given(st.integers(0, 2**32))

@@ -1,0 +1,302 @@
+"""Stateful test of the raw region API over two regions.
+
+A hypothesis state machine allocates cells with and without ``into``,
+writes ``Leaf`` and ``Ref`` values into holes, reads values back and copies
+host values in with ``copy_value``, wrong calls included: a hole of the
+other region, an index out of range, a written field, an unregistered
+constructor, a leaf that holds a cell or a hole, a malformed, cyclic or
+handle-holding copy. It keeps a model of every cell and host object it was
+given: its region and what each field holds. A call the model says must
+fail raises a ``DpsError`` or ``TypeError`` and leaves ``region_stats`` and
+``outstanding_holes`` of both regions as they were; after every step the
+hole, cell, leaf-copy and receiver counts match the model.
+"""
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from destpass import DpsError, Leaf, Ref, read_value, region_new, region_stats, write_field
+from destpass.dlist import LIST_CONS, LIST_NIL, LIST_SHAPE, NIL, Cons, from_pylist
+from destpass.region import _INDIRECTION, CellRef, Hole, alloc_hollow
+from destpass.shapes import LeafType, Recursive, ShapeRegistry, TypeShape, ctor
+
+from support import structurally_equal
+
+# "list" builds host objects in place; "pair" does not (its make is no
+# dataclass), so it is always a raw cell.
+_PAIR = (
+    ctor("pair", "unit", 0, (), list),
+    ctor(
+        "pair",
+        "pair",
+        1,
+        (Recursive("list"), Recursive("pair"), LeafType("int")),
+        lambda *fields: fields,
+    ),
+)
+REGISTRY = ShapeRegistry()
+REGISTRY.register(LIST_SHAPE, TypeShape("pair", _PAIR))
+_UNREGISTERED = ctor("list", "cons", 1, LIST_CONS.fields, LIST_CONS.make)
+CTORS = (LIST_NIL, LIST_CONS, *_PAIR, _UNREGISTERED, "receiver")
+_CYCLIC = Cons(1, NIL)
+_CYCLIC.tail = _CYCLIC
+
+
+class _Node:
+    """A cell or host object the machine was given, and its model: the index
+    of its region, whether it is a raw cell, and each field's content: None
+    for a hole, ("node", _Node) or ("value", the value as stored)."""
+
+    def __init__(self, obj, region: int, arity: int) -> None:
+        self.obj = obj
+        self.region = region
+        self.raw = type(obj) is CellRef
+        self.receiver = self.raw and obj.ctor is _INDIRECTION
+        self.fields: list = [None] * arity
+
+
+def _refused(x) -> bool:
+    """Whether a deep copy of ``x`` meets a hole or a raw cell."""
+    seen: set[int] = set()
+    stack = [x]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, _Node):
+            if x.raw:
+                return True
+            if id(x) in seen:
+                continue
+            seen.add(id(x))
+            for f in x.fields:
+                if f is None:
+                    return True
+                stack.append(f[1])
+        elif isinstance(x, (Hole, CellRef)):
+            return True
+        elif isinstance(x, (list, tuple)):
+            stack.extend(x)
+    return False
+
+
+class _Fails(Exception):
+    pass
+
+
+def _decode(node: _Node):
+    """What read_value returns for raw ``node``, or _Fails where it raises."""
+    if node.receiver:
+        content = node.fields[0]
+        if content is None:
+            raise _Fails
+        if content[0] == "value" or not content[1].raw:
+            return content[1].obj if content[0] == "node" else content[1]
+        node = content[1]
+    on_path: set[int] = set()
+
+    def walk(n: _Node):
+        if id(n) in on_path:
+            raise _Fails
+        on_path.add(id(n))
+        parts = []
+        for f in n.fields:
+            if f is None:
+                raise _Fails
+            kind, x = f
+            parts.append(x if kind == "value" else walk(x) if x.raw else x.obj)
+        on_path.discard(id(n))
+        return n.obj.ctor.make(*parts)
+
+    return walk(node)
+
+
+class RegionMachine(RuleBasedStateMachine):
+    def __init__(self) -> None:
+        super().__init__()
+        self.regions = [region_new(registry=REGISTRY), region_new(registry=REGISTRY)]
+        self.nodes: list[_Node] = []
+        # per region: outstanding holes, cells, leaf copies, receivers
+        self.counts = [[4, 2, 0, 1], [4, 2, 0, 1]]
+        for r, region in enumerate(self.regions):  # each starts with every kind of cell
+            receiver = _Node(region._alloc_receiver(), r, 1)
+            host = _Node(alloc_hollow(region, LIST_CONS, receiver.obj, 0), r, 2)
+            receiver.fields[0] = ("node", host)
+            self.nodes += [receiver, host, _Node(alloc_hollow(region, LIST_CONS), r, 2)]
+
+    def _state(self):
+        return [(r.outstanding_holes, region_stats(r)) for r in self.regions]
+
+    def _call(self, fails: bool, call):
+        """Run ``call``; if the model says it fails, check that it raises a
+        DpsError or TypeError and changes neither region."""
+        if not fails:
+            return call()
+        before = self._state()
+        with pytest.raises((DpsError, TypeError)):
+            call()
+        assert self._state() == before
+        return None
+
+    def _target(self, data):
+        """A node (None one time in eight), the object to write into (not a
+        cell when the node is None) and an index, sometimes out of range."""
+        if not data.draw(st.integers(0, 7)):
+            return None, object(), 0
+        node = data.draw(st.sampled_from(self.nodes))
+        index = data.draw(st.integers(-1, len(node.fields)))
+        return node, node.obj, index
+
+    def _open(self, node, r: int, index: int) -> bool:
+        return (
+            node is not None
+            and node.region == r
+            and 0 <= index < len(node.fields)
+            and node.fields[index] is None
+        )
+
+    def _stored(self, node: _Node, index: int):
+        """What field ``index`` of ``node``'s object holds."""
+        obj = node.obj
+        if node.raw:
+            return obj.slots[index]
+        return getattr(obj, REGISTRY.host_fields[type(obj)][index])
+
+    # -- rules ---------------------------------------------------------------
+
+    @rule(data=st.data(), r=st.integers(0, 1), c=st.sampled_from(CTORS), into=st.booleans())
+    def alloc(self, data, r, c, into):
+        region, counts = self.regions[r], self.counts[r]
+        if c == "receiver":
+            cell = region._alloc_receiver()
+            self.nodes.append(_Node(cell, r, 1))
+            counts[0] += 1
+            counts[3] += 1
+            return
+        bad = c is _UNREGISTERED
+        if not into:
+            cell = self._call(bad, lambda: alloc_hollow(region, c))
+            if not bad:
+                self.nodes.append(_Node(cell, r, c.arity))
+                counts[0] += c.arity
+                counts[1] += 1
+            return
+        node, obj, index = self._target(data)
+        fails = bad or not self._open(node, r, index)
+        cell = self._call(fails, lambda: alloc_hollow(region, c, obj, index))
+        if fails:
+            return
+        counts[0] += c.arity - 1
+        counts[1] += 1
+        if c.arity:
+            new = _Node(cell, r, c.arity)
+            self.nodes.append(new)
+            node.fields[index] = ("node", new)
+        else:
+            node.fields[index] = ("value", self._stored(node, index))
+
+    @rule(
+        data=st.data(),
+        r=st.integers(0, 1),
+        what=st.sampled_from(("int", "tuple", "int", "node", "hole", "other hole")),
+    )
+    def write_leaf(self, data, r, what):
+        node, obj, index = self._target(data)
+        if what == "node":
+            payload = [data.draw(st.sampled_from(self.nodes))]
+            refused = _refused(payload)
+            payload = [payload[0].obj]
+        else:
+            payload = {
+                "int": 7,
+                "tuple": (1, (2, 3)),
+                "hole": [self.regions[r].hole],
+                "other hole": {"x": self.regions[1 - r].hole},
+            }[what]
+            refused = what.endswith("hole")
+        fails = refused or not self._open(node, r, index)
+        self._call(fails, lambda: write_field(self.regions[r], obj, index, Leaf(payload)))
+        if not fails:
+            node.fields[index] = ("value", self._stored(node, index))
+            self.counts[r][0] -= 1
+            self.counts[r][2] += 1
+
+    @rule(
+        data=st.data(),
+        r=st.integers(0, 1),
+        what=st.sampled_from(("node", "node", "hole", "value")),
+    )
+    def write_ref(self, data, r, what):
+        node, obj, index = self._target(data)
+        to = None
+        if what == "node":
+            to = data.draw(st.sampled_from(self.nodes))
+            target = to.obj
+            bad = to.receiver or to.raw and to.region != r
+        elif what == "hole":
+            target, bad = self.regions[data.draw(st.integers(0, 1))].hole, True
+        else:
+            target, bad = from_pylist([1]), False
+        fails = bad or not self._open(node, r, index)
+        self._call(fails, lambda: write_field(self.regions[r], obj, index, Ref(target)))
+        if not fails:
+            node.fields[index] = ("node", to) if to else ("value", target)
+            self.counts[r][0] -= 1
+
+    @rule(data=st.data(), r=st.integers(0, 1))
+    def read(self, data, r):
+        node = data.draw(st.sampled_from(self.nodes))
+        try:
+            expected, fails = _decode(node) if node.raw else None, not node.raw
+        except _Fails:
+            expected, fails = None, True
+        fails = fails or node.region != r
+        value = self._call(fails, lambda: read_value(self.regions[r], node.obj))
+        if not fails:
+            assert structurally_equal(value, expected)
+
+    @rule(
+        data=st.data(),
+        r=st.integers(0, 1),
+        what=st.sampled_from(("list", "malformed", "cyclic", "node", "deep hole")),
+    )
+    def copy(self, data, r, what):
+        region, counts = self.regions[r], self.counts[r]
+        if what == "node":
+            held = data.draw(st.sampled_from(self.nodes))
+            value, fails = Cons(held.obj, NIL), _refused(held)
+        else:
+            value = {
+                "list": from_pylist([4, (5, 6)]),
+                "malformed": Cons(1, "x"),
+                "cyclic": _CYCLIC,
+                "deep hole": from_pylist([1, 2, [region.hole]]),
+            }[what]
+            fails = what != "list"
+        holder = self._call(fails, lambda: region.copy_value(value, "list"))
+        if fails:
+            return
+        copied = 2 if what == "node" else 3
+        counts[1] += copied
+        counts[2] += copied - 1
+        node = _Node(holder, r, 1)
+        node.fields[0] = ("value", holder.slots[0])
+        self.nodes.append(node)
+        # A held host object may be cyclic, which structurally_equal cannot walk.
+        assert what == "node" or structurally_equal(holder.slots[0], value)
+
+    # -- invariants ----------------------------------------------------------
+
+    @invariant()
+    def counts_match_model(self):
+        for r, (holes, cells, copies, receivers) in zip(self.regions, self.counts):
+            stats = region_stats(r)
+            assert r.outstanding_holes == holes
+            assert (stats.cells_allocated, stats.leaf_copies) == (cells, copies)
+            assert stats.receiver_cells == receivers
+
+
+RegionMachine.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=40, deadline=None
+)
+test_region_machine = RegionMachine.TestCase
