@@ -48,7 +48,6 @@ from .region import (
     CellRef,
     Hole,
     Leaf,
-    Ref,
     Region,
     alloc_hollow,
     read_value,

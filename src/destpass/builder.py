@@ -33,11 +33,11 @@ region cell whose lineage root records what filled it, and a fill builds a
 constructor that qualifies (see ``shapes``) as its final host object in
 place. So a release reads the receiver's one slot in O(1) and decodes
 nothing; only a value of a type that does not qualify is decoded from region
-cells. ``fill_comp`` writes the content of a filled child's receiver straight
-into the hole. An empty child has no content yet: the live ``Dest`` of its
-receiver's hole is re-pointed at the hole instead (cell, index and kind), so
-whatever later fills it lands in place and is checked against the hole's
-kind then.
+cells. ``fill_comp`` writes a filled child's receiver into the hole, which
+takes the receiver's content. An empty child has no content yet: the live
+``Dest`` of its receiver's hole is re-pointed at the hole instead (cell,
+index and kind), so whatever later fills it lands in place and is checked
+against the hole's kind then.
 
 Values returned out of ``with_region`` are ordinary host values with no
 linear obligations: the scope-exit audit finds no live handle into the dead
@@ -59,7 +59,7 @@ from .errors import (
     UnknownCtor,
     UseAfterConsume,
 )
-from .region import _SCALARS, CellRef, Leaf, Ref, Region, _NotALeaf, region_new
+from .region import _SCALARS, CellRef, Leaf, Region, _NotALeaf, region_new
 from .shapes import CtorDescriptor, FieldKind, LeafType, Recursive, ShapeRegistry
 
 
@@ -311,9 +311,10 @@ def map_b(i: Incomplete, f: Callable[[Any], Any]) -> Incomplete:
 
     ``f`` must consume its argument exactly once: every live destination of
     this incomplete's lineage must, after ``f`` returns, either have been
-    consumed or be reachable from the new payload. Orphaned destinations
-    raise LinearityLeak immediately. On a closed region RegionClosed is
-    raised before ``f`` runs.
+    consumed or be reachable from the new payload through tuples, lists,
+    sets, frozensets, deques, dict keys and values or dataclass fields, the
+    only containers searched. Orphaned destinations raise LinearityLeak
+    immediately. On a closed region RegionClosed is raised before ``f`` runs.
     """
     _consume_incomplete(i, "map_b")
     new_payload = f(i.payload)
@@ -363,7 +364,10 @@ def from_incomplete_(i: Incomplete):
 def from_incomplete(i: Incomplete):
     """Release a finished incomplete together with its (unrestricted) payload.
 
-    Returns ``(value, payload)``. RegionClosed once the region is closed.
+    Returns ``(value, payload)``. LinearityLeak if a live handle is reachable
+    from the payload through tuples, lists, sets, frozensets, deques, dict
+    keys and values or dataclass fields, the only containers searched.
+    RegionClosed once the region is closed.
     """
     _check_release(i, "from_incomplete")
     smuggled = [x for x in _collect_linear(i.payload) if getattr(x, "alive", False)]
@@ -459,9 +463,9 @@ def fill_leaf(value, d: Dest) -> None:
 def fill_comp(child: Incomplete, d: Dest):
     """Plug ``child`` into the hole behind ``d`` and return child's payload.
 
-    No cell is allocated and nothing is copied: the value in child's
-    receiver is written into the hole, or, while child is still empty, the
-    live destination of child's receiver is re-pointed at the hole. The
+    No cell is allocated and nothing is copied: child's receiver is written
+    into the hole, which takes its value, or, while child is still empty,
+    the live destination of child's receiver is re-pointed at the hole. The
     value must fit the hole's kind as a fill would (else UnknownCtor); an
     empty child is checked when its destination is filled. The child's
     remaining destinations re-home into d's lineage before this returns.
@@ -487,7 +491,7 @@ def fill_comp(child: Incomplete, d: Dest):
     else:
         if kind is not None:
             _check_fillable(kind, child_root.type_id, "the plugged incomplete")
-        _region.write_field(region, d.cell, d.index, Ref(content))
+        _region.write_field(region, d.cell, d.index, receiver)
         if kind is None:
             parent_root.type_id, parent_root.dest = child_root.type_id, None
     parent_root.holes += child_root.holes - 1

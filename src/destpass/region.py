@@ -15,13 +15,14 @@ Cells never move, so a cell stays valid for the region's whole lifetime.
 
 A field, of a raw cell or of a host object, holds what a host object's
 field holds: its region's own ``Hole``, ``region.hole``, until it is written
-(so no other region can write it), then either a reference to a raw cell
-(the target ``CellRef``, never the caller's ``Ref``) or the finished value
-itself: a leaf's payload (the region's copy), a nullary constructor's
-``make()``, or a host value plugged in whole.
+(so no other region can write it), then either a raw cell of the region,
+which the field refers to, or the finished value itself: a leaf's payload
+(the region's copy), a nullary constructor's ``make()``, or the value of a
+filled receiver. A host object's field never holds a raw cell.
 
 A root receiver, whose one hole takes an incomplete's whole value, is a raw
 cell of the private ``_INDIRECTION`` constructor; there is no receiver type.
+It stands for what it holds: ``write_field`` stores that value in its place.
 The builder's cells are host objects. Written into a receiver or into a host
 object, a constructor that the registry lets build in place (see ``shapes``)
 is allocated as its final host object: ``object.__new__`` of its ``make``
@@ -80,7 +81,8 @@ class _NotALeaf:
 Hole = type("Hole", (_NotALeaf,), {"__repr__": lambda self: "HOLE", "__slots__": ()})
 
 # The constructor that makes a raw cell a root receiver: one field, which
-# read_value returns as the receiver's value. Never registered; no Ref target.
+# read_value returns as the receiver's value, and which write_field stores
+# where the receiver is written. Never registered.
 _INDIRECTION = CtorDescriptor(
     type_id="_indirection",
     name="_ind",
@@ -90,20 +92,6 @@ _INDIRECTION = CtorDescriptor(
 )
 
 _SCALARS = (int, float, bool, str, bytes, type(None))
-
-
-class Ref:
-    """What ``write_field`` plugs into a hole: another cell of the same
-    region, or a finished host value such as a filled receiver's content,
-    stored as it is and charged nothing."""
-
-    __slots__ = ("target",)
-
-    def __init__(self, target) -> None:
-        self.target = target
-
-    def __repr__(self) -> str:
-        return f"Ref({self.target!r})"
 
 
 class Leaf:
@@ -306,6 +294,7 @@ def alloc_hollow(
     ``make()``, charged as one cell, and None is returned. Otherwise the new
     cell is returned: a raw cell into a raw cell that is not a receiver or
     for a constructor that does not build in place, else its host object.
+    A host object's field takes no raw cell (TypeError).
     """
     if into is None:
         region._require_alive()
@@ -319,6 +308,8 @@ def alloc_hollow(
             cell, value = None, ctor.make()
             region.stats.bytes_allocated += WORD
         elif names is None or raw and into.ctor is not _INDIRECTION:
+            if not raw:
+                raise TypeError(f"a {type(into).__name__} cannot hold a region cell")
             cell = value = region._new_cell(ctor)
         else:
             cell = value = object.__new__(ctor.make)
@@ -368,10 +359,12 @@ def _hole(region: Region, cell, index: int):
 
 def write_field(region: Region, cell, index: int, value) -> None:
     """Write one hole of a ``CellRef``, or of a host object that a fill of
-    this same region built (else RegionMismatch), forever. The field then
-    holds a ``Ref``'s target, never a hole or a receiver (TypeError), or a
-    ``Leaf``'s payload: kept as given if a scalar, else deep-copied, which
-    raises DestinationInLeaf on a hole, region cell or handle inside it."""
+    this same region built (else RegionMismatch), forever, with a ``Leaf``
+    or a cell. The field keeps a scalar payload as given and deep-copies
+    any other, which raises DestinationInLeaf on a hole, region cell or
+    handle inside it. It refers to a raw cell of this region (else
+    RegionMismatch), and holds a receiver's value in its place. TypeError
+    on anything else, an empty receiver, or a raw cell into a host object."""
     key = _hole(region, cell, index)
     if isinstance(value, Leaf):
         value = value.payload
@@ -379,14 +372,17 @@ def write_field(region: Region, cell, index: int, value) -> None:
             value = copy.deepcopy(value)
         region.stats.bytes_allocated += _nominal_size(value)
         region.stats.leaf_copies += 1
-    elif isinstance(value, Ref):
-        value = value.target
-        if type(value) is Hole or type(value) is CellRef and value.ctor is _INDIRECTION:
-            raise TypeError(f"a reference target cannot be {value!r}")
-        if type(value) is CellRef and value.region_id != region.region_id:
+    elif type(value) is CellRef:
+        if value.ctor is _INDIRECTION and type(value.slots[0]) is Hole:
+            raise TypeError(f"empty receiver {value!r} has no value to write")
+        if value.region_id != region.region_id:
             raise region._foreign(value, "reference")
+        if value.ctor is _INDIRECTION:
+            value = value.slots[0]
+        if type(value) is CellRef and type(cell) is not CellRef:
+            raise TypeError(f"a {type(cell).__name__} cannot hold a region cell")
     else:
-        raise TypeError(f"expected Ref or Leaf, got {type(value).__name__}")
+        raise TypeError(f"expected a CellRef or a Leaf, got {type(value).__name__}")
     if type(cell) is CellRef:
         cell.slots[key] = value
     else:

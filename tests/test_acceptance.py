@@ -16,7 +16,6 @@ from destpass import (
     IncompleteRead,
     Leaf,
     LinearityLeak,
-    Ref,
     RegionMismatch,
     UnfilledHoles,
     UseAfterConsume,
@@ -135,7 +134,7 @@ def _region_sequence(rng, foreign_ref):
                     shadow[ref.handle][i] = ("leaf",)
                 else:
                     target = cells[rng.randrange(len(cells))][0]
-                    write_field(region, ref, i, Ref(target))
+                    write_field(region, ref, i, target)
                     shadow[ref.handle][i] = ("ref", target.handle)
                 writes += 1
         elif action == 2:
@@ -163,7 +162,7 @@ def _region_sequence(rng, foreign_ref):
             if holes:
                 ref, i = holes[rng.randrange(len(holes))]
                 with pytest.raises(RegionMismatch):
-                    write_field(region, ref, i, Ref(foreign_ref))
+                    write_field(region, ref, i, foreign_ref)
         else:
             ref, _c = cells[rng.randrange(len(cells))]
             expected = _expected_read_errors(shadow, ref.handle)

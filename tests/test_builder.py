@@ -777,6 +777,16 @@ def test_from_incomplete_unit_payload():
     assert with_region(body) == (4, None)
 
 
+def test_from_incomplete_unit_release_refuses_a_payload():
+    def body(t):
+        i = map_b(alloc(t), lambda d: (fill_leaf(4, d), ("state", 9))[1])
+        _refused(lambda: from_incomplete_(i), [t.region], [i], TypeError)
+        assert i.alive
+        return from_incomplete(i)
+
+    assert with_region(body) == (4, ("state", 9))
+
+
 def test_from_incomplete_rejects_smuggled_dest():
     def body(t):
         t1, t2 = token_dup2(t)

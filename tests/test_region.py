@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from destpass import (
+    CellRef,
     CyclicStructure,
     DoubleFill,
     FieldIndexOutOfRange,
     IncompleteRead,
     Leaf,
-    Ref,
     RegionClosed,
     RegionMismatch,
     UnknownCtor,
@@ -25,9 +25,9 @@ from destpass import (
     region_stats,
     write_field,
 )
-from destpass.dlist import Cons, LIST_CONS, LIST_NIL, NIL
+from destpass.dlist import Cons, LIST_CONS, LIST_NIL, LIST_SHAPE, NIL
 from destpass.region import WORD
-from destpass.shapes import ctor
+from destpass.shapes import LeafType, Recursive, ShapeRegistry, TypeShape, ctor
 
 from support import structurally_equal
 
@@ -38,7 +38,7 @@ def make_list_cells(region, items):
     for x in reversed(items):
         cell = alloc_hollow(region, LIST_CONS)
         write_field(region, cell, 0, Leaf(x))
-        write_field(region, cell, 1, Ref(tail))
+        write_field(region, cell, 1, tail)
         tail = cell
     return tail
 
@@ -89,7 +89,7 @@ def test_double_fill_rejected_and_field_unchanged():
     cell = alloc_hollow(r, LIST_CONS)
     nil = alloc_hollow(r, LIST_NIL)
     write_field(r, cell, 0, Leaf(7))
-    write_field(r, cell, 1, Ref(nil))
+    write_field(r, cell, 1, nil)
     with pytest.raises(DoubleFill):
         write_field(r, cell, 0, Leaf(99))
     assert list(read_value(r, cell)) == [7]
@@ -107,7 +107,7 @@ def test_cross_region_ref_rejected():
     cell = alloc_hollow(r1, LIST_CONS)
     foreign = alloc_hollow(r2, LIST_NIL)
     with pytest.raises(RegionMismatch):
-        write_field(r1, cell, 1, Ref(foreign))
+        write_field(r1, cell, 1, foreign)
 
 
 @pytest.mark.parametrize("into", ["raw", "receiver", "host"])
@@ -121,7 +121,7 @@ def test_a_hole_is_refused_as_a_reference_target(into):
         cell, index = alloc_hollow(r, LIST_CONS, r._alloc_receiver(), 0), 1
     before = region_stats(r), r.outstanding_holes
     with pytest.raises(TypeError):
-        write_field(r, cell, index, Ref(r.hole))
+        write_field(r, cell, index, r.hole)
     assert (region_stats(r), r.outstanding_holes) == before
     write_field(r, cell, index, Leaf(1))
     with pytest.raises(DoubleFill):
@@ -136,11 +136,113 @@ def test_a_receiver_is_refused_as_a_reference_target(foreign):
     write_field(r, cell, 0, Leaf(1))
     before = region_stats(r), r.outstanding_holes
     with pytest.raises(TypeError):
-        write_field(r, cell, 1, Ref(receiver))
+        write_field(r, cell, 1, receiver)
     assert (region_stats(r), r.outstanding_holes) == before
     assert cell.slots[1] is r.hole
-    write_field(r, cell, 1, Ref(alloc_hollow(r, LIST_NIL)))
+    write_field(r, cell, 1, alloc_hollow(r, LIST_NIL))
     assert structurally_equal(read_value(r, cell), Cons(1, NIL))
+
+
+# "pair" has no dataclass make, so it never builds in place: always a raw cell.
+_PAIR = ctor("pair", "pair", 0, (Recursive("list"), LeafType("int")), lambda *f: f)
+_PAIR_REGISTRY = ShapeRegistry()
+_PAIR_REGISTRY.register(LIST_SHAPE, TypeShape("pair", (_PAIR,)))
+
+
+def _refused_unchanged(call, error, regions, field):
+    """``call`` raises ``error`` and leaves each region's stats and
+    outstanding holes, and the target field, as they were."""
+
+    def state():
+        return [(region_stats(r), r.outstanding_holes) for r in regions], field()
+
+    before = state()
+    with pytest.raises(error):
+        call()
+    assert state() == before
+
+
+def test_a_hollow_host_object_of_another_region_is_no_reference():
+    """Another region's hollow Cons cannot be plugged in uncopied, bare or
+    through its filled receiver; a cell of the region can."""
+    r1, r2 = region_new(), region_new()
+    receiver = r1._alloc_receiver()
+    hollow = alloc_hollow(r1, LIST_CONS, receiver, 0)
+    cell = alloc_hollow(r2, LIST_CONS)
+    write_field(r2, cell, 0, Leaf(1))
+
+    def field():
+        return cell.slots[1], hollow.head, hollow.tail
+
+    for value, error in [(hollow, TypeError), (receiver, RegionMismatch)]:
+        _refused_unchanged(lambda: write_field(r2, cell, 1, value), error, [r1, r2], field)
+    write_field(r2, cell, 1, alloc_hollow(r2, LIST_NIL))
+    assert r2.outstanding_holes == 0
+    assert structurally_equal(read_value(r2, cell), Cons(1, NIL))
+
+
+def test_a_host_object_takes_no_raw_cell_from_alloc_hollow():
+    r, other = region_new(registry=_PAIR_REGISTRY), region_new(registry=_PAIR_REGISTRY)
+    host = alloc_hollow(r, LIST_CONS, r._alloc_receiver(), 0)
+    write_field(r, host, 0, Leaf(1))
+    _refused_unchanged(
+        lambda: alloc_hollow(r, _PAIR, host, 1), TypeError, [r, other], lambda: host.tail
+    )
+    # The same constructor goes into a raw cell's field, and a host one into the host.
+    raw = alloc_hollow(r, LIST_CONS)
+    assert type(alloc_hollow(r, _PAIR, raw, 1)) is CellRef
+    alloc_hollow(r, LIST_NIL, host, 1)
+    assert structurally_equal(host, Cons(1, NIL))
+
+
+@pytest.mark.parametrize("via", ["cell", "receiver"])
+def test_a_host_object_takes_no_raw_cell_from_write_field(via):
+    r, other = region_new(registry=_PAIR_REGISTRY), region_new(registry=_PAIR_REGISTRY)
+    host = alloc_hollow(r, LIST_CONS, r._alloc_receiver(), 0)
+    write_field(r, host, 0, Leaf(1))
+    pair = alloc_hollow(r, _PAIR)
+    if via == "cell":
+        value = pair
+    else:  # a receiver stands for the raw cell it holds
+        value = r._alloc_receiver()
+        write_field(r, value, 0, pair)
+    _refused_unchanged(
+        lambda: write_field(r, host, 1, value), TypeError, [r, other], lambda: host.tail
+    )
+    # A raw cell's field takes the same value.
+    raw = alloc_hollow(r, LIST_CONS)
+    write_field(r, raw, 1, value)
+    assert raw.slots[1] is pair and host.tail is r.hole
+
+
+@pytest.mark.parametrize("holds", ["host object", "raw cell", "leaf"])
+def test_a_filled_receiver_writes_what_it_holds(holds):
+    r, other = region_new(registry=_PAIR_REGISTRY), region_new(registry=_PAIR_REGISTRY)
+    cell = alloc_hollow(r, LIST_CONS)
+    write_field(r, cell, 0, Leaf(1))
+
+    def field():
+        return cell.slots[1]
+
+    # An empty receiver of either region is refused, as is another region's full one.
+    for region, error in [(r, TypeError), (other, TypeError), (other, RegionMismatch)]:
+        receiver = region._alloc_receiver()
+        if error is RegionMismatch:
+            alloc_hollow(other, LIST_NIL, receiver, 0)
+        _refused_unchanged(
+            lambda: write_field(r, cell, 1, receiver), error, [r, other], field
+        )
+    receiver = r._alloc_receiver()
+    if holds == "host object":
+        alloc_hollow(r, LIST_NIL, alloc_hollow(r, LIST_CONS, receiver, 0), 1)
+    elif holds == "raw cell":
+        alloc_hollow(r, _PAIR, receiver, 0)
+    else:
+        write_field(r, receiver, 0, Leaf((2, 3)))
+    holes = r.outstanding_holes
+    write_field(r, cell, 1, receiver)
+    assert cell.slots[1] is receiver.slots[0]
+    assert r.outstanding_holes == holes - 1
 
 
 @pytest.mark.parametrize("into", ["raw", "receiver", "host"])
@@ -163,7 +265,7 @@ def test_every_kind_of_hole_is_checked_alike(into, case, error):
         fields = cell.slots if into != "host" else [cell.head, cell.tail]
         return region_stats(r), r.outstanding_holes, list(fields)
 
-    value = 7 if case == "bare" else Leaf(7)  # a bare value is neither Ref nor Leaf
+    value = 7 if case == "bare" else Leaf(7)  # neither a CellRef nor a Leaf
     if case == "closed":
         r._close()
     elif case == "index":
@@ -195,7 +297,7 @@ def test_read_value_with_hole_is_incomplete():
     r = region_new()
     cell = alloc_hollow(r, LIST_CONS)
     nil = alloc_hollow(r, LIST_NIL)
-    write_field(r, cell, 1, Ref(nil))
+    write_field(r, cell, 1, nil)
     with pytest.raises(IncompleteRead):
         read_value(r, cell)
 
@@ -220,12 +322,11 @@ def test_nullary_written_into_a_hole_is_charged_but_not_materialized():
 
 
 def test_written_fields_do_not_alias_the_callers_wrappers():
-    r, other = region_new(), region_new()
+    r = region_new()
     cell, nil = alloc_hollow(r, LIST_CONS), alloc_hollow(r, LIST_NIL)
-    head, tail = Leaf(7), Ref(nil)
+    head = Leaf(7)
     write_field(r, cell, 0, head)
-    write_field(r, cell, 1, tail)
-    tail.target = alloc_hollow(other, LIST_CONS)
+    write_field(r, cell, 1, nil)
     with contextlib.suppress(AttributeError):
         head.payload = 99
     assert structurally_equal(read_value(r, cell), Cons(7, NIL))
@@ -317,7 +418,7 @@ def test_one_call_fill_fails_atomically(case, error, new):
 
     r, into, c, index = setup()
     with pytest.raises(error):
-        write_field(r, into, index, Ref(alloc_hollow(r, c)))
+        write_field(r, into, index, alloc_hollow(r, c))
 
     r, into, c, index = setup()
 
@@ -335,7 +436,7 @@ def test_read_value_detects_cycle():
     r = region_new()
     cell = alloc_hollow(r, LIST_CONS)
     write_field(r, cell, 0, Leaf(1))
-    write_field(r, cell, 1, Ref(cell))
+    write_field(r, cell, 1, cell)
     with pytest.raises(CyclicStructure):
         read_value(r, cell)
 
@@ -361,7 +462,7 @@ def test_leaf_payloads_are_deep_copied():
     nil = alloc_hollow(r, LIST_NIL)
     source = [1, [2, 3]]
     write_field(r, cell, 0, Leaf(source))
-    write_field(r, cell, 1, Ref(nil))
+    write_field(r, cell, 1, nil)
     source[1].append(99)
     assert list(read_value(r, cell)) == [[1, [2, 3]]]
 
@@ -370,8 +471,8 @@ def test_shared_cell_decodes_to_one_object():
     r = region_new()
     shared = make_list_cells(r, [1, 2])
     pair = alloc_hollow(r, LIST_CONS)
-    write_field(r, pair, 0, Ref(shared))
-    write_field(r, pair, 1, Ref(shared))
+    write_field(r, pair, 0, shared)
+    write_field(r, pair, 1, shared)
     out = read_value(r, pair)
     assert out.head is out.tail
     assert list(out.head) == [1, 2]
@@ -466,7 +567,7 @@ def test_topdown_build_in_any_order_decodes_exactly(items, seed):
     writes = []
     for ref, item, nxt in zip(cells, items, cells[1:]):
         writes.append((ref, 0, Leaf(item)))
-        writes.append((ref, 1, Ref(nxt)))
+        writes.append((ref, 1, nxt))
     rng.shuffle(writes)
     for ref, idx, value in writes:
         write_field(r, ref, idx, value)

@@ -1,12 +1,13 @@
 """Stateful test of the raw region API over two regions.
 
 A hypothesis state machine allocates cells with and without ``into``,
-writes ``Leaf`` and ``Ref`` values into holes, reads values back and copies
-host values in with ``copy_value``, wrong calls included: a hole of the
-other region, an index out of range, a written field, an unregistered
-constructor, a leaf that holds a cell or a hole, a malformed, cyclic or
-handle-holding copy. It keeps a model of every cell and host object it was
-given: its region and what each field holds. A call the model says must
+writes a ``Leaf`` or a cell into holes, reads values back and copies host
+values in with ``copy_value``, wrong calls included: a hole of the other
+region, an index out of range, a written field, an unregistered
+constructor, a raw cell into a host object, an empty receiver, a value
+that is neither a cell nor a ``Leaf``, a leaf that holds a cell or a hole, a
+malformed, cyclic or handle-holding copy. It keeps a model of every cell
+and host object it was given: its region and what each field holds. A call the model says must
 fail raises a ``DpsError`` or ``TypeError`` and leaves ``region_stats`` and
 ``outstanding_holes`` of both regions as they were; after every step the
 hole, cell, leaf-copy and receiver counts match the model.
@@ -17,7 +18,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from destpass import DpsError, Leaf, Ref, read_value, region_new, region_stats, write_field
+from destpass import DpsError, Leaf, read_value, region_new, region_stats, write_field
 from destpass.dlist import LIST_CONS, LIST_NIL, LIST_SHAPE, NIL, Cons, from_pylist
 from destpass.region import _INDIRECTION, CellRef, Hole, alloc_hollow
 from destpass.shapes import LeafType, Recursive, ShapeRegistry, TypeShape, ctor
@@ -183,6 +184,8 @@ class RegionMachine(RuleBasedStateMachine):
             return
         node, obj, index = self._target(data)
         fails = bad or not self._open(node, r, index)
+        # A host object's field takes no raw cell.
+        fails = fails or c.arity and REGISTRY.resolve(c) is None and not node.raw
         cell = self._call(fails, lambda: alloc_hollow(region, c, obj, index))
         if fails:
             return
@@ -228,19 +231,22 @@ class RegionMachine(RuleBasedStateMachine):
     )
     def write_ref(self, data, r, what):
         node, obj, index = self._target(data)
-        to = None
+        stored = None  # what the field holds after the write
         if what == "node":
             to = data.draw(st.sampled_from(self.nodes))
             target = to.obj
-            bad = to.receiver or to.raw and to.region != r
+            # A receiver stands for what it holds; a host object is no cell.
+            stored = to.fields[0] if to.receiver else ("node", to) if to.raw else None
+            bad = stored is None or to.region != r
         elif what == "hole":
             target, bad = self.regions[data.draw(st.integers(0, 1))].hole, True
         else:
-            target, bad = from_pylist([1]), False
+            target, bad = from_pylist([1]), True
         fails = bad or not self._open(node, r, index)
-        self._call(fails, lambda: write_field(self.regions[r], obj, index, Ref(target)))
+        fails = fails or not node.raw and stored[0] == "node" and stored[1].raw
+        self._call(fails, lambda: write_field(self.regions[r], obj, index, target))
         if not fails:
-            node.fields[index] = ("node", to) if to else ("value", target)
+            node.fields[index] = stored
             self.counts[r][0] -= 1
 
     @rule(data=st.data(), r=st.integers(0, 1))

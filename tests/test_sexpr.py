@@ -160,6 +160,14 @@ def test_dps_peak_memory_is_within_5_percent_of_the_naive_peak():
     assert dps <= 1.05 * naive, f"dps peak {dps} B vs naive {naive} B"
 
 
+def test_dps_peak_memory_on_a_flat_list_is_below_the_naive_peak():
+    """On one long list, the naive parser holds the reversed elements and
+    their reversal at once; the in-place build holds the list once."""
+    data = b"(" + b" ".join(b"%d" % i for i in range(2**12)) + b")"
+    naive, dps = _peak_bytes(parse_naive, data), _peak_bytes(parse_dps, data)
+    assert dps <= 0.9 * naive, f"dps peak {dps} B vs naive {naive} B"
+
+
 def test_error_paths_consume_all_destinations():
     # a LinearityLeak inside parse_dps would raise; equality is the oracle
     for data in (b"(", b"(()", b'("x', b"()))", b"(1 (2", b")", b""):
