@@ -33,6 +33,7 @@ from .errors import (
     DpsError,
     FieldIndexOutOfRange,
     IncompleteRead,
+    LeafTooDeep,
     LinearityLeak,
     OracleMismatch,
     RegionClosed,
@@ -62,10 +63,6 @@ from .shapes import (
     Recursive,
     ShapeRegistry,
     TypeShape,
-    ctor,
-    dests_spec_of,
-    register_shape,
-    register_shapes,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 from .builder import alloc, fill, fill_leaf, from_incomplete, map_b, with_region
 from .region import region_stats
-from .shapes import LeafType, Recursive, TypeShape, ctor, register_shape
+from .shapes import DEFAULT_REGISTRY, CtorDescriptor, LeafType, Recursive, TypeShape
 
 
 @dataclass
@@ -35,8 +35,8 @@ def _classify_tree(value):
     raise TypeError(f"not a tree: {type(value).__name__}")
 
 
-TREE_NIL = ctor("tree", "nil", 0, (), lambda: None)
-TREE_NODE = ctor(
+TREE_NIL = CtorDescriptor("tree", "nil", 0, (), lambda: None)
+TREE_NODE = CtorDescriptor(
     "tree",
     "node",
     1,
@@ -44,7 +44,7 @@ TREE_NODE = ctor(
     Node,
 )
 TREE_SHAPE = TypeShape("tree", (TREE_NIL, TREE_NODE), _classify_tree)
-register_shape(TREE_SHAPE)
+DEFAULT_REGISTRY.register(TREE_SHAPE)
 
 
 def map_accum_bfs(

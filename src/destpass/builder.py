@@ -445,6 +445,7 @@ def fill_leaf(value, d: Dest) -> None:
     cannot affect the structure. That copy raises DestinationInLeaf, a
     TypeError, and changes nothing if the value holds a token, destination,
     incomplete, region cell or hole anywhere: none of them can be copied.
+    A value nested too deep to copy raises LeafTooDeep and changes nothing.
     """
     if type(d) is not Dest or not d.alive:  # its region: write_field checks
         _admit(d, Dest, "fill_leaf")

@@ -27,7 +27,7 @@ from .builder import (
     from_incomplete_,
     map_b,
 )
-from .shapes import LeafType, Recursive, TypeShape, ctor, register_shape
+from .shapes import DEFAULT_REGISTRY, CtorDescriptor, LeafType, Recursive, TypeShape
 
 
 @dataclass(eq=False, repr=False)
@@ -101,12 +101,12 @@ def _classify_list(value):
     raise TypeError(f"not a linked list: {type(value).__name__}")
 
 
-LIST_NIL = ctor("list", "nil", 0, (), lambda: NIL)
-LIST_CONS = ctor(
+LIST_NIL = CtorDescriptor("list", "nil", 0, (), lambda: NIL)
+LIST_CONS = CtorDescriptor(
     "list", "cons", 1, (LeafType("value"), Recursive("list")), Cons
 )
 LIST_SHAPE = TypeShape("list", (LIST_NIL, LIST_CONS), _classify_list)
-register_shape(LIST_SHAPE)
+DEFAULT_REGISTRY.register(LIST_SHAPE)
 
 
 # -- destination-backed difference lists ---------------------------------------

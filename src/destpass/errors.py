@@ -57,5 +57,9 @@ class DestinationInLeaf(DpsError, TypeError):
     """A leaf payload holds a linear handle, a region cell or a hole."""
 
 
+class LeafTooDeep(DpsError):
+    """A leaf payload is nested too deep for its copy into the region."""
+
+
 class OracleMismatch(DpsError):
     """A benchmark engine produced output that disagrees with the oracle."""

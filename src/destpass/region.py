@@ -52,6 +52,7 @@ from .errors import (
     DoubleFill,
     FieldIndexOutOfRange,
     IncompleteRead,
+    LeafTooDeep,
     RegionClosed,
     RegionMismatch,
 )
@@ -83,13 +84,7 @@ Hole = type("Hole", (_NotALeaf,), {"__repr__": lambda self: "HOLE", "__slots__":
 # The constructor that makes a raw cell a root receiver: one field, which
 # read_value returns as the receiver's value, and which write_field stores
 # where the receiver is written. Never registered.
-_INDIRECTION = CtorDescriptor(
-    type_id="_indirection",
-    name="_ind",
-    tag=0,
-    arity=1,
-    fields=(LeafType("any"),),
-)
+_INDIRECTION = CtorDescriptor("_indirection", "_ind", 0, (LeafType("any"),))
 
 _SCALARS = (int, float, bool, str, bytes, type(None))
 
@@ -362,14 +357,18 @@ def write_field(region: Region, cell, index: int, value) -> None:
     this same region built (else RegionMismatch), forever, with a ``Leaf``
     or a cell. The field keeps a scalar payload as given and deep-copies
     any other, which raises DestinationInLeaf on a hole, region cell or
-    handle inside it. It refers to a raw cell of this region (else
-    RegionMismatch), and holds a receiver's value in its place. TypeError
-    on anything else, an empty receiver, or a raw cell into a host object."""
+    handle inside it, and LeafTooDeep on one too deep to copy. It refers
+    to a raw cell of this region (else RegionMismatch), and holds a
+    receiver's value in its place. TypeError on anything else, an empty
+    receiver, or a raw cell into a host object."""
     key = _hole(region, cell, index)
     if isinstance(value, Leaf):
         value = value.payload
         if not isinstance(value, _SCALARS):
-            value = copy.deepcopy(value)
+            try:
+                value = copy.deepcopy(value)
+            except RecursionError:
+                raise LeafTooDeep("a leaf payload is nested too deep to copy") from None
         region.stats.bytes_allocated += _nominal_size(value)
         region.stats.leaf_copies += 1
     elif type(value) is CellRef:

@@ -35,7 +35,7 @@ from typing import Any
 from .builder import alloc, fill, fill_leaf, from_incomplete, map_b, with_region
 from .dlist import NIL, Cons, _classify_list, to_pylist
 from .region import region_stats
-from .shapes import LeafType, Recursive, TypeShape, ctor, register_shapes
+from .shapes import DEFAULT_REGISTRY, CtorDescriptor, LeafType, Recursive, TypeShape
 
 
 @dataclass(frozen=True)
@@ -106,16 +106,16 @@ def _classify_sexpr(value):
     raise TypeError(f"not an s-expression: {type(value).__name__}")
 
 
-SEXPR_SLIST = ctor(
+SEXPR_SLIST = CtorDescriptor(
     "sexpr", "SList", 0, (LeafType("int"), Recursive("sexpr_list")), SList
 )
-SEXPR_SINTEGER = ctor(
+SEXPR_SINTEGER = CtorDescriptor(
     "sexpr", "SInteger", 1, (LeafType("int"), LeafType("int")), SInteger
 )
-SEXPR_SSTRING = ctor(
+SEXPR_SSTRING = CtorDescriptor(
     "sexpr", "SString", 2, (LeafType("int"), LeafType("bytes")), SString
 )
-SEXPR_SSYMBOL = ctor(
+SEXPR_SSYMBOL = CtorDescriptor(
     "sexpr", "SSymbol", 3, (LeafType("int"), LeafType("bytes")), SSymbol
 )
 SEXPR_SHAPE = TypeShape(
@@ -124,15 +124,15 @@ SEXPR_SHAPE = TypeShape(
     _classify_sexpr,
 )
 
-SEXPR_LIST_NIL = ctor("sexpr_list", "nil", 0, (), lambda: NIL)
-SEXPR_LIST_CONS = ctor(
+SEXPR_LIST_NIL = CtorDescriptor("sexpr_list", "nil", 0, (), lambda: NIL)
+SEXPR_LIST_CONS = CtorDescriptor(
     "sexpr_list", "cons", 1, (Recursive("sexpr"), Recursive("sexpr_list")), Cons
 )
 SEXPR_LIST_SHAPE = TypeShape(
     "sexpr_list", (SEXPR_LIST_NIL, SEXPR_LIST_CONS), _classify_list
 )
 
-register_shapes(SEXPR_SHAPE, SEXPR_LIST_SHAPE)
+DEFAULT_REGISTRY.register(SEXPR_SHAPE, SEXPR_LIST_SHAPE)
 
 
 # -- shared lexical layer -------------------------------------------------------

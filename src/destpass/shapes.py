@@ -2,9 +2,11 @@
 
 Every value type that can be built inside a region is described by a
 :class:`TypeShape`: an ordered list of constructor descriptors, one per
-variant. A descriptor records the constructor's tag, arity and the kind of
-each field (another registered type, or an opaque leaf). Descriptors are
-registered once, before any region work starts, and read-only afterwards.
+variant. A descriptor, ``CtorDescriptor(type_id, name, tag, fields, make)``,
+records the constructor's tag and the kind of each field (another registered
+type, or an opaque leaf); its ``arity`` is the number of fields. Shapes are
+registered once, with ``DEFAULT_REGISTRY.register(...)``, before any region
+work starts, and are read-only afterwards.
 
 Because the host language carries no static type information at run time,
 each shape also carries two callables used at the region boundary:
@@ -57,21 +59,18 @@ FieldKind = Recursive | LeafType
 
 @dataclass(frozen=True)
 class CtorDescriptor:
-    """Static description of one constructor of an algebraic type."""
+    """One constructor of an algebraic type; its ``arity`` is ``len(fields)``."""
 
     type_id: str
     name: str
     tag: int
-    arity: int
     fields: tuple[FieldKind, ...]
     make: Callable[..., Any] = field(compare=False, default=None, repr=False)
+    arity: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.arity != len(self.fields):
-            raise ValueError(
-                f"{self.type_id}.{self.name}: arity {self.arity} != "
-                f"{len(self.fields)} declared fields"
-            )
+        object.__setattr__(self, "fields", tuple(self.fields))
+        object.__setattr__(self, "arity", len(self.fields))
 
 
 @dataclass(frozen=True)
@@ -98,24 +97,6 @@ class TypeShape:
                     f"ctor {c.name!r} declares type {c.type_id!r} inside "
                     f"shape {self.type_id!r}"
                 )
-
-    def _signature(self):
-        return (
-            self.type_id,
-            tuple((c.name, c.tag, c.arity, c.fields) for c in self.ctors),
-        )
-
-
-def ctor(type_id, name, tag, fields, make):
-    """Shorthand for building a CtorDescriptor with arity inferred."""
-    return CtorDescriptor(
-        type_id=type_id,
-        name=name,
-        tag=tag,
-        arity=len(fields),
-        fields=tuple(fields),
-        make=make,
-    )
 
 
 def _host_fields(c: CtorDescriptor) -> tuple[str, ...] | None:
@@ -160,7 +141,7 @@ class ShapeRegistry:
         for shape in shapes:
             existing = self._shapes.get(shape.type_id)
             if existing is not None:
-                if existing._signature() != shape._signature():
+                if existing != shape:
                     raise ShapeConflict(
                         f"type {shape.type_id!r} already registered with a "
                         f"different shape"
@@ -223,9 +204,6 @@ class ShapeRegistry:
         except KeyError:
             raise UnknownCtor(f"type {type_id!r} is not registered") from None
 
-    def is_registered(self, type_id: str) -> bool:
-        return type_id in self._shapes
-
     def resolve(self, c: CtorDescriptor) -> tuple[str, ...] | None:
         """The layout of registered descriptor ``c``: the field names a fill
         presets on its host object (``()`` for a nullary one), or None when
@@ -238,22 +216,5 @@ class ShapeRegistry:
                 f"constructor {c.type_id}.{c.name} (tag {c.tag}) is not registered"
             ) from None
 
-    def dests_spec_of(self, c: CtorDescriptor) -> tuple[tuple[int, FieldKind], ...]:
-        """Hole specifications for a constructor: (field index, kind) per field."""
-        self.resolve(c)
-        return tuple(enumerate(c.fields))
-
 
 DEFAULT_REGISTRY = ShapeRegistry()
-
-
-def register_shape(shape: TypeShape) -> None:
-    DEFAULT_REGISTRY.register(shape)
-
-
-def register_shapes(*shapes: TypeShape) -> None:
-    DEFAULT_REGISTRY.register(*shapes)
-
-
-def dests_spec_of(c: CtorDescriptor) -> tuple[tuple[int, FieldKind], ...]:
-    return DEFAULT_REGISTRY.dests_spec_of(c)

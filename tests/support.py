@@ -25,7 +25,7 @@ from destpass import (
     token_dup2,
     with_region,
 )
-from destpass.dlist import Cons, Nil, to_pylist
+from destpass.dlist import Cons, Nil, from_pylist, to_pylist
 from destpass.sexpr import SList
 from destpass.shapes import DEFAULT_REGISTRY, Recursive
 
@@ -63,6 +63,17 @@ def structurally_equal(a, b) -> bool:
         elif x != y:
             return False
     return True
+
+
+def too_deep_leaf(what):
+    """A leaf payload nested too deep for ``copy.deepcopy``: a linked list of
+    200 cells, or a list nested 500 deep."""
+    if what == "cons list":
+        return from_pylist(range(200))
+    nested = []
+    for _ in range(500):
+        nested = [nested]
+    return nested
 
 
 def ledger_state(regions, handles):

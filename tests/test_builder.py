@@ -10,6 +10,7 @@ import destpass.region
 from destpass import (
     CyclicStructure,
     DestinationInLeaf,
+    LeafTooDeep,
     LinearityLeak,
     RegionClosed,
     RegionMismatch,
@@ -32,10 +33,17 @@ from destpass import (
 )
 from destpass.bfs import TREE_NIL, TREE_NODE, Node
 from destpass.region import WORD, Hole, Leaf, alloc_hollow, region_new, write_field
-from destpass.shapes import LeafType, Recursive, ShapeRegistry, TypeShape, ctor
+from destpass.shapes import CtorDescriptor, LeafType, Recursive, ShapeRegistry, TypeShape
 from destpass.dlist import LIST_CONS, LIST_NIL, NIL, Cons, from_pylist
 
-from support import CASE_TYPES, build_top_down, ledger_state, random_value, structurally_equal
+from support import (
+    CASE_TYPES,
+    build_top_down,
+    ledger_state,
+    random_value,
+    structurally_equal,
+    too_deep_leaf,
+)
 
 
 def close_with(x):
@@ -434,6 +442,34 @@ def test_a_failed_copy_changes_nothing(what, error):
         return from_incomplete(other)[0]
 
     assert with_region(body) == 0
+
+
+@pytest.mark.parametrize("what", ["cons list", "nested list"])
+def test_fill_leaf_of_a_too_deep_payload_changes_nothing(what):
+    payload = too_deep_leaf(what)
+
+    def body(t):
+        i = alloc(t)
+        d = i.payload
+        _refused(lambda: fill_leaf(payload, d), [t.region], [i, d], LeafTooDeep)
+        assert d.cell.slots[0] is t.region.hole
+        fill_leaf(1, d)
+        return from_incomplete(i)[0]
+
+    assert with_region(body) == 1
+
+
+@pytest.mark.parametrize("what", ["cons list", "nested list"])
+def test_into_incomplete_of_a_too_deep_leaf_changes_nothing(what):
+    value = Cons(too_deep_leaf(what), NIL)
+
+    def body(t):
+        t1, t2 = token_dup2(t)
+        _refused(lambda: into_incomplete(t1, value, "list"), [t.region], [t1, t2], LeafTooDeep)
+        token_consume(t1)
+        return from_incomplete_(into_incomplete(t2, Cons(1, NIL), "list"))
+
+    assert list(with_region(body)) == [1]
 
 
 @pytest.mark.parametrize("op", ["write_field", "alloc_hollow"])
@@ -859,6 +895,57 @@ def test_map_b_reports_how_many_dests_it_dropped():
         with_region(body)
 
 
+def test_map_b_finds_destinations_among_dict_keys_and_values():
+    def body(t):
+        def split(d):
+            dh, dt = fill(d, LIST_CONS)
+            return {"head": dh, dt: "tail"}
+
+        def finish(p):
+            (dt,) = [k for k in p if k != "head"]
+            fill_leaf(1, p["head"])
+            fill(dt, LIST_NIL)
+
+        return from_incomplete_(map_b(map_b(alloc(t), split), finish))
+
+    assert list(with_region(body)) == [1]
+
+
+def test_map_b_counts_a_destination_kept_twice_once():
+    def body(t):
+        i = map_b(alloc(t), lambda d: [d, d])
+        return from_incomplete_(map_b(i, lambda p: fill_leaf(1, p[0])))
+
+    assert with_region(body) == 1
+
+
+def test_map_b_finds_a_drop_beside_a_destination_kept_in_a_dict():
+    def body(t):
+        dests = []
+
+        def f(d):
+            dests.extend(fill(d, LIST_CONS))
+            return {"tail": dests[1]}
+
+        with pytest.raises(LinearityLeak, match=r"dropped 1 live destination\(s\)"):
+            map_b(alloc(t), f)
+        fill_leaf(1, dests[0])
+        fill(dests[1], LIST_NIL)
+
+    with_region(body)
+
+
+def test_from_incomplete_refuses_a_token_in_a_dict():
+    def body(t):
+        t1, t2 = token_dup2(t)
+        i = map_b(alloc(t1), lambda d: (fill_leaf(1, d), {"t": t2})[1])
+        _refused(lambda: from_incomplete(i), [t.region], [i, t2], LinearityLeak)
+        token_consume(t2)
+        return from_incomplete(i)[0]
+
+    assert with_region(body) == 1
+
+
 def test_scope_audit_counts_dests_merged_by_fill_comp():
     def body(t):
         t1, t2 = token_dup2(t)
@@ -915,7 +1002,7 @@ def test_into_incomplete_copies_shared_nodes_once_per_reference():
 
 
 # Same type, tag and fields as LIST_CONS, but never registered.
-_UNREGISTERED = ctor("list", "cons", 1, (LeafType("int"), LeafType("int")), Cons)
+_UNREGISTERED = CtorDescriptor("list", "cons", 1, (LeafType("int"), LeafType("int")), Cons)
 
 
 @pytest.mark.parametrize(
@@ -993,7 +1080,7 @@ def test_fill_and_copy_charge_the_same(type_id, seed):
 # A type with one constructor of each arity 0..4; wN's fields are all "wide".
 _WIDE_REGISTRY = ShapeRegistry()
 _WIDE = tuple(
-    ctor("wide", f"w{n}", n, [Recursive("wide")] * n, (lambda *kids: kids) if n else list)
+    CtorDescriptor("wide", f"w{n}", n, [Recursive("wide")] * n, (lambda *kids: kids) if n else list)
     for n in range(5)
 )
 _WIDE_REGISTRY.register(TypeShape("wide", _WIDE))

@@ -42,15 +42,15 @@ from destpass import (
 from destpass.builder import Dest, Incomplete, Token
 from destpass.dlist import LIST_CONS, LIST_NIL, LIST_SHAPE, NIL, Cons, from_pylist
 from destpass.region import alloc_hollow, region_new
-from destpass.shapes import LeafType, Recursive, ShapeRegistry, TypeShape, ctor
+from destpass.shapes import CtorDescriptor, LeafType, Recursive, ShapeRegistry, TypeShape
 
 from support import structurally_equal
 
 # "list" builds host objects in place. "pair" does not, as its make is no
 # dataclass, so a pair is a raw cell, and so is every list cell under one.
 _PAIR = (
-    ctor("pair", "unit", 0, (), list),
-    ctor(
+    CtorDescriptor("pair", "unit", 0, (), list),
+    CtorDescriptor(
         "pair",
         "pair",
         1,
@@ -61,7 +61,7 @@ _PAIR = (
 REGISTRY = ShapeRegistry()
 REGISTRY.register(LIST_SHAPE, TypeShape("pair", _PAIR))
 # Same type, tag and fields as LIST_CONS, never registered.
-_UNREGISTERED = ctor("list", "cons", 1, LIST_CONS.fields, LIST_CONS.make)
+_UNREGISTERED = CtorDescriptor("list", "cons", 1, LIST_CONS.fields, LIST_CONS.make)
 CTORS = (LIST_NIL, LIST_CONS, *_PAIR, _UNREGISTERED)
 _RAW_CELL = alloc_hollow(region_new(), LIST_NIL)
 _MOSTLY = st.sampled_from((True,) * 7 + (False,))

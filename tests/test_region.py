@@ -16,6 +16,7 @@ from destpass import (
     FieldIndexOutOfRange,
     IncompleteRead,
     Leaf,
+    LeafTooDeep,
     RegionClosed,
     RegionMismatch,
     UnknownCtor,
@@ -27,9 +28,9 @@ from destpass import (
 )
 from destpass.dlist import Cons, LIST_CONS, LIST_NIL, LIST_SHAPE, NIL
 from destpass.region import WORD
-from destpass.shapes import LeafType, Recursive, ShapeRegistry, TypeShape, ctor
+from destpass.shapes import CtorDescriptor, LeafType, Recursive, ShapeRegistry, TypeShape
 
-from support import structurally_equal
+from support import structurally_equal, too_deep_leaf
 
 
 def make_list_cells(region, items):
@@ -144,7 +145,7 @@ def test_a_receiver_is_refused_as_a_reference_target(foreign):
 
 
 # "pair" has no dataclass make, so it never builds in place: always a raw cell.
-_PAIR = ctor("pair", "pair", 0, (Recursive("list"), LeafType("int")), lambda *f: f)
+_PAIR = CtorDescriptor("pair", "pair", 0, (Recursive("list"), LeafType("int")), lambda *f: f)
 _PAIR_REGISTRY = ShapeRegistry()
 _PAIR_REGISTRY.register(LIST_SHAPE, TypeShape("pair", (_PAIR,)))
 
@@ -381,8 +382,8 @@ def test_region_keeps_no_unreferenced_cell_alive():
 
 # Same type, tag and fields as the registered list constructors, never registered.
 _UNREGISTERED = {
-    LIST_CONS: ctor("list", "cons", 1, LIST_CONS.fields, Cons),
-    LIST_NIL: ctor("list", "nil", 0, (), lambda: NIL),
+    LIST_CONS: CtorDescriptor("list", "cons", 1, LIST_CONS.fields, Cons),
+    LIST_NIL: CtorDescriptor("list", "nil", 0, (), lambda: NIL),
 }
 
 
@@ -465,6 +466,20 @@ def test_leaf_payloads_are_deep_copied():
     write_field(r, cell, 1, nil)
     source[1].append(99)
     assert list(read_value(r, cell)) == [[1, [2, 3]]]
+
+
+@pytest.mark.parametrize("what", ["cons list", "nested list"])
+def test_a_leaf_too_deep_to_copy_is_refused(what):
+    r = region_new()
+    cell = alloc_hollow(r, LIST_CONS)
+    before = (region_stats(r), r.outstanding_holes)
+    with pytest.raises(LeafTooDeep):
+        write_field(r, cell, 0, Leaf(too_deep_leaf(what)))
+    assert (region_stats(r), r.outstanding_holes) == before
+    assert cell.slots[0] is r.hole
+    write_field(r, cell, 0, Leaf(1))
+    write_field(r, cell, 1, alloc_hollow(r, LIST_NIL))
+    assert list(read_value(r, cell)) == [1]
 
 
 def test_shared_cell_decodes_to_one_object():

@@ -21,15 +21,15 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from destpass import DpsError, Leaf, read_value, region_new, region_stats, write_field
 from destpass.dlist import LIST_CONS, LIST_NIL, LIST_SHAPE, NIL, Cons, from_pylist
 from destpass.region import _INDIRECTION, CellRef, Hole, alloc_hollow
-from destpass.shapes import LeafType, Recursive, ShapeRegistry, TypeShape, ctor
+from destpass.shapes import CtorDescriptor, LeafType, Recursive, ShapeRegistry, TypeShape
 
 from support import structurally_equal
 
 # "list" builds host objects in place; "pair" does not (its make is no
 # dataclass), so it is always a raw cell.
 _PAIR = (
-    ctor("pair", "unit", 0, (), list),
-    ctor(
+    CtorDescriptor("pair", "unit", 0, (), list),
+    CtorDescriptor(
         "pair",
         "pair",
         1,
@@ -39,7 +39,7 @@ _PAIR = (
 )
 REGISTRY = ShapeRegistry()
 REGISTRY.register(LIST_SHAPE, TypeShape("pair", _PAIR))
-_UNREGISTERED = ctor("list", "cons", 1, LIST_CONS.fields, LIST_CONS.make)
+_UNREGISTERED = CtorDescriptor("list", "cons", 1, LIST_CONS.fields, LIST_CONS.make)
 CTORS = (LIST_NIL, LIST_CONS, *_PAIR, _UNREGISTERED, "receiver")
 _CYCLIC = Cons(1, NIL)
 _CYCLIC.tail = _CYCLIC

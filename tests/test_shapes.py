@@ -6,6 +6,7 @@ from typing import Any
 import pytest
 
 from destpass import (
+    CtorDescriptor,
     LeafType,
     Recursive,
     ShapeConflict,
@@ -13,14 +14,11 @@ from destpass import (
     TypeShape,
     UnknownCtor,
     alloc,
-    ctor,
-    dests_spec_of,
     fill,
     fill_comp,
     fill_leaf,
     from_incomplete_,
     map_b,
-    register_shape,
     token_dup2,
     with_region,
 )
@@ -30,23 +28,23 @@ from destpass.dlist import LIST_CONS, LIST_NIL, LIST_SHAPE
 
 
 def test_reregistering_identical_shape_is_idempotent():
-    register_shape(LIST_SHAPE)
-    register_shape(TREE_SHAPE)
+    DEFAULT_REGISTRY.register(LIST_SHAPE)
+    DEFAULT_REGISTRY.register(TREE_SHAPE)
 
 
 def test_conflicting_shape_rejected():
-    other_cons = ctor("list", "cons", 1, (LeafType("value"),), lambda h: h)
-    other_nil = ctor("list", "nil", 0, (), lambda: None)
+    other_cons = CtorDescriptor("list", "cons", 1, (LeafType("value"),), lambda h: h)
+    other_nil = CtorDescriptor("list", "nil", 0, (), lambda: None)
     clash = TypeShape("list", (other_nil, other_cons), lambda v: (0, ()))
     with pytest.raises(ShapeConflict):
-        register_shape(clash)
+        DEFAULT_REGISTRY.register(clash)
 
 
 def test_unresolvable_recursive_field_rejected():
     reg = ShapeRegistry()
     dangling = TypeShape(
         "box",
-        (ctor("box", "box", 0, (Recursive("nowhere"),), lambda x: x),),
+        (CtorDescriptor("box", "box", 0, (Recursive("nowhere"),), lambda x: x),),
         lambda v: (0, (v,)),
     )
     with pytest.raises(ShapeConflict):
@@ -58,18 +56,18 @@ def test_mutually_recursive_batch_registration():
     even = TypeShape(
         "even",
         (
-            ctor("even", "zero", 0, (), lambda: 0),
-            ctor("even", "succ", 1, (Recursive("odd"),), lambda n: n + 1),
+            CtorDescriptor("even", "zero", 0, (), lambda: 0),
+            CtorDescriptor("even", "succ", 1, (Recursive("odd"),), lambda n: n + 1),
         ),
         lambda v: (0, ()) if v == 0 else (1, (v - 1,)),
     )
     odd = TypeShape(
         "odd",
-        (ctor("odd", "succ", 0, (Recursive("even"),), lambda n: n + 1),),
+        (CtorDescriptor("odd", "succ", 0, (Recursive("even"),), lambda n: n + 1),),
         lambda v: (0, (v - 1,)),
     )
     reg.register(even, odd)
-    assert reg.is_registered("even") and reg.is_registered("odd")
+    assert reg.shape("even") and reg.shape("odd")
     # but neither alone would have resolved
     with pytest.raises(ShapeConflict):
         ShapeRegistry().register(even)
@@ -84,51 +82,41 @@ def test_self_recursion_resolves():
         TypeShape(
             "nat",
             (
-                ctor("nat", "z", 0, (), lambda: 0),
-                ctor("nat", "s", 1, (Recursive("nat"),), lambda n: n + 1),
+                CtorDescriptor("nat", "z", 0, (), lambda: 0),
+                CtorDescriptor("nat", "s", 1, (Recursive("nat"),), lambda n: n + 1),
             ),
             lambda v: (0, ()) if v == 0 else (1, (v - 1,)),
         )
     )
 
 
-def test_dests_spec_of_nil_is_empty():
-    assert dests_spec_of(LIST_NIL) == ()
-
-
-def test_dests_spec_of_cons():
-    assert dests_spec_of(LIST_CONS) == (
-        (0, LeafType("value")),
-        (1, Recursive("list")),
-    )
-
-
-def test_dests_spec_of_node_has_three_entries():
-    spec = dests_spec_of(TREE_NODE)
-    assert len(spec) == 3
-    assert [idx for idx, _ in spec] == [0, 1, 2]
-
-
 def test_dests_spec_of_unregistered_ctor():
-    stray = ctor("list", "cons", 1, (LeafType("value"), Recursive("list")), None)
+    stray = CtorDescriptor("list", "cons", 1, (LeafType("value"), Recursive("list")), None)
     with pytest.raises(UnknownCtor):
-        dests_spec_of(stray)
+        DEFAULT_REGISTRY.resolve(stray)
     with pytest.raises(UnknownCtor):
         ShapeRegistry().shape("list")
+
+
+def test_arity_is_the_number_of_fields():
+    for c in (LIST_NIL, LIST_CONS, TREE_NODE):
+        assert c.arity == len(c.fields) and type(c.fields) is tuple
+    listed = CtorDescriptor("w", "w", 0, [Recursive("w")] * 2, None)
+    assert listed.fields == (Recursive("w"),) * 2 and listed.arity == 2
+    assert listed == CtorDescriptor("w", "w", 0, listed.fields, list)
+    assert hash(listed) == hash(CtorDescriptor("w", "w", 0, listed.fields, list))
+    with pytest.raises(TypeError):
+        CtorDescriptor("w", "w", 0, (), None, arity=1)
 
 
 def test_shape_validation():
     with pytest.raises(ValueError):
         TypeShape("t", ())
-    bad_tag = ctor("t", "a", 1, (), lambda: None)
+    bad_tag = CtorDescriptor("t", "a", 1, (), lambda: None)
     with pytest.raises(ValueError):
         TypeShape("t", (bad_tag,))
     with pytest.raises(ValueError):  # a ctor of another type
-        TypeShape("t", (ctor("u", "a", 0, (), lambda: None),))
-    with pytest.raises(ValueError):
-        ctor("u", "a", 0, (), lambda: None).__class__(
-            type_id="u", name="a", tag=0, arity=2, fields=(), make=None
-        )
+        TypeShape("t", (CtorDescriptor("u", "a", 0, (), lambda: None),))
 
 
 # -- which constructors a fill builds in place ---------------------------------
@@ -167,8 +155,8 @@ def _pair_shape(type_id, make, kid_type=None):
     kid = Recursive(kid_type or type_id)
     return TypeShape(
         type_id,
-        (ctor(type_id, "nil", 0, (), lambda: None),
-         ctor(type_id, "pair", 1, (LeafType("int"), kid), make)),
+        (CtorDescriptor(type_id, "nil", 0, (), lambda: None),
+         CtorDescriptor(type_id, "pair", 1, (LeafType("int"), kid), make)),
         lambda v: (0, ()) if v is None else (1, (v.a, v.b)),
     )
 
