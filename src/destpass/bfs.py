@@ -35,13 +35,9 @@ def _classify_tree(value):
     raise TypeError(f"not a tree: {type(value).__name__}")
 
 
-TREE_NIL = CtorDescriptor("tree", "nil", 0, (), lambda: None)
+TREE_NIL = CtorDescriptor("tree", "nil", (), lambda: None)
 TREE_NODE = CtorDescriptor(
-    "tree",
-    "node",
-    1,
-    (LeafType("value"), Recursive("tree"), Recursive("tree")),
-    Node,
+    "tree", "node", (LeafType("value"), Recursive("tree"), Recursive("tree")), Node
 )
 TREE_SHAPE = TypeShape("tree", (TREE_NIL, TREE_NODE), _classify_tree)
 DEFAULT_REGISTRY.register(TREE_SHAPE)

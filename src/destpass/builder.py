@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
+from types import ModuleType
 from typing import Any, Callable
 
 from . import region as _region
@@ -176,8 +177,9 @@ _CONTAINERS = (tuple, list, set, frozenset, deque)
 
 
 def _collect_linear(value) -> set:
-    """All Token/Dest/Incomplete objects reachable through ordinary containers
-    and dataclasses. Identity-based; iterative, so depth does not matter."""
+    """All Token/Dest/Incomplete objects reachable through ordinary containers,
+    dataclasses and the ``__dict__`` of any other object that is not a class
+    or a module. Identity-based; iterative, so depth does not matter."""
     found: set = set()
     seen: set[int] = set()
     stack = [value]
@@ -198,6 +200,8 @@ def _collect_linear(value) -> set:
         elif dataclasses.is_dataclass(v) and not isinstance(v, type):
             for f in dataclasses.fields(v):
                 stack.append(getattr(v, f.name))
+        elif hasattr(v, "__dict__") and not isinstance(v, (type, ModuleType)):
+            stack.extend(vars(v).values())
     return found
 
 
@@ -312,8 +316,9 @@ def map_b(i: Incomplete, f: Callable[[Any], Any]) -> Incomplete:
     ``f`` must consume its argument exactly once: every live destination of
     this incomplete's lineage must, after ``f`` returns, either have been
     consumed or be reachable from the new payload through tuples, lists,
-    sets, frozensets, deques, dict keys and values or dataclass fields, the
-    only containers searched. Orphaned destinations raise LinearityLeak
+    sets, frozensets, deques, dict keys and values, dataclass fields or the
+    ``__dict__`` of any other object; an object with only slots that is not
+    a dataclass is not searched. Orphaned destinations raise LinearityLeak
     immediately. On a closed region RegionClosed is raised before ``f`` runs.
     """
     _consume_incomplete(i, "map_b")
@@ -366,7 +371,8 @@ def from_incomplete(i: Incomplete):
 
     Returns ``(value, payload)``. LinearityLeak if a live handle is reachable
     from the payload through tuples, lists, sets, frozensets, deques, dict
-    keys and values or dataclass fields, the only containers searched.
+    keys and values, dataclass fields or the ``__dict__`` of any other object
+    (an object with only slots that is not a dataclass is not searched).
     RegionClosed once the region is closed.
     """
     _check_release(i, "from_incomplete")

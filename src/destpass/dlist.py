@@ -101,10 +101,8 @@ def _classify_list(value):
     raise TypeError(f"not a linked list: {type(value).__name__}")
 
 
-LIST_NIL = CtorDescriptor("list", "nil", 0, (), lambda: NIL)
-LIST_CONS = CtorDescriptor(
-    "list", "cons", 1, (LeafType("value"), Recursive("list")), Cons
-)
+LIST_NIL = CtorDescriptor("list", "nil", (), lambda: NIL)
+LIST_CONS = CtorDescriptor("list", "cons", (LeafType("value"), Recursive("list")), Cons)
 LIST_SHAPE = TypeShape("list", (LIST_NIL, LIST_CONS), _classify_list)
 DEFAULT_REGISTRY.register(LIST_SHAPE)
 

@@ -30,7 +30,8 @@ class CyclicStructure(DpsError):
 
 
 class ShapeConflict(DpsError):
-    """Re-registration of a type id with a different shape."""
+    """A second shape under a registered type id, or a Recursive field of an
+    unregistered type."""
 
 
 class UnknownCtor(DpsError):

@@ -84,7 +84,7 @@ Hole = type("Hole", (_NotALeaf,), {"__repr__": lambda self: "HOLE", "__slots__":
 # The constructor that makes a raw cell a root receiver: one field, which
 # read_value returns as the receiver's value, and which write_field stores
 # where the receiver is written. Never registered.
-_INDIRECTION = CtorDescriptor("_indirection", "_ind", 0, (LeafType("any"),))
+_INDIRECTION = CtorDescriptor("_indirection", "_ind", (LeafType("any"),))
 
 _SCALARS = (int, float, bool, str, bytes, type(None))
 

@@ -107,16 +107,16 @@ def _classify_sexpr(value):
 
 
 SEXPR_SLIST = CtorDescriptor(
-    "sexpr", "SList", 0, (LeafType("int"), Recursive("sexpr_list")), SList
+    "sexpr", "SList", (LeafType("int"), Recursive("sexpr_list")), SList
 )
 SEXPR_SINTEGER = CtorDescriptor(
-    "sexpr", "SInteger", 1, (LeafType("int"), LeafType("int")), SInteger
+    "sexpr", "SInteger", (LeafType("int"), LeafType("int")), SInteger
 )
 SEXPR_SSTRING = CtorDescriptor(
-    "sexpr", "SString", 2, (LeafType("int"), LeafType("bytes")), SString
+    "sexpr", "SString", (LeafType("int"), LeafType("bytes")), SString
 )
 SEXPR_SSYMBOL = CtorDescriptor(
-    "sexpr", "SSymbol", 3, (LeafType("int"), LeafType("bytes")), SSymbol
+    "sexpr", "SSymbol", (LeafType("int"), LeafType("bytes")), SSymbol
 )
 SEXPR_SHAPE = TypeShape(
     "sexpr",
@@ -124,9 +124,9 @@ SEXPR_SHAPE = TypeShape(
     _classify_sexpr,
 )
 
-SEXPR_LIST_NIL = CtorDescriptor("sexpr_list", "nil", 0, (), lambda: NIL)
+SEXPR_LIST_NIL = CtorDescriptor("sexpr_list", "nil", (), lambda: NIL)
 SEXPR_LIST_CONS = CtorDescriptor(
-    "sexpr_list", "cons", 1, (Recursive("sexpr"), Recursive("sexpr_list")), Cons
+    "sexpr_list", "cons", (Recursive("sexpr"), Recursive("sexpr_list")), Cons
 )
 SEXPR_LIST_SHAPE = TypeShape(
     "sexpr_list", (SEXPR_LIST_NIL, SEXPR_LIST_CONS), _classify_list

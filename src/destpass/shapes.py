@@ -2,18 +2,20 @@
 
 Every value type that can be built inside a region is described by a
 :class:`TypeShape`: an ordered list of constructor descriptors, one per
-variant. A descriptor, ``CtorDescriptor(type_id, name, tag, fields, make)``,
-records the constructor's tag and the kind of each field (another registered
-type, or an opaque leaf); its ``arity`` is the number of fields. Shapes are
-registered once, with ``DEFAULT_REGISTRY.register(...)``, before any region
-work starts, and are read-only afterwards.
+variant. A descriptor, ``CtorDescriptor(type_id, name, fields, make)``,
+records the kind of each field (another registered type, or an opaque leaf);
+its ``arity`` is the number of fields, and its tag is its index in its shape.
+A shape is registered once, as an object, with
+``DEFAULT_REGISTRY.register(...)``, before any region work starts, and the
+registry is read-only afterwards.
 
 Because the host language carries no static type information at run time,
 each shape also carries two callables used at the region boundary:
 ``make`` (per constructor) applies the constructor bottom-up when a region
 value is decoded back into a host value, and ``classify`` (per type) is its
-inverse, splitting a host value into (tag, field values) when a complete
-value is copied into a region.
+inverse, splitting a host value into (tag, field values), where the tag is
+the index of its constructor in ``ctors``, when a complete value is copied
+into a region.
 
 Registration also decides, once per constructor, whether a fill builds it
 as its final host object in place (``ShapeRegistry.resolve`` returns its
@@ -24,8 +26,9 @@ qualifies when
   dataclass whose generated ``__init__`` only assigns fields: no
   ``__post_init__``, no ``__new__`` of its own, and exactly one ``init``
   field per declared field, in order; and
-* every type reachable through its ``Recursive`` fields, transitively, has
-  only constructors of that first kind.
+* none of its ``Recursive`` fields is of a tainted type. A type is tainted
+  when one of its constructors is not of that first kind, or when it
+  reaches a tainted type through its ``Recursive`` fields.
 
 So a host object never holds a region cell, and its release decodes
 nothing.
@@ -57,41 +60,34 @@ class LeafType:
 FieldKind = Recursive | LeafType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CtorDescriptor:
-    """One constructor of an algebraic type; its ``arity`` is ``len(fields)``."""
+    """One constructor of an algebraic type; its ``arity`` is ``len(fields)``
+    and its tag is its index in its shape."""
 
     type_id: str
     name: str
-    tag: int
     fields: tuple[FieldKind, ...]
-    make: Callable[..., Any] = field(compare=False, default=None, repr=False)
-    arity: int = field(init=False, compare=False)
+    make: Callable[..., Any] = field(default=None, repr=False)
+    arity: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fields", tuple(self.fields))
         object.__setattr__(self, "arity", len(self.fields))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TypeShape:
-    """All constructors of one algebraic type, tags 0..n-1 in order."""
+    """All constructors of one algebraic type, in tag order."""
 
     type_id: str
     ctors: tuple[CtorDescriptor, ...]
-    classify: Callable[[Any], tuple[int, tuple]] = field(
-        compare=False, default=None, repr=False
-    )
+    classify: Callable[[Any], tuple[int, tuple]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.ctors:
             raise ValueError(f"type {self.type_id!r} has no constructors")
-        for i, c in enumerate(self.ctors):
-            if c.tag != i:
-                raise ValueError(
-                    f"type {self.type_id!r}: ctor {c.name!r} has tag {c.tag}, "
-                    f"expected {i}"
-                )
+        for c in self.ctors:
             if c.type_id != self.type_id:
                 raise ValueError(
                     f"ctor {c.name!r} declares type {c.type_id!r} inside "
@@ -115,6 +111,11 @@ def _host_fields(c: CtorDescriptor) -> tuple[str, ...] | None:
     return tuple(f.name for f in fs)
 
 
+def _kid_types(c: CtorDescriptor) -> set[str]:
+    """The type ids of the Recursive fields of ``c``."""
+    return {fk.type_id for fk in c.fields if isinstance(fk, Recursive)}
+
+
 class ShapeRegistry:
     """Registration-phase store of type shapes; read-only afterwards.
 
@@ -124,8 +125,8 @@ class ShapeRegistry:
 
     def __init__(self) -> None:
         self._shapes: dict[str, TypeShape] = {}
-        # By id of each registered descriptor: what resolve returns for it.
-        self._layouts: dict[int, tuple[str, ...] | None] = {}
+        # Per registered descriptor: what resolve returns for it.
+        self._layouts: dict[CtorDescriptor, tuple[str, ...] | None] = {}
         # The field names of every class a fill builds in place.
         self.host_fields: dict[type, tuple[str, ...]] = {}
 
@@ -133,70 +134,48 @@ class ShapeRegistry:
         """Register one or more shapes atomically.
 
         Mutually recursive types must be registered in the same call so that
-        their Recursive fields can resolve against each other. Registering an
-        identical shape again is a no-op; a different shape under an existing
-        type id raises ShapeConflict.
+        their Recursive fields can resolve against each other. Registering
+        the same shape object again is a no-op; any other shape under a
+        registered type id raises ShapeConflict.
         """
         batch: dict[str, TypeShape] = {}
         for shape in shapes:
             existing = self._shapes.get(shape.type_id)
-            if existing is not None:
-                if existing != shape:
-                    raise ShapeConflict(
-                        f"type {shape.type_id!r} already registered with a "
-                        f"different shape"
-                    )
+            if existing is shape:
                 continue
-            if shape.type_id in batch:
-                raise ShapeConflict(
-                    f"type {shape.type_id!r} appears twice in one batch"
-                )
+            if existing is not None or shape.type_id in batch:
+                raise ShapeConflict(f"type {shape.type_id!r} already has another shape")
             batch[shape.type_id] = shape
         known = self._shapes.keys() | batch.keys()
         for shape in batch.values():
             for c in shape.ctors:
-                for fk in c.fields:
-                    if isinstance(fk, Recursive) and fk.type_id not in known:
-                        raise ShapeConflict(
-                            f"{shape.type_id}.{c.name}: recursive field refers "
-                            f"to unregistered type {fk.type_id!r}"
-                        )
+                if missing := _kid_types(c) - known:
+                    raise ShapeConflict(
+                        f"{shape.type_id}.{c.name}: recursive field refers "
+                        f"to unregistered type {min(missing)!r}"
+                    )
         self._shapes.update(batch)
         self._qualify(batch.values())
 
     def _qualify(self, shapes: Iterable[TypeShape]) -> None:
-        """Record the layout of every constructor of ``shapes``."""
-        plain: dict[str, bool] = {}  # type id -> every ctor has host fields
+        """Record the layout of every constructor of ``shapes``.
 
-        def type_is_plain(type_id: str) -> bool:
-            if type_id not in plain:
-                plain[type_id] = all(
-                    _host_fields(c) is not None for c in self._shapes[type_id].ctors
-                )
-            return plain[type_id]
-
+        A type is tainted when one of its constructors has no host fields, or
+        when it reaches a tainted type. A constructor builds in place when it
+        has host fields and none of its Recursive fields is of a tainted type.
+        """
+        kids = {t: set().union(*map(_kid_types, s.ctors)) for t, s in self._shapes.items()}
+        tainted = {
+            t for t, s in self._shapes.items() if any(_host_fields(c) is None for c in s.ctors)
+        }
+        while grown := {t for t, ks in kids.items() if t not in tainted and ks & tainted}:
+            tainted |= grown
         for shape in shapes:
             for c in shape.ctors:
-                names = _host_fields(c)
-                if names is not None and not all(map(type_is_plain, self._reachable(c))):
-                    names = None
-                self._layouts[id(c)] = names
+                names = None if _kid_types(c) & tainted else _host_fields(c)
+                self._layouts[c] = names
                 if names:
                     self.host_fields[c.make] = names
-
-    def _reachable(self, c: CtorDescriptor) -> set[str]:
-        """Type ids reachable from ``c`` through Recursive fields."""
-        seen: set[str] = set()
-        stack = [fk.type_id for fk in c.fields if isinstance(fk, Recursive)]
-        while stack:
-            type_id = stack.pop()
-            if type_id not in seen:
-                seen.add(type_id)
-                for other in self._shapes[type_id].ctors:
-                    stack.extend(
-                        fk.type_id for fk in other.fields if isinstance(fk, Recursive)
-                    )
-        return seen
 
     def shape(self, type_id: str) -> TypeShape:
         try:
@@ -210,11 +189,9 @@ class ShapeRegistry:
         a fill builds it as a region cell. Raises UnknownCtor when ``c``
         itself is not registered."""
         try:
-            return self._layouts[id(c)]
+            return self._layouts[c]
         except KeyError:
-            raise UnknownCtor(
-                f"constructor {c.type_id}.{c.name} (tag {c.tag}) is not registered"
-            ) from None
+            raise UnknownCtor(f"constructor {c.type_id}.{c.name} is not registered") from None
 
 
 DEFAULT_REGISTRY = ShapeRegistry()

@@ -1,6 +1,7 @@
 """Builder API: tokens, incompletes, destinations, and the consume-once rules."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -946,6 +947,25 @@ def test_from_incomplete_refuses_a_token_in_a_dict():
     assert with_region(body) == 1
 
 
+def test_map_b_finds_a_destination_in_a_plain_object():
+    def body(t):
+        i = map_b(alloc(t), lambda d: SimpleNamespace(d=d))
+        return from_incomplete_(map_b(i, lambda ns: fill(ns.d, LIST_NIL)))
+
+    assert list(with_region(body)) == []
+
+
+def test_from_incomplete_refuses_a_token_in_a_plain_object():
+    def body(t):
+        t1, t2 = token_dup2(t)
+        i = map_b(alloc(t1), lambda d: (fill_leaf(1, d), SimpleNamespace(tok=t2))[1])
+        _refused(lambda: from_incomplete(i), [t.region], [i, t2], LinearityLeak)
+        token_consume(t2)
+        return from_incomplete(i)[0]
+
+    assert with_region(body) == 1
+
+
 def test_scope_audit_counts_dests_merged_by_fill_comp():
     def body(t):
         t1, t2 = token_dup2(t)
@@ -1002,7 +1022,7 @@ def test_into_incomplete_copies_shared_nodes_once_per_reference():
 
 
 # Same type, tag and fields as LIST_CONS, but never registered.
-_UNREGISTERED = CtorDescriptor("list", "cons", 1, (LeafType("int"), LeafType("int")), Cons)
+_UNREGISTERED = CtorDescriptor("list", "cons", (LeafType("int"), LeafType("int")), Cons)
 
 
 @pytest.mark.parametrize(
@@ -1080,7 +1100,7 @@ def test_fill_and_copy_charge_the_same(type_id, seed):
 # A type with one constructor of each arity 0..4; wN's fields are all "wide".
 _WIDE_REGISTRY = ShapeRegistry()
 _WIDE = tuple(
-    CtorDescriptor("wide", f"w{n}", n, [Recursive("wide")] * n, (lambda *kids: kids) if n else list)
+    CtorDescriptor("wide", f"w{n}", [Recursive("wide")] * n, (lambda *kids: kids) if n else list)
     for n in range(5)
 )
 _WIDE_REGISTRY.register(TypeShape("wide", _WIDE))

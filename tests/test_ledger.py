@@ -49,11 +49,10 @@ from support import structurally_equal
 # "list" builds host objects in place. "pair" does not, as its make is no
 # dataclass, so a pair is a raw cell, and so is every list cell under one.
 _PAIR = (
-    CtorDescriptor("pair", "unit", 0, (), list),
+    CtorDescriptor("pair", "unit", (), list),
     CtorDescriptor(
         "pair",
         "pair",
-        1,
         (Recursive("list"), Recursive("pair"), LeafType("int")),
         lambda *fields: fields,
     ),
@@ -61,7 +60,7 @@ _PAIR = (
 REGISTRY = ShapeRegistry()
 REGISTRY.register(LIST_SHAPE, TypeShape("pair", _PAIR))
 # Same type, tag and fields as LIST_CONS, never registered.
-_UNREGISTERED = CtorDescriptor("list", "cons", 1, LIST_CONS.fields, LIST_CONS.make)
+_UNREGISTERED = CtorDescriptor("list", "cons", LIST_CONS.fields, LIST_CONS.make)
 CTORS = (LIST_NIL, LIST_CONS, *_PAIR, _UNREGISTERED)
 _RAW_CELL = alloc_hollow(region_new(), LIST_NIL)
 _MOSTLY = st.sampled_from((True,) * 7 + (False,))

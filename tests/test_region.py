@@ -145,7 +145,7 @@ def test_a_receiver_is_refused_as_a_reference_target(foreign):
 
 
 # "pair" has no dataclass make, so it never builds in place: always a raw cell.
-_PAIR = CtorDescriptor("pair", "pair", 0, (Recursive("list"), LeafType("int")), lambda *f: f)
+_PAIR = CtorDescriptor("pair", "pair", (Recursive("list"), LeafType("int")), lambda *f: f)
 _PAIR_REGISTRY = ShapeRegistry()
 _PAIR_REGISTRY.register(LIST_SHAPE, TypeShape("pair", (_PAIR,)))
 
@@ -382,8 +382,8 @@ def test_region_keeps_no_unreferenced_cell_alive():
 
 # Same type, tag and fields as the registered list constructors, never registered.
 _UNREGISTERED = {
-    LIST_CONS: CtorDescriptor("list", "cons", 1, LIST_CONS.fields, Cons),
-    LIST_NIL: CtorDescriptor("list", "nil", 0, (), lambda: NIL),
+    LIST_CONS: CtorDescriptor("list", "cons", LIST_CONS.fields, Cons),
+    LIST_NIL: CtorDescriptor("list", "nil", (), lambda: NIL),
 }
 
 

@@ -28,18 +28,17 @@ from support import structurally_equal
 # "list" builds host objects in place; "pair" does not (its make is no
 # dataclass), so it is always a raw cell.
 _PAIR = (
-    CtorDescriptor("pair", "unit", 0, (), list),
+    CtorDescriptor("pair", "unit", (), list),
     CtorDescriptor(
         "pair",
         "pair",
-        1,
         (Recursive("list"), Recursive("pair"), LeafType("int")),
         lambda *fields: fields,
     ),
 )
 REGISTRY = ShapeRegistry()
 REGISTRY.register(LIST_SHAPE, TypeShape("pair", _PAIR))
-_UNREGISTERED = CtorDescriptor("list", "cons", 1, LIST_CONS.fields, LIST_CONS.make)
+_UNREGISTERED = CtorDescriptor("list", "cons", LIST_CONS.fields, LIST_CONS.make)
 CTORS = (LIST_NIL, LIST_CONS, *_PAIR, _UNREGISTERED, "receiver")
 _CYCLIC = Cons(1, NIL)
 _CYCLIC.tail = _CYCLIC

@@ -33,18 +33,42 @@ def test_reregistering_identical_shape_is_idempotent():
 
 
 def test_conflicting_shape_rejected():
-    other_cons = CtorDescriptor("list", "cons", 1, (LeafType("value"),), lambda h: h)
-    other_nil = CtorDescriptor("list", "nil", 0, (), lambda: None)
+    other_cons = CtorDescriptor("list", "cons", (LeafType("value"),), lambda h: h)
+    other_nil = CtorDescriptor("list", "nil", (), lambda: None)
     clash = TypeShape("list", (other_nil, other_cons), lambda v: (0, ()))
     with pytest.raises(ShapeConflict):
         DEFAULT_REGISTRY.register(clash)
+
+
+def test_an_equal_shape_of_new_descriptors_is_refused():
+    twin = TypeShape(
+        "list",
+        tuple(CtorDescriptor(c.type_id, c.name, c.fields, c.make) for c in LIST_SHAPE.ctors),
+        LIST_SHAPE.classify,
+    )
+    with pytest.raises(ShapeConflict):
+        DEFAULT_REGISTRY.register(twin)
+    for c in twin.ctors:
+        with pytest.raises(UnknownCtor):
+            DEFAULT_REGISTRY.resolve(c)
+    assert DEFAULT_REGISTRY.resolve(LIST_CONS) == ("head", "tail")
+
+
+def test_a_shape_differing_only_in_make_is_refused():
+    reg = ShapeRegistry()
+    reg.register(_pair_shape("p", _Pair))
+    with pytest.raises(ShapeConflict):
+        reg.register(_pair_shape("p", _FrozenPair))
+    assert reg.resolve(reg.shape("p").ctors[1]) == ("a", "b")
+    assert reg.shape("p").ctors[1].make is _Pair
+    assert _FrozenPair not in reg.host_fields
 
 
 def test_unresolvable_recursive_field_rejected():
     reg = ShapeRegistry()
     dangling = TypeShape(
         "box",
-        (CtorDescriptor("box", "box", 0, (Recursive("nowhere"),), lambda x: x),),
+        (CtorDescriptor("box", "box", (Recursive("nowhere"),), lambda x: x),),
         lambda v: (0, (v,)),
     )
     with pytest.raises(ShapeConflict):
@@ -56,14 +80,14 @@ def test_mutually_recursive_batch_registration():
     even = TypeShape(
         "even",
         (
-            CtorDescriptor("even", "zero", 0, (), lambda: 0),
-            CtorDescriptor("even", "succ", 1, (Recursive("odd"),), lambda n: n + 1),
+            CtorDescriptor("even", "zero", (), lambda: 0),
+            CtorDescriptor("even", "succ", (Recursive("odd"),), lambda n: n + 1),
         ),
         lambda v: (0, ()) if v == 0 else (1, (v - 1,)),
     )
     odd = TypeShape(
         "odd",
-        (CtorDescriptor("odd", "succ", 0, (Recursive("even"),), lambda n: n + 1),),
+        (CtorDescriptor("odd", "succ", (Recursive("even"),), lambda n: n + 1),),
         lambda v: (0, (v - 1,)),
     )
     reg.register(even, odd)
@@ -82,8 +106,8 @@ def test_self_recursion_resolves():
         TypeShape(
             "nat",
             (
-                CtorDescriptor("nat", "z", 0, (), lambda: 0),
-                CtorDescriptor("nat", "s", 1, (Recursive("nat"),), lambda n: n + 1),
+                CtorDescriptor("nat", "z", (), lambda: 0),
+                CtorDescriptor("nat", "s", (Recursive("nat"),), lambda n: n + 1),
             ),
             lambda v: (0, ()) if v == 0 else (1, (v - 1,)),
         )
@@ -91,7 +115,7 @@ def test_self_recursion_resolves():
 
 
 def test_dests_spec_of_unregistered_ctor():
-    stray = CtorDescriptor("list", "cons", 1, (LeafType("value"), Recursive("list")), None)
+    stray = CtorDescriptor("list", "cons", (LeafType("value"), Recursive("list")), None)
     with pytest.raises(UnknownCtor):
         DEFAULT_REGISTRY.resolve(stray)
     with pytest.raises(UnknownCtor):
@@ -101,22 +125,17 @@ def test_dests_spec_of_unregistered_ctor():
 def test_arity_is_the_number_of_fields():
     for c in (LIST_NIL, LIST_CONS, TREE_NODE):
         assert c.arity == len(c.fields) and type(c.fields) is tuple
-    listed = CtorDescriptor("w", "w", 0, [Recursive("w")] * 2, None)
+    listed = CtorDescriptor("w", "w", [Recursive("w")] * 2, None)
     assert listed.fields == (Recursive("w"),) * 2 and listed.arity == 2
-    assert listed == CtorDescriptor("w", "w", 0, listed.fields, list)
-    assert hash(listed) == hash(CtorDescriptor("w", "w", 0, listed.fields, list))
     with pytest.raises(TypeError):
-        CtorDescriptor("w", "w", 0, (), None, arity=1)
+        CtorDescriptor("w", "w", (), None, arity=1)
 
 
 def test_shape_validation():
     with pytest.raises(ValueError):
         TypeShape("t", ())
-    bad_tag = CtorDescriptor("t", "a", 1, (), lambda: None)
-    with pytest.raises(ValueError):
-        TypeShape("t", (bad_tag,))
     with pytest.raises(ValueError):  # a ctor of another type
-        TypeShape("t", (CtorDescriptor("u", "a", 0, (), lambda: None),))
+        TypeShape("t", (CtorDescriptor("u", "a", (), lambda: None),))
 
 
 # -- which constructors a fill builds in place ---------------------------------
@@ -155,8 +174,8 @@ def _pair_shape(type_id, make, kid_type=None):
     kid = Recursive(kid_type or type_id)
     return TypeShape(
         type_id,
-        (CtorDescriptor(type_id, "nil", 0, (), lambda: None),
-         CtorDescriptor(type_id, "pair", 1, (LeafType("int"), kid), make)),
+        (CtorDescriptor(type_id, "nil", (), lambda: None),
+         CtorDescriptor(type_id, "pair", (LeafType("int"), kid), make)),
         lambda v: (0, ()) if v is None else (1, (v.a, v.b)),
     )
 
