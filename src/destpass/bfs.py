@@ -1,9 +1,9 @@
 """Single-pass breadth-first tree relabeling.
 
 The trick: keep a FIFO queue of pairs (input subtree, destination for the
-corresponding output subtree). Each step dequeues a pair, fills the
-destination with a hollow node, writes the mapped value through the value
-destination, and enqueues the children with their fresh destinations. One
+corresponding output subtree). Each step dequeues a pair, maps the node's
+value, fills the destination with the context ``Node(mapped, _, _)``, and
+enqueues the children with the destinations of its two holes. One
 traversal of the input produces the fully relabeled output, top-down.
 
 The empty tree is ``None``; nodes are :class:`Node`.
@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .builder import alloc, fill, fill_leaf, from_incomplete, map_b, with_region
+from .builder import alloc, fill, from_incomplete, map_b, with_region
 from .region import region_stats
 from .shapes import DEFAULT_REGISTRY, CtorDescriptor, LeafType, Recursive, TypeShape
 
@@ -72,11 +72,10 @@ def map_accum_bfs(
                     fill(d, TREE_NIL)
                 else:
                     visits += 1
-                    dy, dl, dr = fill(d, TREE_NODE)
+                    st, y = f(st, subtree.value)
+                    dl, dr = fill(d, TREE_NODE, y)
                     queue.append((subtree.left, dl))
                     queue.append((subtree.right, dr))
-                    st, y = f(st, subtree.value)
-                    fill_leaf(y, dy)
             return st
 
         result = from_incomplete(map_b(alloc(token), body))

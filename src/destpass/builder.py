@@ -407,11 +407,17 @@ def _check_fillable(kind: FieldKind | None, type_id: str | None, what: str) -> N
         )
 
 
-def fill(d: Dest, ctor: CtorDescriptor):
-    """Plug a hollow constructor into the hole behind ``d``.
+def fill(d: Dest, ctor: CtorDescriptor, *leaves):
+    """Plug constructor ``ctor`` into the hole behind ``d``; return the
+    destinations of the new node's holes in declaration order: None for
+    none, a single Dest for one, a tuple otherwise.
 
-    Returns the destinations for the constructor's fields in declaration
-    order: None for arity 0, a single Dest for arity 1, a tuple otherwise.
+    Without ``leaves`` every field is a hole. With one value per leaf field,
+    in declaration order (else TypeError), the node is a constructor context
+    such as ``Cons(x, _)``: the same region call writes each leaf exactly as
+    ``fill_leaf`` would, with its checks and charges, and only the
+    ``Recursive`` fields are holes. A refused fill changes nothing; on a
+    closed region RegionClosed comes first, before any leaf is copied.
     """
     if type(d) is not Dest or not d.alive:  # its region: alloc_hollow checks
         _admit(d, Dest, "fill")
@@ -419,29 +425,24 @@ def fill(d: Dest, ctor: CtorDescriptor):
     if kind is not None and (type(kind) is not Recursive or kind.type_id != ctor.type_id):
         _check_fillable(kind, ctor.type_id, f"constructor {ctor.name}")
     region = d.region
-    cell = _region.alloc_hollow(region, ctor, d.cell, d.index)
+    cell = _region.alloc_hollow(region, ctor, d.cell, d.index, leaves)
     d.alive = False
     lineage = d.lineage
     if lineage.parent is not None:
         lineage = lineage.find()
     if kind is None:  # a receiver's hole
         lineage.type_id, lineage.dest = ctor.type_id, None
-    arity = ctor.arity
-    lineage.holes += arity - 1
-    if arity == 0:
+    places = ctor.kids if leaves else ctor.places  # of the new node's holes
+    lineage.holes += len(places) - 1
+    if not places:
         return None
-    fields = ctor.fields
-    d0 = Dest(region, cell, 0, fields[0], lineage)
-    if arity == 1:
-        return d0
-    d1 = Dest(region, cell, 1, fields[1], lineage)
-    if arity == 2:
-        return d0, d1
-    d2 = Dest(region, cell, 2, fields[2], lineage)
-    if arity == 3:
-        return d0, d1, d2
-    rest = [Dest(region, cell, i, fields[i], lineage) for i in range(3, arity)]
-    return (d0, d1, d2, *rest)
+    if len(places) == 2:
+        (i, k), (j, m) = places
+        return Dest(region, cell, i, k, lineage), Dest(region, cell, j, m, lineage)
+    if len(places) == 1:
+        ((i, k),) = places
+        return Dest(region, cell, i, k, lineage)
+    return tuple([Dest(region, cell, i, k, lineage) for i, k in places])
 
 
 def fill_leaf(value, d: Dest) -> None:

@@ -1,8 +1,9 @@
 """Destination-backed difference lists.
 
 A difference list here is an incomplete linked list whose payload is the
-destination of the final tail hole. Appending fills that hole with a hollow
-cons cell and keeps the new tail hole; concatenating two difference lists
+destination of the final tail hole. Appending fills that hole with the
+context ``Cons(x, _)``, a cons cell whose head is written in the same fill,
+and keeps the new tail hole; concatenating two difference lists
 writes the second one's root into the first one's tail hole — one field
 write, no allocation, no copying. ``to_list`` plugs nil into the last hole
 and releases the finished list.
@@ -23,7 +24,6 @@ from .builder import (
     alloc,
     fill,
     fill_comp,
-    fill_leaf,
     from_incomplete_,
     map_b,
 )
@@ -120,12 +120,7 @@ def dlist_new(t: Token) -> DList:
 def dlist_append(i: DList, x) -> DList:
     """Add ``x`` at the tail position; still exactly one hole."""
 
-    def step(d):
-        dh, dt = fill(d, LIST_CONS)
-        fill_leaf(x, dh)
-        return dt
-
-    return map_b(i, step)
+    return map_b(i, lambda d: fill(d, LIST_CONS, x))
 
 
 def dlist_concat(i1: DList, i2: DList) -> DList:

@@ -25,16 +25,22 @@ cell of the private ``_INDIRECTION`` constructor; there is no receiver type.
 It stands for what it holds: ``write_field`` stores that value in its place.
 The builder's cells are host objects. Written into a receiver or into a host
 object, a constructor that the registry lets build in place (see ``shapes``)
-is allocated as its final host object: ``object.__new__`` of its ``make``
-with every field preset to ``region.hole``, linked into its parent's field
-with ``object.__setattr__`` (so frozen dataclasses work too). Such a cell is
+is allocated as its final host object: ``object.__new__`` of its ``make``,
+its ``__init__`` never run, with every field preset to ``region.hole`` (or
+to its leaf value, when the allocation is given them). Every field of a
+host object, these presets and the link into its parent's field included,
+is written with the one setter the registry records for its class: the
+builtin ``setattr``, or ``object.__setattr__`` for a class with a
+``__setattr__`` of its own, such as a frozen dataclass. Such a cell is
 charged exactly as a raw cell and has no handle; ``_hole`` checks its fields
 as it checks a raw cell's.
 
 Decoding (``read_value``) walks the raw cell graph, checks that no
 reachable hole remains and that the graph is acyclic, and rebuilds the host
 value bottom-up through the registered constructor ``make`` functions. A
-receiver that holds anything but a raw cell decodes in O(1), to that value.
+receiver that holds anything but a raw cell decodes in O(1), to that value,
+unless the region has outstanding holes: then the host objects a read
+returns or meets are scanned for one.
 
 A region and everything pointing into it belong to one thread at a time;
 none of these operations synchronize.
@@ -60,7 +66,6 @@ from .shapes import (
     DEFAULT_REGISTRY,
     CtorDescriptor,
     LeafType,
-    Recursive,
     ShapeRegistry,
 )
 
@@ -87,6 +92,7 @@ Hole = type("Hole", (_NotALeaf,), {"__repr__": lambda self: "HOLE", "__slots__":
 _INDIRECTION = CtorDescriptor("_indirection", "_ind", (LeafType("any"),))
 
 _SCALARS = (int, float, bool, str, bytes, type(None))
+_ONE_WORD = frozenset({int, float, bool, type(None)})  # scalars _nominal_size charges WORD
 
 
 class Leaf:
@@ -213,17 +219,14 @@ class Region:
                 shape = self.registry.shape(tid)
                 tag, parts = shape.classify(node)
                 ctor = shape.ctors[tag]
-                cell = alloc_hollow(self, ctor, parent, idx)
-                if not ctor.arity:  # nothing below it
+                leaves = [parts[i] for i in ctor.leaves]
+                cell = alloc_hollow(self, ctor, parent, idx, leaves)
+                if not ctor.kids:  # nothing below it
                     continue
                 on_path.add(id(node))
                 stack.append((None, None, node, None))
-                fields = ctor.fields
-                for i in range(len(fields) - 1, -1, -1):
-                    if isinstance(fields[i], Recursive):
-                        stack.append((cell, i, parts[i], fields[i].type_id))
-                    else:
-                        write_field(self, cell, i, Leaf(parts[i]))
+                for i, kind in reversed(ctor.kids):
+                    stack.append((cell, i, parts[i], kind.type_id))
         except BaseException:
             self.outstanding_holes, self.stats = holes, stats
             raise
@@ -269,6 +272,26 @@ def _nominal_size(value) -> int:
     return total
 
 
+def _leaf_copies(payloads) -> tuple[list, int]:
+    """What leaf fields hold for ``payloads``, and the bytes they are charged:
+    a scalar as given, anything else deep-copied, which raises
+    DestinationInLeaf on a hole, region cell or handle inside it and
+    LeafTooDeep on one too deep to copy."""
+    copies, charge = [], 0
+    for v in payloads:
+        if type(v) in _ONE_WORD:
+            charge += WORD
+        else:
+            if not isinstance(v, _SCALARS):
+                try:
+                    v = copy.deepcopy(v)
+                except RecursionError:
+                    raise LeafTooDeep("a leaf payload is nested too deep to copy") from None
+            charge += _nominal_size(v)
+        copies.append(v)
+    return copies, charge
+
+
 # -- public operations -------------------------------------------------------
 
 
@@ -278,9 +301,12 @@ def region_new(*, registry: ShapeRegistry | None = None) -> Region:
 
 
 def alloc_hollow(
-    region: Region, ctor: CtorDescriptor, into=None, index: int = 0
+    region: Region, ctor: CtorDescriptor, into=None, index: int = 0, leaves=()
 ):
-    """Allocate a cell for ``ctor`` with every field left as a hole.
+    """Allocate a cell for ``ctor`` with every field left as a hole, but its
+    leaf fields when ``leaves`` are given: one value per position of
+    ``ctor.leaves`` (else TypeError), each kept, copied, refused and charged
+    as ``write_field`` does a ``Leaf``'s payload.
 
     With ``into``, the new cell is also written into hole ``index`` of
     ``into``: a raw cell, a receiver, or a host object that a fill of this
@@ -294,30 +320,44 @@ def alloc_hollow(
     if into is None:
         region._require_alive()
         region.registry.resolve(ctor)
-        cell = region._new_cell(ctor)
     else:
         key = _hole(region, into, index)
         names = region.registry.resolve(ctor)
         raw = type(into) is CellRef
-        if not ctor.arity:
-            cell, value = None, ctor.make()
-            region.stats.bytes_allocated += WORD
-        elif names is None or raw and into.ctor is not _INDIRECTION:
-            if not raw:
-                raise TypeError(f"a {type(into).__name__} cannot hold a region cell")
-            cell = value = region._new_cell(ctor)
-        else:
-            cell = value = object.__new__(ctor.make)
-            for n in names:
-                object.__setattr__(cell, n, region.hole)
-            region.stats.bytes_allocated += WORD * (1 + ctor.arity)
-            region.outstanding_holes += ctor.arity
+        if names is None and not raw:
+            raise TypeError(f"a {type(into).__name__} cannot hold a region cell")
+    if leaves:
+        if len(leaves) != len(ctor.leaves):
+            raise TypeError(f"{ctor.name} takes {len(ctor.leaves)} leaves, got {len(leaves)}")
+        leaves, charge = _leaf_copies(leaves)
+    stats = region.stats
+    if into is not None and not ctor.arity:
+        cell, value = None, ctor.make()
+        stats.bytes_allocated += WORD
+    elif into is None or names is None or raw and into.ctor is not _INDIRECTION:
+        cell = value = region._new_cell(ctor)
+        for i, v in zip(ctor.leaves, leaves):
+            cell.slots[i] = v
+    else:
+        cell = value = object.__new__(ctor.make)
+        put, hole = region.registry.setters[ctor.make], region.hole
+        for i, _ in ctor.kids if leaves else ctor.places:
+            put(cell, names[i], hole)
+        for i, v in zip(ctor.leaves, leaves):
+            put(cell, names[i], v)
+        stats.bytes_allocated += WORD * (1 + ctor.arity)
+        region.outstanding_holes += ctor.arity
+    if leaves:
+        region.outstanding_holes -= len(leaves)
+        stats.bytes_allocated += charge
+        stats.leaf_copies += len(leaves)
+    if into is not None:
         if raw:
             into.slots[key] = value
         else:
-            object.__setattr__(into, key, value)
+            region.registry.setters[type(into)](into, key, value)
         region.outstanding_holes -= 1
-    region.stats.cells_allocated += 1
+    stats.cells_allocated += 1
     return cell
 
 
@@ -363,13 +403,8 @@ def write_field(region: Region, cell, index: int, value) -> None:
     receiver, or a raw cell into a host object."""
     key = _hole(region, cell, index)
     if isinstance(value, Leaf):
-        value = value.payload
-        if not isinstance(value, _SCALARS):
-            try:
-                value = copy.deepcopy(value)
-            except RecursionError:
-                raise LeafTooDeep("a leaf payload is nested too deep to copy") from None
-        region.stats.bytes_allocated += _nominal_size(value)
+        (value,), charge = _leaf_copies((value.payload,))
+        region.stats.bytes_allocated += charge
         region.stats.leaf_copies += 1
     elif type(value) is CellRef:
         if value.ctor is _INDIRECTION and type(value.slots[0]) is Hole:
@@ -385,11 +420,30 @@ def write_field(region: Region, cell, index: int, value) -> None:
     if type(cell) is CellRef:
         cell.slots[key] = value
     else:
-        object.__setattr__(cell, key, value)
+        region.registry.setters[type(cell)](cell, key, value)
     region.outstanding_holes -= 1
 
 
 _ON_PATH = object()  # value of a cell while its children are decoded
+
+
+def _scan_hosts(region: Region, values) -> None:
+    """Raise IncompleteRead if a host object among ``values``, or reached
+    from one through the fields of host objects, holds ``region.hole``."""
+    host_fields = region.registry.host_fields
+    seen: set[int] = set()
+    stack = list(values)
+    while stack:
+        v = stack.pop()
+        names = host_fields.get(type(v))
+        if names is None or id(v) in seen:
+            continue
+        seen.add(id(v))
+        for n in names:
+            x = getattr(v, n)
+            if x is region.hole:
+                raise IncompleteRead(f"hole at field {n!r} of a {type(v).__name__}")
+            stack.append(x)
 
 
 def read_value(region: Region, root: CellRef):
@@ -401,17 +455,22 @@ def read_value(region: Region, root: CellRef):
     itself, whichever it meets first. A cell reached twice decodes to one
     object; any other slot content is the finished value and is returned as
     stored, not re-copied. Work and memory are proportional to the value
-    read, not to the region.
+    read, not to the region. While the region has outstanding holes, the
+    host objects returned or met in a slot are also scanned for one
+    (IncompleteRead); with none outstanding, no hole can be reached.
     """
     if not isinstance(root, CellRef):
         raise TypeError(f"read_value expects a CellRef, got {type(root).__name__}")
     if root.region_id != region.region_id:
         raise region._foreign(root, "cell")
+    hosts = [] if region.outstanding_holes else None  # what to scan for a hole
     if root.ctor is _INDIRECTION:
         content = root.slots[0]
         if content is region.hole:
             raise IncompleteRead(f"hole at field 0 of receiver cell {root.handle}")
         if type(content) is not CellRef:
+            if hosts is not None:
+                _scan_hosts(region, (content,))
             return content
         root = content
     values: dict = {}  # by handle: _ON_PATH, then the decoded value
@@ -433,6 +492,8 @@ def read_value(region: Region, root: CellRef):
                     stack.append(slot)
                 elif slot is region.hole:
                     stack.append((cell, idx))
+                elif hosts is not None:
+                    hosts.append(slot)
             if len(stack) > base:
                 values[cell.handle] = _ON_PATH
                 stack.insert(base, (cell, None))
@@ -446,6 +507,8 @@ def read_value(region: Region, root: CellRef):
         values[cell.handle] = cell.ctor.make(
             *[values[s.handle] if type(s) is CellRef else s for s in cell.slots]
         )
+    if hosts:
+        _scan_hosts(region, hosts)
     return values[root.handle]
 
 

@@ -304,14 +304,10 @@ def _parse_sexpr_dps(bs: bytes, i: int, d):
             leaf = _scan_leaf(bs, i)
             if isinstance(leaf, ParseError):
                 # The error path must still consume d; plug a sentinel.
-                d_end, d_text = fill(d, SEXPR_SSYMBOL)
-                fill_leaf(i, d_end)
-                fill_leaf(b"", d_text)
+                fill(d, SEXPR_SSYMBOL, i, b"")
                 return _close_lists(opened, tails, leaf)
             leaf_ctor, end, payload = leaf
-            d_end, d_payload = fill(d, leaf_ctor)
-            fill_leaf(end, d_end)
-            fill_leaf(payload, d_payload)
+            fill(d, leaf_ctor, end, payload)
             if not opened:
                 return end
             i = end + 1

@@ -31,7 +31,11 @@ qualifies when
   reaches a tainted type through its ``Recursive`` fields.
 
 So a host object never holds a region cell, and its release decodes
-nothing.
+nothing. ``__init__`` never runs on such an object: its fields are written
+with the setter registration records for its class in ``setters``, the
+builtin ``setattr`` when the class keeps ``object.__setattr__``, else
+``object.__setattr__`` itself, past a frozen dataclass's refusal and any
+``__setattr__`` of its own.
 """
 
 from __future__ import annotations
@@ -62,18 +66,29 @@ FieldKind = Recursive | LeafType
 
 @dataclass(frozen=True, eq=False)
 class CtorDescriptor:
-    """One constructor of an algebraic type; its ``arity`` is ``len(fields)``
-    and its tag is its index in its shape."""
+    """One constructor of an algebraic type; its tag is its index in its
+    shape. Derived from ``fields``: ``arity``, their number; ``places``, the
+    ``(position, kind)`` pair of each; ``kids``, those of its ``Recursive``
+    fields; and ``leaves``, the positions of the rest, its leaf fields."""
 
     type_id: str
     name: str
     fields: tuple[FieldKind, ...]
     make: Callable[..., Any] = field(default=None, repr=False)
     arity: int = field(init=False)
+    places: tuple[tuple[int, FieldKind], ...] = field(init=False, repr=False)
+    kids: tuple[tuple[int, Recursive], ...] = field(init=False, repr=False)
+    leaves: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        places = tuple(enumerate(self.fields))
         object.__setattr__(self, "fields", tuple(self.fields))
-        object.__setattr__(self, "arity", len(self.fields))
+        object.__setattr__(self, "arity", len(places))
+        object.__setattr__(self, "places", places)
+        object.__setattr__(self, "kids", tuple(p for p in places if isinstance(p[1], Recursive)))
+        object.__setattr__(
+            self, "leaves", tuple(i for i, k in places if not isinstance(k, Recursive))
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +128,7 @@ def _host_fields(c: CtorDescriptor) -> tuple[str, ...] | None:
 
 def _kid_types(c: CtorDescriptor) -> set[str]:
     """The type ids of the Recursive fields of ``c``."""
-    return {fk.type_id for fk in c.fields if isinstance(fk, Recursive)}
+    return {k.type_id for _, k in c.kids}
 
 
 class ShapeRegistry:
@@ -127,8 +142,10 @@ class ShapeRegistry:
         self._shapes: dict[str, TypeShape] = {}
         # Per registered descriptor: what resolve returns for it.
         self._layouts: dict[CtorDescriptor, tuple[str, ...] | None] = {}
-        # The field names of every class a fill builds in place.
+        # The field names of every class a fill builds in place, and the
+        # setter its fields are written with.
         self.host_fields: dict[type, tuple[str, ...]] = {}
+        self.setters: dict[type, Callable[[Any, str, Any], None]] = {}
 
     def register(self, *shapes: TypeShape) -> None:
         """Register one or more shapes atomically.
@@ -176,6 +193,8 @@ class ShapeRegistry:
                 self._layouts[c] = names
                 if names:
                     self.host_fields[c.make] = names
+                    plain = c.make.__setattr__ is object.__setattr__
+                    self.setters[c.make] = setattr if plain else object.__setattr__
 
     def shape(self, type_id: str) -> TypeShape:
         try:

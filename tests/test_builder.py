@@ -1,7 +1,9 @@
 """Builder API: tokens, incompletes, destinations, and the consume-once rules."""
 
 import random
+from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Any
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ import destpass.region
 from destpass import (
     CyclicStructure,
     DestinationInLeaf,
+    DoubleFill,
+    IncompleteRead,
     LeafTooDeep,
     LinearityLeak,
     RegionClosed,
@@ -27,15 +31,32 @@ from destpass import (
     from_incomplete_,
     into_incomplete,
     map_b,
+    read_value,
     region_stats,
     token_consume,
     token_dup2,
     with_region,
 )
 from destpass.bfs import TREE_NIL, TREE_NODE, Node
-from destpass.region import WORD, Hole, Leaf, alloc_hollow, region_new, write_field
-from destpass.shapes import CtorDescriptor, LeafType, Recursive, ShapeRegistry, TypeShape
+from destpass.builder import Token
+from destpass.region import WORD, CellRef, Hole, Leaf, alloc_hollow, region_new, write_field
+from destpass.shapes import (
+    DEFAULT_REGISTRY,
+    CtorDescriptor,
+    LeafType,
+    Recursive,
+    ShapeRegistry,
+    TypeShape,
+)
 from destpass.dlist import LIST_CONS, LIST_NIL, NIL, Cons, from_pylist
+from destpass.sexpr import (
+    SEXPR_LIST_CONS,
+    SEXPR_LIST_NIL,
+    SEXPR_SINTEGER,
+    SEXPR_SLIST,
+    SInteger,
+    SList,
+)
 
 from support import (
     CASE_TYPES,
@@ -1145,3 +1166,201 @@ def test_each_nullary_occurrence_decodes_by_its_own_make():
 
     (a,), (b,) = with_region(body, registry=_WIDE_REGISTRY)
     assert a == b == [] and a is not b
+
+
+# -- fill with leaf values -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("one too many", TypeError),
+        ("one too few", TypeError),
+        ("nullary", TypeError),
+        ("live dest", DestinationInLeaf),
+        ("too deep", LeafTooDeep),
+        ("closed", RegionClosed),
+        ("filled", DoubleFill),
+    ],
+)
+def test_a_refused_fill_with_leaves_changes_nothing(case, error):
+    """On a closed region RegionClosed comes before the bad leaf is copied."""
+    region = region_new()
+    t1, t2 = token_dup2(Token(region))
+    i, j = alloc(t1), alloc(t2)
+    d, e = i.payload, j.payload
+    ctor, leaves = LIST_CONS, (1,)
+    if case == "one too many":
+        leaves = (1, 2)
+    elif case == "one too few":
+        ctor = SEXPR_SINTEGER
+    elif case == "nullary":
+        ctor = LIST_NIL
+    elif case == "live dest":
+        leaves = ([e],)
+    elif case == "too deep":
+        leaves = (too_deep_leaf("nested list"),)
+    elif case == "closed":
+        region._close()
+        leaves = ([e],)
+    else:
+        write_field(region, d.cell, d.index, Leaf(0))
+    where = (d.cell, d.index, d.kind, d.cell.slots[0])
+    _refused(lambda: fill(d, ctor, *leaves), [region], [i, j, d, e], error)
+    assert d.alive and (d.cell, d.index, d.kind, d.cell.slots[0]) == where
+
+
+def _build_list(xs, with_leaves, registry=None, cons=LIST_CONS, nil=LIST_NIL):
+    """The released list of ``xs``, built one cons per fill, and its stats."""
+
+    def body(t):
+        def f(d):
+            for x in xs:
+                if with_leaves:
+                    d = fill(d, cons, x)
+                else:
+                    dh, d = fill(d, cons)
+                    fill_leaf(x, dh)
+            fill(d, nil)
+
+        return from_incomplete_(map_b(alloc(t), f)), region_stats(t.region)
+
+    return with_region(body, registry=registry)
+
+
+@pytest.mark.parametrize(
+    "xs", [list(range(50)), [1, "two", b"three", 4.0, None, True, (5, [6]), {"k": "v"}]]
+)
+def test_a_fill_with_leaves_builds_and_charges_as_fill_leaf_does(xs):
+    built, by_leaves = _build_list(xs, with_leaves=True)
+    same, by_fill_leaf = _build_list(xs, with_leaves=False)
+    assert list(built) == list(same) == xs
+    assert by_leaves == by_fill_leaf
+
+
+def test_a_leaf_of_a_fill_is_a_copy():
+    source = [1, [2]]
+
+    def body(t):
+        def f(d):
+            fill(fill(d, LIST_CONS, source), LIST_NIL)
+            source[1].append(3)
+
+        return from_incomplete_(map_b(alloc(t), f))
+
+    assert with_region(body).head == [1, [2]]
+
+
+_LAMBDA_REGISTRY = ShapeRegistry()
+_LAMBDA_NIL = CtorDescriptor("lp", "nil", (), lambda: None)
+_LAMBDA_PAIR = CtorDescriptor(
+    "lp", "pair", (LeafType("int"), Recursive("lp")), lambda a, b: (a, b)
+)
+_LAMBDA_REGISTRY.register(TypeShape("lp", (_LAMBDA_NIL, _LAMBDA_PAIR)))
+
+
+def test_a_fill_with_leaves_writes_a_raw_cell():
+    """A constructor whose make is a lambda is built as a raw cell."""
+
+    def body(t):
+        def f(d):
+            tail = fill(d, _LAMBDA_PAIR, 1)
+            assert type(tail.cell) is CellRef and tail.cell.slots[0] == 1
+            fill(fill(tail, _LAMBDA_PAIR, [2]), _LAMBDA_NIL)
+
+        return from_incomplete_(map_b(alloc(t), f)), region_stats(t.region)
+
+    built, stats = with_region(body, registry=_LAMBDA_REGISTRY)
+    assert built == (1, ([2], None))
+    xs = [1, [2]]
+    assert _build_list(xs, False, _LAMBDA_REGISTRY, _LAMBDA_PAIR, _LAMBDA_NIL)[1] == stats
+
+
+def test_a_fill_with_leaves_builds_frozen_dataclasses_in_place():
+    """A frozen SList takes its leaf and the link to its children."""
+    assert DEFAULT_REGISTRY.setters[SList] is object.__setattr__
+    assert DEFAULT_REGISTRY.setters[Cons] is setattr
+
+    def body(t):
+        i = alloc(t)
+        d_children = fill(i.payload, SEXPR_SLIST, 9)
+        d_head, d_tail = fill(d_children, SEXPR_LIST_CONS)
+        assert fill(d_head, SEXPR_SINTEGER, 3, 42) is None
+        fill(d_tail, SEXPR_LIST_NIL)
+        return from_incomplete(i)[0]
+
+    built = with_region(body)
+    assert type(built) is SList and built == SList(9, Cons(SInteger(3, 42), NIL))
+
+
+@dataclass
+class _Guarded:
+    a: Any
+    b: Any
+
+    def __setattr__(self, name, value):
+        raise AssertionError("a fill ran __setattr__")
+
+
+def test_a_class_with_its_own_setattr_builds_in_place_without_running_it():
+    reg = ShapeRegistry()
+    nil = CtorDescriptor("g", "nil", (), lambda: None)
+    pair = CtorDescriptor("g", "pair", (LeafType("int"), Recursive("g")), _Guarded)
+    reg.register(TypeShape("g", (nil, pair)))
+    assert reg.resolve(pair) == ("a", "b") and reg.setters[_Guarded] is object.__setattr__
+
+    def body(t):
+        def f(d):
+            da, db = fill(fill(d, pair, 1), pair)  # written by leaf and by fill_leaf
+            fill_leaf(2, da)
+            fill(db, nil)
+
+        return from_incomplete_(map_b(alloc(t), f))
+
+    built = with_region(body, registry=reg)
+    assert type(built) is _Guarded and (built.a, built.b.a, built.b.b) == (1, 2, None)
+
+
+# -- a raw read meets no hole -----------------------------------------------------
+
+
+def test_a_raw_read_of_a_receiver_refuses_a_hollow_host_object():
+    def body(t):
+        i = alloc(t)
+        dh, dt = fill(i.payload, LIST_CONS)
+        with pytest.raises(IncompleteRead):
+            read_value(t.region, i.root)
+        fill_leaf(0, dh)
+        with pytest.raises(IncompleteRead):
+            read_value(t.region, i.root)
+        fill(dt, LIST_NIL)
+        assert list(read_value(t.region, i.root)) == [0]
+        return from_incomplete(i)[0]
+
+    assert list(with_region(body)) == [0]
+
+
+def test_a_raw_read_refuses_a_hollow_host_object_in_a_raw_slot():
+    def body(t):
+        region = t.region
+        i = alloc(t)
+        dh, dt = fill(i.payload, LIST_CONS)
+        raw = alloc_hollow(region, LIST_CONS)
+        write_field(region, raw, 0, Leaf(0))
+        write_field(region, raw, 1, i.root)
+        with pytest.raises(IncompleteRead):
+            read_value(region, raw)
+        fill_leaf(1, dh)
+        fill(dt, LIST_NIL)
+        assert list(read_value(region, raw)) == [0, 1]
+        return from_incomplete(i)[0]
+
+    assert list(with_region(body)) == [1]
+
+
+def test_a_read_with_no_outstanding_hole_scans_nothing(monkeypatch):
+    def scan(*args):
+        raise AssertionError("a read scanned host objects")
+
+    monkeypatch.setattr(destpass.region, "_scan_hosts", scan)
+    assert list(_build_list(range(20), with_leaves=True)[0]) == list(range(20))

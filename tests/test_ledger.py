@@ -292,27 +292,41 @@ class LedgerMachine(RuleBasedStateMachine):
             t.alive = False
             self._add_copy(i, value)
 
-    @rule(data=st.data())
-    def fill(self, data):
+    @rule(
+        data=st.data(),
+        given=st.sampled_from(("none", "none", "right", "right", "wrong", "handle")),
+    )
+    def fill(self, data, given):
+        """Half the time the fill takes leaf values: one per leaf field,
+        one too many, or one that is a handle."""
         d = self._pick(data, Dest, lambda m: not isinstance(m.kind, LeafType))
         fitting = [c for c in CTORS if c is not _UNREGISTERED and _fits(d.kind, c.type_id)]
         c = data.draw(st.sampled_from(fitting if fitting and data.draw(_MOSTLY) else CTORS))
+        leaves = [] if given == "none" else [7, (1, 2)][: len(c.leaves)]
+        if given == "wrong":
+            leaves.append(8)
+        elif given == "handle" and leaves:
+            leaves[-1] = [data.draw(st.sampled_from(self.handles)).obj]
         fails = (
             not d.alive
             or c is _UNREGISTERED
             or not _fits(d.kind, c.type_id)
             or not d.region.alive
+            or given in ("wrong", "handle") and bool(leaves)
         )
-        out = self._call(fails, lambda: fill(d.obj, c))
+        out = self._call(fails, lambda: fill(d.obj, c, *leaves))
         if fails:
             return
         d.alive = False
         holes = tuple(_Hole() for _ in c.fields)
         d.hole.fill = ("node", c, holes)
-        dests = () if c.arity == 0 else (out,) if c.arity == 1 else out
+        for i, value in zip(c.leaves, leaves):
+            holes[i].fill = ("leaf", value)
+        kids = c.kids if leaves else tuple(enumerate(c.fields))
+        dests = () if not kids else (out,) if len(kids) == 1 else out
         self.handles += [
-            _Model(x, lineage=d.lineage, hole=h, kind=k)
-            for x, h, k in zip(dests, holes, c.fields)
+            _Model(x, lineage=d.lineage, hole=holes[i], kind=k)
+            for x, (i, k) in zip(dests, kids)
         ]
 
     @rule(

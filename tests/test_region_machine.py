@@ -1,8 +1,8 @@
 """Stateful test of the raw region API over two regions.
 
-A hypothesis state machine allocates cells with and without ``into``,
-writes a ``Leaf`` or a cell into holes, reads values back and copies host
-values in with ``copy_value``, wrong calls included: a hole of the other
+A hypothesis state machine allocates cells with and without ``into`` and
+leaf values, writes a ``Leaf`` or a cell into holes, reads values back and
+copies host values in with ``copy_value``, wrong calls included: a hole of the other
 region, an index out of range, a written field, an unregistered
 constructor, a raw cell into a host object, an empty receiver, a value
 that is neither a cell nor a ``Leaf``, a leaf that holds a cell or a hole, a
@@ -84,6 +84,24 @@ class _Fails(Exception):
     pass
 
 
+def _complete(node: _Node):
+    """The object of host ``node``, or _Fails where a hole is reachable
+    from it: a read scans host objects while its region has holes."""
+    seen: set[int] = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        for f in n.fields:
+            if f is None:
+                raise _Fails
+            if f[0] == "node":
+                stack.append(f[1])
+    return node.obj
+
+
 def _decode(node: _Node):
     """What read_value returns for raw ``node``, or _Fails where it raises."""
     if node.receiver:
@@ -91,7 +109,7 @@ def _decode(node: _Node):
         if content is None:
             raise _Fails
         if content[0] == "value" or not content[1].raw:
-            return content[1].obj if content[0] == "node" else content[1]
+            return _complete(content[1]) if content[0] == "node" else content[1]
         node = content[1]
     on_path: set[int] = set()
 
@@ -104,7 +122,7 @@ def _decode(node: _Node):
             if f is None:
                 raise _Fails
             kind, x = f
-            parts.append(x if kind == "value" else walk(x) if x.raw else x.obj)
+            parts.append(x if kind == "value" else walk(x) if x.raw else _complete(x))
         on_path.discard(id(n))
         return n.obj.ctor.make(*parts)
 
@@ -164,8 +182,28 @@ class RegionMachine(RuleBasedStateMachine):
 
     # -- rules ---------------------------------------------------------------
 
-    @rule(data=st.data(), r=st.integers(0, 1), c=st.sampled_from(CTORS), into=st.booleans())
-    def alloc(self, data, r, c, into):
+    def _new(self, cell, r: int, c, leaves) -> _Node:
+        """The model of a new cell, whose leaf fields hold ``leaves``."""
+        new = _Node(cell, r, c.arity)
+        for i, _ in zip(c.leaves, leaves):
+            new.fields[i] = ("value", self._stored(new, i))
+        self.nodes.append(new)
+        counts = self.counts[r]
+        counts[0] += c.arity - len(leaves)
+        counts[1] += 1
+        counts[2] += len(leaves)
+        return new
+
+    @rule(
+        data=st.data(),
+        r=st.integers(0, 1),
+        c=st.sampled_from(CTORS),
+        into=st.booleans(),
+        given=st.sampled_from(("none", "none", "right", "one too many")),
+    )
+    def alloc(self, data, r, c, into, given):
+        """Half the time the cell takes leaf values: one per leaf field, or
+        one too many."""
         region, counts = self.regions[r], self.counts[r]
         if c == "receiver":
             cell = region._alloc_receiver()
@@ -173,28 +211,26 @@ class RegionMachine(RuleBasedStateMachine):
             counts[0] += 1
             counts[3] += 1
             return
-        bad = c is _UNREGISTERED
+        leaves = [] if given == "none" else [7] * len(c.leaves)
+        bad = c is _UNREGISTERED or given == "one too many"
+        leaves += [8] if given == "one too many" else []
         if not into:
-            cell = self._call(bad, lambda: alloc_hollow(region, c))
+            cell = self._call(bad, lambda: alloc_hollow(region, c, None, 0, leaves))
             if not bad:
-                self.nodes.append(_Node(cell, r, c.arity))
-                counts[0] += c.arity
-                counts[1] += 1
+                self._new(cell, r, c, leaves)
             return
         node, obj, index = self._target(data)
         fails = bad or not self._open(node, r, index)
         # A host object's field takes no raw cell.
         fails = fails or c.arity and REGISTRY.resolve(c) is None and not node.raw
-        cell = self._call(fails, lambda: alloc_hollow(region, c, obj, index))
+        cell = self._call(fails, lambda: alloc_hollow(region, c, obj, index, leaves))
         if fails:
             return
-        counts[0] += c.arity - 1
-        counts[1] += 1
+        counts[0] -= 1
         if c.arity:
-            new = _Node(cell, r, c.arity)
-            self.nodes.append(new)
-            node.fields[index] = ("node", new)
+            node.fields[index] = ("node", self._new(cell, r, c, leaves))
         else:
+            counts[1] += 1
             node.fields[index] = ("value", self._stored(node, index))
 
     @rule(
