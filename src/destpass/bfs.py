@@ -27,19 +27,11 @@ class Node:
     right: "Node | None" = None
 
 
-def _classify_tree(value):
-    if value is None:
-        return 0, ()
-    if isinstance(value, Node):
-        return 1, (value.value, value.left, value.right)
-    raise TypeError(f"not a tree: {type(value).__name__}")
-
-
 TREE_NIL = CtorDescriptor("tree", "nil", (), lambda: None)
 TREE_NODE = CtorDescriptor(
     "tree", "node", (LeafType("value"), Recursive("tree"), Recursive("tree")), Node
 )
-TREE_SHAPE = TypeShape("tree", (TREE_NIL, TREE_NODE), _classify_tree)
+TREE_SHAPE = TypeShape("tree", (TREE_NIL, TREE_NODE))
 DEFAULT_REGISTRY.register(TREE_SHAPE)
 
 

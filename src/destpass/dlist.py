@@ -93,17 +93,9 @@ def to_pylist(lst: Nil | Cons) -> list:
     return list(lst)
 
 
-def _classify_list(value):
-    if isinstance(value, Nil):
-        return 0, ()
-    if isinstance(value, Cons):
-        return 1, (value.head, value.tail)
-    raise TypeError(f"not a linked list: {type(value).__name__}")
-
-
 LIST_NIL = CtorDescriptor("list", "nil", (), lambda: NIL)
 LIST_CONS = CtorDescriptor("list", "cons", (LeafType("value"), Recursive("list")), Cons)
-LIST_SHAPE = TypeShape("list", (LIST_NIL, LIST_CONS), _classify_list)
+LIST_SHAPE = TypeShape("list", (LIST_NIL, LIST_CONS))
 DEFAULT_REGISTRY.register(LIST_SHAPE)
 
 

@@ -248,8 +248,6 @@ def _nominal_size(value) -> int:
     """
     if isinstance(value, (str, bytes)):
         return WORD + _round_word(len(value))
-    if isinstance(value, (int, float, type(None))):
-        return WORD
     total = 0
     seen: set[int] = set()
     stack = [value]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .builder import alloc, fill, fill_leaf, from_incomplete, map_b, with_region
-from .dlist import NIL, Cons, _classify_list, to_pylist
+from .dlist import NIL, Cons, to_pylist
 from .region import region_stats
 from .shapes import DEFAULT_REGISTRY, CtorDescriptor, LeafType, Recursive, TypeShape
 
@@ -94,18 +94,6 @@ class InvalidAtom(ParseError):
 # -- region shapes (mutually recursive, registered as one batch) ---------------
 
 
-def _classify_sexpr(value):
-    if isinstance(value, SList):
-        return 0, (value.end_pos, value.children)
-    if isinstance(value, SInteger):
-        return 1, (value.end_pos, value.value)
-    if isinstance(value, SString):
-        return 2, (value.end_pos, value.text)
-    if isinstance(value, SSymbol):
-        return 3, (value.end_pos, value.text)
-    raise TypeError(f"not an s-expression: {type(value).__name__}")
-
-
 SEXPR_SLIST = CtorDescriptor(
     "sexpr", "SList", (LeafType("int"), Recursive("sexpr_list")), SList
 )
@@ -118,19 +106,13 @@ SEXPR_SSTRING = CtorDescriptor(
 SEXPR_SSYMBOL = CtorDescriptor(
     "sexpr", "SSymbol", (LeafType("int"), LeafType("bytes")), SSymbol
 )
-SEXPR_SHAPE = TypeShape(
-    "sexpr",
-    (SEXPR_SLIST, SEXPR_SINTEGER, SEXPR_SSTRING, SEXPR_SSYMBOL),
-    _classify_sexpr,
-)
+SEXPR_SHAPE = TypeShape("sexpr", (SEXPR_SLIST, SEXPR_SINTEGER, SEXPR_SSTRING, SEXPR_SSYMBOL))
 
 SEXPR_LIST_NIL = CtorDescriptor("sexpr_list", "nil", (), lambda: NIL)
 SEXPR_LIST_CONS = CtorDescriptor(
     "sexpr_list", "cons", (Recursive("sexpr"), Recursive("sexpr_list")), Cons
 )
-SEXPR_LIST_SHAPE = TypeShape(
-    "sexpr_list", (SEXPR_LIST_NIL, SEXPR_LIST_CONS), _classify_list
-)
+SEXPR_LIST_SHAPE = TypeShape("sexpr_list", (SEXPR_LIST_NIL, SEXPR_LIST_CONS))
 
 DEFAULT_REGISTRY.register(SEXPR_SHAPE, SEXPR_LIST_SHAPE)
 

@@ -10,12 +10,15 @@ A shape is registered once, as an object, with
 registry is read-only afterwards.
 
 Because the host language carries no static type information at run time,
-each shape also carries two callables used at the region boundary:
-``make`` (per constructor) applies the constructor bottom-up when a region
-value is decoded back into a host value, and ``classify`` (per type) is its
-inverse, splitting a host value into (tag, field values), where the tag is
-the index of its constructor in ``ctors``, when a complete value is copied
-into a region.
+each constructor carries ``make``, which applies it bottom-up when a region
+value is decoded into a host value. Its inverse is derived:
+``TypeShape.classify`` splits a complete host value into ``(tag, field
+values)`` when it is copied into a region, as a ``match`` statement with one
+case per constructor, in tag order, would. A nullary constructor matches a
+value equal to its ``make()``; any other, an instance of its ``make`` class,
+whose fields it reads in ``make.__match_args__`` order, as every dataclass
+lists them. A constructor whose ``make`` is not a class with
+``__match_args__`` of its arity raises TypeError once a classify reaches it.
 
 Registration also decides, once per constructor, whether a fill builds it
 as its final host object in place (``ShapeRegistry.resolve`` returns its
@@ -23,8 +26,10 @@ field names) or as a region cell (``resolve`` returns None). A constructor
 qualifies when
 
 * it is nullary (its fill stores ``make()``), or its ``make`` is a
-  dataclass whose generated ``__init__`` only assigns fields: no
-  ``__post_init__``, no ``__new__`` of its own, and exactly one ``init``
+  dataclass whose call only runs the ``__init__`` that ``@dataclass``
+  generated for it, which only assigns fields: not one written in its
+  body or inherited from a base, no ``__post_init__``, no ``__new__`` but
+  ``object.__new__``, no metaclass ``__call__``, and exactly one ``init``
   field per declared field, in order; and
 * none of its ``Recursive`` fields is of a tainted type. A type is tainted
   when one of its constructors is not of that first kind, or when it
@@ -97,7 +102,6 @@ class TypeShape:
 
     type_id: str
     ctors: tuple[CtorDescriptor, ...]
-    classify: Callable[[Any], tuple[int, tuple]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.ctors:
@@ -109,6 +113,24 @@ class TypeShape:
                     f"shape {self.type_id!r}"
                 )
 
+    def classify(self, value) -> tuple[int, tuple]:
+        """``(tag, fields)`` of ``value``, matched as the module docstring
+        says; TypeError when no constructor matches it."""
+        for tag, c in enumerate(self.ctors):
+            if not c.arity:
+                if value == c.make():
+                    return tag, ()
+                continue
+            names = getattr(c.make, "__match_args__", ()) if isinstance(c.make, type) else ()
+            if len(names) != c.arity:
+                raise TypeError(
+                    f"{self.type_id}.{c.name}: make is not a class whose "
+                    f"__match_args__ names its {c.arity} fields"
+                )
+            if isinstance(value, c.make):
+                return tag, tuple(getattr(value, n) for n in names)
+        raise TypeError(f"not a {self.type_id}: {type(value).__name__}")
+
 
 def _host_fields(c: CtorDescriptor) -> tuple[str, ...] | None:
     """The fields a fill of ``c`` presets on ``object.__new__(c.make)``, or
@@ -118,7 +140,14 @@ def _host_fields(c: CtorDescriptor) -> tuple[str, ...] | None:
     make = c.make
     if not (isinstance(make, type) and dataclasses.is_dataclass(make)):
         return None
-    if hasattr(make, "__post_init__") or make.__new__ is not object.__new__:
+    # @dataclass compiles the __init__ it generates from a string.
+    init = getattr(vars(make).get("__init__"), "__code__", None)
+    if (
+        getattr(init, "co_filename", None) != "<string>"
+        or hasattr(make, "__post_init__")
+        or make.__new__ is not object.__new__
+        or type(make).__call__ is not type.__call__
+    ):
         return None
     fs = dataclasses.fields(make)
     if len(fs) != c.arity or not all(f.init for f in fs):

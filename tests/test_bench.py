@@ -11,6 +11,7 @@ from destpass.bench import (
     run_case,
     run_series,
 )
+from destpass.dlist import NIL
 from destpass.errors import OracleMismatch
 
 
@@ -85,6 +86,21 @@ def test_oracle_mismatch_aborts(monkeypatch):
     )
     with pytest.raises(OracleMismatch):
         run_case(quick("dlist", "naive", 6))
+
+
+@pytest.mark.parametrize(
+    "case, name, wrong, message",
+    [
+        ("bfs", "relabel_two_pass", lambda tree: None, "shape changed"),
+        ("bfs", "relabel_two_pass", lambda tree: tree, "labels are not 1..n"),
+        ("sexpr", "parse_naive", lambda data: bench._sexpr.SList(0, NIL), "parsers disagree"),
+    ],
+)
+def test_a_wrong_baseline_fails_its_oracle(monkeypatch, case, name, wrong, message):
+    module = bench._bfs if case == "bfs" else bench._sexpr
+    monkeypatch.setattr(module, name, wrong)
+    with pytest.raises(OracleMismatch, match=message):
+        run_case(quick(case, "naive", 10))
 
 
 def test_run_series_interleaves_sizes():

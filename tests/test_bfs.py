@@ -56,6 +56,13 @@ def test_two_level_tree_with_uneven_depth():
 
 def test_relabel_empty():
     assert relabel_dps(None) is None
+    assert relabel_two_pass(None) is None
+
+
+def test_same_shape_tells_trees_apart():
+    assert not same_shape(None, Node(0))
+    assert not same_shape(Node(0, Node(1)), Node(0, None, Node(1)))
+    assert same_shape(Node(0, Node(1)), Node(2, Node(3)))
 
 
 def test_relabel_complete_depth_3():

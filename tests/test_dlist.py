@@ -189,6 +189,7 @@ def test_linked_list_helpers():
     xs = from_pylist([1, 2, 3])
     assert to_pylist(xs) == [1, 2, 3]
     assert xs == Cons(1, Cons(2, Cons(3, NIL)))
+    assert xs != from_pylist([1, 5, 3]) and xs != from_pylist([1, 2])
     assert from_pylist([]) == NIL
 
 

@@ -279,6 +279,11 @@ def test_deep_nesting_parses_without_recursion(depth):
     assert structurally_equal(a, b)
 
 
+def test_trees_differing_in_one_element_are_unequal():
+    assert parse_naive(b"(a (b c))") != parse_dps(b"(a (b d))")
+    assert parse_naive(b"(a (b c))") == parse_dps(b"(a (b c))")
+
+
 def _agree(data):
     """Both parsers return a value or a ParseError, and the same one."""
     a, b = parse_naive(data), parse_dps(data)

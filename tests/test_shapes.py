@@ -1,9 +1,12 @@
 """Shape registration and constructor metadata."""
 
+import random
 from dataclasses import dataclass, field
 from typing import Any
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from destpass import (
     CtorDescriptor,
@@ -18,13 +21,17 @@ from destpass import (
     fill_comp,
     fill_leaf,
     from_incomplete_,
+    into_incomplete,
     map_b,
+    token_consume,
     token_dup2,
     with_region,
 )
 from destpass.shapes import DEFAULT_REGISTRY
 from destpass.bfs import TREE_NODE, TREE_SHAPE
-from destpass.dlist import LIST_CONS, LIST_NIL, LIST_SHAPE
+from destpass.dlist import LIST_CONS, LIST_NIL, LIST_SHAPE, Cons
+
+from support import CASE_TYPES, ledger_state, random_value
 
 
 def test_reregistering_identical_shape_is_idempotent():
@@ -35,7 +42,7 @@ def test_reregistering_identical_shape_is_idempotent():
 def test_conflicting_shape_rejected():
     other_cons = CtorDescriptor("list", "cons", (LeafType("value"),), lambda h: h)
     other_nil = CtorDescriptor("list", "nil", (), lambda: None)
-    clash = TypeShape("list", (other_nil, other_cons), lambda v: (0, ()))
+    clash = TypeShape("list", (other_nil, other_cons))
     with pytest.raises(ShapeConflict):
         DEFAULT_REGISTRY.register(clash)
 
@@ -44,7 +51,6 @@ def test_an_equal_shape_of_new_descriptors_is_refused():
     twin = TypeShape(
         "list",
         tuple(CtorDescriptor(c.type_id, c.name, c.fields, c.make) for c in LIST_SHAPE.ctors),
-        LIST_SHAPE.classify,
     )
     with pytest.raises(ShapeConflict):
         DEFAULT_REGISTRY.register(twin)
@@ -69,7 +75,6 @@ def test_unresolvable_recursive_field_rejected():
     dangling = TypeShape(
         "box",
         (CtorDescriptor("box", "box", (Recursive("nowhere"),), lambda x: x),),
-        lambda v: (0, (v,)),
     )
     with pytest.raises(ShapeConflict):
         reg.register(dangling)
@@ -83,12 +88,10 @@ def test_mutually_recursive_batch_registration():
             CtorDescriptor("even", "zero", (), lambda: 0),
             CtorDescriptor("even", "succ", (Recursive("odd"),), lambda n: n + 1),
         ),
-        lambda v: (0, ()) if v == 0 else (1, (v - 1,)),
     )
     odd = TypeShape(
         "odd",
         (CtorDescriptor("odd", "succ", (Recursive("even"),), lambda n: n + 1),),
-        lambda v: (0, (v - 1,)),
     )
     reg.register(even, odd)
     assert reg.shape("even") and reg.shape("odd")
@@ -109,7 +112,6 @@ def test_self_recursion_resolves():
                 CtorDescriptor("nat", "z", (), lambda: 0),
                 CtorDescriptor("nat", "s", (Recursive("nat"),), lambda n: n + 1),
             ),
-            lambda v: (0, ()) if v == 0 else (1, (v - 1,)),
         )
     )
 
@@ -176,7 +178,6 @@ def _pair_shape(type_id, make, kid_type=None):
         type_id,
         (CtorDescriptor(type_id, "nil", (), lambda: None),
          CtorDescriptor(type_id, "pair", (LeafType("int"), kid), make)),
-        lambda v: (0, ()) if v is None else (1, (v.a, v.b)),
     )
 
 
@@ -244,3 +245,99 @@ def test_in_place_and_cell_built_values_plug_and_release_alike(type_id):
 
     value = with_region(body, registry=reg)
     assert value == pair.make(1, kid_pair.make(2, None))
+
+
+# A dataclass whose call does more than assign its fields: each adds 1 to ``a``.
+
+
+@dataclass
+class _OwnInit:
+    a: Any
+    b: Any
+
+    def __init__(self, a, b):
+        self.a, self.b = a + 1, b
+
+
+class _AddsOne:
+    def __init__(self, a, b):
+        self.a, self.b = a + 1, b
+
+
+@dataclass(init=False)
+class _InheritedInit(_AddsOne):
+    a: Any
+    b: Any
+
+
+class _AddsOneMeta(type):
+    def __call__(cls, a, b):
+        return super().__call__(a + 1, b)
+
+
+@dataclass
+class _MetaCalled(metaclass=_AddsOneMeta):
+    a: Any
+    b: Any
+
+
+@pytest.mark.parametrize("make", [_OwnInit, _InheritedInit, _MetaCalled])
+def test_a_dataclass_whose_call_does_more_than_assign_builds_as_cells(make):
+    reg = ShapeRegistry()
+    reg.register(_pair_shape("p", make))
+    nil, pair = reg.shape("p").ctors
+    assert reg.resolve(pair) is None and make not in reg.host_fields
+
+    def body(t):
+        return from_incomplete_(map_b(alloc(t), lambda d: fill(fill(d, pair, 1), nil)))
+
+    built = with_region(body, registry=reg)
+    assert type(built) is make and (built.a, built.b) == (2, None)
+
+
+# -- how a shape takes a value apart ---------------------------------------------
+
+
+@given(st.sampled_from(CASE_TYPES), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_classify_inverts_make_on_every_node(type_id, seed):
+    pending = [(random_value(type_id, random.Random(seed), 5), type_id)]
+    while pending:
+        node, tid = pending.pop()
+        shape = DEFAULT_REGISTRY.shape(tid)
+        tag, fields = shape.classify(node)
+        c = shape.ctors[tag]
+        assert c.make(*fields) == node
+        pending.extend((fields[i], kind.type_id) for i, kind in c.kids)
+
+
+def test_classify_refuses_a_value_no_constructor_matches():
+    assert LIST_SHAPE.classify(Cons(1, "x")) == (1, (1, "x"))
+    with pytest.raises(TypeError, match="not a list"):
+        LIST_SHAPE.classify("x")
+
+
+@pytest.mark.parametrize("make", [_Pair, _FrozenPair, _Checked])
+def test_into_incomplete_copies_a_value_of_dataclass_constructors(make):
+    """Built in place (_Pair, _FrozenPair) or as region cells (_Checked)."""
+    reg = ShapeRegistry()
+    reg.register(_pair_shape("p", make))
+    value = make(1, make(2, None))
+    copied = with_region(lambda t: from_incomplete_(into_incomplete(t, value, "p")), registry=reg)
+    assert copied == value and copied is not value
+
+
+def test_a_value_of_a_lambda_constructor_cannot_be_copied():
+    reg = ShapeRegistry()
+    reg.register(_pair_shape("lambda", lambda a, b: (a, b)))
+
+    def body(t):
+        t1, t2 = token_dup2(t)
+        before = ledger_state([t.region], [t1, t2])
+        with pytest.raises(TypeError, match=r"lambda\.pair"):
+            into_incomplete(t1, (1, None), "lambda")
+        assert t1.alive and ledger_state([t.region], [t1, t2]) == before
+        token_consume(t1)
+        return from_incomplete_(into_incomplete(t2, None, "lambda"))
+
+    assert with_region(body, registry=reg) is None
