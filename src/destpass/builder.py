@@ -185,7 +185,7 @@ def _collect_linear(value) -> set:
     stack = [value]
     while stack:
         v = stack.pop()
-        if isinstance(v, _SCALARS):
+        if type(v) in _SCALARS:
             continue
         if id(v) in seen:
             continue
@@ -478,8 +478,10 @@ def fill_comp(child: Incomplete, d: Dest):
     empty child is checked when its destination is filled. The child's
     remaining destinations re-home into d's lineage before this returns.
     """
-    _admit(child, Incomplete, "fill_comp")
-    _admit(d, Dest, "fill_comp")
+    if type(child) is not Incomplete or not child.alive or not child.region.alive:
+        _admit(child, Incomplete, "fill_comp")
+    if type(d) is not Dest or not d.alive or not d.region.alive:
+        _admit(d, Dest, "fill_comp")
     parent_root = d.lineage.find()
     child_root = child.lineage.find()
     if parent_root is child_root:

@@ -26,11 +26,12 @@ It stands for what it holds: ``write_field`` stores that value in its place.
 The builder's cells are host objects. Written into a receiver or into a host
 object, a constructor that the registry lets build in place (see ``shapes``)
 is allocated as its final host object: ``object.__new__`` of its ``make``,
-its ``__init__`` never run, with every field preset to ``region.hole`` (or
-to its leaf value, when the allocation is given them). Every field of a
-host object, these presets and the link into its parent's field included,
-is written with the one setter the registry records for its class: the
-builtin ``setattr``, or ``object.__setattr__`` for a class with a
+its ``__init__`` never run, with every field set to ``region.hole`` or to
+its leaf value. One allocator per such constructor, generated from source
+when its shape registers, does this in straight-line code; any call it does
+not cover goes to the generic checks. Every field of a host object is
+written as the registry records for its class: by the builtin ``setattr``
+(a plain attribute store), or by ``object.__setattr__`` for a class with a
 ``__setattr__`` of its own, such as a frozen dataclass. Such a cell is
 charged exactly as a raw cell and has no handle; ``_hole`` checks its fields
 as it checks a raw cell's.
@@ -91,7 +92,7 @@ Hole = type("Hole", (_NotALeaf,), {"__repr__": lambda self: "HOLE", "__slots__":
 # where the receiver is written. Never registered.
 _INDIRECTION = CtorDescriptor("_indirection", "_ind", (LeafType("any"),))
 
-_SCALARS = (int, float, bool, str, bytes, type(None))
+_SCALARS = frozenset({int, float, bool, str, bytes, type(None)})  # kept as given, by exact type
 _ONE_WORD = frozenset({int, float, bool, type(None)})  # scalars _nominal_size charges WORD
 
 
@@ -272,15 +273,15 @@ def _nominal_size(value) -> int:
 
 def _leaf_copies(payloads) -> tuple[list, int]:
     """What leaf fields hold for ``payloads``, and the bytes they are charged:
-    a scalar as given, anything else deep-copied, which raises
-    DestinationInLeaf on a hole, region cell or handle inside it and
-    LeafTooDeep on one too deep to copy."""
+    a scalar as given, anything else, a scalar's subclass too, deep-copied,
+    which raises DestinationInLeaf on a hole, region cell or handle inside
+    it and LeafTooDeep on one too deep to copy."""
     copies, charge = [], 0
     for v in payloads:
         if type(v) in _ONE_WORD:
             charge += WORD
         else:
-            if not isinstance(v, _SCALARS):
+            if type(v) not in _SCALARS:
                 try:
                     v = copy.deepcopy(v)
                 except RecursionError:
@@ -314,49 +315,128 @@ def alloc_hollow(
     cell is returned: a raw cell into a raw cell that is not a receiver or
     for a constructor that does not build in place, else its host object.
     A host object's field takes no raw cell (TypeError).
+
+    A constructor that builds in place runs the allocator generated for it
+    at registration (``_compile``), which leaves any call it does not
+    build, unchanged, to the generic checks and raw cells.
     """
+    try:
+        compiled = region.registry.allocators[ctor]
+    except KeyError:
+        return _alloc_generic(region, ctor, into, index, leaves)
+    return compiled(region, into, index, leaves)
+
+
+def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, leaves):
+    """``alloc_hollow``'s checks, in order, and the raw cells it builds."""
     if into is None:
         region._require_alive()
         region.registry.resolve(ctor)
     else:
         key = _hole(region, into, index)
-        names = region.registry.resolve(ctor)
-        raw = type(into) is CellRef
-        if names is None and not raw:
+        if region.registry.resolve(ctor) is None and type(into) is not CellRef:
             raise TypeError(f"a {type(into).__name__} cannot hold a region cell")
     if leaves:
         if len(leaves) != len(ctor.leaves):
             raise TypeError(f"{ctor.name} takes {len(ctor.leaves)} leaves, got {len(leaves)}")
         leaves, charge = _leaf_copies(leaves)
-    stats = region.stats
+        region.outstanding_holes -= len(leaves)
+        region.stats.bytes_allocated += charge
+        region.stats.leaf_copies += len(leaves)
     if into is not None and not ctor.arity:
         cell, value = None, ctor.make()
-        stats.bytes_allocated += WORD
-    elif into is None or names is None or raw and into.ctor is not _INDIRECTION:
+        region.stats.bytes_allocated += WORD
+    else:
         cell = value = region._new_cell(ctor)
         for i, v in zip(ctor.leaves, leaves):
             cell.slots[i] = v
-    else:
-        cell = value = object.__new__(ctor.make)
-        put, hole = region.registry.setters[ctor.make], region.hole
-        for i, _ in ctor.kids if leaves else ctor.places:
-            put(cell, names[i], hole)
-        for i, v in zip(ctor.leaves, leaves):
-            put(cell, names[i], v)
-        stats.bytes_allocated += WORD * (1 + ctor.arity)
-        region.outstanding_holes += ctor.arity
-    if leaves:
-        region.outstanding_holes -= len(leaves)
-        stats.bytes_allocated += charge
-        stats.leaf_copies += len(leaves)
-    if into is not None:
-        if raw:
-            into.slots[key] = value
-        else:
-            region.registry.setters[type(into)](into, key, value)
+    if into is not None:  # a raw cell: any other target passed a generated allocator
+        into.slots[key] = value
         region.outstanding_holes -= 1
-    stats.cells_allocated += 1
+    region.stats.cells_allocated += 1
     return cell
+
+
+# What an allocator does with a call that it does not build.
+_GENERIC = "return _alloc_generic(region, ctor, into, index, leaves)"
+# The allocator of one in-place constructor, which _compile completes.
+_ALLOCATOR = """\
+def alloc(region, into, index, leaves):
+    hole = region.hole
+    if not region.alive:
+        {generic}
+    if type(into) is CellRef:
+        link = None
+        if (index or into.ctor is not _INDIRECTION
+                or into.region_id != region.region_id or into.slots[index] is not hole):
+            {generic}
+    else:
+        link = host_fields.get(type(into))
+        if link is None or not 0 <= index < len(link) or getattr(into, link[index]) is not hole:
+            {generic}
+    stats = region.stats
+{take}
+{build}
+    stats.bytes_allocated += {size}
+    stats.cells_allocated += 1
+{holes}
+    if link is None:
+        into.slots[0] = obj
+    else:
+        setters[type(into)](into, link[index], obj)
+    return {result}
+"""
+
+
+def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegistry):
+    """The allocator of ``ctor``, which builds in place with fields
+    ``names``, generated from source at registration as ``dataclasses``
+    generates an ``__init__``, with its field names, leaf positions, charges
+    and setter as constants. It builds into a live receiver or a hole of a
+    host object of the region, given no leaves or one per leaf field: a leaf
+    of a type in ``_ONE_WORD`` is kept, any other goes through
+    ``_leaf_copies``. Any other call goes, unchanged, to ``_alloc_generic``."""
+    plain = registry.setters.get(ctor.make) is setattr
+    values = {i: f"v{i}" for i in ctor.leaves}  # the local that holds each leaf
+    n, targets = len(values), "".join(f"{v}, " for v in values.values())
+    take = ["if leaves:", f"    {_GENERIC}"]
+    if values:
+        take = [
+            "if not leaves:",
+            f"    {targets}= {'hole, ' * n}",
+            f"    region.outstanding_holes += {n}",
+            f"elif len(leaves) == {n}:",
+            f"    {targets}= leaves",
+            f"    charge = {WORD * n}",
+            *(
+                f"    if type({v}) not in _ONE_WORD: ({v},), c = _leaf_copies(({v},)); "
+                f"charge += c - {WORD}"
+                for v in values.values()
+            ),
+            "    stats.bytes_allocated += charge",
+            f"    stats.leaf_copies += {n}",
+            "else:",
+            f"    {_GENERIC}",
+        ]
+    build = ["obj = new(make)" if names else "obj = make()"]
+    for i, name in enumerate(names):
+        value = values.get(i, "hole")
+        build.append(f"obj.{name} = {value}" if plain else f"put(obj, {name!r}, {value})")
+    holes = ctor.arity - n - 1
+    source = _ALLOCATOR.format(
+        generic=_GENERIC,
+        take="\n".join(f"    {line}" for line in take),
+        build="\n".join(f"    {line}" for line in build),
+        size=WORD * (1 + ctor.arity),
+        holes=f"    region.outstanding_holes += {holes}" if holes else "",
+        result="obj" if names else "None",
+    )
+    namespace = dict(
+        globals(), ctor=ctor, make=ctor.make, new=object.__new__, put=object.__setattr__,
+        host_fields=registry.host_fields, setters=registry.setters,
+    )
+    exec(source, namespace)
+    return namespace["alloc"]
 
 
 def _hole(region: Region, cell, index: int):

@@ -40,7 +40,9 @@ nothing. ``__init__`` never runs on such an object: its fields are written
 with the setter registration records for its class in ``setters``, the
 builtin ``setattr`` when the class keeps ``object.__setattr__``, else
 ``object.__setattr__`` itself, past a frozen dataclass's refusal and any
-``__setattr__`` of its own.
+``__setattr__`` of its own. Registration also generates, per constructor
+that builds in place, the allocator its fills run (``allocators``, see
+``region``).
 """
 
 from __future__ import annotations
@@ -175,6 +177,8 @@ class ShapeRegistry:
         # setter its fields are written with.
         self.host_fields: dict[type, tuple[str, ...]] = {}
         self.setters: dict[type, Callable[[Any, str, Any], None]] = {}
+        # Per descriptor that builds in place: its generated allocator.
+        self.allocators: dict[CtorDescriptor, Callable] = {}
 
     def register(self, *shapes: TypeShape) -> None:
         """Register one or more shapes atomically.
@@ -216,6 +220,8 @@ class ShapeRegistry:
         }
         while grown := {t for t, ks in kids.items() if t not in tainted and ks & tainted}:
             tainted |= grown
+        from .region import _compile  # region imports this module
+
         for shape in shapes:
             for c in shape.ctors:
                 names = None if _kid_types(c) & tainted else _host_fields(c)
@@ -224,6 +230,8 @@ class ShapeRegistry:
                     self.host_fields[c.make] = names
                     plain = c.make.__setattr__ is object.__setattr__
                     self.setters[c.make] = setattr if plain else object.__setattr__
+                if names is not None:
+                    self.allocators[c] = _compile(c, names, self)
 
     def shape(self, type_id: str) -> TypeShape:
         try:

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import dataclass
+from enum import IntEnum
 from types import SimpleNamespace
 from typing import Any
 
@@ -14,6 +15,7 @@ from destpass import (
     CyclicStructure,
     DestinationInLeaf,
     DoubleFill,
+    FieldIndexOutOfRange,
     IncompleteRead,
     LeafTooDeep,
     LinearityLeak,
@@ -1210,6 +1212,71 @@ def test_a_refused_fill_with_leaves_changes_nothing(case, error):
     assert d.alive and (d.cell, d.index, d.kind, d.cell.slots[0]) == where
 
 
+# Per class, built in place as a plain object, with slots, and frozen: its
+# constructor and leaves, and a parent constructor, with its leaves, whose
+# first hole takes it.
+_ALLOCATIONS = {
+    "Node": (TREE_NODE, (1,), TREE_NODE, (0,)),
+    "Cons": (LIST_CONS, (1,), LIST_CONS, (0,)),
+    "SInteger": (SEXPR_SINTEGER, (3, 42), SEXPR_LIST_CONS, ()),
+}
+
+
+def _field(cell, index):
+    if type(cell) is CellRef:
+        return cell.slots[index]
+    return getattr(cell, DEFAULT_REGISTRY.host_fields[type(cell)][index])
+
+
+@pytest.mark.parametrize("cls", list(_ALLOCATIONS))
+@pytest.mark.parametrize("target", ["receiver", "host parent"])
+@pytest.mark.parametrize(
+    "refusal, error",
+    [
+        ("closed region", RegionClosed),
+        ("another region's hole", RegionMismatch),
+        ("double fill", DoubleFill),
+        ("index out of range", FieldIndexOutOfRange),
+        ("unregistered constructor", UnknownCtor),
+        ("wrong leaf count", TypeError),
+        ("leaf holds a dest", DestinationInLeaf),
+        ("too deep leaf", LeafTooDeep),
+    ],
+)
+def test_a_refused_allocation_changes_nothing(cls, target, refusal, error):
+    """The allocator generated for each class hands every call it does not
+    build to the generic checks, which raise as they always have."""
+    ctor, leaves, parent, parent_leaves = _ALLOCATIONS[cls]
+    region, other = region_new(), region_new()
+    t1, t2 = token_dup2(Token(region))
+    i, j = alloc(t1), alloc(t2)
+    d, e = i.payload, j.payload
+    if target == "host parent":
+        d = fill(d, parent, *parent_leaves)
+        d = d[0] if type(d) is tuple else d
+    into, index, at = d.cell, d.index, region
+    if refusal == "closed region":
+        region._close()
+    elif refusal == "another region's hole":
+        at = other
+    elif refusal == "double fill":
+        write_field(region, into, index, Leaf(0))
+    elif refusal == "index out of range":
+        index = 5
+    elif refusal == "unregistered constructor":
+        ctor = CtorDescriptor(ctor.type_id, ctor.name, ctor.fields, ctor.make)
+    elif refusal == "wrong leaf count":
+        leaves += (0,)
+    else:
+        payload = [e] if refusal == "leaf holds a dest" else too_deep_leaf("nested list")
+        leaves = (payload, *leaves[1:])
+    where = (d.cell, d.index, d.kind, _field(d.cell, d.index))
+    _refused(
+        lambda: alloc_hollow(at, ctor, into, index, leaves), [region, other], [i, j, d, e], error
+    )
+    assert d.alive and (d.cell, d.index, d.kind, _field(d.cell, d.index)) == where
+
+
 def _build_list(xs, with_leaves, registry=None, cons=LIST_CONS, nil=LIST_NIL):
     """The released list of ``xs``, built one cons per fill, and its stats."""
 
@@ -1249,6 +1316,60 @@ def test_a_leaf_of_a_fill_is_a_copy():
         return from_incomplete_(map_b(alloc(t), f))
 
     assert with_region(body).head == [1, [2]]
+
+
+class _Str(str):
+    pass
+
+
+class _Color(IntEnum):
+    RED = 1
+
+
+def test_a_scalar_subclass_in_a_leaf_is_copied_so_it_carries_no_handle():
+    region = region_new()
+    t1, t2 = token_dup2(Token(region))
+    i, j = alloc(t1), alloc(t2)
+    d, e = i.payload, j.payload
+    smuggler = _Str("a")
+    smuggler.smuggled = e
+    where = (d.cell, d.index, d.kind, d.cell.slots[0])
+    _refused(lambda: fill(d, LIST_CONS, smuggler), [region], [i, j, d, e])
+    _refused(lambda: fill_leaf(smuggler, d), [region], [i, j, d, e])
+    assert d.alive and (d.cell, d.index, d.kind, d.cell.slots[0]) == where
+    tagged = _Str("b")
+    tagged.tags = [1]
+    fill(fill(d, LIST_CONS, tagged), LIST_NIL)
+    tagged.tags.append(2)
+    fill_leaf(_Color.RED, e)
+    built, red = from_incomplete(i)[0], from_incomplete(j)[0]
+    assert built.head == "b" and built.head is not tagged and built.head.tags == [1]
+    assert red is _Color.RED
+
+
+def test_an_int_subclass_fills_and_is_charged_as_an_int():
+    built, stats = _build_list([_Color.RED], with_leaves=True)
+    assert built.head is _Color.RED and stats == _build_list([1], with_leaves=True)[1]
+
+
+def test_map_b_and_from_incomplete_look_inside_a_scalar_subclass():
+    def body(t):
+        t1, t2 = token_dup2(t)
+        carrier = _Str("c")
+
+        def keep(d):
+            carrier.dest = d
+            return carrier
+
+        i = map_b(alloc(t1), keep)
+        fill_leaf(0, carrier.dest)
+        carrier.token = t2
+        with pytest.raises(LinearityLeak):
+            from_incomplete(i)
+        token_consume(t2)
+        return from_incomplete(i)[0]
+
+    assert with_region(body) == 0
 
 
 _LAMBDA_REGISTRY = ShapeRegistry()

@@ -10,8 +10,11 @@ malformed, cyclic or handle-holding copy. It keeps a model of every cell
 and host object it was given: its region and what each field holds. A call the model says must
 fail raises a ``DpsError`` or ``TypeError`` and leaves ``region_stats`` and
 ``outstanding_holes`` of both regions as they were; after every step the
-hole, cell, leaf-copy and receiver counts match the model.
+hole, cell, leaf-copy, receiver and byte counts match the model.
 """
+
+from dataclasses import dataclass
+from typing import Any
 
 import pytest
 from hypothesis import settings
@@ -20,13 +23,23 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from destpass import DpsError, Leaf, read_value, region_new, region_stats, write_field
 from destpass.dlist import LIST_CONS, LIST_NIL, LIST_SHAPE, NIL, Cons, from_pylist
-from destpass.region import _INDIRECTION, CellRef, Hole, alloc_hollow
+from destpass.region import _INDIRECTION, WORD, CellRef, Hole, alloc_hollow
 from destpass.shapes import CtorDescriptor, LeafType, Recursive, ShapeRegistry, TypeShape
 
 from support import structurally_equal
 
-# "list" builds host objects in place; "pair" does not (its make is no
+# "list" builds host objects in place, as does "frozen", whose fields are
+# written with object.__setattr__; "pair" does not (its make is no
 # dataclass), so it is always a raw cell.
+
+
+@dataclass(frozen=True)
+class Frozen:
+    n: Any
+    rest: Any
+
+
+_FROZEN = CtorDescriptor("frozen", "frozen", (LeafType("int"), Recursive("list")), Frozen)
 _PAIR = (
     CtorDescriptor("pair", "unit", (), list),
     CtorDescriptor(
@@ -37,9 +50,12 @@ _PAIR = (
     ),
 )
 REGISTRY = ShapeRegistry()
-REGISTRY.register(LIST_SHAPE, TypeShape("pair", _PAIR))
+REGISTRY.register(LIST_SHAPE, TypeShape("pair", _PAIR), TypeShape("frozen", (_FROZEN,)))
 _UNREGISTERED = CtorDescriptor("list", "cons", LIST_CONS.fields, LIST_CONS.make)
-CTORS = (LIST_NIL, LIST_CONS, *_PAIR, _UNREGISTERED, "receiver")
+CTORS = (LIST_NIL, LIST_CONS, _FROZEN, *_PAIR, _UNREGISTERED, "receiver")
+# Bytes charged for each leaf payload that write_leaf writes: a word per
+# scalar or host object, and a word per container plus one per element.
+_LEAF_BYTES = {"int": WORD, "tuple": 9 * WORD, "node": 3 * WORD}
 _CYCLIC = Cons(1, NIL)
 _CYCLIC.tail = _CYCLIC
 
@@ -134,8 +150,8 @@ class RegionMachine(RuleBasedStateMachine):
         super().__init__()
         self.regions = [region_new(registry=REGISTRY), region_new(registry=REGISTRY)]
         self.nodes: list[_Node] = []
-        # per region: outstanding holes, cells, leaf copies, receivers
-        self.counts = [[4, 2, 0, 1], [4, 2, 0, 1]]
+        # per region: outstanding holes, cells, leaf copies, receivers, bytes
+        self.counts = [[4, 2, 0, 1, 8 * WORD], [4, 2, 0, 1, 8 * WORD]]
         for r, region in enumerate(self.regions):  # each starts with every kind of cell
             receiver = _Node(region._alloc_receiver(), r, 1)
             host = _Node(alloc_hollow(region, LIST_CONS, receiver.obj, 0), r, 2)
@@ -192,6 +208,7 @@ class RegionMachine(RuleBasedStateMachine):
         counts[0] += c.arity - len(leaves)
         counts[1] += 1
         counts[2] += len(leaves)
+        counts[4] += WORD * (1 + c.arity + len(leaves))
         return new
 
     @rule(
@@ -210,6 +227,7 @@ class RegionMachine(RuleBasedStateMachine):
             self.nodes.append(_Node(cell, r, 1))
             counts[0] += 1
             counts[3] += 1
+            counts[4] += 2 * WORD
             return
         leaves = [] if given == "none" else [7] * len(c.leaves)
         bad = c is _UNREGISTERED or given == "one too many"
@@ -231,6 +249,7 @@ class RegionMachine(RuleBasedStateMachine):
             node.fields[index] = ("node", self._new(cell, r, c, leaves))
         else:
             counts[1] += 1
+            counts[4] += WORD
             node.fields[index] = ("value", self._stored(node, index))
 
     @rule(
@@ -258,6 +277,7 @@ class RegionMachine(RuleBasedStateMachine):
             node.fields[index] = ("value", self._stored(node, index))
             self.counts[r][0] -= 1
             self.counts[r][2] += 1
+            self.counts[r][4] += _LEAF_BYTES[what]
 
     @rule(
         data=st.data(),
@@ -320,6 +340,9 @@ class RegionMachine(RuleBasedStateMachine):
         copied = 2 if what == "node" else 3
         counts[1] += copied
         counts[2] += copied - 1
+        # Two cells of 3 words and a nil of 1, and the leaves: a copied host
+        # object is 1 word, 4 and (5, 6) are 1 and 5.
+        counts[4] += 5 * WORD if what == "node" else 13 * WORD
         node = _Node(holder, r, 1)
         node.fields[0] = ("value", holder.slots[0])
         self.nodes.append(node)
@@ -330,11 +353,11 @@ class RegionMachine(RuleBasedStateMachine):
 
     @invariant()
     def counts_match_model(self):
-        for r, (holes, cells, copies, receivers) in zip(self.regions, self.counts):
+        for r, (holes, cells, copies, receivers, size) in zip(self.regions, self.counts):
             stats = region_stats(r)
             assert r.outstanding_holes == holes
             assert (stats.cells_allocated, stats.leaf_copies) == (cells, copies)
-            assert stats.receiver_cells == receivers
+            assert (stats.receiver_cells, stats.bytes_allocated) == (receivers, size)
 
 
 RegionMachine.TestCase.settings = settings(

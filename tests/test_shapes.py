@@ -1,7 +1,7 @@
 """Shape registration and constructor metadata."""
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Any
 
 import pytest
@@ -293,6 +293,110 @@ def test_a_dataclass_whose_call_does_more_than_assign_builds_as_cells(make):
 
     built = with_region(body, registry=reg)
     assert type(built) is make and (built.a, built.b) == (2, None)
+
+
+# -- a fill builds what make builds ------------------------------------------------
+
+
+class _TagsMeta(type):
+    def __call__(cls, *args):
+        obj = super().__call__(*args)
+        object.__setattr__(obj, "extra", "meta")
+        return obj
+
+
+def _variant(flags):
+    """A dataclass with fields ``a`` and ``b``, built as ``flags`` say."""
+    bases, meta = (), _TagsMeta if flags["metaclass"] else type
+    if flags["base_init"] or flags["metaclass"]:
+
+        def base_init(self, *args):
+            object.__setattr__(self, "extra", "base")
+
+        bases = (meta("Base", (), {"__init__": base_init} if flags["base_init"] else {}),)
+    ns: dict = {"__annotations__": {"a": Any, "b": Any}}
+    if flags["default_factory"]:
+        ns["b"] = field(default_factory=list)
+    if flags["initvar"]:
+        ns["__annotations__"]["c"] = InitVar[Any]
+        ns["c"] = None
+    if flags["own_init"]:
+
+        def __init__(self, a, b=None, c=None):
+            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "b", b)
+            object.__setattr__(self, "extra", "init")
+
+        ns["__init__"] = __init__
+    if flags["own_setattr"]:
+
+        def __setattr__(self, name, value):
+            if value == -1:
+                raise ValueError("a field may not be -1")
+            object.__setattr__(self, name, value)
+
+        ns["__setattr__"] = __setattr__
+    if flags["post_init"]:
+        ns["__post_init__"] = lambda self, *initvars: object.__setattr__(self, "extra", "post")
+    cls = meta("Variant", bases, ns)
+    return dataclass(frozen=flags["frozen"], slots=flags["slots"], init=flags["init"])(cls)
+
+
+_FLAGS = (
+    "frozen", "slots", "init", "own_init", "own_setattr", "post_init",
+    "base_init", "metaclass", "default_factory", "initvar",
+)
+
+
+def _outcome(build):
+    """What ``build`` returns, by type, fields and every attribute, or the
+    type of what it raises."""
+    try:
+        obj = build()
+    except Exception as exc:
+        return type(exc)
+    fields = [getattr(obj, n, "unset") for n in ("a", "b")]
+    return type(obj), fields, getattr(obj, "__dict__", None)
+
+
+@given(
+    st.fixed_dictionaries({f: st.booleans() for f in _FLAGS}),
+    st.sampled_from([1, -1, "s"]),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_fill_builds_what_make_builds(flags, a, with_leaves):
+    """For any variant of a dataclass, fill and make agree on the type, the
+    fields and extra attributes, or the error. A class that builds in place
+    is one whose call only assigns its fields; its own ``__setattr__`` is
+    the one thing a fill skips, as the shapes module documents."""
+    flags["own_setattr"] &= not flags["frozen"]  # a frozen dataclass refuses one
+    make = _variant(flags)
+    reg = ShapeRegistry()
+    reg.register(_pair_shape("v", make))
+    nil, pair = reg.shape("v").ctors
+    does_more = flags["own_init"] or flags["post_init"] or flags["metaclass"] or not flags["init"]
+    assert (reg.resolve(pair) is None) == does_more
+
+    def build(d):
+        if with_leaves:
+            fill(fill(d, pair, a), nil)
+        else:
+            da, db = fill(d, pair)
+            fill_leaf(a, da)
+            fill(db, nil)
+
+    def by_fill():
+        return with_region(lambda t: from_incomplete_(map_b(alloc(t), build)), registry=reg)
+
+    def bypassing_setattr():
+        obj = object.__new__(make)
+        object.__setattr__(obj, "a", a)
+        object.__setattr__(obj, "b", None)
+        return obj
+
+    by_make = bypassing_setattr if flags["own_setattr"] and not does_more else lambda: make(a, None)
+    assert _outcome(by_fill) == _outcome(by_make)
 
 
 # -- how a shape takes a value apart ---------------------------------------------
