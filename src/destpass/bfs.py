@@ -1,10 +1,12 @@
 """Single-pass breadth-first tree relabeling.
 
-The trick: keep a FIFO queue of pairs (input subtree, destination for the
-corresponding output subtree). Each step dequeues a pair, maps the node's
-value, fills the destination with the context ``Node(mapped, _, _)``, and
-enqueues the children with the destinations of its two holes. One
-traversal of the input produces the fully relabeled output, top-down.
+The trick: keep a FIFO queue of pairs (a non-empty input subtree, the
+destination for the corresponding output subtree). Each step dequeues a
+pair, maps the node's value, fills the destination with the context
+``Node(mapped, _, _)``, or ``Node(mapped, Nil, _)`` and the like when a child
+is known to be empty, and enqueues each non-empty child with the
+destination of its hole. One traversal of the input produces the fully
+relabeled output, top-down.
 
 The empty tree is ``None``; nodes are :class:`Node`.
 """
@@ -57,17 +59,26 @@ def map_accum_bfs(
         def body(dtree):
             nonlocal visits
             st = s0
+            if tree is None:
+                fill(dtree, TREE_NIL)
+                return st
             queue = deque([(tree, dtree)])
             while queue:
                 subtree, d = queue.popleft()
-                if subtree is None:
-                    fill(d, TREE_NIL)
+                visits += 1
+                st, y = f(st, subtree.value)
+                left, right = subtree.left, subtree.right
+                if left is None:
+                    if right is None:
+                        fill(d, TREE_NODE, y, TREE_NIL, TREE_NIL)
+                    else:
+                        queue.append((right, fill(d, TREE_NODE, y, TREE_NIL, ...)))
+                elif right is None:
+                    queue.append((left, fill(d, TREE_NODE, y, ..., TREE_NIL)))
                 else:
-                    visits += 1
-                    st, y = f(st, subtree.value)
-                    dl, dr = fill(d, TREE_NODE, y)
-                    queue.append((subtree.left, dl))
-                    queue.append((subtree.right, dr))
+                    dl, dr = fill(d, TREE_NODE, y, ..., ...)
+                    queue.append((left, dl))
+                    queue.append((right, dr))
             return st
 
         result = from_incomplete(map_b(alloc(token), body))

@@ -407,17 +407,20 @@ def _check_fillable(kind: FieldKind | None, type_id: str | None, what: str) -> N
         )
 
 
-def fill(d: Dest, ctor: CtorDescriptor, *leaves):
+def fill(d: Dest, ctor: CtorDescriptor, *args):
     """Plug constructor ``ctor`` into the hole behind ``d``; return the
     destinations of the new node's holes in declaration order: None for
     none, a single Dest for one, a tuple otherwise.
 
-    Without ``leaves`` every field is a hole. With one value per leaf field,
-    in declaration order (else TypeError), the node is a constructor context
-    such as ``Cons(x, _)``: the same region call writes each leaf exactly as
-    ``fill_leaf`` would, with its checks and charges, and only the
-    ``Recursive`` fields are holes. A refused fill changes nothing; on a
-    closed region RegionClosed comes first, before any leaf is copied.
+    ``args`` are none, one per leaf field or one per field, in declaration
+    order (else TypeError), and spell a constructor context such as
+    ``Cons(x, _)`` or ``Node(x, Nil, _)``: a leaf field takes its value, which
+    the same region call writes exactly as ``fill_leaf`` would, with its
+    checks and charges; a ``Recursive`` field takes ``...``, a hole, or a
+    registered nullary constructor of its type, written as its own fill
+    would write it; a field given no argument is a hole. A refused fill
+    changes nothing; on a closed region RegionClosed comes first, before
+    any leaf is copied.
     """
     if type(d) is not Dest or not d.alive:  # its region: alloc_hollow checks
         _admit(d, Dest, "fill")
@@ -425,14 +428,20 @@ def fill(d: Dest, ctor: CtorDescriptor, *leaves):
     if kind is not None and (type(kind) is not Recursive or kind.type_id != ctor.type_id):
         _check_fillable(kind, ctor.type_id, f"constructor {ctor.name}")
     region = d.region
-    cell = _region.alloc_hollow(region, ctor, d.cell, d.index, leaves)
+    cell = _region.alloc_hollow(region, ctor, d.cell, d.index, args)
     d.alive = False
     lineage = d.lineage
     if lineage.parent is not None:
         lineage = lineage.find()
     if kind is None:  # a receiver's hole
         lineage.type_id, lineage.dest = ctor.type_id, None
-    places = ctor.kids if leaves else ctor.places  # of the new node's holes
+    places = ctor.kids if args else ctor.places  # of the new node's holes
+    if places and len(args) == ctor.arity:  # one per field: those marked ...
+        marked = []
+        for p in places:
+            if args[p[0]] is ...:
+                marked.append(p)
+        places = marked
     lineage.holes += len(places) - 1
     if not places:
         return None

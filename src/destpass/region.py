@@ -62,6 +62,7 @@ from .errors import (
     LeafTooDeep,
     RegionClosed,
     RegionMismatch,
+    UnknownCtor,
 )
 from .shapes import (
     DEFAULT_REGISTRY,
@@ -275,13 +276,16 @@ def _leaf_copies(payloads) -> tuple[list, int]:
     """What leaf fields hold for ``payloads``, and the bytes they are charged:
     a scalar as given, anything else, a scalar's subclass too, deep-copied,
     which raises DestinationInLeaf on a hole, region cell or handle inside
-    it and LeafTooDeep on one too deep to copy."""
+    it and LeafTooDeep on one too deep to copy. ``...``, which marks a hole
+    in a fill, is no leaf (TypeError)."""
     copies, charge = [], 0
     for v in payloads:
         if type(v) in _ONE_WORD:
             charge += WORD
         else:
             if type(v) not in _SCALARS:
+                if v is ...:
+                    raise TypeError("... marks a hole; a leaf field cannot hold it")
                 try:
                     v = copy.deepcopy(v)
                 except RecursionError:
@@ -302,10 +306,13 @@ def region_new(*, registry: ShapeRegistry | None = None) -> Region:
 def alloc_hollow(
     region: Region, ctor: CtorDescriptor, into=None, index: int = 0, leaves=()
 ):
-    """Allocate a cell for ``ctor`` with every field left as a hole, but its
-    leaf fields when ``leaves`` are given: one value per position of
-    ``ctor.leaves`` (else TypeError), each kept, copied, refused and charged
-    as ``write_field`` does a ``Leaf``'s payload.
+    """Allocate a cell for ``ctor`` with every field a hole but those that
+    ``leaves`` gives: one value per leaf field, or one per field (else
+    TypeError). A leaf field's value is kept, copied, refused and charged as
+    ``write_field`` does a ``Leaf``'s payload; a ``Recursive`` one takes
+    ``...``, a hole, or a registered nullary constructor of its type (else
+    TypeError, or UnknownCtor for any other descriptor), stored and charged
+    as below.
 
     With ``into``, the new cell is also written into hole ``index`` of
     ``into``: a raw cell, a receiver, or a host object that a fill of this
@@ -336,12 +343,23 @@ def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, leave
         key = _hole(region, into, index)
         if region.registry.resolve(ctor) is None and type(into) is not CellRef:
             raise TypeError(f"a {type(into).__name__} cannot hold a region cell")
+    nested = []  # (position, nullary constructor) of each Recursive field given one
     if leaves:
-        if len(leaves) != len(ctor.leaves):
-            raise TypeError(f"{ctor.name} takes {len(ctor.leaves)} leaves, got {len(leaves)}")
+        if len(leaves) == ctor.arity:  # one per field
+            for i, kind in ctor.kids:
+                if (c := leaves[i]) is not ...:
+                    if type(c) is not CtorDescriptor:
+                        raise TypeError(f"field {i} of {ctor.name} takes ... or a nullary constructor")
+                    if c.arity or c.type_id != kind.type_id:
+                        raise UnknownCtor(f"field {i} of {ctor.name} takes a nullary {kind.type_id}")
+                    region.registry.resolve(c)
+                    nested.append((i, c))
+            leaves = [leaves[i] for i in ctor.leaves]
+        elif len(leaves) != len(ctor.leaves):
+            raise TypeError(f"{ctor.name} takes {len(ctor.leaves)} leaves or {ctor.arity} fields")
         leaves, charge = _leaf_copies(leaves)
-        region.outstanding_holes -= len(leaves)
-        region.stats.bytes_allocated += charge
+        region.outstanding_holes -= len(leaves) + len(nested)
+        region.stats.bytes_allocated += charge + WORD * len(nested)
         region.stats.leaf_copies += len(leaves)
     if into is not None and not ctor.arity:
         cell, value = None, ctor.make()
@@ -350,10 +368,12 @@ def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, leave
         cell = value = region._new_cell(ctor)
         for i, v in zip(ctor.leaves, leaves):
             cell.slots[i] = v
+        for i, c in nested:
+            cell.slots[i] = c.make()
     if into is not None:  # a raw cell: any other target passed a generated allocator
         into.slots[key] = value
         region.outstanding_holes -= 1
-    region.stats.cells_allocated += 1
+    region.stats.cells_allocated += 1 + len(nested)
     return cell
 
 
@@ -391,37 +411,52 @@ def alloc(region, into, index, leaves):
 def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegistry):
     """The allocator of ``ctor``, which builds in place with fields
     ``names``, generated from source at registration as ``dataclasses``
-    generates an ``__init__``, with its field names, leaf positions, charges
-    and setter as constants. It builds into a live receiver or a hole of a
-    host object of the region, given no leaves or one per leaf field: a leaf
-    of a type in ``_ONE_WORD`` is kept, any other goes through
+    generates an ``__init__``, with its field names, leaf positions, charges,
+    setter and the nullary constructors of each ``Recursive`` field as
+    constants. It builds into a live receiver or a hole of a host object of
+    the region, given no leaves, one per leaf field, or one per field with
+    ``...`` or a nullary constructor of its type at each ``Recursive`` one:
+    a leaf of a type in ``_ONE_WORD`` is kept, any other goes through
     ``_leaf_copies``. Any other call goes, unchanged, to ``_alloc_generic``."""
     plain = registry.setters.get(ctor.make) is setattr
-    values = {i: f"v{i}" for i in ctor.leaves}  # the local that holds each leaf
-    n, targets = len(values), "".join(f"{v}, " for v in values.values())
-    take = ["if leaves:", f"    {_GENERIC}"]
-    if values:
-        take = [
-            "if not leaves:",
-            f"    {targets}= {'hole, ' * n}",
-            f"    region.outstanding_holes += {n}",
-            f"elif len(leaves) == {n}:",
-            f"    {targets}= leaves",
-            f"    charge = {WORD * n}",
-            *(
-                f"    if type({v}) not in _ONE_WORD: ({v},), c = _leaf_copies(({v},)); "
-                f"charge += c - {WORD}"
-                for v in values.values()
-            ),
-            "    stats.bytes_allocated += charge",
-            f"    stats.leaf_copies += {n}",
-            "else:",
-            f"    {_GENERIC}",
+    fields = [f"v{i}" for i in range(ctor.arity)]  # the local that holds each field
+    leaves = [fields[i] for i in ctor.leaves]
+    n, kids = len(leaves), [fields[i] for i, _ in ctor.kids]
+    every, each_leaf = ("".join(f"{v}, " for v in vs) for vs in (fields, leaves))
+    copies = [
+        f"    charge = {WORD * n}",
+        *(
+            f"    if type({v}) not in _ONE_WORD: ({v},), c = _leaf_copies(({v},)); "
+            f"charge += c - {WORD}"
+            for v in leaves
+        ),
+        f"    stats.leaf_copies += {n}",
+    ]
+    take = [f"{every}= {'hole, ' * ctor.arity}"] if fields else []
+    take += ["if not leaves:", f"    region.outstanding_holes += {n}" if n else "    pass"]
+    if leaves:
+        take += [f"elif len(leaves) == {n}:", f"    {each_leaf}= leaves", *copies,
+                 "    stats.bytes_allocated += charge"]
+    nullaries = {}  # by name, each nullary constructor that a Recursive field may take
+    if kids:
+        take += [f"elif len(leaves) == {ctor.arity}:", f"    {every}= leaves"]
+        for v, (_, kind) in zip(kids, ctor.kids):
+            takes = {f"nullary{id(c)}": c for c in registry.shape(kind.type_id).ctors if not c.arity}
+            nullaries.update(takes)
+            tests = " and ".join([f"{v} is not ...", *(f"{v} is not {name}" for name in takes)])
+            take += [f"    if {tests}:", f"        {_GENERIC}"]
+        take += [
+            *copies,
+            f"    nested = {' + '.join(f'({v} is not ...)' for v in kids)}",
+            *(f"    {v} = hole if {v} is ... else {v}.make()" for v in kids),
+            f"    stats.bytes_allocated += charge + {WORD} * nested",
+            "    stats.cells_allocated += nested",
+            "    region.outstanding_holes -= nested",
         ]
+    take += ["else:", f"    {_GENERIC}"]
     build = ["obj = new(make)" if names else "obj = make()"]
-    for i, name in enumerate(names):
-        value = values.get(i, "hole")
-        build.append(f"obj.{name} = {value}" if plain else f"put(obj, {name!r}, {value})")
+    for v, name in zip(fields, names):
+        build.append(f"obj.{name} = {v}" if plain else f"put(obj, {name!r}, {v})")
     holes = ctor.arity - n - 1
     source = _ALLOCATOR.format(
         generic=_GENERIC,
@@ -434,6 +469,7 @@ def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegist
     namespace = dict(
         globals(), ctor=ctor, make=ctor.make, new=object.__new__, put=object.__setattr__,
         host_fields=registry.host_fields, setters=registry.setters,
+        **nullaries,
     )
     exec(source, namespace)
     return namespace["alloc"]

@@ -2,9 +2,11 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import destpass.bfs
 from destpass.bfs import (
     Node,
     level_order_values,
@@ -27,6 +29,13 @@ def left_spine(n: int):
     root = None
     for _ in range(n):
         root = Node(None, root, None)
+    return root
+
+
+def right_spine(n: int):
+    root = None
+    for _ in range(n):
+        root = Node(None, None, root)
     return root
 
 
@@ -89,6 +98,31 @@ def test_visit_counter_counts_each_node_once():
     counters = {}
     map_accum_bfs(lambda st_, x: (st_, x), 0, tree, counters=counters)
     assert counters["visits"] == 137
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [None, Node(0), left_spine(9), right_spine(9), complete_tree(4), random_tree(300, random.Random(5))],
+    ids=["empty", "single node", "left spine", "right spine", "complete", "random"],
+)
+def test_one_fill_per_node_charges_as_a_fill_per_node_and_nil(monkeypatch, tree):
+    """A node's fill writes each empty child in its own region call, charged
+    as the child's own fill would be: n nodes and n + 1 nils, each node a
+    leaf copy, and the receiver's two words."""
+    n, fills, counters = count_nodes(tree), [], {}
+    real = destpass.bfs.fill
+
+    def counted(*args):
+        fills.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(destpass.bfs, "fill", counted)
+    out, _ = map_accum_bfs(lambda st_, x: (st_ + 1, st_), 1, tree, counters=counters)
+    stats = counters["stats"]
+    assert same_shape(tree, out)
+    assert (stats.cells_allocated, stats.leaf_copies) == (2 * n + 1, n)
+    assert stats.bytes_allocated == 48 * n + 24
+    assert len(fills) == max(n, 1)
 
 
 def test_agrees_with_two_pass_baseline():

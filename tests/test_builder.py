@@ -1212,6 +1212,114 @@ def test_a_refused_fill_with_leaves_changes_nothing(case, error):
     assert d.alive and (d.cell, d.index, d.kind, d.cell.slots[0]) == where
 
 
+# -- fill with one argument per field ---------------------------------------------
+
+# Per parent, built in place (Node, Cons) or as a raw cell (w2): its registry,
+# a fill of it with one argument per field, and a Recursive place and the
+# nullary constructor of that place's type.
+_CONTEXTS = {
+    "Node": (DEFAULT_REGISTRY, TREE_NODE, (1, TREE_NIL, ...), 1, TREE_NIL),
+    "Cons": (DEFAULT_REGISTRY, SEXPR_LIST_CONS, (..., SEXPR_LIST_NIL), 1, SEXPR_LIST_NIL),
+    "w2": (_WIDE_REGISTRY, _WIDE[2], (_WIDE[0], ...), 0, _WIDE[0]),
+}
+_CONTEXT_REFUSALS = ("not a descriptor", "not nullary", "another type", "unregistered")
+
+
+@pytest.mark.parametrize(
+    "parent, refusal",
+    [(p, r) for p in _CONTEXTS for r in _CONTEXT_REFUSALS]
+    + [("Node", "... at a leaf place")],  # the one parent with a leaf place
+)
+def test_a_refused_context_fill_changes_nothing(parent, refusal):
+    registry, ctor, args, at, nil = _CONTEXTS[parent]
+    region = region_new(registry=registry)
+    t1, t2 = token_dup2(Token(region))
+    i, j = alloc(t1), alloc(t2)
+    d, e = i.payload, j.payload
+    at, value, error = {
+        "not a descriptor": (at, nil.make(), TypeError),
+        "not nullary": (at, ctor, UnknownCtor),
+        "another type": (at, LIST_NIL, UnknownCtor),
+        "unregistered": (at, CtorDescriptor(nil.type_id, nil.name, (), nil.make), UnknownCtor),
+        "... at a leaf place": (0, ..., TypeError),
+    }[refusal]
+    args = (*args[:at], value, *args[at + 1 :])
+    where = (d.cell, d.index, d.kind, d.cell.slots[0])
+    _refused(lambda: fill(d, ctor, *args), [region], [i, j, d, e], error)
+    assert d.alive and (d.cell, d.index, d.kind, d.cell.slots[0]) == where
+
+
+def _holes(out) -> list:
+    """The destinations a fill returned, as a list."""
+    return [] if out is None else [out] if type(out) is not tuple else list(out)
+
+
+def _finish(d, registry):
+    """Fill ``d`` with the first constructor of its type that has no
+    Recursive field, its leaves all 0."""
+    c = next(c for c in registry.shape(d.kind.type_id).ctors if not c.kids)
+    fill(d, c, *[0] * len(c.leaves))
+
+
+_WITH_KIDS = {
+    "Node": (DEFAULT_REGISTRY, TREE_NODE),
+    "Cons": (DEFAULT_REGISTRY, LIST_CONS),
+    "sexpr Cons": (DEFAULT_REGISTRY, SEXPR_LIST_CONS),
+    **{f"w{n}": (_WIDE_REGISTRY, _WIDE[n]) for n in range(1, 5)},
+}
+
+
+@given(st.sampled_from(sorted(_WITH_KIDS)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_context_fill_equals_its_depth_one_fills(name, data):
+    """``fill`` with a nullary constructor or ``...`` at each Recursive field
+    leaves the same state as a fill of the node's leaves followed by one fill
+    per nullary, and, once the holes left are filled, releases an equal
+    value, with an object from ``make`` per nullary occurrence."""
+    registry, ctor = _WITH_KIDS[name]
+    leaves = [data.draw(st.integers(-5, 5)) for _ in ctor.leaves]
+    kids = {
+        i: data.draw(st.sampled_from(
+            [..., *(c for c in registry.shape(kind.type_id).ctors if not c.arity)]
+        ))
+        for i, kind in ctor.kids
+    }
+    args = [kids[i] if i in kids else leaves[ctor.leaves.index(i)] for i in range(ctor.arity)]
+
+    def in_context(d):
+        return _holes(fill(d, ctor, *args))
+
+    def depth_one(d):
+        holes = []
+        for (i, _), hole in zip(ctor.kids, _holes(fill(d, ctor, *leaves))):
+            if kids[i] is ...:
+                holes.append(hole)
+            else:
+                fill(hole, kids[i])
+        return holes
+
+    def run(build):
+        def body(t):
+            i = alloc(t)
+            holes = build(i.payload)
+            before = ledger_state([t.region], [i])
+            for hole in holes:
+                _finish(hole, registry)
+            after = ledger_state([t.region], [i])
+            done = from_incomplete_(map_b(i, lambda _: None))
+            return done, before, after, ledger_state([t.region], [])
+
+        return with_region(body, registry=registry)
+
+    built, *states = run(in_context)
+    expected, *expected_states = run(depth_one)
+    assert states == expected_states
+    assert structurally_equal(built, expected)
+    if ctor.type_id == "wide":  # every field ends a w0, and w0 makes a fresh list each time
+        assert all(type(x) is list for x in built)
+        assert len({id(x) for x in built}) == ctor.arity
+
+
 # Per class, built in place as a plain object, with slots, and frozen: its
 # constructor and leaves, and a parent constructor, with its leaves, whose
 # first hole takes it.

@@ -1,7 +1,8 @@
 """Stateful test of the raw region API over two regions.
 
-A hypothesis state machine allocates cells with and without ``into`` and
-leaf values, writes a ``Leaf`` or a cell into holes, reads values back and
+A hypothesis state machine allocates cells with and without ``into``, leaf
+values and, one argument per field, nullary constructors at ``Recursive``
+fields, writes a ``Leaf`` or a cell into holes, reads values back and
 copies host values in with ``copy_value``, wrong calls included: a hole of the other
 region, an index out of range, a written field, an unregistered
 constructor, a raw cell into a host object, an empty receiver, a value
@@ -52,6 +53,11 @@ _PAIR = (
 REGISTRY = ShapeRegistry()
 REGISTRY.register(LIST_SHAPE, TypeShape("pair", _PAIR), TypeShape("frozen", (_FROZEN,)))
 _UNREGISTERED = CtorDescriptor("list", "cons", LIST_CONS.fields, LIST_CONS.make)
+# What a Recursive field of each type takes in a fill with one argument per
+# field, and what it refuses: no descriptor, not nullary, of another type,
+# unregistered.
+_NULLARY = {"list": LIST_NIL, "pair": _PAIR[0]}
+_UNREGISTERED_NIL = CtorDescriptor("list", "nil", (), LIST_NIL.make)
 CTORS = (LIST_NIL, LIST_CONS, _FROZEN, *_PAIR, _UNREGISTERED, "receiver")
 # Bytes charged for each leaf payload that write_leaf writes: a word per
 # scalar or host object, and a word per container plus one per element.
@@ -198,17 +204,19 @@ class RegionMachine(RuleBasedStateMachine):
 
     # -- rules ---------------------------------------------------------------
 
-    def _new(self, cell, r: int, c, leaves) -> _Node:
-        """The model of a new cell, whose leaf fields hold ``leaves``."""
+    def _new(self, cell, r: int, c, filled, copies: int) -> _Node:
+        """The model of a new cell whose fields ``filled`` are written,
+        ``copies`` of them with leaves and the rest with nullary
+        constructors."""
         new = _Node(cell, r, c.arity)
-        for i, _ in zip(c.leaves, leaves):
+        for i in filled:
             new.fields[i] = ("value", self._stored(new, i))
         self.nodes.append(new)
         counts = self.counts[r]
-        counts[0] += c.arity - len(leaves)
-        counts[1] += 1
-        counts[2] += len(leaves)
-        counts[4] += WORD * (1 + c.arity + len(leaves))
+        counts[0] += c.arity - len(filled)
+        counts[1] += 1 + len(filled) - copies
+        counts[2] += copies
+        counts[4] += WORD * (1 + c.arity + len(filled))
         return new
 
     @rule(
@@ -216,11 +224,12 @@ class RegionMachine(RuleBasedStateMachine):
         r=st.integers(0, 1),
         c=st.sampled_from(CTORS),
         into=st.booleans(),
-        given=st.sampled_from(("none", "none", "right", "one too many")),
+        given=st.sampled_from(("none", "right", "one too many", "fields", "fields")),
     )
     def alloc(self, data, r, c, into, given):
-        """Half the time the cell takes leaf values: one per leaf field, or
-        one too many."""
+        """The cell takes no arguments, one per leaf field, one too many, or
+        one per field: a leaf, or ``...`` or a nullary constructor at a
+        Recursive field, each refused one time in eight."""
         region, counts = self.regions[r], self.counts[r]
         if c == "receiver":
             cell = region._alloc_receiver()
@@ -229,24 +238,46 @@ class RegionMachine(RuleBasedStateMachine):
             counts[3] += 1
             counts[4] += 2 * WORD
             return
-        leaves = [] if given == "none" else [7] * len(c.leaves)
         bad = c is _UNREGISTERED or given == "one too many"
-        leaves += [8] if given == "one too many" else []
+        args = [] if given == "none" else [7] * len(c.leaves) + [8] * (given == "one too many")
+        filled = list(c.leaves) if args else []
+        if given == "fields":
+            args = []
+            for kind in c.fields:
+                if isinstance(kind, Recursive):
+                    other = "pair" if kind.type_id == "list" else "list"
+                    good = (_NULLARY[kind.type_id], ...)
+                    wrong = ("x", LIST_CONS, _NULLARY[other], _UNREGISTERED_NIL)
+                else:
+                    good, wrong = (7,), (...,)
+                refused = not data.draw(st.integers(0, 7))
+                args.append(data.draw(st.sampled_from(wrong if refused else good)))
+                bad = bad or refused
+            filled = [i for i, a in enumerate(args) if a is not ...]
+        copies = len(c.leaves) if args else 0
         if not into:
-            cell = self._call(bad, lambda: alloc_hollow(region, c, None, 0, leaves))
+            cell = self._call(bad, lambda: alloc_hollow(region, c, None, 0, args))
             if not bad:
-                self._new(cell, r, c, leaves)
+                self._new(cell, r, c, filled, copies)
             return
-        node, obj, index = self._target(data)
+        # Half the time, a hole of a receiver or host object: where a fill
+        # builds in place.
+        holes = [(n, i) for n in self.nodes if n.receiver or not n.raw for i in range(len(n.fields))]
+        holes = [(n, i) for n, i in holes if n.region == r and n.fields[i] is None]
+        if holes and data.draw(st.booleans()):
+            node, index = data.draw(st.sampled_from(holes))
+            obj = node.obj
+        else:
+            node, obj, index = self._target(data)
         fails = bad or not self._open(node, r, index)
         # A host object's field takes no raw cell.
         fails = fails or c.arity and REGISTRY.resolve(c) is None and not node.raw
-        cell = self._call(fails, lambda: alloc_hollow(region, c, obj, index, leaves))
+        cell = self._call(fails, lambda: alloc_hollow(region, c, obj, index, args))
         if fails:
             return
         counts[0] -= 1
         if c.arity:
-            node.fields[index] = ("node", self._new(cell, r, c, leaves))
+            node.fields[index] = ("node", self._new(cell, r, c, filled, copies))
         else:
             counts[1] += 1
             counts[4] += WORD
