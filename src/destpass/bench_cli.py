@@ -4,13 +4,16 @@
         --seed 7 --out results.csv
 
 Exit code 0 on success, 1 when the plan is invalid (nothing runs then), 2
-when an engine's output fails oracle validation. With ``--case all`` each
-case keeps the engines and size exponents valid for it.
+when an engine's output fails oracle validation. A plan is invalid when it
+names a bad engine or size, runs nothing, or writes to an ``--out`` that
+cannot be written. With ``--case all`` each case keeps the engines and size
+exponents valid for it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bench import (
@@ -26,15 +29,29 @@ DEFAULT_SIZES = {"dlist": "6..10", "bfs": "6..10", "sexpr": "10..14"}
 
 
 def parse_sizes(spec: str) -> list[int]:
-    """Accept "k", "k1..k2", or a comma list of either."""
+    """Accept "k", "k1..k2" with k1 <= k2, or a comma list of either."""
     out: list[int] = []
     for part in spec.split(","):  # int() ignores surrounding spaces
         if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(k) for k in part.split("..", 1))
+            if lo > hi:
+                raise ValueError(f"size range {part.strip()} is empty")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(part))
     return out
+
+
+def check_writable(path: str) -> None:
+    """Raise ValueError unless a file can be written at ``path``."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if (
+        os.path.isdir(path)
+        or not os.path.isdir(folder)
+        or not os.access(folder, os.W_OK)
+        or os.path.exists(path) and not os.access(path, os.W_OK)
+    ):
+        raise ValueError(f"cannot write {path}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -101,6 +118,10 @@ def main(argv: list[str] | None = None) -> int:
                 for engine in engines
                 for k in sizes
             )
+        if not plan:
+            raise ValueError("the plan runs nothing")
+        if args.out != "-":
+            check_writable(args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -250,13 +250,13 @@ def with_region(
         result = body(token)
     finally:
         region._close()
-    counts = (
-        (region._tokens_alive, "token"),
-        (region.outstanding_holes, "destination"),
-        (region._incompletes_alive, "incomplete"),
-    )
-    leaks = [f"{n} live {what}(s)" for n, what in counts if n]
-    if leaks:
+    if region._tokens_alive or region.outstanding_holes or region._incompletes_alive:
+        counts = (
+            (region._tokens_alive, "token"),
+            (region.outstanding_holes, "destination"),
+            (region._incompletes_alive, "incomplete"),
+        )
+        leaks = [f"{n} live {what}(s)" for n, what in counts if n]
         raise LinearityLeak(
             "scope exit with unconsumed linear values: " + ", ".join(leaks)
         )
@@ -376,13 +376,14 @@ def from_incomplete(i: Incomplete):
     RegionClosed once the region is closed.
     """
     _check_release(i, "from_incomplete")
-    smuggled = [x for x in _collect_linear(i.payload) if getattr(x, "alive", False)]
-    if smuggled:
+    payload = i.payload  # a scalar holds no handle
+    if type(payload) not in _SCALARS and any(
+        getattr(x, "alive", False) for x in _collect_linear(payload)
+    ):
         raise LinearityLeak(
             "from_incomplete payload still carries live linear values"
         )
     value = _region.read_value(i.region, i.root)
-    payload = i.payload
     _consume_incomplete(i, "from_incomplete")
     return value, payload
 
@@ -408,19 +409,24 @@ def _check_fillable(kind: FieldKind | None, type_id: str | None, what: str) -> N
 
 
 def fill(d: Dest, ctor: CtorDescriptor, *args):
-    """Plug constructor ``ctor`` into the hole behind ``d``; return the
-    destinations of the new node's holes in declaration order: None for
-    none, a single Dest for one, a tuple otherwise.
+    """Plug the constructor context ``ctor(*args)`` into the hole behind
+    ``d``; return the destinations of its holes, depth first in declaration
+    order: None for none, a single Dest for one, a tuple otherwise.
 
     ``args`` are none, one per leaf field or one per field, in declaration
-    order (else TypeError), and spell a constructor context such as
-    ``Cons(x, _)`` or ``Node(x, Nil, _)``: a leaf field takes its value, which
-    the same region call writes exactly as ``fill_leaf`` would, with its
-    checks and charges; a ``Recursive`` field takes ``...``, a hole, or a
-    registered nullary constructor of its type, written as its own fill
-    would write it; a field given no argument is a hole. A refused fill
-    changes nothing; on a closed region RegionClosed comes first, before
-    any leaf is copied.
+    order (else TypeError). A field given no argument is a hole. A leaf
+    field takes its value, which the same region call writes exactly as
+    ``fill_leaf`` would, with its checks and charges. A ``Recursive`` field
+    takes ``...``, a hole; a registered nullary constructor of its type; or
+    a nested context ``(c, *args)``, ``c`` a registered constructor of that
+    type and ``args`` under this same rule. So ``Cons(x, _)``,
+    ``Node(x, Nil, _)`` and ``Cons(SList(_, _), _)`` are
+    ``fill(d, CONS, x)``, ``fill(d, NODE, x, NIL, ...)`` and
+    ``fill(d, CONS, (SLIST,), ...)``. Each node is written and charged as
+    its own fill would write it, all in one region call, and a nested
+    hole's Dest points into its nested node. A refused fill changes
+    nothing: every check, at every depth, comes first, and on a closed
+    region RegionClosed comes before any leaf is copied.
     """
     if type(d) is not Dest or not d.alive:  # its region: alloc_hollow checks
         _admit(d, Dest, "fill")
@@ -428,23 +434,39 @@ def fill(d: Dest, ctor: CtorDescriptor, *args):
     if kind is not None and (type(kind) is not Recursive or kind.type_id != ctor.type_id):
         _check_fillable(kind, ctor.type_id, f"constructor {ctor.name}")
     region = d.region
+    opened = region.outstanding_holes  # each hole has one live Dest
     cell = _region.alloc_hollow(region, ctor, d.cell, d.index, args)
     d.alive = False
+    opened = region.outstanding_holes - opened + 1  # the holes the context left
     lineage = d.lineage
     if lineage.parent is not None:
         lineage = lineage.find()
     if kind is None:  # a receiver's hole
         lineage.type_id, lineage.dest = ctor.type_id, None
-    places = ctor.kids if args else ctor.places  # of the new node's holes
-    if places and len(args) == ctor.arity:  # one per field: those marked ...
-        marked = []
-        for p in places:
-            if args[p[0]] is ...:
-                marked.append(p)
-        places = marked
-    lineage.holes += len(places) - 1
-    if not places:
+    lineage.holes += opened - 1
+    if not opened:
         return None
+    if len(args) == ctor.arity:  # one per field: those marked ..., at any depth
+        if opened == 1 and args[-1] is ...:  # the last field, as in Cons(x, _)
+            return Dest(region, cell, len(args) - 1, ctor.fields[-1], lineage)
+        dests = []
+        for i, k in ctor.kids:
+            a = args[i]
+            if a is ...:
+                dests.append(Dest(region, cell, i, k, lineage))
+            elif type(a) is tuple and (len(a) == 1 or a[0].kids):  # a nested context with holes
+                c = a[0]
+                if len(a) - 1 == c.arity:  # one per field: walked to any depth
+                    dests += _nested_dests(region, lineage, cell, i, a)
+                    continue
+                if type(cell) is CellRef:
+                    node = cell.slots[i]
+                else:
+                    node = getattr(cell, region.registry.host_fields[type(cell)][i])
+                for j, m in c.kids if len(a) > 1 else c.places:  # its Recursive fields, or all
+                    dests.append(Dest(region, node, j, m, lineage))
+        return dests[0] if opened == 1 else tuple(dests)
+    places = ctor.kids if args else ctor.places  # of the new node's holes
     if len(places) == 2:
         (i, k), (j, m) = places
         return Dest(region, cell, i, k, lineage), Dest(region, cell, j, m, lineage)
@@ -452,6 +474,34 @@ def fill(d: Dest, ctor: CtorDescriptor, *args):
         ((i, k),) = places
         return Dest(region, cell, i, k, lineage)
     return tuple([Dest(region, cell, i, k, lineage) for i, k in places])
+
+
+def _nested_dests(region: Region, lineage: _Lineage, cell, index: int, context: tuple) -> list:
+    """The destinations of the holes of ``context``, nested at field
+    ``index`` of ``cell`` by a fill, depth first in declaration order: all
+    its fields, or its Recursive ones, or, given one argument per field,
+    those marked ``...`` at any depth, walked with a stack."""
+    host_fields = region.registry.host_fields
+    dests, todo = [], []  # todo, next last: (cell, index, a nested context or a hole's kind)
+    i, a = index, context
+    while True:
+        if type(a) is tuple:
+            cell = cell.slots[i] if type(cell) is CellRef else getattr(cell, host_fields[type(cell)][i])
+            c = a[0]
+            if len(a) == 1 or len(a) - 1 != c.arity:
+                for j, k in c.kids if len(a) > 1 else c.places:
+                    dests.append(Dest(region, cell, j, k, lineage))
+            else:
+                for j, k in reversed(c.kids):
+                    if a[1 + j] is ...:
+                        todo.append((cell, j, k))
+                    elif type(a[1 + j]) is tuple:
+                        todo.append((cell, j, a[1 + j]))
+        else:
+            dests.append(Dest(region, cell, i, a, lineage))
+        if not todo:
+            return dests
+        cell, i, a = todo.pop()
 
 
 def fill_leaf(value, d: Dest) -> None:

@@ -68,6 +68,7 @@ from .shapes import (
     DEFAULT_REGISTRY,
     CtorDescriptor,
     LeafType,
+    Recursive,
     ShapeRegistry,
 )
 
@@ -169,15 +170,12 @@ class Region:
         if not self.alive:
             raise RegionClosed(f"region {self.region_id} is closed")
 
-    def _new_cell(self, ctor: CtorDescriptor) -> CellRef:
-        self.stats.bytes_allocated += WORD * (1 + ctor.arity)
-        self.outstanding_holes += ctor.arity
-        return CellRef(self, next(self._handles), ctor)
-
     def _alloc_receiver(self) -> CellRef:
         """Allocate a root-receiver indirection cell (not a user cell)."""
         self.stats.receiver_cells += 1
-        return self._new_cell(_INDIRECTION)
+        self.stats.bytes_allocated += 2 * WORD
+        self.outstanding_holes += 1
+        return CellRef(self, next(self._handles), _INDIRECTION)
 
     def _foreign(self, cell: CellRef, what: str) -> RegionMismatch:
         return RegionMismatch(
@@ -306,26 +304,31 @@ def region_new(*, registry: ShapeRegistry | None = None) -> Region:
 def alloc_hollow(
     region: Region, ctor: CtorDescriptor, into=None, index: int = 0, leaves=()
 ):
-    """Allocate a cell for ``ctor`` with every field a hole but those that
-    ``leaves`` gives: one value per leaf field, or one per field (else
-    TypeError). A leaf field's value is kept, copied, refused and charged as
-    ``write_field`` does a ``Leaf``'s payload; a ``Recursive`` one takes
-    ``...``, a hole, or a registered nullary constructor of its type (else
-    TypeError, or UnknownCtor for any other descriptor), stored and charged
-    as below.
+    """Allocate a cell for the constructor context ``ctor(*leaves)``: every
+    field of ``ctor`` a hole but those that ``leaves`` gives, one value per
+    leaf field or one per field (else TypeError). A leaf field's value is
+    kept, copied, refused and charged as ``write_field`` does a ``Leaf``'s
+    payload. A ``Recursive`` field takes ``...``, a hole; a registered
+    nullary constructor of its type; or a nested context ``(c, *args)``,
+    ``c`` a registered constructor of that type and ``args`` under this
+    same rule (else TypeError, or UnknownCtor for a descriptor of another
+    type, an unregistered one or a bare one that is not nullary). Each node
+    of the context is built, stored and charged as its own fill would be.
 
     With ``into``, the new cell is also written into hole ``index`` of
     ``into``: a raw cell, a receiver, or a host object that a fill of this
-    same region built (else RegionMismatch). Every check of both steps
-    runs before anything changes. A nullary constructor is stored as its
-    ``make()``, charged as one cell, and None is returned. Otherwise the new
-    cell is returned: a raw cell into a raw cell that is not a receiver or
-    for a constructor that does not build in place, else its host object.
-    A host object's field takes no raw cell (TypeError).
+    same region built (else RegionMismatch). Every check, at every depth,
+    runs before anything changes: the target's first, then the context's,
+    depth first in declaration order, each leaf copied where it stands. A
+    nullary constructor is stored as its ``make()``, charged as one cell,
+    and None is returned. Otherwise the new cell is returned: a raw cell
+    into a raw cell that is not a receiver or for a constructor that does
+    not build in place, else its host object; a nested node is built as its
+    parent is. A host object's field takes no raw cell (TypeError).
 
     A constructor that builds in place runs the allocator generated for it
     at registration (``_compile``), which leaves any call it does not
-    build, unchanged, to the generic checks and raw cells.
+    build, unchanged, to ``_alloc_generic``.
     """
     try:
         compiled = region.registry.allocators[ctor]
@@ -335,51 +338,95 @@ def alloc_hollow(
 
 
 def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, leaves):
-    """``alloc_hollow``'s checks, in order, and the raw cells it builds."""
+    """``alloc_hollow``'s checks, in order, and what it builds, for any call:
+    a context of any depth is walked with a stack, not by recursion."""
+    registry = region.registry
     if into is None:
         region._require_alive()
-        region.registry.resolve(ctor)
+        layout = registry.resolve(ctor)
     else:
         key = _hole(region, into, index)
-        if region.registry.resolve(ctor) is None and type(into) is not CellRef:
+        layout = registry.resolve(ctor)
+        if layout is None and type(into) is not CellRef:
             raise TypeError(f"a {type(into).__name__} cannot hold a region cell")
-    nested = []  # (position, nullary constructor) of each Recursive field given one
-    if leaves:
-        if len(leaves) == ctor.arity:  # one per field
-            for i, kind in ctor.kids:
-                if (c := leaves[i]) is not ...:
-                    if type(c) is not CtorDescriptor:
-                        raise TypeError(f"field {i} of {ctor.name} takes ... or a nullary constructor")
-                    if c.arity or c.type_id != kind.type_id:
-                        raise UnknownCtor(f"field {i} of {ctor.name} takes a nullary {kind.type_id}")
-                    region.registry.resolve(c)
-                    nested.append((i, c))
-            leaves = [leaves[i] for i in ctor.leaves]
-        elif len(leaves) != len(ctor.leaves):
-            raise TypeError(f"{ctor.name} takes {len(ctor.leaves)} leaves or {ctor.arity} fields")
-        leaves, charge = _leaf_copies(leaves)
-        region.outstanding_holes -= len(leaves) + len(nested)
-        region.stats.bytes_allocated += charge + WORD * len(nested)
-        region.stats.leaf_copies += len(leaves)
-    if into is not None and not ctor.arity:
-        cell, value = None, ctor.make()
-        region.stats.bytes_allocated += WORD
-    else:
-        cell = value = region._new_cell(ctor)
-        for i, v in zip(ctor.leaves, leaves):
-            cell.slots[i] = v
-        for i, c in nested:
-            cell.slots[i] = c.make()
-    if into is not None:  # a raw cell: any other target passed a generated allocator
-        into.slots[key] = value
-        region.outstanding_holes -= 1
-    region.stats.cells_allocated += 1 + len(nested)
-    return cell
+    hole = region.hole
+    top = [hole]  # the one field the context's root goes in
+    nodes = []  # (ctor, its field values, the field values and index that take it), parents first
+    charge = cells = copies = 0
+    holes = -1 if into is not None else 0  # the hole the root fills
+    # Fields still to check, next last: (constructor, its field values,
+    # index, kind, argument); the root's kind is None.
+    todo = [(None, top, 0, None, (ctor, *leaves))]
+    while todo:
+        parent, fields, i, kind, a = todo.pop()
+        if kind is not None and type(kind) is not Recursive:  # a leaf field
+            (fields[i],), c = _leaf_copies((a,))
+            charge += c
+            copies += 1
+            holes -= 1
+            continue
+        if a is ...:
+            continue
+        if type(a) is CtorDescriptor:
+            c, args = a, None
+        elif type(a) is tuple and a and type(a[0]) is CtorDescriptor:
+            c, args = a[0], a[1:]
+        else:
+            raise TypeError(f"field {i} of {parent.name} takes ..., a constructor or a context")
+        if kind is not None:
+            if c.type_id != kind.type_id or args is None and c.arity:
+                raise UnknownCtor(
+                    f"field {i} of {parent.name} takes a nullary {kind.type_id} or a context"
+                )
+            registry.resolve(c)
+        if args and len(args) != c.arity and len(args) != len(c.leaves):
+            raise TypeError(f"{c.name} takes {len(c.leaves)} leaves or {c.arity} fields")
+        cells += 1
+        charge += WORD * (1 + c.arity)
+        holes += c.arity - (kind is not None)
+        if not c.arity and (kind is not None or into is not None):
+            fields[i] = c.make()
+            continue
+        node = [hole] * c.arity
+        nodes.append((c, node, fields, i))
+        if args:
+            places = c.places if len(args) == c.arity else [c.places[j] for j in c.leaves]
+            todo.extend((c, node, j, k, v) for (j, k), v in reversed(list(zip(places, args))))
+    # Nothing is refused past this point. A node is built as the root's
+    # target takes it: host objects in place, else raw cells.
+    in_place = into is not None and layout is not None and (
+        type(into) is not CellRef or into.ctor is _INDIRECTION
+    )
+    for c, node, fields, i in reversed(nodes):  # children first
+        if in_place:
+            obj = object.__new__(c.make)
+            put = registry.setters[c.make]
+            for name, v in zip(registry.host_fields[c.make], node):
+                put(obj, name, v)
+        else:
+            obj = CellRef(region, next(region._handles), c)
+            obj.slots = node
+        fields[i] = obj
+    region.stats.bytes_allocated += charge
+    region.stats.cells_allocated += cells
+    region.stats.leaf_copies += copies
+    region.outstanding_holes += holes
+    value = top[0]
+    if into is not None:
+        if type(into) is CellRef:
+            into.slots[key] = value
+        else:
+            registry.setters[type(into)](into, key, value)
+        if not ctor.arity:
+            return None
+    return value
 
 
 # What an allocator does with a call that it does not build.
 _GENERIC = "return _alloc_generic(region, ctor, into, index, leaves)"
-# The allocator of one in-place constructor, which _compile completes.
+# The allocator of one in-place constructor and its plug, which _compile
+# completes. Each arm of {take} sets the fields' locals and what the node
+# and any nested ones are charged; {plug} does the same or returns None.
 _ALLOCATOR = """\
 def alloc(region, into, index, leaves):
     hole = region.hole
@@ -394,85 +441,124 @@ def alloc(region, into, index, leaves):
         link = host_fields.get(type(into))
         if link is None or not 0 <= index < len(link) or getattr(into, link[index]) is not hole:
             {generic}
-    stats = region.stats
 {take}
 {build}
-    stats.bytes_allocated += {size}
-    stats.cells_allocated += 1
-{holes}
+    stats = region.stats
+    stats.bytes_allocated += charge
+    stats.cells_allocated += cells
+    if copies:
+        stats.leaf_copies += copies
+    region.outstanding_holes += holes
     if link is None:
         into.slots[0] = obj
     else:
         setters[type(into)](into, link[index], obj)
     return {result}
+
+
+def plug(hole, leaves):
+    n = len(leaves)
+{plug}
+{build}
+    return obj, charge, holes, cells, copies
 """
 
 
 def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegistry):
     """The allocator of ``ctor``, which builds in place with fields
-    ``names``, generated from source at registration as ``dataclasses``
-    generates an ``__init__``, with its field names, leaf positions, charges,
-    setter and the nullary constructors of each ``Recursive`` field as
-    constants. It builds into a live receiver or a hole of a host object of
+    ``names``, and its plug, generated from source at registration as
+    ``dataclasses`` generates an ``__init__``, with its field names, leaf
+    positions, charges and setter, the nullary constructors of each
+    ``Recursive`` field and the plugs of that field's type as constants.
+
+    The allocator builds into a live receiver or a hole of a host object of
     the region, given no leaves, one per leaf field, or one per field with
-    ``...`` or a nullary constructor of its type at each ``Recursive`` one:
-    a leaf of a type in ``_ONE_WORD`` is kept, any other goes through
-    ``_leaf_copies``. Any other call goes, unchanged, to ``_alloc_generic``."""
-    plain = registry.setters.get(ctor.make) is setattr
+    ``...``, a nullary constructor of its type or a context that a plug of
+    its type builds at each ``Recursive`` one: a leaf of a type in
+    ``_ONE_WORD`` is kept, any other goes through ``_leaf_copies``. The plug
+    builds the node of a context ``(ctor, *args)`` nested in a parent's
+    fill, with a hole at each ``...``, and returns it with its charges
+    (bytes, holes, cells, leaf copies), or None when it does not build that
+    context: a leaf that is not exactly a scalar type, or a ``Recursive``
+    field that takes neither ``...`` nor a nullary constructor. It changes
+    nothing, so a parent charges a nested node only once every check has
+    passed. Any call that the allocator or a plug it calls does not build
+    goes, unchanged, to ``_alloc_generic``."""
     fields = [f"v{i}" for i in range(ctor.arity)]  # the local that holds each field
     leaves = [fields[i] for i in ctor.leaves]
-    n, kids = len(leaves), [fields[i] for i, _ in ctor.kids]
-    every, each_leaf = ("".join(f"{v}, " for v in vs) for vs in (fields, leaves))
-    copies = [
-        f"    charge = {WORD * n}",
-        *(
-            f"    if type({v}) not in _ONE_WORD: ({v},), c = _leaf_copies(({v},)); "
-            f"charge += c - {WORD}"
-            for v in leaves
-        ),
-        f"    stats.leaf_copies += {n}",
-    ]
-    take = [f"{every}= {'hole, ' * ctor.arity}"] if fields else []
-    take += ["if not leaves:", f"    region.outstanding_holes += {n}" if n else "    pass"]
+    n, size = len(leaves), WORD * (1 + ctor.arity)
+
+    def assign(targets, value):
+        return [f"{''.join(f'{v}, ' for v in targets)}= {value}"] if targets else []
+
+    # Per arm: the allocator's test, the plug's length, the fields given,
+    # and the node's charges before its leaves' sizes and nested nodes:
+    # bytes, cells, leaf copies and holes left.
+    arms = [("not leaves", 1, [], (size, 1, 0, ctor.arity))]
     if leaves:
-        take += [f"elif len(leaves) == {n}:", f"    {each_leaf}= leaves", *copies,
-                 "    stats.bytes_allocated += charge"]
-    nullaries = {}  # by name, each nullary constructor that a Recursive field may take
-    if kids:
-        take += [f"elif len(leaves) == {ctor.arity}:", f"    {every}= leaves"]
-        for v, (_, kind) in zip(kids, ctor.kids):
-            takes = {f"nullary{id(c)}": c for c in registry.shape(kind.type_id).ctors if not c.arity}
-            nullaries.update(takes)
-            tests = " and ".join([f"{v} is not ...", *(f"{v} is not {name}" for name in takes)])
-            take += [f"    if {tests}:", f"        {_GENERIC}"]
-        take += [
-            *copies,
-            f"    nested = {' + '.join(f'({v} is not ...)' for v in kids)}",
-            *(f"    {v} = hole if {v} is ... else {v}.make()" for v in kids),
-            f"    stats.bytes_allocated += charge + {WORD} * nested",
-            "    stats.cells_allocated += nested",
-            "    region.outstanding_holes -= nested",
-        ]
+        arms.append((f"len(leaves) == {n}", 1 + n, leaves, (size + WORD * n, 1, n, ctor.arity - n)))
+    if ctor.kids:
+        arms.append((f"len(leaves) == {ctor.arity}", 1 + ctor.arity, fields, (size + WORD * n, 1, n, 0)))
+    take, plug, constants = [], [], {}
+    for k, (test, length, given, (charge, cells, kept, left)) in enumerate(arms):
+        holes = assign([v for v in fields if v not in given], "hole, " * (ctor.arity - len(given)))
+        take += [f"{'elif' if k else 'if'} {test}:", *(f"    {line}" for line in (
+            *holes, *assign(given, "leaves"),
+            f"charge, cells, copies, holes = {charge}, {cells}, {kept}, {left - 1}",
+        ))]
+        plug += [f"{'elif' if k else 'if'} n == {length}:", *(f"    {line}" for line in (
+            *holes, *(assign(["_", *given], "leaves") if given else ()),
+            f"charge, holes, cells, copies = {charge}, {left}, {cells}, {kept}",
+        ))]
+        if given:  # a nested leaf is kept as given, or the plug leaves its context
+            plug += [f"    {line}" for v in leaves for line in (
+                f"if type({v}) not in _ONE_WORD:",
+                f"    if type({v}) is not bytes and type({v}) is not str: return None",
+                f"    charge += (len({v}) + {WORD - 1}) // {WORD} * {WORD}",
+            )]
+        for j, (i, kind) in enumerate(ctor.kids if given is fields else ()):
+            v = fields[i]
+            nullaries = {f"nullary{id(c)}": c for c in registry.shape(kind.type_id).ctors if not c.arity}
+            constants.update(nullaries, **{f"plugs{j}": registry.plugs.setdefault(kind.type_id, {})})
+            nullary = [
+                f"elif {' or '.join(f'{v} is {name}' for name in nullaries)}:",
+                f"    {v} = {v}.make()", f"    charge += {WORD}; cells += 1",
+            ] if nullaries else []
+            take += [f"    {line}" for line in (
+                f"if {v} is ...:", f"    {v} = hole; holes += 1", *nullary,
+                f"elif type({v}) is tuple and {v} and (p := plugs{j}.get(id({v}[0]))) "
+                f"and (got := p(hole, {v})):",
+                f"    {v}, c, h, m, k = got",
+                "    charge += c; holes += h; cells += m; copies += k",
+                "else:", f"    {_GENERIC}",
+            )]
+            plug += [f"    {line}" for line in (
+                f"if {v} is ...:", f"    {v} = hole; holes += 1", *nullary,
+                "else:", "    return None",
+            )]
+        if given:  # a leaf of a type not in _ONE_WORD goes through _leaf_copies
+            take += [
+                f"    if type({v}) not in _ONE_WORD: ({v},), c = _leaf_copies(({v},)); "
+                f"charge += c - {WORD}"
+                for v in leaves
+            ]
     take += ["else:", f"    {_GENERIC}"]
-    build = ["obj = new(make)" if names else "obj = make()"]
-    for v, name in zip(fields, names):
-        build.append(f"obj.{name} = {v}" if plain else f"put(obj, {name!r}, {v})")
-    holes = ctor.arity - n - 1
+    plug += ["else:", "    return None"]
+    plain = registry.setters.get(ctor.make) is setattr
+    build = ["obj = new(make)" if names else "obj = make()"] + [
+        f"obj.{name} = {v}" if plain else f"put(obj, {name!r}, {v})" for v, name in zip(fields, names)
+    ]
+    indent = lambda lines: "\n".join(f"    {line}" for line in lines)  # noqa: E731
     source = _ALLOCATOR.format(
-        generic=_GENERIC,
-        take="\n".join(f"    {line}" for line in take),
-        build="\n".join(f"    {line}" for line in build),
-        size=WORD * (1 + ctor.arity),
-        holes=f"    region.outstanding_holes += {holes}" if holes else "",
+        generic=_GENERIC, take=indent(take), plug=indent(plug), build=indent(build),
         result="obj" if names else "None",
     )
     namespace = dict(
         globals(), ctor=ctor, make=ctor.make, new=object.__new__, put=object.__setattr__,
-        host_fields=registry.host_fields, setters=registry.setters,
-        **nullaries,
+        host_fields=registry.host_fields, setters=registry.setters, **constants,
     )
     exec(source, namespace)
-    return namespace["alloc"]
+    return namespace["alloc"], namespace["plug"]
 
 
 def _hole(region: Region, cell, index: int):
@@ -517,7 +603,11 @@ def write_field(region: Region, cell, index: int, value) -> None:
     receiver, or a raw cell into a host object."""
     key = _hole(region, cell, index)
     if isinstance(value, Leaf):
-        (value,), charge = _leaf_copies((value.payload,))
+        value = value.payload
+        if type(value) in _ONE_WORD:
+            charge = WORD
+        else:
+            (value,), charge = _leaf_copies((value,))
         region.stats.bytes_allocated += charge
         region.stats.leaf_copies += 1
     elif type(value) is CellRef:

@@ -2,13 +2,15 @@
 
 ``parse_naive`` is the standard accumulate-and-reverse parser: list elements
 are consed up in reverse (the natural build order for a linked list) and
-reversed when the closing parenthesis arrives. ``parse_dps`` writes every element straight into
-its final location through destinations: a hollow cons cell is plugged into
-the pending tail hole, the element is parsed into the head destination, and
-the loop continues with the tail destination. No accumulator, no reversal.
-Both parsers return identical results, successes and failures alike, and
-both keep the open lists on an explicit stack instead of recursing, so any
-nesting depth parses.
+reversed when the closing parenthesis arrives. ``parse_dps`` writes every
+element straight into its final location through destinations: one fill
+plugs the element together with the cons cell that holds it into the
+list's pending tail hole, as the constructor context ``Cons(atom, _)``,
+``Cons(atom, Nil)`` or ``Cons(SList(_, _), _)``, and the loop continues
+with the tail destination. No accumulator, no reversal. Both parsers return
+identical results, successes and failures alike, and both keep the open
+lists on an explicit stack instead of recursing, so any nesting depth
+parses.
 
 Grammar (byte-oriented):
 
@@ -181,7 +183,8 @@ def _scan_string(bs: bytes, i: int):
 def _scan_leaf(bs: bytes, i: int):
     """The string, integer or symbol starting at ``i``.
 
-    Returns (constructor, offset of its last byte, payload) or a ParseError.
+    Returns (constructor, offset of its last byte, payload), which is also
+    the atom's constructor context, or a ParseError.
     """
     if i >= len(bs):
         return UnexpectedEOFAtom(i)
@@ -263,51 +266,86 @@ def _parse_sexpr_dps(bs: bytes, i: int, d):
     """Parse one expression into destination ``d``.
 
     Returns the offset of the expression's last byte, or a ParseError.
-    ``d`` and every destination created here are consumed on every path.
+    ``d`` and every destination created here are consumed on every path; a
+    top-level atom that does not scan leaves its error in ``d``.
 
-    Each element of a list gets a fresh cons cell plugged into the list's
-    pending tail hole; the element is written through the head destination
-    and the loop goes on with the new tail. Nesting needs no recursion: the
-    stack ``tails`` holds the pending tail destination of every open list,
-    which is the tail-recursion-modulo-context form of a recursive descent
-    (Leijen & Lorenzen, POPL 2023).
+    An element of a list is scanned, and the next non-space byte looked at,
+    before anything is filled; then one fill writes the element together
+    with the cons cell that holds it into the list's pending tail hole:
+    ``Cons(atom, _)``, or ``Cons(atom, Nil)`` when a ``)`` follows;
+    ``Cons(SList(_, _), _)`` for a list that opens; ``Cons(SList(e, Nil),
+    _)`` for ``()``. A list's end_pos is filled when its ``)`` arrives.
+    Nesting needs no recursion: the stack ``tails`` holds the pending tail
+    destination of every open list but the innermost, which is the
+    tail-recursion-modulo-context form of a recursive descent (Leijen &
+    Lorenzen, POPL 2023).
     """
     n = len(bs)
-    opened = []  # per open list, innermost last: (offset of "(", end_pos dest)
-    tails = []  # per open list: its pending tail destination
+    if i >= n or bs[i] != _OPEN:
+        leaf = _scan_leaf(bs, i)
+        if isinstance(leaf, ParseError):
+            fill_leaf(leaf, d)
+            return leaf
+        leaf_ctor, end, payload = leaf
+        fill(d, leaf_ctor, end, payload)
+        return end
+    j = _skip_ws(bs, i + 1)
+    if j < n and bs[j] == _CLOSE:
+        fill(d, SEXPR_SLIST, j, SEXPR_LIST_NIL)
+        return j
+    d_end, tail = fill(d, SEXPR_SLIST)
+    opened = [(i, d_end)]  # per open list, innermost last: (offset of "(", end_pos dest)
+    tails = []  # per open list but the innermost: its pending tail destination
+    i = j
     while True:
-        # d is the destination of the expression starting at i.
-        if i < n and bs[i] == _OPEN:
-            d_end, d_children = fill(d, SEXPR_SLIST)
-            opened.append((i, d_end))
-            tails.append(d_children)
-            i += 1
+        # i is the next non-space byte of the innermost open list; tail is
+        # that list's pending tail. Fill it, and find the ")" at k that
+        # closes the list, or go on to the next element.
+        if i >= n:
+            tails.append(tail)
+            return _close_lists(opened, tails, UnexpectedEOFSList(i))
+        c = bs[i]
+        if c == _CLOSE:
+            fill(tail, SEXPR_LIST_NIL)
+            k = i
+        elif c == _OPEN:
+            j = i + 1
+            while j < n and bs[j] in _WHITESPACE:
+                j += 1
+            if j >= n or bs[j] != _CLOSE:
+                d_end, children, tail = fill(tail, SEXPR_LIST_CONS, (SEXPR_SLIST,), ...)
+                tails.append(tail)
+                opened.append((i, d_end))
+                tail, i = children, j
+                continue
+            k = j + 1
+            while k < n and bs[k] in _WHITESPACE:
+                k += 1
+            if k >= n or bs[k] != _CLOSE:
+                tail = fill(tail, SEXPR_LIST_CONS, (SEXPR_SLIST, j, SEXPR_LIST_NIL), ...)
+                i = k
+                continue
+            fill(tail, SEXPR_LIST_CONS, (SEXPR_SLIST, j, SEXPR_LIST_NIL), SEXPR_LIST_NIL)
         else:
             leaf = _scan_leaf(bs, i)
             if isinstance(leaf, ParseError):
-                # The error path must still consume d; plug a sentinel.
-                fill(d, SEXPR_SSYMBOL, i, b"")
+                tails.append(tail)
                 return _close_lists(opened, tails, leaf)
-            leaf_ctor, end, payload = leaf
-            fill(d, leaf_ctor, end, payload)
-            if not opened:
-                return end
-            i = end + 1
-        # Inside a list: close each list that ends here, then open a cell
-        # for the next element.
-        while True:
-            while i < n and bs[i] in _WHITESPACE:
-                i += 1
-            if i >= n:
-                return _close_lists(opened, tails, UnexpectedEOFSList(i))
-            if bs[i] != _CLOSE:
-                break
-            fill(tails.pop(), SEXPR_LIST_NIL)
-            fill_leaf(i, opened.pop()[1])
-            if not opened:
-                return i
+            k = leaf[1] + 1
+            while k < n and bs[k] in _WHITESPACE:
+                k += 1
+            if k >= n or bs[k] != _CLOSE:
+                tail = fill(tail, SEXPR_LIST_CONS, leaf, ...)
+                i = k
+                continue
+            fill(tail, SEXPR_LIST_CONS, leaf, SEXPR_LIST_NIL)
+        fill_leaf(k, opened.pop()[1])
+        if not opened:
+            return k
+        tail = tails.pop()
+        i = k + 1
+        while i < n and bs[i] in _WHITESPACE:
             i += 1
-        d, tails[-1] = fill(tails[-1], SEXPR_LIST_CONS)
 
 
 def parse_dps(data: bytes, *, stats_out: dict | None = None):

@@ -1,4 +1,7 @@
-"""Command line front end for the s-expression parsers."""
+"""Command line front end for the s-expression parsers.
+
+Exit code 0 on success, 1 on a parse error, 2 when the file cannot be read.
+"""
 
 from __future__ import annotations
 
@@ -27,8 +30,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    with open(args.file, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(args.file, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        print(f"error: cannot read {args.file}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     engine = parse_naive if args.engine == "naive" else parse_dps
     result = engine(data)
     if isinstance(result, ParseError):

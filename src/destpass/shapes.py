@@ -41,8 +41,8 @@ with the setter registration records for its class in ``setters``, the
 builtin ``setattr`` when the class keeps ``object.__setattr__``, else
 ``object.__setattr__`` itself, past a frozen dataclass's refusal and any
 ``__setattr__`` of its own. Registration also generates, per constructor
-that builds in place, the allocator its fills run (``allocators``, see
-``region``).
+that builds in place, the allocator its fills run (``allocators``) and the
+plug that builds it nested in a parent's fill (``plugs``, see ``region``).
 """
 
 from __future__ import annotations
@@ -177,8 +177,10 @@ class ShapeRegistry:
         # setter its fields are written with.
         self.host_fields: dict[type, tuple[str, ...]] = {}
         self.setters: dict[type, Callable[[Any, str, Any], None]] = {}
-        # Per descriptor that builds in place: its generated allocator.
+        # Per descriptor that builds in place: its generated allocator; and
+        # per type, by the id of each such descriptor, its generated plug.
         self.allocators: dict[CtorDescriptor, Callable] = {}
+        self.plugs: dict[str, dict[int, Callable]] = {}
 
     def register(self, *shapes: TypeShape) -> None:
         """Register one or more shapes atomically.
@@ -231,7 +233,8 @@ class ShapeRegistry:
                     plain = c.make.__setattr__ is object.__setattr__
                     self.setters[c.make] = setattr if plain else object.__setattr__
                 if names is not None:
-                    self.allocators[c] = _compile(c, names, self)
+                    self.allocators[c], plug = _compile(c, names, self)
+                    self.plugs.setdefault(c.type_id, {})[id(c)] = plug
 
     def shape(self, type_id: str) -> TypeShape:
         try:

@@ -212,3 +212,29 @@ def test_parse_sizes_formats():
     assert bench_cli.parse_sizes("10") == [10]
     assert bench_cli.parse_sizes("6,8,10") == [6, 8, 10]
     assert bench_cli.parse_sizes("6..7,10") == [6, 7, 10]
+
+
+def test_cli_rejects_a_descending_size_range(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert bench_cli.main(["run", "--case", "sexpr", "--sizes", "14..12", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "14..12" in captured.err
+    assert not out.exists()
+
+
+def test_cli_rejects_a_plan_that_runs_nothing(capsys):
+    # every size is outside every case's bounds, so each case is skipped
+    assert bench_cli.main(["run", "--case", "all", "--sizes", "30"]) == 1
+    assert "runs nothing" in capsys.readouterr().err
+
+
+def test_cli_rejects_an_unwritable_out_before_running(monkeypatch, tmp_path, capsys):
+    ran = []
+    monkeypatch.setattr(bench_cli, "run_case", ran.append)
+    for out in (tmp_path / "missing" / "rows.csv", tmp_path):
+        code = bench_cli.main(
+            ["run", "--case", "dlist", "--engines", "dps", "--sizes", "6", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: cannot write")
+    assert ran == []

@@ -40,7 +40,7 @@ from destpass import (
     with_region,
 )
 from destpass.bfs import TREE_NIL, TREE_NODE, Node
-from destpass.builder import Token
+from destpass.builder import Dest, Token
 from destpass.region import WORD, CellRef, Hole, Leaf, alloc_hollow, region_new, write_field
 from destpass.shapes import (
     DEFAULT_REGISTRY,
@@ -50,7 +50,7 @@ from destpass.shapes import (
     ShapeRegistry,
     TypeShape,
 )
-from destpass.dlist import LIST_CONS, LIST_NIL, NIL, Cons, from_pylist
+from destpass.dlist import LIST_CONS, LIST_NIL, NIL, Cons, from_pylist, to_pylist
 from destpass.sexpr import (
     SEXPR_LIST_CONS,
     SEXPR_LIST_NIL,
@@ -1249,75 +1249,240 @@ def test_a_refused_context_fill_changes_nothing(parent, refusal):
     assert d.alive and (d.cell, d.index, d.kind, d.cell.slots[0]) == where
 
 
+# Per parent, built in place (Node, Cons) or as a raw cell (w2): its
+# registry, a fill of it with a nested context, the place of that context,
+# and a refusal of each kind at that place; "second leaf" breaks a nested
+# leaf that comes after a good one, "... at a leaf" puts ... at one.
+_NESTED = {
+    "Node": (
+        DEFAULT_REGISTRY, TREE_NODE, (1, (TREE_NODE, 2, TREE_NIL, ...), ...), 1,
+        {
+            "first item": ("x", 2, TREE_NIL, ...),
+            "another type": (SEXPR_LIST_NIL,),
+            "unregistered": (CtorDescriptor("tree", "node", TREE_NODE.fields, Node), 2),
+            "argument count": (TREE_NODE, 2, TREE_NIL),
+            "... at a leaf": (TREE_NODE, ..., TREE_NIL, ...),
+        },
+    ),
+    "Cons": (
+        DEFAULT_REGISTRY, SEXPR_LIST_CONS, ((SEXPR_SINTEGER, 3, 4), ...), 0,
+        {
+            "first item": (SInteger, 3, 4),
+            "another type": (LIST_CONS, 3),
+            "unregistered": (CtorDescriptor("sexpr", "SInteger", SEXPR_SINTEGER.fields, SInteger), 3, 4),
+            "argument count": (SEXPR_SINTEGER, 3),
+            "... at a leaf": (SEXPR_SINTEGER, ..., 4),
+        },
+    ),
+    "w2": (
+        _WIDE_REGISTRY, _WIDE[2], ((_WIDE[1], ...), ...), 0,
+        {
+            "first item": ((), ...),
+            "another type": (LIST_NIL,),
+            "unregistered": (CtorDescriptor("wide", "w1", _WIDE[1].fields, _WIDE[1].make), ...),
+            "argument count": (_WIDE[1], ..., ...),
+        },
+    ),
+}
+_NESTED_ERRORS = {
+    "first item": TypeError,
+    "another type": UnknownCtor,
+    "unregistered": UnknownCtor,
+    "argument count": TypeError,
+    "... at a leaf": TypeError,
+    "second leaf": DestinationInLeaf,
+}
+
+
+@pytest.mark.parametrize(
+    "parent, refusal",
+    [(p, r) for p in _NESTED for r in [*_NESTED[p][4], "second leaf"] if p != "w2" or r != "second leaf"],
+)
+def test_a_refused_nested_context_fill_changes_nothing(parent, refusal):
+    """Every node of a context is checked before anything changes, on the
+    generated allocators' path and on the raw-cell path alike; each fill
+    here is good but for the one refusal at the nested place."""
+    registry, ctor, args, at, refusals = _NESTED[parent]
+    region = region_new(registry=registry)
+    t1, t2 = token_dup2(Token(region))
+    i, j = alloc(t1), alloc(t2)
+    d, e = i.payload, j.payload
+    if refusal == "second leaf":  # its first leaf is copied, its second holds a Dest
+        bad = (*args[at][:2], [e], *args[at][3:])
+        if ctor is TREE_NODE:  # one leaf per node: a second nested node's leaf
+            args, at, bad = (1, args[1], ...), 2, (TREE_NODE, [e], TREE_NIL, TREE_NIL)
+    else:
+        bad = refusals[refusal]
+    args = (*args[:at], bad, *args[at + 1 :])
+    where = (d.cell, d.index, d.kind, d.cell.slots[0])
+    _refused(lambda: fill(d, ctor, *args), [region], [i, j, d, e], _NESTED_ERRORS[refusal])
+    assert d.alive and (d.cell, d.index, d.kind, d.cell.slots[0]) == where
+
+
 def _holes(out) -> list:
     """The destinations a fill returned, as a list."""
     return [] if out is None else [out] if type(out) is not tuple else list(out)
 
 
-def _finish(d, registry):
-    """Fill ``d`` with the first constructor of its type that has no
-    Recursive field, its leaves all 0."""
+def _finish(d, registry, leaf=0):
+    """Fill ``d`` with ``leaf``, or with the first constructor of its type
+    that has no Recursive field, its leaves all ``leaf``."""
+    if type(d.kind) is LeafType:
+        fill_leaf(leaf, d)
+        return
     c = next(c for c in registry.shape(d.kind.type_id).ctors if not c.kids)
-    fill(d, c, *[0] * len(c.leaves))
+    fill(d, c, *[leaf] * len(c.leaves))
 
 
 _WITH_KIDS = {
     "Node": (DEFAULT_REGISTRY, TREE_NODE),
     "Cons": (DEFAULT_REGISTRY, LIST_CONS),
     "sexpr Cons": (DEFAULT_REGISTRY, SEXPR_LIST_CONS),
+    "SList": (DEFAULT_REGISTRY, SEXPR_SLIST),
     **{f"w{n}": (_WIDE_REGISTRY, _WIDE[n]) for n in range(1, 5)},
 }
+# Leaves a generated allocator keeps as given, and ones it leaves to the
+# generic path when they stand in a nested context.
+_LEAVES = st.one_of(st.integers(-5, 5), st.binary(max_size=9), st.tuples(st.integers(0, 3)))
+
+
+def _draw_context(data, registry, ctor, depth):
+    """Arguments of ``ctor``, one per field: each leaf drawn from
+    ``_LEAVES``, each Recursive field ``...``, a nullary constructor of its
+    type or, while ``depth`` lasts, a nested context of any of the three
+    forms."""
+    args = []
+    for kind in ctor.fields:
+        if type(kind) is not Recursive:
+            args.append(data.draw(_LEAVES))
+            continue
+        ctors = registry.shape(kind.type_id).ctors
+        pick = data.draw(st.sampled_from(
+            [..., *(c for c in ctors if not c.arity), *(["context"] if depth > 1 else [])]
+        ))
+        if pick != "context":
+            args.append(pick)
+            continue
+        c = data.draw(st.sampled_from(ctors))
+        form = data.draw(st.sampled_from(["none", "leaves", "fields"]))
+        if form == "none":
+            args.append((c,))
+        elif form == "leaves":
+            args.append((c, *[data.draw(_LEAVES) for _ in c.leaves]))
+        else:
+            args.append((c, *_draw_context(data, registry, c, depth - 1)))
+    return args
+
+
+def _fill_depth_one(d, ctor, args) -> list:
+    """Fill ``d`` with the context ``ctor(*args)`` one node per fill, each
+    node's leaves in its own fill; return the holes left, depth first in
+    declaration order."""
+    if len(args) != ctor.arity or not ctor.kids:
+        return _holes(fill(d, ctor, *args))
+    holes = []
+    out = _holes(fill(d, ctor, *[args[i] for i in ctor.leaves]))
+    for (i, _), hole in zip(ctor.kids, out):
+        if args[i] is ...:
+            holes.append(hole)
+        elif type(args[i]) is tuple:
+            holes += _fill_depth_one(hole, args[i][0], args[i][1:])
+        else:
+            fill(hole, args[i])
+    return holes
 
 
 @given(st.sampled_from(sorted(_WITH_KIDS)), st.data())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_a_context_fill_equals_its_depth_one_fills(name, data):
-    """``fill`` with a nullary constructor or ``...`` at each Recursive field
-    leaves the same state as a fill of the node's leaves followed by one fill
-    per nullary, and, once the holes left are filled, releases an equal
-    value, with an object from ``make`` per nullary occurrence."""
+    """``fill`` with a context up to three nodes deep, ``...``, nullary
+    constructors and nested contexts at its Recursive fields, leaves the
+    same state as one fill per node, and, once the holes left are filled in
+    the order the fills returned them, releases an equal value, with an
+    object from ``make`` per nullary occurrence."""
     registry, ctor = _WITH_KIDS[name]
-    leaves = [data.draw(st.integers(-5, 5)) for _ in ctor.leaves]
-    kids = {
-        i: data.draw(st.sampled_from(
-            [..., *(c for c in registry.shape(kind.type_id).ctors if not c.arity)]
-        ))
-        for i, kind in ctor.kids
-    }
-    args = [kids[i] if i in kids else leaves[ctor.leaves.index(i)] for i in range(ctor.arity)]
-
-    def in_context(d):
-        return _holes(fill(d, ctor, *args))
-
-    def depth_one(d):
-        holes = []
-        for (i, _), hole in zip(ctor.kids, _holes(fill(d, ctor, *leaves))):
-            if kids[i] is ...:
-                holes.append(hole)
-            else:
-                fill(hole, kids[i])
-        return holes
+    args = _draw_context(data, registry, ctor, 3)
 
     def run(build):
         def body(t):
             i = alloc(t)
             holes = build(i.payload)
+            where = [  # each hole's node, field and kind, in the order returned
+                (h.cell.ctor if type(h.cell) is CellRef else type(h.cell), h.index, h.kind)
+                for h in holes
+            ]
             before = ledger_state([t.region], [i])
-            for hole in holes:
-                _finish(hole, registry)
+            for n, hole in enumerate(holes):
+                _finish(hole, registry, n)
             after = ledger_state([t.region], [i])
             done = from_incomplete_(map_b(i, lambda _: None))
-            return done, before, after, ledger_state([t.region], [])
+            return done, where, before, after, ledger_state([t.region], [])
 
         return with_region(body, registry=registry)
 
-    built, *states = run(in_context)
-    expected, *expected_states = run(depth_one)
+    built, *states = run(lambda d: _holes(fill(d, ctor, *args)))
+    expected, *expected_states = run(lambda d: _fill_depth_one(d, ctor, args))
     assert states == expected_states
     assert structurally_equal(built, expected)
-    if ctor.type_id == "wide":  # every field ends a w0, and w0 makes a fresh list each time
-        assert all(type(x) is list for x in built)
-        assert len({id(x) for x in built}) == ctor.arity
+    if ctor.type_id == "wide":  # w0 makes a fresh list each time
+        made, stack = [], [built]
+        while stack:
+            x = stack.pop()
+            made += [x] if type(x) is list else []
+            stack += x if type(x) is tuple else []
+        assert len({id(x) for x in made}) == len(made)
+
+
+_DEEP = 10**5
+
+
+def _deep_context(case, e):
+    """A context nested ``_DEEP`` deep, built without recursion: a list
+    whose cells are built in place, or w1 nodes built as raw cells, ending
+    in nil, in a hole, or in a refusal."""
+    if case.startswith("raw"):
+        context = ("x",) if case.endswith("refused") else _WIDE[0]
+        for _ in range(_DEEP):
+            context = (_WIDE[1], context)
+        return _WIDE_REGISTRY, context
+    context = {"in place": LIST_NIL, "hole at the bottom": ...}.get(case, (LIST_CONS, [e], LIST_NIL))
+    for x in range(_DEEP):
+        context = (LIST_CONS, x, context)
+    return DEFAULT_REGISTRY, context
+
+
+@pytest.mark.parametrize(
+    "case", ["in place", "hole at the bottom", "raw", "in place refused", "raw refused"]
+)
+def test_a_context_nested_deep_builds_or_is_refused_without_recursion(case):
+    """No part of a fill recurses on a context's depth: a context nested
+    10^5 deep builds, or is refused and changes nothing."""
+    region = region_new(registry=_deep_context(case, None)[0])
+    t1, t2 = token_dup2(Token(region))
+    i, j = alloc(t1), alloc(t2)
+    d, e = i.payload, j.payload
+    registry, (ctor, *args) = _deep_context(case, e)
+    if case.endswith("refused"):
+        error = DestinationInLeaf if case.startswith("in place") else TypeError
+        _refused(lambda: fill(d, ctor, *args), [region], [i, j, d, e], error)
+        return
+    out = fill(d, ctor, *args)
+    if case == "hole at the bottom":
+        assert type(out) is Dest and out.kind == Recursive("list")
+        fill(out, LIST_NIL)
+    else:
+        assert out is None
+    value = from_incomplete_(map_b(i, lambda _: None))
+    stats = region_stats(region)
+    assert (stats.cells_allocated, stats.leaf_copies) == (_DEEP + 1, 0 if case == "raw" else _DEEP)
+    if case == "raw":
+        for _ in range(_DEEP):
+            (value,) = value
+        assert value == []
+    else:
+        assert to_pylist(value) == list(reversed(range(_DEEP)))
+    fill_leaf(0, e)
+    from_incomplete_(map_b(j, lambda _: None))
 
 
 # Per class, built in place as a plain object, with slots, and frozen: its

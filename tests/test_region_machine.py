@@ -1,8 +1,9 @@
 """Stateful test of the raw region API over two regions.
 
 A hypothesis state machine allocates cells with and without ``into``, leaf
-values and, one argument per field, nullary constructors at ``Recursive``
-fields, writes a ``Leaf`` or a cell into holes, reads values back and
+values and, one argument per field, nullary constructors and nested
+contexts at ``Recursive`` fields, writes a ``Leaf`` or a cell into holes,
+reads values back and
 copies host values in with ``copy_value``, wrong calls included: a hole of the other
 region, an index out of range, a written field, an unregistered
 constructor, a raw cell into a host object, an empty receiver, a value
@@ -54,10 +55,14 @@ REGISTRY = ShapeRegistry()
 REGISTRY.register(LIST_SHAPE, TypeShape("pair", _PAIR), TypeShape("frozen", (_FROZEN,)))
 _UNREGISTERED = CtorDescriptor("list", "cons", LIST_CONS.fields, LIST_CONS.make)
 # What a Recursive field of each type takes in a fill with one argument per
-# field, and what it refuses: no descriptor, not nullary, of another type,
-# unregistered.
+# field: ..., its nullary constructor or a nested context of one of its
+# constructors; and what it refuses: no descriptor, not nullary, of another
+# type, unregistered, and contexts with no descriptor, an unregistered one,
+# one of another type, a wrong count, ... at a leaf or a hole in a leaf.
 _NULLARY = {"list": LIST_NIL, "pair": _PAIR[0]}
+_OF_TYPE = {"list": (LIST_NIL, LIST_CONS), "pair": _PAIR}
 _UNREGISTERED_NIL = CtorDescriptor("list", "nil", (), LIST_NIL.make)
+_CONTEXT = object()  # draws a nested context
 CTORS = (LIST_NIL, LIST_CONS, _FROZEN, *_PAIR, _UNREGISTERED, "receiver")
 # Bytes charged for each leaf payload that write_leaf writes: a word per
 # scalar or host object, and a word per container plus one per element.
@@ -204,20 +209,63 @@ class RegionMachine(RuleBasedStateMachine):
 
     # -- rules ---------------------------------------------------------------
 
-    def _new(self, cell, r: int, c, filled, copies: int) -> _Node:
-        """The model of a new cell whose fields ``filled`` are written,
-        ``copies`` of them with leaves and the rest with nullary
-        constructors."""
+    def _new(self, cell, r: int, c, args) -> _Node:
+        """The model of a new cell for the context ``c(*args)``, and of
+        each node nested in it: every leaf is 7."""
         new = _Node(cell, r, c.arity)
-        for i in filled:
-            new.fields[i] = ("value", self._stored(new, i))
         self.nodes.append(new)
         counts = self.counts[r]
-        counts[0] += c.arity - len(filled)
-        counts[1] += 1 + len(filled) - copies
-        counts[2] += copies
-        counts[4] += WORD * (1 + c.arity + len(filled))
+        counts[0] += c.arity
+        counts[1] += 1
+        counts[4] += WORD * (1 + c.arity)
+        for i, a in zip(range(c.arity) if len(args) == c.arity else c.leaves, args):
+            if a is ...:
+                continue
+            counts[0] -= 1
+            if not isinstance(c.fields[i], Recursive):
+                counts[2] += 1
+                counts[4] += WORD
+                new.fields[i] = ("value", self._stored(new, i))
+                continue
+            nested, nested_args = (a, ()) if type(a) is CtorDescriptor else (a[0], a[1:])
+            if nested.arity:
+                new.fields[i] = ("node", self._new(self._stored(new, i), r, nested, nested_args))
+            else:
+                counts[1] += 1
+                counts[4] += WORD
+                new.fields[i] = ("value", self._stored(new, i))
         return new
+
+    def _fields(self, data, r: int, c, depth: int):
+        """One argument per field of ``c``, each refused one time in eight,
+        nested contexts ``depth`` deep at most; and whether any is refused."""
+        args, bad = [], False
+        for kind in c.fields:
+            if isinstance(kind, Recursive):
+                t = kind.type_id
+                other = "pair" if t == "list" else "list"
+                good = (_NULLARY[t], ..., *((_CONTEXT,) * bool(depth)))
+                wrong = (
+                    "x", LIST_CONS, _NULLARY[other], _UNREGISTERED_NIL, ("x",),
+                    (_UNREGISTERED, 7), (_OF_TYPE[other][1],), (_OF_TYPE[t][1], 7, 8, 9, 10),
+                    (LIST_CONS, ..., ...) if t == "list" else (_PAIR[1], ..., ..., ...),
+                    (LIST_CONS, [self.regions[r].hole]) if t == "list" else (_PAIR[1], [self.regions[r].hole]),
+                )
+            else:
+                good, wrong = (7,), (...,)
+            refused = not data.draw(st.integers(0, 7))
+            a = data.draw(st.sampled_from(wrong if refused else good))
+            if a is _CONTEXT:
+                nested = data.draw(st.sampled_from(_OF_TYPE[t]))
+                form = data.draw(st.sampled_from(("none", "leaves", "fields")))
+                if form == "fields":
+                    nested_args, refused = self._fields(data, r, nested, depth - 1)
+                else:
+                    nested_args = [7] * len(nested.leaves) if form == "leaves" else []
+                a = (nested, *nested_args)
+            args.append(a)
+            bad = bad or refused
+        return args, bad
 
     @rule(
         data=st.data(),
@@ -228,8 +276,8 @@ class RegionMachine(RuleBasedStateMachine):
     )
     def alloc(self, data, r, c, into, given):
         """The cell takes no arguments, one per leaf field, one too many, or
-        one per field: a leaf, or ``...`` or a nullary constructor at a
-        Recursive field, each refused one time in eight."""
+        one per field: a leaf, or ``...``, a nullary constructor or a nested
+        context at a Recursive field, each refused one time in eight."""
         region, counts = self.regions[r], self.counts[r]
         if c == "receiver":
             cell = region._alloc_receiver()
@@ -240,25 +288,13 @@ class RegionMachine(RuleBasedStateMachine):
             return
         bad = c is _UNREGISTERED or given == "one too many"
         args = [] if given == "none" else [7] * len(c.leaves) + [8] * (given == "one too many")
-        filled = list(c.leaves) if args else []
         if given == "fields":
-            args = []
-            for kind in c.fields:
-                if isinstance(kind, Recursive):
-                    other = "pair" if kind.type_id == "list" else "list"
-                    good = (_NULLARY[kind.type_id], ...)
-                    wrong = ("x", LIST_CONS, _NULLARY[other], _UNREGISTERED_NIL)
-                else:
-                    good, wrong = (7,), (...,)
-                refused = not data.draw(st.integers(0, 7))
-                args.append(data.draw(st.sampled_from(wrong if refused else good)))
-                bad = bad or refused
-            filled = [i for i, a in enumerate(args) if a is not ...]
-        copies = len(c.leaves) if args else 0
+            args, refused = self._fields(data, r, c, 2)
+            bad = bad or refused
         if not into:
             cell = self._call(bad, lambda: alloc_hollow(region, c, None, 0, args))
             if not bad:
-                self._new(cell, r, c, filled, copies)
+                self._new(cell, r, c, args)
             return
         # Half the time, a hole of a receiver or host object: where a fill
         # builds in place.
@@ -277,7 +313,7 @@ class RegionMachine(RuleBasedStateMachine):
             return
         counts[0] -= 1
         if c.arity:
-            node.fields[index] = ("node", self._new(cell, r, c, filled, copies))
+            node.fields[index] = ("node", self._new(cell, r, c, args))
         else:
             counts[1] += 1
             counts[4] += WORD

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from destpass import sexpr_cli
+from destpass import sexpr, sexpr_cli
 from destpass.dlist import NIL, Cons, from_pylist, to_pylist
 from destpass.sexpr import (
     InvalidAtom,
@@ -168,6 +168,49 @@ def test_dps_peak_memory_on_a_flat_list_is_below_the_naive_peak():
     assert dps <= 0.9 * naive, f"dps peak {dps} B vs naive {naive} B"
 
 
+# Per input: its fills and fill_leaf calls, and the cells, bytes and leaf
+# copies of its region, which are those of one fill per AST node and cons
+# cell. An element is written with the cons cell that holds it, a nil that
+# a ")" follows is written with the element before it, and "()" is one fill.
+_FILLS = {
+    b"(a b c)": (4, 1, 8, 272, 7),
+    b"()": (1, 0, 2, 56, 1),
+    b"(a (b) ())": (5, 2, 12, 328, 7),
+    b"((a))": (4, 2, 7, 192, 4),
+    b"42": (1, 0, 1, 56, 2),
+}
+
+
+@pytest.mark.parametrize("data", list(_FILLS))
+def test_the_dps_parser_writes_an_element_and_its_cons_in_one_fill(monkeypatch, data):
+    calls = {"fill": 0, "fill_leaf": 0}
+
+    def counted(name):
+        real = getattr(sexpr, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(sexpr, name, counted(name))
+    sink = {}
+    out = parse_dps(data, stats_out=sink)
+    stats = sink["stats"]
+    assert (calls["fill"], calls["fill_leaf"]) == _FILLS[data][:2]
+    assert (stats.cells_allocated, stats.bytes_allocated, stats.leaf_copies) == _FILLS[data][2:]
+    assert stats.cells_allocated == count_sexpr_cells(out)
+    assert structurally_equal(out, parse_naive(data))
+
+
+@pytest.mark.parametrize("data", [b"(a", b"(a b", b"(()", b'((a) "x'])
+def test_an_error_after_a_folded_nil_or_in_a_nested_list_consumes_every_destination(data):
+    # a destination left unfilled would raise LinearityLeak
+    assert parse_dps(data) == parse_naive(data)
+
+
 def test_error_paths_consume_all_destinations():
     # a LinearityLeak inside parse_dps would raise; equality is the oracle
     for data in (b"(", b"(()", b'("x', b"()))", b"(1 (2", b")", b""):
@@ -316,6 +359,14 @@ def test_cli_parse_ok(tmp_path, capsys):
     assert sexpr_cli.main(["parse", str(path), "--print"]) == 0
     out = capsys.readouterr().out
     assert out.strip() == '(1 (two) "three")'
+
+
+def test_cli_parse_of_an_unreadable_file_is_exit_2(tmp_path, capsys):
+    for path in (tmp_path / "missing.sexp", tmp_path):
+        assert sexpr_cli.main(["parse", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read {path}")
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_cli_parse_error(tmp_path, capsys):
