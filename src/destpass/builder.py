@@ -344,7 +344,8 @@ def map_b(i: Incomplete, f: Callable[[Any], Any]) -> Incomplete:
 def _check_release(i: Incomplete, op: str) -> None:
     """Checks shared by both releases. They change nothing, so a failed
     release leaves ``i`` alive."""
-    _admit(i, Incomplete, op)
+    if type(i) is not Incomplete or not i.alive or not i.region.alive:
+        _admit(i, Incomplete, op)
     holes = i.lineage.find().holes
     if holes > 0:
         raise UnfilledHoles(f"incomplete still has {holes} unfilled destination(s)")
