@@ -456,16 +456,7 @@ def fill(d: Dest, ctor: CtorDescriptor, *args):
             if a is ...:
                 dests.append(Dest(region, cell, i, k, lineage))
             elif type(a) is tuple and (len(a) == 1 or a[0].kids):  # a nested context with holes
-                c = a[0]
-                if len(a) - 1 == c.arity:  # one per field: walked to any depth
-                    dests += _nested_dests(region, lineage, cell, i, a)
-                    continue
-                if type(cell) is CellRef:
-                    node = cell.slots[i]
-                else:
-                    node = getattr(cell, region.registry.host_fields[type(cell)][i])
-                for j, m in c.kids if len(a) > 1 else c.places:  # its Recursive fields, or all
-                    dests.append(Dest(region, node, j, m, lineage))
+                dests += _nested_dests(region, lineage, cell, i, a)
         return dests[0] if opened == 1 else tuple(dests)
     places = ctor.kids if args else ctor.places  # of the new node's holes
     if len(places) == 2:
@@ -487,7 +478,10 @@ def _nested_dests(region: Region, lineage: _Lineage, cell, index: int, context: 
     i, a = index, context
     while True:
         if type(a) is tuple:
-            cell = cell.slots[i] if type(cell) is CellRef else getattr(cell, host_fields[type(cell)][i])
+            if type(cell) is CellRef:
+                cell = cell.slots[i]
+            else:
+                cell = getattr(cell, host_fields[type(cell)][i])
             c = a[0]
             if len(a) == 1 or len(a) - 1 != c.arity:
                 for j, k in c.kids if len(a) > 1 else c.places:

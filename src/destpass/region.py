@@ -28,8 +28,9 @@ object, a constructor that the registry lets build in place (see ``shapes``)
 is allocated as its final host object: ``object.__new__`` of its ``make``,
 its ``__init__`` never run, with every field set to ``region.hole`` or to
 its leaf value. One allocator per such constructor, generated from source
-when its shape registers, does this in straight-line code; any call it does
-not cover goes to the generic checks. Every field of a host object is
+when its shape registers, does this in straight-line code, and one plug
+builds the constructor nested in a parent's fill; any call they do not
+cover goes to the generic checks. Every field of a host object is
 written as the registry records for its class: by the builtin ``setattr``
 (a plain attribute store), or by ``object.__setattr__`` for a class with a
 ``__setattr__`` of its own, such as a frozen dataclass. Such a cell is
@@ -495,10 +496,11 @@ def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegist
     # and the node's charges before its leaves' sizes and nested nodes:
     # bytes, cells, leaf copies and holes left.
     arms = [("not leaves", 1, [], (size, 1, 0, ctor.arity))]
+    charged = size + WORD * n  # the node and its leaves' words
     if leaves:
-        arms.append((f"len(leaves) == {n}", 1 + n, leaves, (size + WORD * n, 1, n, ctor.arity - n)))
+        arms.append((f"len(leaves) == {n}", 1 + n, leaves, (charged, 1, n, ctor.arity - n)))
     if ctor.kids:
-        arms.append((f"len(leaves) == {ctor.arity}", 1 + ctor.arity, fields, (size + WORD * n, 1, n, 0)))
+        arms.append((f"len(leaves) == {ctor.arity}", 1 + ctor.arity, fields, (charged, 1, n, 0)))
     take, plug, constants = [], [], {}
     for k, (test, length, given, (charge, cells, kept, left)) in enumerate(arms):
         holes = assign([v for v in fields if v not in given], "hole, " * (ctor.arity - len(given)))
@@ -518,8 +520,10 @@ def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegist
             )]
         for j, (i, kind) in enumerate(ctor.kids if given is fields else ()):
             v = fields[i]
-            nullaries = {f"nullary{id(c)}": c for c in registry.shape(kind.type_id).ctors if not c.arity}
-            constants.update(nullaries, **{f"plugs{j}": registry.plugs.setdefault(kind.type_id, {})})
+            ctors = registry.shape(kind.type_id).ctors
+            nullaries = {f"nullary{id(c)}": c for c in ctors if not c.arity}
+            constants.update(nullaries)
+            constants[f"plugs{j}"] = registry.plugs.setdefault(kind.type_id, {})
             nullary = [
                 f"elif {' or '.join(f'{v} is {name}' for name in nullaries)}:",
                 f"    {v} = {v}.make()", f"    charge += {WORD}; cells += 1",
@@ -546,7 +550,8 @@ def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegist
     plug += ["else:", "    return None"]
     plain = registry.setters.get(ctor.make) is setattr
     build = ["obj = new(make)" if names else "obj = make()"] + [
-        f"obj.{name} = {v}" if plain else f"put(obj, {name!r}, {v})" for v, name in zip(fields, names)
+        f"obj.{name} = {v}" if plain else f"put(obj, {name!r}, {v})"
+        for v, name in zip(fields, names)
     ]
     indent = lambda lines: "\n".join(f"    {line}" for line in lines)  # noqa: E731
     source = _ALLOCATOR.format(

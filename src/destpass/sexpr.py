@@ -304,41 +304,36 @@ def _parse_sexpr_dps(bs: bytes, i: int, d):
         if i >= n:
             tails.append(tail)
             return _close_lists(opened, tails, UnexpectedEOFSList(i))
-        c = bs[i]
-        if c == _CLOSE:
+        if bs[i] == _CLOSE:
             fill(tail, SEXPR_LIST_NIL)
             k = i
-        elif c == _OPEN:
-            j = i + 1
-            while j < n and bs[j] in _WHITESPACE:
-                j += 1
-            if j >= n or bs[j] != _CLOSE:
-                d_end, children, tail = fill(tail, SEXPR_LIST_CONS, (SEXPR_SLIST,), ...)
-                tails.append(tail)
-                opened.append((i, d_end))
-                tail, i = children, j
-                continue
-            k = j + 1
-            while k < n and bs[k] in _WHITESPACE:
-                k += 1
-            if k >= n or bs[k] != _CLOSE:
-                tail = fill(tail, SEXPR_LIST_CONS, (SEXPR_SLIST, j, SEXPR_LIST_NIL), ...)
-                i = k
-                continue
-            fill(tail, SEXPR_LIST_CONS, (SEXPR_SLIST, j, SEXPR_LIST_NIL), SEXPR_LIST_NIL)
         else:
-            leaf = _scan_leaf(bs, i)
-            if isinstance(leaf, ParseError):
-                tails.append(tail)
-                return _close_lists(opened, tails, leaf)
-            k = leaf[1] + 1
+            if bs[i] == _OPEN:
+                j = i + 1
+                while j < n and bs[j] in _WHITESPACE:
+                    j += 1
+                if j >= n or bs[j] != _CLOSE:
+                    d_end, children, tail = fill(tail, SEXPR_LIST_CONS, (SEXPR_SLIST,), ...)
+                    tails.append(tail)
+                    opened.append((i, d_end))
+                    tail, i = children, j
+                    continue
+                element = (SEXPR_SLIST, j, SEXPR_LIST_NIL)
+            else:
+                element = _scan_leaf(bs, i)
+                if isinstance(element, ParseError):
+                    tails.append(tail)
+                    return _close_lists(opened, tails, element)
+            # The element ends at element[1]: a ")" after it closes the list
+            # in the same fill.
+            k = element[1] + 1
             while k < n and bs[k] in _WHITESPACE:
                 k += 1
             if k >= n or bs[k] != _CLOSE:
-                tail = fill(tail, SEXPR_LIST_CONS, leaf, ...)
+                tail = fill(tail, SEXPR_LIST_CONS, element, ...)
                 i = k
                 continue
-            fill(tail, SEXPR_LIST_CONS, leaf, SEXPR_LIST_NIL)
+            fill(tail, SEXPR_LIST_CONS, element, SEXPR_LIST_NIL)
         fill_leaf(k, opened.pop()[1])
         if not opened:
             return k

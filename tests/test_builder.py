@@ -1269,7 +1269,9 @@ _NESTED = {
         {
             "first item": (SInteger, 3, 4),
             "another type": (LIST_CONS, 3),
-            "unregistered": (CtorDescriptor("sexpr", "SInteger", SEXPR_SINTEGER.fields, SInteger), 3, 4),
+            "unregistered": (
+                CtorDescriptor("sexpr", "SInteger", SEXPR_SINTEGER.fields, SInteger), 3, 4
+            ),
             "argument count": (SEXPR_SINTEGER, 3),
             "... at a leaf": (SEXPR_SINTEGER, ..., 4),
         },
@@ -1296,7 +1298,8 @@ _NESTED_ERRORS = {
 
 @pytest.mark.parametrize(
     "parent, refusal",
-    [(p, r) for p in _NESTED for r in [*_NESTED[p][4], "second leaf"] if p != "w2" or r != "second leaf"],
+    [(p, r) for p in _NESTED for r in _NESTED[p][4]]
+    + [("Node", "second leaf"), ("Cons", "second leaf")],  # w2 has no leaf
 )
 def test_a_refused_nested_context_fill_changes_nothing(parent, refusal):
     """Every node of a context is checked before anything changes, on the
@@ -1445,7 +1448,8 @@ def _deep_context(case, e):
         for _ in range(_DEEP):
             context = (_WIDE[1], context)
         return _WIDE_REGISTRY, context
-    context = {"in place": LIST_NIL, "hole at the bottom": ...}.get(case, (LIST_CONS, [e], LIST_NIL))
+    bottom = {"in place": LIST_NIL, "hole at the bottom": ...}
+    context = bottom.get(case, (LIST_CONS, [e], LIST_NIL))
     for x in range(_DEEP):
         context = (LIST_CONS, x, context)
     return DEFAULT_REGISTRY, context

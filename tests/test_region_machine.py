@@ -244,12 +244,12 @@ class RegionMachine(RuleBasedStateMachine):
             if isinstance(kind, Recursive):
                 t = kind.type_id
                 other = "pair" if t == "list" else "list"
+                cons = _OF_TYPE[t][1]  # one leaf, then Recursive fields, or the reverse
                 good = (_NULLARY[t], ..., *((_CONTEXT,) * bool(depth)))
                 wrong = (
                     "x", LIST_CONS, _NULLARY[other], _UNREGISTERED_NIL, ("x",),
-                    (_UNREGISTERED, 7), (_OF_TYPE[other][1],), (_OF_TYPE[t][1], 7, 8, 9, 10),
-                    (LIST_CONS, ..., ...) if t == "list" else (_PAIR[1], ..., ..., ...),
-                    (LIST_CONS, [self.regions[r].hole]) if t == "list" else (_PAIR[1], [self.regions[r].hole]),
+                    (_UNREGISTERED, 7), (_OF_TYPE[other][1],), (cons, 7, 8, 9, 10),
+                    (cons, *[...] * cons.arity), (cons, [self.regions[r].hole]),
                 )
             else:
                 good, wrong = (7,), (...,)
