@@ -503,13 +503,13 @@ def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegist
         arms.append((f"len(leaves) == {ctor.arity}", 1 + ctor.arity, fields, (charged, 1, n, 0)))
     take, plug, constants = [], [], {}
     for k, (test, length, given, (charge, cells, kept, left)) in enumerate(arms):
-        holes = assign([v for v in fields if v not in given], "hole, " * (ctor.arity - len(given)))
+        hollow = assign([v for v in fields if v not in given], "hole, " * (ctor.arity - len(given)))
         take += [f"{'elif' if k else 'if'} {test}:", *(f"    {line}" for line in (
-            *holes, *assign(given, "leaves"),
+            *hollow, *assign(given, "leaves"),
             f"charge, cells, copies, holes = {charge}, {cells}, {kept}, {left - 1}",
         ))]
         plug += [f"{'elif' if k else 'if'} n == {length}:", *(f"    {line}" for line in (
-            *holes, *(assign(["_", *given], "leaves") if given else ()),
+            *hollow, *(assign(["_", *given], "leaves") if given else ()),
             f"charge, holes, cells, copies = {charge}, {left}, {cells}, {kept}",
         ))]
         if given:  # a nested leaf is kept as given, or the plug leaves its context

@@ -272,9 +272,10 @@ def _parse_sexpr_dps(bs: bytes, i: int, d):
     An element of a list is scanned, and the next non-space byte looked at,
     before anything is filled; then one fill writes the element together
     with the cons cell that holds it into the list's pending tail hole:
-    ``Cons(atom, _)``, or ``Cons(atom, Nil)`` when a ``)`` follows;
-    ``Cons(SList(_, _), _)`` for a list that opens; ``Cons(SList(e, Nil),
-    _)`` for ``()``. A list's end_pos is filled when its ``)`` arrives.
+    ``Cons(SList(_, _), _)`` for a list that opens, else ``Cons(x, _)``, or
+    ``Cons(x, Nil)`` when a ``)`` follows, where ``x`` is the atom, or
+    ``SList(e, Nil)`` for ``()``. A list's end_pos is filled when its ``)``
+    arrives.
     Nesting needs no recursion: the stack ``tails`` holds the pending tail
     destination of every open list but the innermost, which is the
     tail-recursion-modulo-context form of a recursive descent (Leijen &
