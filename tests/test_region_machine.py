@@ -211,29 +211,37 @@ class RegionMachine(RuleBasedStateMachine):
 
     def _new(self, cell, r: int, c, args) -> _Node:
         """The model of a new cell for the context ``c(*args)``, and of
-        each node nested in it: every leaf is 7."""
+        each node nested in it, each checked to hold what the context
+        gives at each field: every leaf is 7."""
         new = _Node(cell, r, c.arity)
+        assert cell.ctor is c if new.raw else type(cell) is c.make
         self.nodes.append(new)
         counts = self.counts[r]
         counts[0] += c.arity
         counts[1] += 1
         counts[4] += WORD * (1 + c.arity)
-        for i, a in zip(range(c.arity) if len(args) == c.arity else c.leaves, args):
+        given = dict(zip(range(c.arity) if len(args) == c.arity else c.leaves, args))
+        for i in range(c.arity):
+            a, stored = given.get(i, ...), self._stored(new, i)
             if a is ...:
+                assert stored is self.regions[r].hole
                 continue
             counts[0] -= 1
             if not isinstance(c.fields[i], Recursive):
+                assert stored == a
                 counts[2] += 1
                 counts[4] += WORD
-                new.fields[i] = ("value", self._stored(new, i))
+                new.fields[i] = ("value", stored)
                 continue
             nested, nested_args = (a, ()) if type(a) is CtorDescriptor else (a[0], a[1:])
-            if nested.arity:
-                new.fields[i] = ("node", self._new(self._stored(new, i), r, nested, nested_args))
+            if nested.arity:  # built as its parent is
+                assert (type(stored) is CellRef) == new.raw
+                new.fields[i] = ("node", self._new(stored, r, nested, nested_args))
             else:
+                assert stored == nested.make()
                 counts[1] += 1
                 counts[4] += WORD
-                new.fields[i] = ("value", self._stored(new, i))
+                new.fields[i] = ("value", stored)
         return new
 
     def _fields(self, data, r: int, c, depth: int):
@@ -313,6 +321,9 @@ class RegionMachine(RuleBasedStateMachine):
             return
         counts[0] -= 1
         if c.arity:
+            # In place into a receiver or host object, when c builds in place.
+            in_place = (node.receiver or not node.raw) and REGISTRY.resolve(c) is not None
+            assert (type(cell) is CellRef) != in_place
             node.fields[index] = ("node", self._new(cell, r, c, args))
         else:
             counts[1] += 1
