@@ -411,29 +411,32 @@ def _check_fillable(kind: FieldKind | None, type_id: str | None, what: str) -> N
 
 def fill(d: Dest, ctor: CtorDescriptor, *args):
     """Plug the constructor context ``ctor(*args)`` into the hole behind
-    ``d``; return the destinations of its holes, depth first in declaration
-    order: None for none, a single Dest for one, a tuple otherwise.
+    ``d``; return the destinations of its holes, in declaration order: None
+    for none, a single Dest for one, a tuple otherwise.
 
     ``args`` are none, one per leaf field or one per field, in declaration
     order (else TypeError). A field given no argument is a hole. A leaf
     field takes its value, which the same region call writes exactly as
-    ``fill_leaf`` would, with its checks and charges. A ``Recursive`` field
-    takes ``...``, a hole; a registered nullary constructor of its type; or
-    a nested context ``(c, *args)``, ``c`` a registered constructor of that
-    type and ``args`` under this same rule. So ``Cons(x, _)``,
-    ``Node(x, Nil, _)`` and ``Cons(SList(_, _), _)`` are
+    ``fill_leaf`` would. A ``Recursive`` field takes ``...``, a hole; a
+    registered nullary constructor of its type; or a complete nested context
+    ``(c, *args)`` of that type: one argument per field of ``c``, by this
+    same rule but with no ``...`` (else TypeError). So ``Cons(x, _)``,
+    ``Node(x, Nil, _)`` and ``Cons(SInteger(0, 7), Nil)`` are
     ``fill(d, CONS, x)``, ``fill(d, NODE, x, NIL, ...)`` and
-    ``fill(d, CONS, (SLIST,), ...)``. Each node is written and charged as
-    its own fill would write it, all in one region call, and a nested
-    hole's Dest points into its nested node. A refused fill changes
-    nothing: every check, at every depth, comes first, and on a closed
-    region RegionClosed comes before any leaf is copied.
+    ``fill(d, CONS, (SINTEGER, 0, 7), NIL)``. Each node is written and
+    charged as its own fill would write it, all in one region call. A
+    refused fill changes nothing: every check, at every depth, comes first,
+    and on a closed region RegionClosed comes before any leaf is copied. A
+    ``ctor`` that is no descriptor raises TypeError.
     """
     if type(d) is not Dest or not d.alive:  # its region: alloc_hollow checks
         _admit(d, Dest, "fill")
     kind = d.kind
-    if kind is not None and (type(kind) is not Recursive or kind.type_id != ctor.type_id):
-        _check_fillable(kind, ctor.type_id, f"constructor {ctor.name}")
+    try:
+        if kind is not None and (type(kind) is not Recursive or kind.type_id != ctor.type_id):
+            _check_fillable(kind, ctor.type_id, f"constructor {ctor.name}")
+    except AttributeError:  # no descriptor; alloc_hollow refuses one at a receiver
+        raise TypeError(f"fill expects a CtorDescriptor, got {type(ctor).__name__}") from None
     region = d.region
     opened = region.outstanding_holes  # each hole has one live Dest
     cell = _region.alloc_hollow(region, ctor, d.cell, d.index, args)
@@ -447,16 +450,13 @@ def fill(d: Dest, ctor: CtorDescriptor, *args):
     lineage.holes += opened - 1
     if not opened:
         return None
-    if len(args) == ctor.arity:  # one per field: those marked ..., at any depth
+    if len(args) == ctor.arity:  # one per field: those marked ...
         if opened == 1 and args[-1] is ...:  # the last field, as in Cons(x, _)
             return Dest(region, cell, len(args) - 1, ctor.fields[-1], lineage)
         dests = []
         for i, k in ctor.kids:
-            a = args[i]
-            if a is ...:
+            if args[i] is ...:
                 dests.append(Dest(region, cell, i, k, lineage))
-            elif type(a) is tuple and (len(a) == 1 or a[0].kids):  # a nested context with holes
-                dests += _nested_dests(region, lineage, cell, i, a)
         return dests[0] if opened == 1 else tuple(dests)
     places = ctor.kids if args else ctor.places  # of the new node's holes
     if len(places) == 2:
@@ -466,37 +466,6 @@ def fill(d: Dest, ctor: CtorDescriptor, *args):
         ((i, k),) = places
         return Dest(region, cell, i, k, lineage)
     return tuple([Dest(region, cell, i, k, lineage) for i, k in places])
-
-
-def _nested_dests(region: Region, lineage: _Lineage, cell, index: int, context: tuple) -> list:
-    """The destinations of the holes of ``context``, nested at field
-    ``index`` of ``cell`` by a fill, depth first in declaration order: all
-    its fields, or its Recursive ones, or, given one argument per field,
-    those marked ``...`` at any depth, walked with a stack."""
-    host_fields = region.registry.host_fields
-    dests, todo = [], []  # todo, next last: (cell, index, a nested context or a hole's kind)
-    i, a = index, context
-    while True:
-        if type(a) is tuple:
-            if type(cell) is CellRef:
-                cell = cell.slots[i]
-            else:
-                cell = getattr(cell, host_fields[type(cell)][i])
-            c = a[0]
-            if len(a) == 1 or len(a) - 1 != c.arity:
-                for j, k in c.kids if len(a) > 1 else c.places:
-                    dests.append(Dest(region, cell, j, k, lineage))
-            else:
-                for j, k in reversed(c.kids):
-                    if a[1 + j] is ...:
-                        todo.append((cell, j, k))
-                    elif type(a[1 + j]) is tuple:
-                        todo.append((cell, j, a[1 + j]))
-        else:
-            dests.append(Dest(region, cell, i, a, lineage))
-        if not todo:
-            return dests
-        cell, i, a = todo.pop()
 
 
 def fill_leaf(value, d: Dest) -> None:

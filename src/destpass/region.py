@@ -310,11 +310,13 @@ def alloc_hollow(
     leaf field or one per field (else TypeError). A leaf field's value is
     kept, copied, refused and charged as ``write_field`` does a ``Leaf``'s
     payload. A ``Recursive`` field takes ``...``, a hole; a registered
-    nullary constructor of its type; or a nested context ``(c, *args)``,
-    ``c`` a registered constructor of that type and ``args`` under this
-    same rule (else TypeError, or UnknownCtor for a descriptor of another
-    type, an unregistered one or a bare one that is not nullary). Each node
-    of the context is built, stored and charged as its own fill would be.
+    nullary constructor of its type; or a complete nested context
+    ``(c, *args)``: ``c`` a registered constructor of that type, ``args``
+    one per field of ``c`` by this same rule but with no ``...`` (else
+    TypeError, or UnknownCtor for a descriptor of another type, an
+    unregistered one or a bare one that is not nullary), so only the new
+    cell has holes. Each node is built, stored and charged as its own fill
+    would be. A ``ctor`` that is no descriptor raises TypeError.
 
     With ``into``, the new cell is also written into hole ``index`` of
     ``into``: a raw cell, a receiver, or a host object that a fill of this
@@ -366,21 +368,25 @@ def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, leave
             copies += 1
             holes -= 1
             continue
-        if a is ...:
+        if a is ... and fields is nodes[0][1]:  # a hole of the root
             continue
         if type(a) is CtorDescriptor:
             c, args = a, None
         elif type(a) is tuple and a and type(a[0]) is CtorDescriptor:
             c, args = a[0], a[1:]
-        else:
-            raise TypeError(f"field {i} of {parent.name} takes ..., a constructor or a context")
+        else:  # a nested node has no hole
+            raise TypeError(
+                f"field {i} of {parent.name} takes a constructor, a context or, in the root, ..."
+            )
         if kind is not None:
             if c.type_id != kind.type_id or args is None and c.arity:
                 raise UnknownCtor(
                     f"field {i} of {parent.name} takes a nullary {kind.type_id} or a context"
                 )
             registry.resolve(c)
-        if args and len(args) != c.arity and len(args) != len(c.leaves):
+            if args is not None and len(args) != c.arity:
+                raise TypeError(f"a nested {c.name} takes one value per field, {c.arity}")
+        elif args and len(args) != c.arity and len(args) != len(c.leaves):
             raise TypeError(f"{c.name} takes {len(c.leaves)} leaves or {c.arity} fields")
         cells += 1
         charge += WORD * (1 + c.arity)
@@ -457,11 +463,10 @@ def alloc(region, into, index, leaves):
     return {result}
 
 
-def plug(hole, leaves):
-    n = len(leaves)
+def plug(leaves):
 {plug}
 {build}
-    return obj, charge, holes, cells, copies
+    return obj, charge, cells, copies
 """
 
 
@@ -477,77 +482,64 @@ def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegist
     ``...``, a nullary constructor of its type or a context that a plug of
     its type builds at each ``Recursive`` one: a leaf of a type in
     ``_ONE_WORD`` is kept, any other goes through ``_leaf_copies``. The plug
-    builds the node of a context ``(ctor, *args)`` nested in a parent's
-    fill, with a hole at each ``...``, and returns it with its charges
-    (bytes, holes, cells, leaf copies), or None when it does not build that
-    context: a leaf that is not exactly a scalar type, or a ``Recursive``
-    field that takes neither ``...`` nor a nullary constructor. It changes
-    nothing, so a parent charges a nested node only once every check has
-    passed. Any call that the allocator or a plug it calls does not build
-    goes, unchanged, to ``_alloc_generic``."""
+    builds the node of a complete context ``(ctor, *args)`` nested in a
+    parent's fill, with its charges (bytes, cells, leaf copies), or returns
+    None unless its leaves are exactly scalars and its ``Recursive`` fields
+    nullary constructors. It changes nothing, so a parent charges a nested
+    node only once every check has passed. Any call that the allocator or a
+    plug it calls does not build goes, unchanged, to ``_alloc_generic``."""
     fields = [f"v{i}" for i in range(ctor.arity)]  # the local that holds each field
     leaves = [fields[i] for i in ctor.leaves]
     n, size = len(leaves), WORD * (1 + ctor.arity)
+    charged = size + WORD * n  # the node and its leaves' words
 
     def assign(targets, value):
         return [f"{''.join(f'{v}, ' for v in targets)}= {value}"] if targets else []
 
-    # Per arm: the allocator's test, the plug's length, the fields given,
-    # and the node's charges before its leaves' sizes and nested nodes:
-    # bytes, cells, leaf copies and holes left.
-    arms = [("not leaves", 1, [], (size, 1, 0, ctor.arity))]
-    charged = size + WORD * n  # the node and its leaves' words
+    # A nested leaf is kept as given, or the plug leaves its context.
+    plug = [f"if len(leaves) != {1 + ctor.arity}:", "    return None",
+            *assign(["_", *fields], "leaves"), f"charge, cells, copies = {charged}, 1, {n}"]
+    plug += [line for v in leaves for line in (
+        f"if type({v}) not in _ONE_WORD:",
+        f"    if type({v}) is not bytes and type({v}) is not str: return None",
+        f"    charge += (len({v}) + {WORD - 1}) // {WORD} * {WORD}",
+    )]
+    kids, constants = [], {}  # the allocator's checks of the Recursive fields
+    for j, (i, kind) in enumerate(ctor.kids):
+        v = fields[i]
+        ctors = registry.shape(kind.type_id).ctors
+        nullaries = {f"nullary{id(c)}": c for c in ctors if not c.arity}
+        constants.update(nullaries)
+        constants[f"plugs{j}"] = registry.plugs.setdefault(kind.type_id, {})
+        nullary = " or ".join(f"{v} is {name}" for name in nullaries)
+        made = [f"{v} = {v}.make()", f"charge += {WORD}; cells += 1"]
+        kids += [
+            f"if {v} is ...:", f"    {v} = hole; holes += 1",
+            *([f"elif {nullary}:", *(f"    {line}" for line in made)] if nullary else ()),
+            f"elif type({v}) is tuple and {v} and (p := plugs{j}.get(id({v}[0]))) "
+            f"and (got := p({v})):",
+            f"    {v}, c, m, k = got", "    charge += c; cells += m; copies += k",
+            "else:", f"    {_GENERIC}",
+        ]
+        plug += [f"if not ({nullary}):", "    return None", *made] if nullary else ["return None"]
+    # Per arm: the allocator's test, the fields given, and the node's charges
+    # before its leaves' sizes and nested nodes: bytes, leaf copies, holes left.
+    arms = [("not leaves", [], size, 0, ctor.arity)]
     if leaves:
-        arms.append((f"len(leaves) == {n}", 1 + n, leaves, (charged, 1, n, ctor.arity - n)))
+        arms.append((f"len(leaves) == {n}", leaves, charged, n, ctor.arity - n))
     if ctor.kids:
-        arms.append((f"len(leaves) == {ctor.arity}", 1 + ctor.arity, fields, (charged, 1, n, 0)))
-    take, plug, constants = [], [], {}
-    for k, (test, length, given, (charge, cells, kept, left)) in enumerate(arms):
-        hollow = assign([v for v in fields if v not in given], "hole, " * (ctor.arity - len(given)))
+        arms.append((f"len(leaves) == {ctor.arity}", fields, charged, n, 0))
+    take = []
+    for k, (test, given, charge, kept, left) in enumerate(arms):
         take += [f"{'elif' if k else 'if'} {test}:", *(f"    {line}" for line in (
-            *hollow, *assign(given, "leaves"),
-            f"charge, cells, copies, holes = {charge}, {cells}, {kept}, {left - 1}",
+            *assign([v for v in fields if v not in given], "hole, " * (ctor.arity - len(given))),
+            *assign(given, "leaves"),
+            f"charge, cells, copies, holes = {charge}, 1, {kept}, {left - 1}",
+            *(kids if given is fields else ()),
+            *(f"if type({v}) not in _ONE_WORD: ({v},), c = _leaf_copies(({v},)); "
+              f"charge += c - {WORD}" for v in leaves if given),  # other leaves: _leaf_copies
         ))]
-        plug += [f"{'elif' if k else 'if'} n == {length}:", *(f"    {line}" for line in (
-            *hollow, *(assign(["_", *given], "leaves") if given else ()),
-            f"charge, holes, cells, copies = {charge}, {left}, {cells}, {kept}",
-        ))]
-        if given:  # a nested leaf is kept as given, or the plug leaves its context
-            plug += [f"    {line}" for v in leaves for line in (
-                f"if type({v}) not in _ONE_WORD:",
-                f"    if type({v}) is not bytes and type({v}) is not str: return None",
-                f"    charge += (len({v}) + {WORD - 1}) // {WORD} * {WORD}",
-            )]
-        for j, (i, kind) in enumerate(ctor.kids if given is fields else ()):
-            v = fields[i]
-            ctors = registry.shape(kind.type_id).ctors
-            nullaries = {f"nullary{id(c)}": c for c in ctors if not c.arity}
-            constants.update(nullaries)
-            constants[f"plugs{j}"] = registry.plugs.setdefault(kind.type_id, {})
-            nullary = [
-                f"elif {' or '.join(f'{v} is {name}' for name in nullaries)}:",
-                f"    {v} = {v}.make()", f"    charge += {WORD}; cells += 1",
-            ] if nullaries else []
-            take += [f"    {line}" for line in (
-                f"if {v} is ...:", f"    {v} = hole; holes += 1", *nullary,
-                f"elif type({v}) is tuple and {v} and (p := plugs{j}.get(id({v}[0]))) "
-                f"and (got := p(hole, {v})):",
-                f"    {v}, c, h, m, k = got",
-                "    charge += c; holes += h; cells += m; copies += k",
-                "else:", f"    {_GENERIC}",
-            )]
-            plug += [f"    {line}" for line in (
-                f"if {v} is ...:", f"    {v} = hole; holes += 1", *nullary,
-                "else:", "    return None",
-            )]
-        if given:  # a leaf of a type not in _ONE_WORD goes through _leaf_copies
-            take += [
-                f"    if type({v}) not in _ONE_WORD: ({v},), c = _leaf_copies(({v},)); "
-                f"charge += c - {WORD}"
-                for v in leaves
-            ]
     take += ["else:", f"    {_GENERIC}"]
-    plug += ["else:", "    return None"]
     plain = registry.setters.get(ctor.make) is setattr
     build = ["obj = new(make)" if names else "obj = make()"] + [
         f"obj.{name} = {v}" if plain else f"put(obj, {name!r}, {v})"

@@ -4,13 +4,13 @@
 are consed up in reverse (the natural build order for a linked list) and
 reversed when the closing parenthesis arrives. ``parse_dps`` writes every
 element straight into its final location through destinations: one fill
-plugs the element together with the cons cell that holds it into the
-list's pending tail hole, as the constructor context ``Cons(atom, _)``,
-``Cons(atom, Nil)`` or ``Cons(SList(_, _), _)``, and the loop continues
-with the tail destination. No accumulator, no reversal. Both parsers return
-identical results, successes and failures alike, and both keep the open
-lists on an explicit stack instead of recursing, so any nesting depth
-parses.
+plugs an atom together with the cons cell that holds it into the list's
+pending tail hole, as the constructor context ``Cons(atom, _)`` or
+``Cons(atom, Nil)``, a list that opens takes two fills, ``Cons(_, _)``
+and ``SList(_, _)``, and the loop continues with the tail destination. No
+accumulator, no reversal. Both parsers return identical results, successes
+and failures alike, and both keep the open lists on an explicit stack
+instead of recursing, so any nesting depth parses.
 
 Grammar (byte-oriented):
 
@@ -214,9 +214,15 @@ def _reverse(lst):
     return out
 
 
+def _as_bytes(data) -> bytes:
+    """``data`` as bytes; TypeError unless it is bytes-like (a str or an int is not)."""
+    return data if type(data) is bytes else bytes(memoryview(data))
+
+
 def parse_naive(data: bytes):
-    """Parse the first s-expression in ``data``; SExpr or ParseError."""
-    bs = bytes(data)
+    """Parse the first s-expression in ``data``, a bytes-like object (else
+    TypeError); SExpr or ParseError."""
+    bs = _as_bytes(data)
     n = len(bs)
     i = _skip_ws(bs, 0)
     accs = []  # per open list, innermost last: its elements so far, reversed
@@ -272,10 +278,10 @@ def _parse_sexpr_dps(bs: bytes, i: int, d):
     An element of a list is scanned, and the next non-space byte looked at,
     before anything is filled; then one fill writes the element together
     with the cons cell that holds it into the list's pending tail hole:
-    ``Cons(SList(_, _), _)`` for a list that opens, else ``Cons(x, _)``, or
-    ``Cons(x, Nil)`` when a ``)`` follows, where ``x`` is the atom, or
-    ``SList(e, Nil)`` for ``()``. A list's end_pos is filled when its ``)``
-    arrives.
+    ``Cons(x, _)``, or ``Cons(x, Nil)`` when a ``)`` follows, where ``x`` is
+    the atom, or ``SList(e, Nil)`` for ``()``. A list that opens takes two
+    fills, ``Cons(_, _)`` into the tail hole and ``SList(_, _)`` into its
+    head, and its end_pos is filled when its ``)`` arrives.
     Nesting needs no recursion: the stack ``tails`` holds the pending tail
     destination of every open list but the innermost, which is the
     tail-recursion-modulo-context form of a recursive descent (Leijen &
@@ -310,14 +316,13 @@ def _parse_sexpr_dps(bs: bytes, i: int, d):
             k = i
         else:
             if bs[i] == _OPEN:
-                j = i + 1
-                while j < n and bs[j] in _WHITESPACE:
-                    j += 1
+                j = _skip_ws(bs, i + 1)
                 if j >= n or bs[j] != _CLOSE:
-                    d_end, children, tail = fill(tail, SEXPR_LIST_CONS, (SEXPR_SLIST,), ...)
+                    head, tail = fill(tail, SEXPR_LIST_CONS)
                     tails.append(tail)
+                    d_end, tail = fill(head, SEXPR_SLIST)
                     opened.append((i, d_end))
-                    tail, i = children, j
+                    i = j
                     continue
                 element = (SEXPR_SLIST, j, SEXPR_LIST_NIL)
             else:
@@ -347,11 +352,12 @@ def _parse_sexpr_dps(bs: bytes, i: int, d):
 def parse_dps(data: bytes, *, stats_out: dict | None = None):
     """Parse like ``parse_naive`` but build the AST top-down in a region.
 
-    Same result, success or error, as the naive parser. When ``stats_out``
+    Same result, success or error, as the naive parser, and the same
+    TypeError for ``data`` that is not bytes-like. When ``stats_out``
     is given, ``stats_out["stats"]`` receives the region's allocation
     counters (one cell per AST node, no accumulator cells).
     """
-    bs = bytes(data)
+    bs = _as_bytes(data)
     start = _skip_ws(bs, 0)
 
     def run(token):

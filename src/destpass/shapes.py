@@ -246,10 +246,12 @@ class ShapeRegistry:
         """The layout of registered descriptor ``c``: the field names a fill
         presets on its host object (``()`` for a nullary one), or None when
         a fill builds it as a region cell. Raises UnknownCtor when ``c``
-        itself is not registered."""
+        itself is not registered, TypeError when it is no descriptor."""
         try:
             return self._layouts[c]
         except KeyError:
+            if type(c) is not CtorDescriptor:
+                raise TypeError(f"expected a CtorDescriptor, got {type(c).__name__}") from None
             raise UnknownCtor(f"constructor {c.type_id}.{c.name} is not registered") from None
 
 

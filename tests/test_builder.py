@@ -1250,18 +1250,23 @@ def test_a_refused_context_fill_changes_nothing(parent, refusal):
 
 
 # Per parent, built in place (Node, Cons) or as a raw cell (w2): its
-# registry, a fill of it with a nested context, the place of that context,
-# and a refusal of each kind at that place; "second leaf" breaks a nested
-# leaf that comes after a good one, "... at a leaf" puts ... at one.
+# registry, a fill of it with a complete nested context, the place of that
+# context, and a refusal of each kind at that place; "second leaf" breaks a
+# nested leaf that comes after a good one, "... at a leaf" puts ... at one,
+# and the "nested ..." refusals leave a hole in the nested node: at a
+# Recursive field, as no arguments, or as leaves only.
 _NESTED = {
     "Node": (
-        DEFAULT_REGISTRY, TREE_NODE, (1, (TREE_NODE, 2, TREE_NIL, ...), ...), 1,
+        DEFAULT_REGISTRY, TREE_NODE, (1, (TREE_NODE, 2, TREE_NIL, TREE_NIL), ...), 1,
         {
-            "first item": ("x", 2, TREE_NIL, ...),
+            "first item": ("x", 2, TREE_NIL, TREE_NIL),
             "another type": (SEXPR_LIST_NIL,),
             "unregistered": (CtorDescriptor("tree", "node", TREE_NODE.fields, Node), 2),
             "argument count": (TREE_NODE, 2, TREE_NIL),
-            "... at a leaf": (TREE_NODE, ..., TREE_NIL, ...),
+            "... at a leaf": (TREE_NODE, ..., TREE_NIL, TREE_NIL),
+            "nested ...": (TREE_NODE, 2, TREE_NIL, ...),
+            "nested no arguments": (TREE_NODE,),
+            "nested leaves only": (TREE_NODE, 2),
         },
     ),
     "Cons": (
@@ -1274,15 +1279,22 @@ _NESTED = {
             ),
             "argument count": (SEXPR_SINTEGER, 3),
             "... at a leaf": (SEXPR_SINTEGER, ..., 4),
+            "nested ...": (SEXPR_SLIST, 3, ...),
+            "nested no arguments": (SEXPR_SLIST,),
+            "nested leaves only": (SEXPR_SLIST, 3),
         },
     ),
     "w2": (
-        _WIDE_REGISTRY, _WIDE[2], ((_WIDE[1], ...), ...), 0,
+        _WIDE_REGISTRY, _WIDE[2], ((_WIDE[1], _WIDE[0]), ...), 0,
         {
-            "first item": ((), ...),
+            "first item": ((), _WIDE[0]),
             "another type": (LIST_NIL,),
-            "unregistered": (CtorDescriptor("wide", "w1", _WIDE[1].fields, _WIDE[1].make), ...),
-            "argument count": (_WIDE[1], ..., ...),
+            "unregistered": (
+                CtorDescriptor("wide", "w1", _WIDE[1].fields, _WIDE[1].make), _WIDE[0]
+            ),
+            "argument count": (_WIDE[1], _WIDE[0], _WIDE[0]),
+            "nested ...": (_WIDE[1], ...),
+            "nested no arguments": (_WIDE[1],),
         },
     ),
 }
@@ -1293,6 +1305,9 @@ _NESTED_ERRORS = {
     "argument count": TypeError,
     "... at a leaf": TypeError,
     "second leaf": DestinationInLeaf,
+    "nested ...": TypeError,
+    "nested no arguments": TypeError,
+    "nested leaves only": TypeError,
 }
 
 
@@ -1304,7 +1319,8 @@ _NESTED_ERRORS = {
 def test_a_refused_nested_context_fill_changes_nothing(parent, refusal):
     """Every node of a context is checked before anything changes, on the
     generated allocators' path and on the raw-cell path alike; each fill
-    here is good but for the one refusal at the nested place."""
+    here is good but for the one refusal at the nested place. Only the
+    node a fill writes may have holes."""
     registry, ctor, args, at, refusals = _NESTED[parent]
     region = region_new(registry=registry)
     t1, t2 = token_dup2(Token(region))
@@ -1320,6 +1336,30 @@ def test_a_refused_nested_context_fill_changes_nothing(parent, refusal):
     where = (d.cell, d.index, d.kind, d.cell.slots[0])
     _refused(lambda: fill(d, ctor, *args), [region], [i, j, d, e], _NESTED_ERRORS[refusal])
     assert d.alive and (d.cell, d.index, d.kind, d.cell.slots[0]) == where
+
+
+@pytest.mark.parametrize("hole", ["receiver", "Recursive", "leaf", "raw", "raw into"])
+@pytest.mark.parametrize(
+    "ctor", ["x", Recursive("list"), None], ids=["str", "Recursive", "None"]
+)
+def test_a_fill_of_what_is_no_descriptor_is_a_type_error(hole, ctor):
+    """At every kind of hole, and in a raw allocation with and without a
+    target, a fill of no descriptor raises TypeError and changes nothing."""
+    region = region_new()
+    t1, t2 = token_dup2(Token(region))
+    i, j = alloc(t1), alloc(t2)
+    d, e = i.payload, j.payload
+    if hole == "Recursive":
+        _, e = fill(e, LIST_CONS)
+    elif hole == "leaf":
+        e, _ = fill(e, LIST_CONS)
+    if hole.startswith("raw"):
+        into = e.cell if hole == "raw into" else None
+        call = lambda: alloc_hollow(region, ctor, into, e.index)  # noqa: E731
+    else:
+        call = lambda: fill(e, ctor)  # noqa: E731
+    _refused(call, [region], [i, j, d, e], TypeError)
+    assert e.alive
 
 
 def _holes(out) -> list:
@@ -1349,12 +1389,13 @@ _WITH_KIDS = {
 _LEAVES = st.one_of(st.integers(-5, 5), st.binary(max_size=9), st.tuples(st.integers(0, 3)))
 
 
-def _draw_context(data, registry, ctor, depth):
+def _draw_context(data, registry, ctor, depth, nested=False):
     """Arguments of ``ctor``, one per field: each leaf drawn from
     ``_LEAVES``, each Recursive field ``...``, a nullary constructor of its
     type or, while ``depth`` lasts, a nested context of any of the three
-    forms."""
-    args = []
+    forms; and whether a hole stands in a nested context, below the node
+    that the fill writes."""
+    args, holed = [], False
     for kind in ctor.fields:
         if type(kind) is not Recursive:
             args.append(data.draw(_LEAVES))
@@ -1365,22 +1406,27 @@ def _draw_context(data, registry, ctor, depth):
         ))
         if pick != "context":
             args.append(pick)
+            holed = holed or nested and pick is ...
             continue
         c = data.draw(st.sampled_from(ctors))
-        form = data.draw(st.sampled_from(["none", "leaves", "fields"]))
+        form = data.draw(st.sampled_from(["none", "leaves", "fields", "fields"]))
         if form == "none":
             args.append((c,))
+            holed = holed or bool(c.arity)
         elif form == "leaves":
             args.append((c, *[data.draw(_LEAVES) for _ in c.leaves]))
+            holed = holed or bool(c.kids)
         else:
-            args.append((c, *_draw_context(data, registry, c, depth - 1)))
-    return args
+            below, below_holed = _draw_context(data, registry, c, depth - 1, nested=True)
+            args.append((c, *below))
+            holed = holed or below_holed
+    return args, holed
 
 
 def _fill_depth_one(d, ctor, args) -> list:
     """Fill ``d`` with the context ``ctor(*args)`` one node per fill, each
-    node's leaves in its own fill; return the holes left, depth first in
-    declaration order."""
+    node's leaves in its own fill; return the holes left, in declaration
+    order."""
     if len(args) != ctor.arity or not ctor.kids:
         return _holes(fill(d, ctor, *args))
     holes = []
@@ -1389,7 +1435,7 @@ def _fill_depth_one(d, ctor, args) -> list:
         if args[i] is ...:
             holes.append(hole)
         elif type(args[i]) is tuple:
-            holes += _fill_depth_one(hole, args[i][0], args[i][1:])
+            _fill_depth_one(hole, args[i][0], args[i][1:])
         else:
             fill(hole, args[i])
     return holes
@@ -1399,12 +1445,18 @@ def _fill_depth_one(d, ctor, args) -> list:
 @settings(max_examples=150, deadline=None)
 def test_a_context_fill_equals_its_depth_one_fills(name, data):
     """``fill`` with a context up to three nodes deep, ``...``, nullary
-    constructors and nested contexts at its Recursive fields, leaves the
-    same state as one fill per node, and, once the holes left are filled in
-    the order the fills returned them, releases an equal value, with an
-    object from ``make`` per nullary occurrence."""
+    constructors and complete nested contexts at its Recursive fields,
+    leaves the same state as one fill per node, and, once the holes left are
+    filled in the order the fills returned them, releases an equal value,
+    with an object from ``make`` per nullary occurrence. A context with a
+    hole in a nested node is refused with TypeError and changes nothing."""
     registry, ctor = _WITH_KIDS[name]
-    args = _draw_context(data, registry, ctor, 3)
+    args, holed = _draw_context(data, registry, ctor, 3)
+    if holed:
+        region = region_new(registry=registry)
+        i = alloc(Token(region))
+        _refused(lambda: fill(i.payload, ctor, *args), [region], [i, i.payload], TypeError)
+        return
 
     def run(build):
         def body(t):
@@ -1444,7 +1496,8 @@ def _deep_context(case, e):
     whose cells are built in place, or w1 nodes built as raw cells, ending
     in nil, in a hole, or in a refusal."""
     if case.startswith("raw"):
-        context = ("x",) if case.endswith("refused") else _WIDE[0]
+        bottom = {"raw refused": ("x",), "raw hole at the bottom": ...}
+        context = bottom.get(case, _WIDE[0])
         for _ in range(_DEEP):
             context = (_WIDE[1], context)
         return _WIDE_REGISTRY, context
@@ -1455,27 +1508,28 @@ def _deep_context(case, e):
     return DEFAULT_REGISTRY, context
 
 
-@pytest.mark.parametrize(
-    "case", ["in place", "hole at the bottom", "raw", "in place refused", "raw refused"]
-)
+_DEEP_REFUSALS = {
+    "hole at the bottom": TypeError,
+    "raw hole at the bottom": TypeError,
+    "in place refused": DestinationInLeaf,
+    "raw refused": TypeError,
+}
+
+
+@pytest.mark.parametrize("case", ["in place", "raw", *_DEEP_REFUSALS])
 def test_a_context_nested_deep_builds_or_is_refused_without_recursion(case):
     """No part of a fill recurses on a context's depth: a context nested
-    10^5 deep builds, or is refused and changes nothing."""
+    10^5 deep builds, or is refused and changes nothing, a hole at its
+    bottom included."""
     region = region_new(registry=_deep_context(case, None)[0])
     t1, t2 = token_dup2(Token(region))
     i, j = alloc(t1), alloc(t2)
     d, e = i.payload, j.payload
     registry, (ctor, *args) = _deep_context(case, e)
-    if case.endswith("refused"):
-        error = DestinationInLeaf if case.startswith("in place") else TypeError
-        _refused(lambda: fill(d, ctor, *args), [region], [i, j, d, e], error)
+    if case in _DEEP_REFUSALS:
+        _refused(lambda: fill(d, ctor, *args), [region], [i, j, d, e], _DEEP_REFUSALS[case])
         return
-    out = fill(d, ctor, *args)
-    if case == "hole at the bottom":
-        assert type(out) is Dest and out.kind == Recursive("list")
-        fill(out, LIST_NIL)
-    else:
-        assert out is None
+    assert fill(d, ctor, *args) is None
     value = from_incomplete_(map_b(i, lambda _: None))
     stats = region_stats(region)
     assert (stats.cells_allocated, stats.leaf_copies) == (_DEEP + 1, 0 if case == "raw" else _DEEP)

@@ -2,7 +2,8 @@
 
 A hypothesis state machine allocates cells with and without ``into``, leaf
 values and, one argument per field, nullary constructors and nested
-contexts at ``Recursive`` fields, writes a ``Leaf`` or a cell into holes,
+contexts at ``Recursive`` fields, which are refused unless complete, with
+no hole at any depth, writes a ``Leaf`` or a cell into holes,
 reads values back and
 copies host values in with ``copy_value``, wrong calls included: a hole of the other
 region, an index out of range, a written field, an unregistered
@@ -59,6 +60,8 @@ _UNREGISTERED = CtorDescriptor("list", "cons", LIST_CONS.fields, LIST_CONS.make)
 # constructors; and what it refuses: no descriptor, not nullary, of another
 # type, unregistered, and contexts with no descriptor, an unregistered one,
 # one of another type, a wrong count, ... at a leaf or a hole in a leaf.
+# A nested context also refuses a hole: ... at a Recursive field, no
+# arguments or leaves only, for a constructor with fields to leave open.
 _NULLARY = {"list": LIST_NIL, "pair": _PAIR[0]}
 _OF_TYPE = {"list": (LIST_NIL, LIST_CONS), "pair": _PAIR}
 _UNREGISTERED_NIL = CtorDescriptor("list", "nil", (), LIST_NIL.make)
@@ -244,9 +247,10 @@ class RegionMachine(RuleBasedStateMachine):
                 new.fields[i] = ("value", stored)
         return new
 
-    def _fields(self, data, r: int, c, depth: int):
+    def _fields(self, data, r: int, c, depth: int, nested: bool = False):
         """One argument per field of ``c``, each refused one time in eight,
-        nested contexts ``depth`` deep at most; and whether any is refused."""
+        nested contexts ``depth`` deep at most; and whether any is refused,
+        as a hole in a nested context (``nested``) is."""
         args, bad = [], False
         for kind in c.fields:
             if isinstance(kind, Recursive):
@@ -263,14 +267,16 @@ class RegionMachine(RuleBasedStateMachine):
                 good, wrong = (7,), (...,)
             refused = not data.draw(st.integers(0, 7))
             a = data.draw(st.sampled_from(wrong if refused else good))
+            refused = refused or nested and a is ...
             if a is _CONTEXT:
-                nested = data.draw(st.sampled_from(_OF_TYPE[t]))
+                inner = data.draw(st.sampled_from(_OF_TYPE[t]))
                 form = data.draw(st.sampled_from(("none", "leaves", "fields")))
                 if form == "fields":
-                    nested_args, refused = self._fields(data, r, nested, depth - 1)
+                    inner_args, refused = self._fields(data, r, inner, depth - 1, True)
                 else:
-                    nested_args = [7] * len(nested.leaves) if form == "leaves" else []
-                a = (nested, *nested_args)
+                    inner_args = [7] * len(inner.leaves) if form == "leaves" else []
+                    refused = len(inner_args) != inner.arity
+                a = (inner, *inner_args)
             args.append(a)
             bad = bad or refused
         return args, bad

@@ -170,13 +170,14 @@ def test_dps_peak_memory_on_a_flat_list_is_below_the_naive_peak():
 
 # Per input: its fills and fill_leaf calls, and the cells, bytes and leaf
 # copies of its region, which are those of one fill per AST node and cons
-# cell. An element is written with the cons cell that holds it, a nil that
-# a ")" follows is written with the element before it, and "()" is one fill.
+# cell. An atom is written with the cons cell that holds it, a nil that a
+# ")" follows is written with the element before it, "()" is one fill, and
+# a non-empty list nested in another takes two: its cons cell, then itself.
 _FILLS = {
     b"(a b c)": (4, 1, 8, 272, 7),
     b"()": (1, 0, 2, 56, 1),
-    b"(a (b) ())": (5, 2, 12, 328, 7),
-    b"((a))": (4, 2, 7, 192, 4),
+    b"(a (b) ())": (6, 2, 12, 328, 7),
+    b"((a))": (5, 2, 7, 192, 4),
     b"42": (1, 0, 1, 56, 2),
 }
 
@@ -203,6 +204,16 @@ def test_the_dps_parser_writes_an_element_and_its_cons_in_one_fill(monkeypatch, 
     assert (stats.cells_allocated, stats.bytes_allocated, stats.leaf_copies) == _FILLS[data][2:]
     assert stats.cells_allocated == count_sexpr_cells(out)
     assert structurally_equal(out, parse_naive(data))
+
+
+@pytest.mark.parametrize("parse", [parse_naive, parse_dps])
+def test_both_parsers_take_bytes_like_input_and_refuse_anything_else(parse):
+    expected = parse_naive(b"(1 x)")
+    for data in (b"(1 x)", bytearray(b"(1 x)"), memoryview(b" (1 x)")[1:]):
+        assert structurally_equal(parse(data), expected)
+    for data in (5, 0, "(1 x)", [40, 41], None):
+        with pytest.raises(TypeError):
+            parse(data)
 
 
 @pytest.mark.parametrize("data", [b"(a", b"(a b", b"(()", b'((a) "x'])
