@@ -30,12 +30,15 @@ its ``__init__`` never run, with every field set to ``region.hole`` or to
 its leaf value. One allocator per such constructor, generated from source
 when its shape registers, does this in straight-line code, and one plug
 builds the constructor nested in a parent's fill; any call they do not
-cover goes to the generic checks. Every field of a host object is
-written as the registry records for its class: by the builtin ``setattr``
-(a plain attribute store), or by ``object.__setattr__`` for a class with a
-``__setattr__`` of its own, such as a frozen dataclass. Such a cell is
-charged exactly as a raw cell and has no handle; ``_hole`` checks its fields
-as it checks a raw cell's.
+cover goes to the generic checks. Given a builder ``Dest``, defined here
+for that reason, the allocator is the constructor's whole fill: it checks
+the hole's kind, builds, consumes the ``Dest``, counts the holes on its
+lineage and returns the new ``Dest``s, so a fill is one region call. Every
+field of a host object is written as the registry records for its class: by
+the builtin ``setattr`` (a plain attribute store), or by
+``object.__setattr__`` for a class with a ``__setattr__`` of its own, such
+as a frozen dataclass. Such a cell is charged exactly as a raw cell and has
+no handle; ``_hole`` checks its fields as it checks a raw cell's.
 
 Decoding (``read_value``) walks the raw cell graph, checks that no
 reachable hole remains and that the graph is acyclic, and rebuilds the host
@@ -68,6 +71,7 @@ from .errors import (
 from .shapes import (
     DEFAULT_REGISTRY,
     CtorDescriptor,
+    FieldKind,
     LeafType,
     Recursive,
     ShapeRegistry,
@@ -129,6 +133,50 @@ class CellRef(_NotALeaf):
 
     def __repr__(self) -> str:
         return f"<CellRef {self.ctor.name} {self.region_id}:{self.handle}>"
+
+
+class Dest(_NotALeaf):
+    """The builder's handle to exactly one unfilled hole; consumable exactly
+    once (see ``builder``). It lives here because a fill of it is one
+    region call: ``alloc_hollow`` given ``dest``.
+
+    ``cell`` is a region cell or a host object under construction; ``kind``
+    is None exactly when the hole is a receiver's; ``lineage`` is the
+    builder's count of the holes it belongs to.
+    """
+
+    __slots__ = ("region", "cell", "index", "kind", "lineage", "alive")
+
+    def __init__(self, region: Region, cell, index: int, kind: FieldKind | None, lineage) -> None:
+        self.region = region
+        self.cell = cell
+        self.index = index
+        self.kind = kind
+        self.lineage = lineage
+        self.alive = True
+
+    def __repr__(self) -> str:
+        state = "live" if self.alive else "consumed"
+        cell = self.cell
+        where = cell.handle if isinstance(cell, CellRef) else type(cell).__name__
+        return f"<Dest cell={where}[{self.index}] {state}>"
+
+
+def _check_fillable(kind: FieldKind | None, type_id: str | None, what: str) -> None:
+    """Raise UnknownCtor unless a value of type ``type_id`` (None for a
+    leaf), made by ``what``, may fill a hole of ``kind`` (None for any)."""
+    # Registration is checked by alloc_hollow, before it changes anything.
+    if type_id is None:
+        if isinstance(kind, Recursive):
+            raise UnknownCtor(f"hole expects type {kind.type_id!r}, not a leaf")
+    elif isinstance(kind, LeafType):
+        raise UnknownCtor(
+            f"hole expects a leaf of {kind.type_id!r}; {what} cannot fill it"
+        )
+    elif isinstance(kind, Recursive) and kind.type_id != type_id:
+        raise UnknownCtor(
+            f"hole expects type {kind.type_id!r}, {what} builds {type_id!r}"
+        )
 
 
 @dataclass
@@ -298,12 +346,17 @@ def _leaf_copies(payloads) -> tuple[list, int]:
 
 
 def region_new(*, registry: ShapeRegistry | None = None) -> Region:
-    """Create an empty region whose constructors come from ``registry``."""
-    return Region(registry or DEFAULT_REGISTRY)
+    """Create an empty region whose constructors come from ``registry``
+    (TypeError unless it is a ``ShapeRegistry``)."""
+    if registry is None:
+        return Region(DEFAULT_REGISTRY)
+    if not isinstance(registry, ShapeRegistry):
+        raise TypeError(f"expected a ShapeRegistry, got {type(registry).__name__}")
+    return Region(registry)
 
 
 def alloc_hollow(
-    region: Region, ctor: CtorDescriptor, into=None, index: int = 0, leaves=()
+    region: Region, ctor: CtorDescriptor, into=None, index: int = 0, leaves=(), dest=None
 ):
     """Allocate a cell for the constructor context ``ctor(*leaves)``: every
     field of ``ctor`` a hole but those that ``leaves`` gives, one value per
@@ -329,21 +382,38 @@ def alloc_hollow(
     not build in place, else its host object; a nested node is built as its
     parent is. A host object's field takes no raw cell (TypeError).
 
+    Given ``dest``, the live ``Dest`` of that hole, which ``builder.fill``
+    has admitted (TypeError for what is no ``Dest``), the call is its fill:
+    the hole's kind is checked first (UnknownCtor, or TypeError for no
+    descriptor), and once the cell is written ``dest`` is consumed, its
+    lineage root counts the holes opened and closed, and the ``Dest`` of
+    each hole of the new cell is returned as ``fill`` documents, in place
+    of the cell.
+
     A constructor that builds in place runs the allocator generated for it
-    at registration (``_compile``), which leaves any call it does not
-    build, unchanged, to ``_alloc_generic``.
+    at registration (``_compile``), which is its whole fill too and leaves
+    any call it does not build, unchanged, to ``_alloc_generic``.
     """
     try:
         compiled = region.registry.allocators[ctor]
     except KeyError:
-        return _alloc_generic(region, ctor, into, index, leaves)
-    return compiled(region, into, index, leaves)
+        return _alloc_generic(region, ctor, into, index, leaves, dest)
+    return compiled(region, into, index, leaves, dest)
 
 
-def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, leaves):
-    """``alloc_hollow``'s checks, in order, and what it builds, for any call:
-    a context of any depth is walked with a stack, not by recursion."""
+def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, leaves, dest=None):
+    """``alloc_hollow``'s checks, in order, and what it builds and returns,
+    for any call, a fill's too: a context of any depth is walked with a
+    stack, not by recursion."""
     registry = region.registry
+    if dest is not None and type(dest) is not Dest:
+        raise TypeError(f"alloc_hollow fills a Dest, not a {type(dest).__name__}")
+    want = dest and dest.kind  # what a fill's hole takes; None for anything
+    try:
+        if want is not None and (type(want) is not Recursive or want.type_id != ctor.type_id):
+            _check_fillable(want, ctor.type_id, f"constructor {ctor.name}")
+    except AttributeError:  # no descriptor; resolve refuses one at a receiver
+        raise TypeError(f"fill expects a CtorDescriptor, got {type(ctor).__name__}") from None
     if into is None:
         region._require_alive()
         layout = registry.resolve(ctor)
@@ -419,23 +489,43 @@ def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, leave
     region.stats.leaf_copies += copies
     region.outstanding_holes += holes
     value = top[0]
-    if into is not None:
-        if type(into) is CellRef:
-            into.slots[key] = value
-        else:
-            registry.setters[type(into)](into, key, value)
-        if not ctor.arity:
-            return None
-    return value
+    if into is None:
+        return value
+    if type(into) is CellRef:
+        into.slots[key] = value
+    else:
+        registry.setters[type(into)](into, key, value)
+    if dest is None:
+        return value if ctor.arity else None
+    dest.alive = False
+    lineage = dest.lineage.find()
+    if want is None:  # a receiver's hole
+        lineage.type_id, lineage.dest = ctor.type_id, None
+    lineage.holes += holes
+    if not leaves:
+        places = ctor.places
+    elif len(leaves) == ctor.arity:  # one per field: those marked ...
+        places = [(i, k) for i, k in ctor.kids if leaves[i] is ...]
+    else:
+        places = ctor.kids
+    dests = tuple([Dest(region, value, i, k, lineage) for i, k in places])
+    return dests[0] if len(dests) == 1 else dests or None
 
 
 # What an allocator does with a call that it does not build.
-_GENERIC = "return _alloc_generic(region, ctor, into, index, leaves)"
-# The allocator of one in-place constructor and its plug, which _compile
-# completes. Each arm of {take} sets the fields' locals and what the node
-# and any nested ones are charged; {plug} does the same or returns None.
+_GENERIC = "return _alloc_generic(region, ctor, into, index, leaves, dest)"
+# The allocator of one in-place constructor, which is its fill given a Dest,
+# and its plug, which _compile completes. Each arm of {take} sets the
+# fields' locals and what the node and any nested ones are charged; {plug}
+# does the same or returns None; {dests} returns the Dests of a fill.
 _ALLOCATOR = """\
-def alloc(region, into, index, leaves):
+def alloc(region, into, index, leaves, dest):
+    if type(dest) is Dest:
+        kind = dest.kind
+        if kind is not None and (type(kind) is not Recursive or kind.type_id != type_id):
+            {generic}
+    elif dest is not None:
+        {generic}
     hole = region.hole
     if not region.alive:
         {generic}
@@ -460,9 +550,19 @@ def alloc(region, into, index, leaves):
         into.slots[0] = obj
     else:
         setters[type(into)](into, link[index], obj)
-    return {result}
-
-
+    if dest is None:
+        return {result}
+    dest.alive = False
+    lineage = dest.lineage
+    if lineage.parent is not None:
+        lineage = lineage.find()
+    if kind is None:
+        lineage.type_id = type_id
+        lineage.dest = None
+    lineage.holes += holes
+{dests}
+"""
+_PLUG = """
 def plug(leaves):
 {plug}
 {build}
@@ -472,22 +572,27 @@ def plug(leaves):
 
 def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegistry):
     """The allocator of ``ctor``, which builds in place with fields
-    ``names``, and its plug, generated from source at registration as
-    ``dataclasses`` generates an ``__init__``, with its field names, leaf
-    positions, charges and setter, the nullary constructors of each
-    ``Recursive`` field and the plugs of that field's type as constants.
+    ``names``, and its plug or None, generated from source at registration
+    as ``dataclasses`` generates an ``__init__``, with its field names and
+    kinds, leaf positions, charges and setter, the nullary constructors of
+    each ``Recursive`` field and the plugs of that field's type as constants.
 
     The allocator builds into a live receiver or a hole of a host object of
     the region, given no leaves, one per leaf field, or one per field with
     ``...``, a nullary constructor of its type or a context that a plug of
     its type builds at each ``Recursive`` one: a leaf of a type in
-    ``_ONE_WORD`` is kept, any other goes through ``_leaf_copies``. The plug
-    builds the node of a complete context ``(ctor, *args)`` nested in a
-    parent's fill, with its charges (bytes, cells, leaf copies), or returns
-    None unless its leaves are exactly scalars and its ``Recursive`` fields
-    nullary constructors. It changes nothing, so a parent charges a nested
-    node only once every check has passed. Any call that the allocator or a
-    plug it calls does not build goes, unchanged, to ``_alloc_generic``."""
+    ``_ONE_WORD`` is kept, any other goes through ``_leaf_copies``. Given a
+    ``Dest``, it is that Dest's whole fill: it checks the hole's kind first
+    and, once the node is written, consumes the Dest, counts the holes on
+    its lineage root and makes each new hole's ``Dest`` in straight-line
+    code. The plug builds the node of a complete context ``(ctor, *args)``
+    nested in a parent's fill, with its charges (bytes, cells, leaf
+    copies), or returns None unless its leaves are exactly scalars and its
+    ``Recursive`` fields nullary constructors; so ``ctor`` has no plug when
+    one of those fields is of a type with no nullary constructor. A plug
+    changes nothing, so a parent charges a nested node only once every check
+    has passed. Any call that the allocator or a plug it calls does not
+    build goes, unchanged, to ``_alloc_generic``."""
     fields = [f"v{i}" for i in range(ctor.arity)]  # the local that holds each field
     leaves = [fields[i] for i in ctor.leaves]
     n, size = len(leaves), WORD * (1 + ctor.arity)
@@ -521,16 +626,33 @@ def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegist
             f"    {v}, c, m, k = got", "    charge += c; cells += m; copies += k",
             "else:", f"    {_GENERIC}",
         ]
-        plug += [f"if not ({nullary}):", "    return None", *made] if nullary else ["return None"]
-    # Per arm: the allocator's test, the fields given, and the node's charges
-    # before its leaves' sizes and nested nodes: bytes, leaf copies, holes left.
-    arms = [("not leaves", [], size, 0, ctor.arity)]
+        if plug is not None:  # None once a field's type has no nullary constructor
+            plug = [*plug, f"if not ({nullary}):", "    return None", *made] if nullary else None
+
+    def new_dest(i):  # a fill's Dest of the hole at field i, as d{i}
+        return (f"d{i} = new(Dest); d{i}.region = region; d{i}.cell = obj; d{i}.index = {i}; "
+                f"d{i}.kind = kind{i}; d{i}.lineage = lineage; d{i}.alive = True")
+
+    def every(places):  # a fill's Dests of the holes at places, returned
+        ds = ", ".join(f"d{i}" for i, _ in places)
+        return [*(new_dest(i) for i, _ in places), f"return {ds or None}"]
+
+    # Per arm: the allocator's test, the fields given, the node's charges
+    # before its leaves' sizes and nested nodes (bytes, leaf copies, holes
+    # left), and a fill's Dests.
+    arms = [("not leaves", [], size, 0, ctor.arity, every(ctor.places))]
     if leaves:
-        arms.append((f"len(leaves) == {n}", leaves, charged, n, ctor.arity - n))
-    if ctor.kids:
-        arms.append((f"len(leaves) == {ctor.arity}", fields, charged, n, 0))
-    take = []
-    for k, (test, given, charge, kept, left) in enumerate(arms):
+        arms.append((f"len(leaves) == {n}", leaves, charged, n, ctor.arity - n, every(ctor.kids)))
+    if ctor.kids:  # those of the fields marked ...: all, one or none, or some
+        some = [line for i, _ in ctor.kids for line in (f"d{i} = None", f"if v{i} is hole: {new_dest(i)}")]
+        ds = [f"d{i}" for i, _ in ctor.kids]
+        one = " or ".join(ds)  # the one hole's Dest, or None for none
+        if len(ds) > 2:
+            one += f" if holes < 1 else tuple(filter(None, ({', '.join(ds)})))"
+        some += [f"if holes == {len(ds) - 1}:", f"    return {', '.join(ds)}", f"return {one}"]
+        arms.append((f"len(leaves) == {ctor.arity}", fields, charged, n, 0, some))
+    take, dests = [], []
+    for k, (test, given, charge, kept, left, out) in enumerate(arms):
         take += [f"{'elif' if k else 'if'} {test}:", *(f"    {line}" for line in (
             *assign([v for v in fields if v not in given], "hole, " * (ctor.arity - len(given))),
             *assign(given, "leaves"),
@@ -539,6 +661,7 @@ def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegist
             *(f"if type({v}) not in _ONE_WORD: ({v},), c = _leaf_copies(({v},)); "
               f"charge += c - {WORD}" for v in leaves if given),  # other leaves: _leaf_copies
         ))]
+        dests += out if k == len(arms) - 1 else [f"if {test}:", *(f"    {line}" for line in out)]
     take += ["else:", f"    {_GENERIC}"]
     plain = registry.setters.get(ctor.make) is setattr
     build = ["obj = new(make)" if names else "obj = make()"] + [
@@ -547,15 +670,16 @@ def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegist
     ]
     indent = lambda lines: "\n".join(f"    {line}" for line in lines)  # noqa: E731
     source = _ALLOCATOR.format(
-        generic=_GENERIC, take=indent(take), plug=indent(plug), build=indent(build),
+        generic=_GENERIC, take=indent(take), build=indent(build), dests=indent(dests),
         result="obj" if names else "None",
-    )
+    ) + (_PLUG.format(plug=indent(plug), build=indent(build)) if plug is not None else "")
     namespace = dict(
-        globals(), ctor=ctor, make=ctor.make, new=object.__new__, put=object.__setattr__,
-        host_fields=registry.host_fields, setters=registry.setters, **constants,
+        globals(), ctor=ctor, type_id=ctor.type_id, make=ctor.make, new=object.__new__,
+        put=object.__setattr__, host_fields=registry.host_fields, setters=registry.setters,
+        **{f"kind{i}": k for i, k in ctor.places}, **constants,
     )
     exec(source, namespace)
-    return namespace["alloc"], namespace["plug"]
+    return namespace["alloc"], namespace.get("plug")
 
 
 def _hole(region: Region, cell, index: int):

@@ -41,8 +41,11 @@ with the setter registration records for its class in ``setters``, the
 builtin ``setattr`` when the class keeps ``object.__setattr__``, else
 ``object.__setattr__`` itself, past a frozen dataclass's refusal and any
 ``__setattr__`` of its own. Registration also generates, per constructor
-that builds in place, the allocator its fills run (``allocators``) and the
-plug that builds it nested in a parent's fill (``plugs``, see ``region``).
+that builds in place, the allocator that is its whole fill (``allocators``)
+and, unless a ``Recursive`` field of it is of a type with no nullary
+constructor, so that no nested context of it could be complete with scalars
+and nullary constructors alone, the plug that builds it nested in a
+parent's fill (``plugs``, see ``region``).
 """
 
 from __future__ import annotations
@@ -74,7 +77,8 @@ FieldKind = Recursive | LeafType
 @dataclass(frozen=True, eq=False)
 class CtorDescriptor:
     """One constructor of an algebraic type; its tag is its index in its
-    shape. Derived from ``fields``: ``arity``, their number; ``places``, the
+    shape. Each of its ``fields`` is a ``Recursive`` or a ``LeafType`` (else
+    TypeError). Derived from them: ``arity``, their number; ``places``, the
     ``(position, kind)`` pair of each; ``kids``, those of its ``Recursive``
     fields; and ``leaves``, the positions of the rest, its leaf fields."""
 
@@ -89,6 +93,9 @@ class CtorDescriptor:
 
     def __post_init__(self):
         places = tuple(enumerate(self.fields))
+        for i, k in places:
+            if not isinstance(k, (Recursive, LeafType)):
+                raise TypeError(f"field {i} of {self.name!r} is {k!r}, no field kind")
         object.__setattr__(self, "fields", tuple(self.fields))
         object.__setattr__(self, "arity", len(places))
         object.__setattr__(self, "places", places)
@@ -109,6 +116,8 @@ class TypeShape:
         if not self.ctors:
             raise ValueError(f"type {self.type_id!r} has no constructors")
         for c in self.ctors:
+            if not isinstance(c, CtorDescriptor):
+                raise TypeError(f"type {self.type_id!r} holds {c!r}, not a CtorDescriptor")
             if c.type_id != self.type_id:
                 raise ValueError(
                     f"ctor {c.name!r} declares type {c.type_id!r} inside "
@@ -177,8 +186,9 @@ class ShapeRegistry:
         # setter its fields are written with.
         self.host_fields: dict[type, tuple[str, ...]] = {}
         self.setters: dict[type, Callable[[Any, str, Any], None]] = {}
-        # Per descriptor that builds in place: its generated allocator; and
-        # per type, by the id of each such descriptor, its generated plug.
+        # Per descriptor that builds in place: its generated allocator, which
+        # is its fill too; and per type, by the id of each such descriptor
+        # that has one, its generated plug.
         self.allocators: dict[CtorDescriptor, Callable] = {}
         self.plugs: dict[str, dict[int, Callable]] = {}
 
@@ -188,10 +198,13 @@ class ShapeRegistry:
         Mutually recursive types must be registered in the same call so that
         their Recursive fields can resolve against each other. Registering
         the same shape object again is a no-op; any other shape under a
-        registered type id raises ShapeConflict.
+        registered type id raises ShapeConflict, and anything that is no
+        ``TypeShape`` TypeError, before anything is registered.
         """
         batch: dict[str, TypeShape] = {}
         for shape in shapes:
+            if not isinstance(shape, TypeShape):
+                raise TypeError(f"register expects TypeShape, got {type(shape).__name__}")
             existing = self._shapes.get(shape.type_id)
             if existing is shape:
                 continue
@@ -234,7 +247,8 @@ class ShapeRegistry:
                     self.setters[c.make] = setattr if plain else object.__setattr__
                 if names is not None:
                     self.allocators[c], plug = _compile(c, names, self)
-                    self.plugs.setdefault(c.type_id, {})[id(c)] = plug
+                    if plug is not None:
+                        self.plugs.setdefault(c.type_id, {})[id(c)] = plug
 
     def shape(self, type_id: str) -> TypeShape:
         try:

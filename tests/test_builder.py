@@ -15,6 +15,7 @@ from destpass import (
     CyclicStructure,
     DestinationInLeaf,
     DoubleFill,
+    DpsError,
     FieldIndexOutOfRange,
     IncompleteRead,
     LeafTooDeep,
@@ -1486,6 +1487,118 @@ def test_a_context_fill_equals_its_depth_one_fills(name, data):
             made += [x] if type(x) is list else []
             stack += x if type(x) is tuple else []
         assert len({id(x) for x in made}) == len(made)
+
+
+@dataclass
+class _Tri:
+    a: Any
+    b: Any
+    c: Any
+
+
+# The case studies' shapes and one with three Recursive fields, each built
+# in place in _IN_PLACE_REGISTRY; and per constructor a twin that builds as
+# raw cells, since its make is no class, so that every fill of it with
+# fields takes the generic path.
+_SHAPES = [DEFAULT_REGISTRY.shape(t) for t in ("list", "tree", "sexpr", "sexpr_list")] + [
+    TypeShape("tri", (CtorDescriptor("tri", "nil", (), lambda: None),
+                      CtorDescriptor("tri", "tri", (Recursive("tri"),) * 3, _Tri)))
+]
+_IN_PLACE_REGISTRY, _TWIN_REGISTRY = ShapeRegistry(), ShapeRegistry()
+_IN_PLACE_REGISTRY.register(*_SHAPES)
+_TWINS = {
+    c: CtorDescriptor(c.type_id, c.name, c.fields, (lambda *a, m=c.make: m(*a)) if c.arity else c.make)
+    for s in _SHAPES
+    for c in s.ctors
+}
+_TWIN_REGISTRY.register(*(TypeShape(s.type_id, tuple(map(_TWINS.get, s.ctors))) for s in _SHAPES))
+_IN_PLACE = [c for c in _TWINS if c.arity]
+# Per type, a constructor with a hole of that type, and that hole's place.
+_PARENTS = {k.type_id: (c, i) for c in _IN_PLACE for i, k in c.kids}
+_FILL_REFUSALS = ["extra argument", "dest in a leaf", "closed", "filled", "wrong kind"]
+
+
+def _on_twin(a):
+    """Fill arguments ``a`` with every descriptor replaced by its twin."""
+    if type(a) is CtorDescriptor:
+        return _TWINS[a]
+    if type(a) is tuple and a and type(a[0]) is CtorDescriptor:
+        return (_TWINS[a[0]], *map(_on_twin, a[1:]))
+    return a
+
+
+def _fill_once(registry, ctor, args, target, refusal):
+    """Fill ``ctor(*args)`` into a receiver or into a hole of a parent, after
+    ``refusal``. A refused fill must change nothing; return its error type.
+    Else return what the fill returned and left, then the released value."""
+    twin = _on_twin if registry is _TWIN_REGISTRY else lambda a: a
+    ctor, args = twin(ctor), tuple(map(twin, args))
+    region = region_new(registry=registry)
+    t1, t2 = token_dup2(Token(region))
+    i, j = alloc(t1), alloc(t2)
+    d, e = i.payload, j.payload
+    others = []
+    if target == "field" or refusal == "wrong kind":  # a leaf takes no constructor
+        parent, at = (TREE_NODE, 0) if refusal == "wrong kind" else _PARENTS[ctor.type_id]
+        others = _holes(fill(d, twin(parent)))
+        d = others.pop(at)
+    if refusal == "extra argument":
+        args = (*args, 0)
+    elif refusal == "dest in a leaf":
+        at = 0 if len(args) < ctor.arity else ctor.leaves[0]
+        args = (*args[:at], [e], *args[at + 1 :])
+    elif refusal == "closed":
+        region._close()
+    elif refusal == "filled":
+        write_field(region, d.cell, d.index, Leaf(0))
+    handles = [i, j, d, e, *others]
+    before = ledger_state([region], handles)
+    try:
+        out = fill(d, ctor, *args)
+    except (DpsError, TypeError) as error:
+        assert ledger_state([region], handles) == before
+        return type(error)
+    holes = _holes(out)
+    returned = (
+        type(out).__name__,
+        [(h.index, h.kind, h.alive) for h in holes],
+        [h.lineage.find().holes for h in holes],
+        (i.lineage.type_id, i.lineage.dest),  # what filled the receiver, if anything
+        ledger_state([region], handles),
+    )
+    for n, hole in enumerate(holes + others):
+        _finish(hole, registry, n)
+    fill_leaf(0, e)
+    value = from_incomplete_(map_b(i, lambda _: None))
+    from_incomplete_(map_b(j, lambda _: None))
+    return returned, value, region_stats(region)
+
+
+@given(st.sampled_from(_IN_PLACE), st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_generated_fill_agrees_with_the_generic_path(ctor, data):
+    """Every form of fill, into a receiver or into a host object's hole,
+    leaves the same Dests, counts and stats, and releases an equal value,
+    whether the generated fill of an in-place constructor builds it or the
+    generic path builds its raw-cell twin; a refused fill raises the same
+    error on both and changes nothing."""
+    form = data.draw(st.sampled_from(["none", "leaves", "fields"]))
+    args = ()
+    if form == "leaves":
+        args = tuple(data.draw(_LEAVES) for _ in ctor.leaves)
+    elif form == "fields":
+        args = tuple(_draw_context(data, _IN_PLACE_REGISTRY, ctor, 3)[0])
+    refusal = data.draw(st.sampled_from([None] * 5 + _FILL_REFUSALS))
+    if refusal == "dest in a leaf" and not (args and ctor.leaves):
+        refusal = None
+    target = data.draw(st.sampled_from(["receiver", "field"]))
+    built = _fill_once(_IN_PLACE_REGISTRY, ctor, args, target, refusal)
+    generic = _fill_once(_TWIN_REGISTRY, ctor, args, target, refusal)
+    if type(built) is type:
+        assert built is generic
+        return
+    assert built[0] == generic[0] and built[2] == generic[2]
+    assert structurally_equal(built[1], generic[1])
 
 
 _DEEP = 10**5

@@ -24,6 +24,7 @@ from destpass import (
     read_value,
     region_new,
     region_stats,
+    with_region,
     write_field,
 )
 from destpass.dlist import Cons, LIST_CONS, LIST_NIL, LIST_SHAPE, NIL
@@ -344,12 +345,25 @@ def test_raw_api_refuses_what_is_not_a_cell_with_type_error():
     before = state()
     with pytest.raises(TypeError):
         alloc_hollow(r, LIST_NIL, object(), 0)
+    for ctor in (LIST_NIL, LIST_CONS):  # a fill of no Dest
+        with pytest.raises(TypeError):
+            alloc_hollow(r, ctor, hollow, 1, (), object())
     with pytest.raises(TypeError):
         write_field(r, object(), 0, Leaf(1))
     with pytest.raises(TypeError):
         read_value(r, hollow)
     assert state() == before
     assert hollow.head is r.hole and hollow.tail is r.hole
+
+
+@pytest.mark.parametrize("registry", [5, 0, "x", LIST_SHAPE], ids=["int", "zero", "str", "shape"])
+def test_a_region_refuses_a_registry_that_is_no_shape_registry(registry):
+    with pytest.raises(TypeError):
+        region_new(registry=registry)
+    ran = []
+    with pytest.raises(TypeError):
+        with_region(ran.append, registry=registry)
+    assert not ran
 
 
 def test_read_cost_follows_the_value_not_the_region():

@@ -23,13 +23,15 @@ from destpass import (
     from_incomplete_,
     into_incomplete,
     map_b,
+    region_stats,
     token_consume,
     token_dup2,
     with_region,
 )
 from destpass.shapes import DEFAULT_REGISTRY
 from destpass.bfs import TREE_NODE, TREE_SHAPE
-from destpass.dlist import LIST_CONS, LIST_NIL, LIST_SHAPE, Cons
+from destpass.dlist import LIST_CONS, LIST_NIL, LIST_SHAPE, NIL, Cons
+from destpass.sexpr import SEXPR_LIST_CONS, SEXPR_LIST_NIL, SEXPR_SINTEGER, SEXPR_SLIST, SInteger, SList
 
 from support import CASE_TYPES, ledger_state, random_value
 
@@ -138,6 +140,44 @@ def test_shape_validation():
         TypeShape("t", ())
     with pytest.raises(ValueError):  # a ctor of another type
         TypeShape("t", (CtorDescriptor("u", "a", (), lambda: None),))
+
+
+def test_registration_refuses_what_is_no_shape_and_registers_nothing():
+    reg = ShapeRegistry()
+    good = TypeShape("good", (CtorDescriptor("good", "nil", (), lambda: None),))
+    with pytest.raises(TypeError):
+        reg.register(good, "x")
+    with pytest.raises(TypeError):
+        TypeShape("t", ("x",))
+    with pytest.raises(UnknownCtor):
+        reg.shape("good")
+    assert not reg.allocators and not reg.plugs
+
+
+def test_a_field_that_is_no_field_kind_is_refused():
+    with pytest.raises(TypeError):
+        CtorDescriptor("y", "c", (5,), tuple)
+    with pytest.raises(TypeError):
+        CtorDescriptor("y", "c", (LeafType("int"), "y"), tuple)
+
+
+def test_a_constructor_that_no_plug_can_build_has_none():
+    """A nested sexpr list cons is complete only with an sexpr at its head,
+    and sexpr has no nullary constructor, so no plug could build one: its
+    contexts go straight to the generic path, and build as they always
+    have."""
+    assert id(SEXPR_LIST_CONS) not in DEFAULT_REGISTRY.plugs["sexpr_list"]
+    assert id(SEXPR_SLIST) in DEFAULT_REGISTRY.plugs["sexpr"]
+
+    def body(t):
+        def f(d):
+            assert fill(d, SEXPR_SLIST, 0, (SEXPR_LIST_CONS, (SEXPR_SINTEGER, 1, 2), SEXPR_LIST_NIL)) is None
+
+        return from_incomplete_(map_b(alloc(t), f)), region_stats(t.region)
+
+    value, stats = with_region(body)
+    assert value == SList(0, Cons(SInteger(1, 2), NIL))
+    assert (stats.cells_allocated, stats.bytes_allocated, stats.leaf_copies) == (4, 120, 3)
 
 
 # -- which constructors a fill builds in place ---------------------------------
