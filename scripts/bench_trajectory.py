@@ -7,7 +7,9 @@ Without arguments it reads every ``BENCH_*.json`` in the repository root,
 in the order of their numbers. Each file holds the perfbench runs of one
 change and of its parent. For each file, workload and end-to-end metric it
 prints the parent's median, the change's median, ``change_over_parent`` and
-how many paired runs the change won.
+how many paired runs the change won. After each file's table it prints one
+``host/dps`` line per workload: the host median of ``host_items_per_s`` over
+the dps median of ``dps_items_per_s``, for the parent and for the change.
 """
 
 from __future__ import annotations
@@ -51,6 +53,19 @@ def rows(bench: dict) -> list[tuple[str, ...]]:
     return out
 
 
+def host_over_dps(bench: dict) -> list[tuple[str, ...]]:
+    """One ``host/dps`` line per workload that has both throughput medians."""
+    out = []
+    for workload, metrics in sorted(bench["summary"].items()):
+        host, dps = metrics.get("host_items_per_s"), metrics.get("dps_items_per_s")
+        try:
+            parent, change = (host[s]["median"] / dps[s]["median"] for s in ("parent", "change"))
+        except (KeyError, TypeError):  # a workload without both medians on both sides
+            continue
+        out.append(("host/dps", workload, f"parent {parent:.2f}x", f"change {change:.2f}x"))
+    return out
+
+
 def render(table: list[tuple[str, ...]]) -> str:
     widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
     return "\n".join(
@@ -70,6 +85,8 @@ def main(argv: list[str] | None = None) -> int:
         bench = json.loads(path.read_text())
         print(("\n" if i else "") + f"{path.name}: {bench.get('change', '')}")
         print(render([HEADER, *rows(bench)]))
+        if ratios := host_over_dps(bench):
+            print(render(ratios))
     return 0
 
 

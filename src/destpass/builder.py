@@ -23,6 +23,16 @@ counts them.
 lineage's hole count and the new ``Dest``s. For a constructor that builds in
 place, all of that is the one function that registration generated for it.
 
+``with_region``, ``token_dup2``, ``alloc`` and ``map_b`` mint their handles
+as that function mints its ``Dest``s: ``object.__new__`` and a store to
+every slot, each to what the class's own constructor would set, with no
+``__init__`` frame; the constructors stay public. A live incomplete's
+lineage is always a root: only ``fill_comp`` links a root under another,
+and it consumes the incomplete whose root that was. So an operation takes
+a lineage as its own root while its ``parent`` is None, as a live
+incomplete's always is, and calls ``find`` only on one that was linked, as
+a destination's may be.
+
 Consuming operations:
 
 ==============  =====================================================
@@ -76,6 +86,8 @@ from .region import (
     region_new,
 )
 from .shapes import CtorDescriptor, Recursive, ShapeRegistry
+
+_new = object.__new__  # mints a handle without an __init__ frame; every slot is set after
 
 
 class _Lineage:
@@ -229,7 +241,9 @@ def with_region(
     raises LinearityLeak otherwise. The region is closed either way.
     """
     region = region_new(registry=registry)
-    token = Token(region)
+    token = _new(Token)
+    token.region, token.alive = region, True
+    region._tokens_alive += 1
     try:
         result = body(token)
     finally:
@@ -254,8 +268,16 @@ def token_consume(t: Token) -> None:
 
 def token_dup2(t: Token) -> tuple[Token, Token]:
     """Exchange a token for two fresh ones of its region; RegionClosed once closed."""
-    _consume_token(t, "token_dup2")
-    return Token(t.region), Token(t.region)
+    if type(t) is not Token or not t.alive or not t.region.alive:
+        _admit(t, Token, "token_dup2")
+    t.alive = False
+    region = t.region
+    region._tokens_alive += 1  # one consumed, two minted
+    t1 = _new(Token)
+    t1.region, t1.alive = region, True
+    t2 = _new(Token)
+    t2.region, t2.alive = region, True
+    return t1, t2
 
 
 # -- creating incompletes --------------------------------------------------------
@@ -268,13 +290,32 @@ def alloc(t: Token) -> Incomplete:
     single destination pointing at its hole, so whatever fills the
     destination is exactly the value the incomplete will hold.
     """
-    _consume_token(t, "alloc")
+    if type(t) is not Token or not t.alive or not t.region.alive:
+        _admit(t, Token, "alloc")
+    t.alive = False
     region = t.region
+    region._tokens_alive -= 1
     receiver = region._alloc_receiver()
-    lineage = _Lineage()
+    lineage = _new(_Lineage)
+    dest = _new(Dest)
+    lineage.parent = None
     lineage.holes = 1
-    dest = lineage.dest = Dest(region, receiver, 0, None, lineage)
-    return Incomplete(region, receiver, dest, lineage)
+    lineage.type_id = None
+    lineage.dest = dest
+    dest.region = region
+    dest.cell = receiver
+    dest.index = 0
+    dest.kind = None
+    dest.lineage = lineage
+    dest.alive = True
+    i = _new(Incomplete)
+    i.region = region
+    i.root = receiver
+    i.payload = dest
+    i.lineage = lineage
+    i.alive = True
+    region._incompletes_alive += 1
+    return i
 
 
 def into_incomplete(t: Token, value, type_id: str) -> Incomplete:
@@ -305,12 +346,21 @@ def map_b(i: Incomplete, f: Callable[[Any], Any]) -> Incomplete:
     a dataclass is not searched. Orphaned destinations raise LinearityLeak
     immediately. On a closed region RegionClosed is raised before ``f`` runs.
     """
-    _consume_incomplete(i, "map_b")
+    if type(i) is not Incomplete or not i.alive or not i.region.alive:
+        _admit(i, Incomplete, "map_b")
+    i.alive = False
+    region = i.region
+    region._incompletes_alive -= 1
     new_payload = f(i.payload)
-    root = i.lineage.find()
+    root = i.lineage
+    if root.parent is not None:
+        root = root.find()
     if root.holes:
         if type(new_payload) is Dest:
-            kept = new_payload.alive and new_payload.lineage.find() is root
+            lineage = new_payload.lineage
+            if lineage.parent is not None:
+                lineage = lineage.find()
+            kept = new_payload.alive and lineage is root
         else:
             kept = sum(
                 1
@@ -322,7 +372,14 @@ def map_b(i: Incomplete, f: Callable[[Any], Any]) -> Incomplete:
                 f"map_b callback dropped {root.holes - kept} live "
                 f"destination(s) of its own lineage"
             )
-    return Incomplete(i.region, i.root, new_payload, root)
+    out = _new(Incomplete)
+    out.region = region
+    out.root = i.root
+    out.payload = new_payload
+    out.lineage = root
+    out.alive = True
+    region._incompletes_alive += 1
+    return out
 
 
 def _check_release(i: Incomplete, op: str) -> None:
@@ -330,7 +387,8 @@ def _check_release(i: Incomplete, op: str) -> None:
     release leaves ``i`` alive."""
     if type(i) is not Incomplete or not i.alive or not i.region.alive:
         _admit(i, Incomplete, op)
-    holes = i.lineage.find().holes
+    root = i.lineage  # a live incomplete's lineage is a root
+    holes = (root if root.parent is None else root.find()).holes
     if holes > 0:
         raise UnfilledHoles(f"incomplete still has {holes} unfilled destination(s)")
 
@@ -439,8 +497,12 @@ def fill_comp(child: Incomplete, d: Dest):
         _admit(child, Incomplete, "fill_comp")
     if type(d) is not Dest or not d.alive or not d.region.alive:
         _admit(d, Dest, "fill_comp")
-    parent_root = d.lineage.find()
-    child_root = child.lineage.find()
+    parent_root = d.lineage
+    if parent_root.parent is not None:
+        parent_root = parent_root.find()
+    child_root = child.lineage
+    if child_root.parent is not None:
+        child_root = child_root.find()
     if parent_root is child_root:
         raise SelfPlug("incomplete plugged into a destination of its own lineage")
     region = d.region
@@ -456,7 +518,9 @@ def fill_comp(child: Incomplete, d: Dest):
             parent_root.dest = moved
         region.outstanding_holes -= 1  # child's receiver hole is given up
     else:
-        if kind is not None:
+        if kind is not None and (
+            type(kind) is not Recursive or kind.type_id != child_root.type_id
+        ):
             _check_fillable(kind, child_root.type_id, "the plugged incomplete")
         _region.write_field(region, d.cell, d.index, receiver)
         if kind is None:
@@ -465,5 +529,6 @@ def fill_comp(child: Incomplete, d: Dest):
     child_root.holes = 0
     child_root.parent = parent_root
     d.alive = False
-    _consume_incomplete(child, "fill_comp")
+    child.alive = False
+    region._incompletes_alive -= 1
     return child.payload

@@ -30,7 +30,8 @@ class CyclicStructure(DpsError):
 
 
 class ShapeConflict(DpsError):
-    """A second shape under a registered type id, or a Recursive field of an
+    """A shape with no constructor or with one of another type, a second
+    shape under a registered type id, or a Recursive field of an
     unregistered type."""
 
 

@@ -224,7 +224,12 @@ class Region:
         self.stats.receiver_cells += 1
         self.stats.bytes_allocated += 2 * WORD
         self.outstanding_holes += 1
-        return CellRef(self, next(self._handles), _INDIRECTION)
+        receiver = object.__new__(CellRef)
+        receiver.region_id = self.region_id
+        receiver.handle = next(self._handles)
+        receiver.ctor = _INDIRECTION
+        receiver.slots = [self.hole]
+        return receiver
 
     def _foreign(self, cell: CellRef, what: str) -> RegionMismatch:
         return RegionMismatch(
@@ -529,15 +534,19 @@ def alloc(region, into, index, leaves, dest):
     hole = region.hole
     if not region.alive:
         {generic}
-    if type(into) is CellRef:
-        link = None
-        if (index or into.ctor is not _INDIRECTION
-                or into.region_id != region.region_id or into.slots[index] is not hole):
-            {generic}
-    else:
-        link = host_fields.get(type(into))
-        if link is None or not 0 <= index < len(link) or getattr(into, link[index]) is not hole:
-            {generic}
+    try:
+        if type(into) is CellRef:
+            link = None
+            if (index or into.ctor is not _INDIRECTION
+                    or into.region_id != region.region_id or into.slots[index] is not hole):
+                {generic}
+        else:
+            link = host_fields.get(type(into))
+            if link is None or not 0 <= index < len(link) or getattr(into, link[index]) is not hole:
+                {generic}
+    except TypeError:  # _hole names an index that is no int; any other stands
+        _hole(region, into, index)
+        raise
 {take}
 {build}
     stats = region.stats
@@ -701,10 +710,13 @@ def _hole(region: Region, cell, index: int):
                 f"got {type(cell).__name__}"
             ) from None
         arity = len(names)
-    if 0 <= index < arity:
-        slot = cell.slots[index] if names is None else getattr(cell, names[index])
-        if slot is region.hole:
-            return index if names is None else names[index]
+    try:
+        if 0 <= index < arity:
+            slot = cell.slots[index] if names is None else getattr(cell, names[index])
+            if slot is region.hole:
+                return index if names is None else names[index]
+    except TypeError:  # from 3.11 a try costs nothing until it catches
+        raise TypeError(f"a field index is an int, not a {type(index).__name__}") from None
     what = repr(cell) if names is None else f"a {type(cell).__name__}"
     if not 0 <= index < arity:
         raise FieldIndexOutOfRange(f"field {index} out of range for {what} (arity {arity})")
@@ -721,7 +733,7 @@ def write_field(region: Region, cell, index: int, value) -> None:
     handle inside it, and LeafTooDeep on one too deep to copy. It refers
     to a raw cell of this region (else RegionMismatch), and holds a
     receiver's value in its place. TypeError on anything else, an empty
-    receiver, or a raw cell into a host object."""
+    receiver, a raw cell into a host object, or an index that is no int."""
     key = _hole(region, cell, index)
     if isinstance(value, Leaf):
         value = value.payload

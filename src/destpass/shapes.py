@@ -107,19 +107,21 @@ class CtorDescriptor:
 
 @dataclass(frozen=True, eq=False)
 class TypeShape:
-    """All constructors of one algebraic type, in tag order."""
+    """All constructors of one algebraic type, in tag order: ShapeConflict
+    for none or one of another type, TypeError for one that is no
+    ``CtorDescriptor``."""
 
     type_id: str
     ctors: tuple[CtorDescriptor, ...]
 
     def __post_init__(self):
         if not self.ctors:
-            raise ValueError(f"type {self.type_id!r} has no constructors")
+            raise ShapeConflict(f"type {self.type_id!r} has no constructors")
         for c in self.ctors:
             if not isinstance(c, CtorDescriptor):
                 raise TypeError(f"type {self.type_id!r} holds {c!r}, not a CtorDescriptor")
             if c.type_id != self.type_id:
-                raise ValueError(
+                raise ShapeConflict(
                     f"ctor {c.name!r} declares type {c.type_id!r} inside "
                     f"shape {self.type_id!r}"
                 )

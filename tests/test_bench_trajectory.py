@@ -25,6 +25,14 @@ def test_prints_each_workloads_medians_and_ratio(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("BENCH_6.json: ")
     assert lines[1].split() == list(bench_trajectory.HEADER)
-    rows = [line.split() for line in lines[2:]]
+    rows = [line.split() for line in lines[2:] if not line.startswith("host/dps")]
     assert len(rows) == 3 * 5  # three workloads, five end-to-end metrics each
     assert ["bfs-relabel", "dps_peak_kib", "KiB", "3,154", "1,189", "0.377", "10/10"] in rows
+
+
+def test_prints_host_over_dps_per_workload_after_the_table(capsys):
+    assert bench_trajectory.main([str(ROOT / "BENCH_21.json")]) == 0
+    tail = [line.split() for line in capsys.readouterr().out.splitlines()[-3:]]
+    workloads = ("bfs-relabel", "dlist-concat", "sexpr-stream")
+    assert [row[:2] for row in tail] == [["host/dps", w] for w in workloads]
+    assert tail[1] == ["host/dps", "dlist-concat", "parent", "9.11x", "change", "8.33x"]

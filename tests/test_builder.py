@@ -41,7 +41,7 @@ from destpass import (
     with_region,
 )
 from destpass.bfs import TREE_NIL, TREE_NODE, Node
-from destpass.builder import Dest, Token
+from destpass.builder import Dest, Incomplete, Token, _Lineage
 from destpass.region import WORD, CellRef, Hole, Leaf, alloc_hollow, region_new, write_field
 from destpass.shapes import (
     DEFAULT_REGISTRY,
@@ -125,6 +125,60 @@ def test_dup2_kills_original_and_mints_two():
         return "ok"
 
     assert with_region(body) == "ok"
+
+
+def _slots(obj) -> dict:
+    """Every slot of ``obj``'s class and its bases, by name; one never set
+    reads as ``"<unset>"``."""
+    names = [n for c in type(obj).__mro__ for n in getattr(c, "__slots__", ())]
+    return {n: getattr(obj, n, "<unset>") for n in names}
+
+
+def test_minted_handles_set_every_slot_as_their_constructors_would():
+    def same(handle, lineage=None):
+        """``handle`` and its lineage against what their constructors
+        build from the same arguments; the tallies a reference bumps are
+        put back."""
+        region = handle.region
+        if type(handle) is Token:
+            reference = Token(region)
+            region._tokens_alive -= 1
+        elif type(handle) is Incomplete:
+            reference = Incomplete(region, handle.root, handle.payload, handle.lineage)
+            region._incompletes_alive -= 1
+        else:
+            reference = Dest(region, handle.cell, handle.index, handle.kind, handle.lineage)
+        assert _slots(handle) == _slots(reference)
+        if lineage is not None:
+            holes, type_id, dest = lineage
+            reference = _Lineage(type_id)
+            reference.holes, reference.dest = holes, dest
+            assert _slots(handle.lineage) == _slots(reference)
+
+    def body(t):
+        same(t)
+        t1, t2 = token_dup2(t)
+        same(t1)
+        same(t2)
+        token_consume(t2)
+        i = alloc(t1)
+        same(i, (1, None, i.payload))
+        same(i.payload)
+        i = map_b(i, lambda d: fill(d, TREE_NODE, 1))  # two holes, by the generated fill
+        same(i, (2, "tree", None))
+        for d in i.payload:
+            same(d)
+
+        def left_nil_right_node(ds):
+            fill(ds[0], TREE_NIL)
+            return fill(ds[1], TREE_NODE, 2, TREE_NIL, ...)
+
+        i = map_b(i, left_nil_right_node)
+        same(i, (1, "tree", None))
+        same(i.payload)
+        return from_incomplete_(map_b(i, lambda d: fill(d, TREE_NIL)))
+
+    assert with_region(body) == Node(1, None, Node(2, None, None))
 
 
 def test_consume_twice_fails():

@@ -4,8 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from destpass import UseAfterConsume, region_stats, token_consume, token_dup2, with_region
+from destpass import (
+    UseAfterConsume,
+    fill,
+    map_b,
+    region_stats,
+    token_consume,
+    token_dup2,
+    with_region,
+)
 from destpass.dlist import (
+    LIST_NIL,
     NIL,
     Cons,
     FunDList,
@@ -180,6 +189,66 @@ def test_concat_associativity_image(xs, ys, zs):
         )
 
     assert to_pylist(with_region(left)) == to_pylist(with_region(right)) == xs + ys + zs
+
+
+class Boom(Exception):
+    pass
+
+
+def boom(_payload):
+    raise Boom
+
+
+OPS = ("dup2", "new", "append", "concat", "to_list", "raising map_b")
+
+
+@given(st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 99), st.integers(0, 99)), max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_op_sequences_keep_the_ledger_and_match_the_oracle(steps):
+    """Random dlist op sequences over token_dup2'd tokens. After each step
+    the region's tallies count exactly the live handles, every live
+    incomplete's lineage is a root, and a release equals a Python list."""
+
+    def body(t):
+        region = t.region
+        tokens = [t]
+        dlists = []  # (dlist, its Python-list oracle)
+        orphans = []  # the live Dest of each dlist a raising callback consumed
+        for op, a, b in steps:
+            if op == "dup2" and tokens:
+                tokens.extend(token_dup2(tokens.pop(a % len(tokens))))
+            elif op == "new" and tokens:
+                dlists.append((dlist_new(tokens.pop(a % len(tokens))), []))
+            elif op == "append" and dlists:
+                i, xs = dlists.pop(a % len(dlists))
+                dlists.append((dlist_append(i, b), [*xs, b]))
+            elif op == "concat" and len(dlists) > 1:
+                i1, xs = dlists.pop(a % len(dlists))
+                i2, ys = dlists.pop(b % len(dlists))
+                dlists.append((dlist_concat(i1, i2), xs + ys))
+            elif op == "to_list" and dlists:
+                i, xs = dlists.pop(a % len(dlists))
+                assert to_pylist(dlist_to_list(i)) == xs
+            elif op == "raising map_b" and dlists:
+                i, _ = dlists.pop(a % len(dlists))
+                with pytest.raises(Boom):
+                    map_b(i, boom)
+                assert not i.alive and i.payload.alive
+                orphans.append(i.payload)
+            assert region._tokens_alive == len(tokens)
+            assert region._incompletes_alive == len(dlists)
+            assert region.outstanding_holes == len(dlists) + len(orphans)
+            assert all(i.lineage.parent is None for i, _ in dlists)
+        for tok in tokens:
+            token_consume(tok)
+        for i, xs in dlists:
+            assert to_pylist(dlist_to_list(i)) == xs
+        for d in orphans:
+            fill(d, LIST_NIL)
+        return region
+
+    region = with_region(body)
+    assert region.outstanding_holes == region._tokens_alive == region._incompletes_alive == 0
 
 
 # -- baselines ------------------------------------------------------------------

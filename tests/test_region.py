@@ -356,7 +356,25 @@ def test_raw_api_refuses_what_is_not_a_cell_with_type_error():
     assert hollow.head is r.hole and hollow.tail is r.hole
 
 
-@pytest.mark.parametrize("registry", [5, 0, "x", LIST_SHAPE], ids=["int", "zero", "str", "shape"])
+@pytest.mark.parametrize("target", ["raw cell", "receiver", "host object"])
+@pytest.mark.parametrize("index", [0.5, "a", None, 0.0], ids=repr)
+def test_a_field_index_that_is_no_int_is_named(target, index):
+    r = region_new()
+    cell = {
+        "raw cell": lambda: alloc_hollow(r, LIST_CONS),
+        "receiver": r._alloc_receiver,
+        "host object": lambda: alloc_hollow(r, LIST_CONS, r._alloc_receiver(), 0),
+    }[target]()
+    before = region_stats(r), r.outstanding_holes
+    with pytest.raises(TypeError, match="field index is an int"):
+        write_field(r, cell, index, Leaf(1))
+    for ctor in (LIST_NIL, LIST_CONS):  # the generic path and a generated one
+        with pytest.raises(TypeError, match="field index is an int"):
+            alloc_hollow(r, ctor, cell, index)
+    assert (region_stats(r), r.outstanding_holes) == before
+
+
+@pytest.mark.parametrize("registry",[5, 0, "x", LIST_SHAPE], ids=["int", "zero", "str", "shape"])
 def test_a_region_refuses_a_registry_that_is_no_shape_registry(registry):
     with pytest.raises(TypeError):
         region_new(registry=registry)

@@ -136,9 +136,9 @@ def test_arity_is_the_number_of_fields():
 
 
 def test_shape_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeConflict):
         TypeShape("t", ())
-    with pytest.raises(ValueError):  # a ctor of another type
+    with pytest.raises(ShapeConflict):  # a ctor of another type
         TypeShape("t", (CtorDescriptor("u", "a", (), lambda: None),))
 
 
