@@ -47,8 +47,10 @@ def map_accum_bfs(
     """Map ``f`` over node values in breadth-first order, threading a state.
 
     ``f(state, value) -> (state, mapped)``. Returns ``(new_tree, final_state)``
-    where the new tree has exactly the input's shape. When ``counters`` is
-    given, ``counters["visits"]`` is set to the number of nodes dequeued and
+    where the new tree has exactly the input's shape. A ``tree`` with a node
+    that is neither a ``Node`` nor None, or a mapped value that is ``...``
+    (no leaf can hold it), raises TypeError. When ``counters`` is given,
+    ``counters["visits"]`` is set to the number of nodes dequeued and
     ``counters["stats"]`` to the region's allocation counters.
     """
     visits = 0
@@ -66,8 +68,13 @@ def map_accum_bfs(
             while queue:
                 subtree, d = queue.popleft()
                 visits += 1
-                st, y = f(st, subtree.value)
-                left, right = subtree.left, subtree.right
+                try:
+                    value, left, right = subtree.value, subtree.left, subtree.right
+                except AttributeError:  # from 3.11 a try costs nothing until it catches
+                    raise TypeError(f"not a tree: {type(subtree).__name__}") from None
+                st, y = f(st, value)
+                if y is ...:
+                    raise TypeError("... marks a hole; a node value cannot be one")
                 if left is None:
                     if right is None:
                         fill(d, TREE_NODE, y, TREE_NIL, TREE_NIL)

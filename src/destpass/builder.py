@@ -17,21 +17,11 @@ destinations need no tally of their own: every unfilled hole of a builder
 region has exactly one live ``Dest``, so the region's ``outstanding_holes``
 counts them.
 
-``fill`` admits its ``Dest`` and leaves the rest to one region call,
-``alloc_hollow`` given the ``Dest`` (which is why ``Dest`` is defined in
-``region``): the kind check, the build, consuming the ``Dest``, the
-lineage's hole count and the new ``Dest``s. For a constructor that builds in
-place, all of that is the one function that registration generated for it.
-
-``with_region``, ``token_dup2``, ``alloc`` and ``map_b`` mint their handles
-as that function mints its ``Dest``s: ``object.__new__`` and a store to
-every slot, each to what the class's own constructor would set, with no
-``__init__`` frame; the constructors stay public. A live incomplete's
-lineage is always a root: only ``fill_comp`` links a root under another,
-and it consumes the incomplete whose root that was. So an operation takes
-a lineage as its own root while its ``parent`` is None, as a live
-incomplete's always is, and calls ``find`` only on one that was linked, as
-a destination's may be.
+Handles are minted with ``object.__new__`` and one store per slot, as the
+generated fill mints its ``Dest``s (see ``region``); the constructors stay
+public. A live incomplete's lineage is always a root: only ``fill_comp``
+links a root under another, and it consumes the incomplete whose root that
+was. So only a destination's lineage may need ``find``.
 
 Consuming operations:
 
@@ -49,11 +39,7 @@ region cell whose lineage root records what filled it, and a fill builds a
 constructor that qualifies (see ``shapes``) as its final host object in
 place. So a release reads the receiver's one slot in O(1) and decodes
 nothing; only a value of a type that does not qualify is decoded from region
-cells. ``fill_comp`` writes a filled child's receiver into the hole, which
-takes the receiver's content. An empty child has no content yet: the live
-``Dest`` of its receiver's hole is re-pointed at the hole instead (cell,
-index and kind), so whatever later fills it lands in place and is checked
-against the hole's kind then.
+cells.
 
 Values returned out of ``with_region`` are ordinary host values with no
 linear obligations: the scope-exit audit finds no live handle into the dead
@@ -100,8 +86,7 @@ class _Lineage:
 
     A root also stands for its incomplete's one receiver: ``type_id`` is the
     type of what filled the receiver's hole (None for a leaf or while empty)
-    and ``dest`` the live destination of that hole while it is empty. A live
-    incomplete's lineage is always a root.
+    and ``dest`` the live destination of that hole while it is empty.
     """
 
     __slots__ = ("parent", "holes", "type_id", "dest")
@@ -129,6 +114,8 @@ class Token(_NotALeaf):
     __slots__ = ("region", "alive")
 
     def __init__(self, region: Region) -> None:
+        if not isinstance(region, Region):
+            raise TypeError(f"a Token belongs to a Region, not a {type(region).__name__}")
         self.region = region
         self.alive = True
         region._tokens_alive += 1
@@ -147,6 +134,8 @@ class Incomplete(_NotALeaf):
     def __init__(
         self, region: Region, root: CellRef, payload, lineage: _Lineage
     ) -> None:
+        if not isinstance(region, Region):
+            raise TypeError(f"an Incomplete belongs to a Region, not a {type(region).__name__}")
         self.region = region
         self.root = root
         self.payload = payload
@@ -172,9 +161,11 @@ _CONTAINERS = (tuple, list, set, frozenset, deque)
 
 
 def _collect_linear(value) -> set:
-    """All Token/Dest/Incomplete objects reachable through ordinary containers,
-    dataclasses and the ``__dict__`` of any other object that is not a class
-    or a module. Identity-based; iterative, so depth does not matter."""
+    """All Token/Dest/Incomplete objects reachable through tuples, lists,
+    sets, frozensets, deques, dict keys and values, dataclass fields and the
+    ``__dict__`` of any other object that is not a class or a module; an
+    object with only slots that is not a dataclass is not searched.
+    Identity-based; iterative, so depth does not matter."""
     found: set = set()
     seen: set[int] = set()
     stack = [value]
@@ -340,18 +331,25 @@ def map_b(i: Incomplete, f: Callable[[Any], Any]) -> Incomplete:
 
     ``f`` must consume its argument exactly once: every live destination of
     this incomplete's lineage must, after ``f`` returns, either have been
-    consumed or be reachable from the new payload through tuples, lists,
-    sets, frozensets, deques, dict keys and values, dataclass fields or the
-    ``__dict__`` of any other object; an object with only slots that is not
-    a dataclass is not searched. Orphaned destinations raise LinearityLeak
-    immediately. On a closed region RegionClosed is raised before ``f`` runs.
+    consumed or be reachable from the new payload, as ``_collect_linear``
+    searches it. Orphaned destinations raise LinearityLeak immediately. On a
+    closed region RegionClosed is raised before ``f`` runs, and an ``f``
+    that is not callable raises TypeError and consumes nothing; once ``f``
+    runs, ``i`` is consumed even if ``f`` raises.
     """
     if type(i) is not Incomplete or not i.alive or not i.region.alive:
         _admit(i, Incomplete, "map_b")
     i.alive = False
     region = i.region
     region._incompletes_alive -= 1
-    new_payload = f(i.payload)
+    try:
+        new_payload = f(i.payload)
+    except TypeError:  # from 3.11 a try costs nothing until it catches
+        if callable(f):
+            raise
+        i.alive = True
+        region._incompletes_alive += 1
+        raise TypeError(f"map_b expects a callable, got {type(f).__name__}") from None
     root = i.lineage
     if root.parent is not None:
         root = root.find()
@@ -413,10 +411,8 @@ def from_incomplete(i: Incomplete):
     """Release a finished incomplete together with its (unrestricted) payload.
 
     Returns ``(value, payload)``. LinearityLeak if a live handle is reachable
-    from the payload through tuples, lists, sets, frozensets, deques, dict
-    keys and values, dataclass fields or the ``__dict__`` of any other object
-    (an object with only slots that is not a dataclass is not searched).
-    RegionClosed once the region is closed.
+    from the payload, as ``_collect_linear`` searches it. RegionClosed once
+    the region is closed.
     """
     _check_release(i, "from_incomplete")
     payload = i.payload  # a scalar holds no handle
@@ -439,21 +435,19 @@ def fill(d: Dest, ctor: CtorDescriptor, *args):
     ``d``; return the destinations of its holes, in declaration order: None
     for none, a single Dest for one, a tuple otherwise.
 
-    ``args`` are none, one per leaf field or one per field, in declaration
-    order (else TypeError). A field given no argument is a hole. A leaf
-    field takes its value, which the same region call writes exactly as
-    ``fill_leaf`` would. A ``Recursive`` field takes ``...``, a hole; a
-    registered nullary constructor of its type; or a complete nested context
-    ``(c, *args)`` of that type: one argument per field of ``c``, by this
-    same rule but with no ``...`` (else TypeError). So ``Cons(x, _)``,
+    ``args`` are one per field, in declaration order, or none, which is
+    ``...`` at every field (else TypeError). ``...`` at any field is a hole.
+    A leaf field takes its value, written exactly as ``fill_leaf`` would. A
+    ``Recursive`` field takes a registered nullary constructor of its type
+    or a complete nested context ``(c, *args)`` of that type, by this same
+    rule but with no ``...`` (else TypeError). So ``Cons(x, _)``,
     ``Node(x, Nil, _)`` and ``Cons(SInteger(0, 7), Nil)`` are
-    ``fill(d, CONS, x)``, ``fill(d, NODE, x, NIL, ...)`` and
+    ``fill(d, CONS, x, ...)``, ``fill(d, NODE, x, NIL, ...)`` and
     ``fill(d, CONS, (SINTEGER, 0, 7), NIL)``. Each node is written and
-    charged as its own fill would write it, all in one region call, which
-    does all but the admission of ``d``: ``alloc_hollow`` given ``d``. A
-    refused fill changes nothing: every check, at every depth, comes first,
-    and on a closed region RegionClosed comes before any leaf is copied. A
-    ``ctor`` that is no descriptor raises TypeError.
+    charged as its own fill would be, in one region call that does all but
+    the admission of ``d``: ``alloc_hollow`` given ``d``. A refused fill
+    changes nothing: every check comes first, RegionClosed before any leaf
+    is copied. A ``ctor`` that is no descriptor raises TypeError.
     """
     if type(d) is not Dest or not d.alive:  # its region: alloc_hollow checks
         _admit(d, Dest, "fill")

@@ -2,11 +2,12 @@
 
 A difference list here is an incomplete linked list whose payload is the
 destination of the final tail hole. Appending fills that hole with the
-context ``Cons(x, _)``, a cons cell whose head is written in the same fill,
-and keeps the new tail hole; concatenating two difference lists
-writes the second one's root into the first one's tail hole — one field
-write, no allocation, no copying. ``to_list`` plugs nil into the last hole
-and releases the finished list.
+context ``Cons(x, _)``, ``fill(d, LIST_CONS, x, ...)``, and keeps the new
+tail hole; concatenating two difference lists writes the second one's root
+into the first one's tail hole — one field write, no allocation, no
+copying. ``to_list`` plugs nil into the last hole and releases the finished
+list. Each operation fills the tail hole before ``map_b`` consumes the
+list, so one that is refused changes nothing.
 
 Two baselines used by the benchmark harness live here as well: plain
 linked-list concatenation (quadratic when nested to the left) and the
@@ -21,12 +22,14 @@ from typing import Any, Iterable, Iterator
 from .builder import (
     Incomplete,
     Token,
+    _admit,
     alloc,
     fill,
     fill_comp,
     from_incomplete_,
     map_b,
 )
+from .region import _leaf_copies
 from .shapes import DEFAULT_REGISTRY, CtorDescriptor, LeafType, Recursive, TypeShape
 
 
@@ -110,24 +113,39 @@ def dlist_new(t: Token) -> DList:
 
 
 def dlist_append(i: DList, x) -> DList:
-    """Add ``x`` at the tail position; still exactly one hole."""
-
-    return map_b(i, lambda d: fill(d, LIST_CONS, x))
+    """Add ``x`` at the tail position; still exactly one hole. ``x`` is
+    written as ``fill_leaf`` writes a leaf, so ``...`` is no element."""
+    if type(i) is not Incomplete or not i.alive or not i.region.alive:
+        _admit(i, Incomplete, "dlist_append")
+    if x is ...:
+        raise TypeError("... marks a hole; a list element cannot be one")
+    tail = fill(i.payload, LIST_CONS, x, ...)
+    return map_b(i, lambda _: tail)
 
 
 def dlist_concat(i1: DList, i2: DList) -> DList:
     """Concatenate: write i2's root into i1's tail hole. One field write,
     zero allocations; the result keeps i1's root and inherits i2's hole."""
-    return map_b(i1, lambda dt1: fill_comp(i2, dt1))
+    if type(i1) is not Incomplete or not i1.alive or not i1.region.alive:
+        _admit(i1, Incomplete, "dlist_concat")
+    tail = fill_comp(i2, i1.payload)
+    return map_b(i1, lambda _: tail)
 
 
 def dlist_to_list(i: DList) -> Nil | Cons:
     """Plug nil into the tail hole and release the finished list."""
-    return from_incomplete_(map_b(i, lambda dt: fill(dt, LIST_NIL)))
+    if type(i) is not Incomplete or not i.alive or not i.region.alive:
+        _admit(i, Incomplete, "dlist_to_list")
+    fill(i.payload, LIST_NIL)
+    return from_incomplete_(map_b(i, lambda _: None))
 
 
 def dlist_from_list(t: Token, xs: Iterable) -> DList:
-    """Build a difference list holding the elements of ``xs``."""
+    """Build a difference list holding the elements of ``xs``. ``t`` and
+    then every element, as ``fill_leaf`` checks a leaf, are checked before
+    ``t`` is consumed, so a refused build changes nothing."""
+    _admit(t, Token, "dlist_from_list")
+    xs, _ = _leaf_copies(xs)
     out = dlist_new(t)
     for x in xs:
         out = dlist_append(out, x)

@@ -8,10 +8,9 @@ another cell of the same region or with a leaf payload that is deep-copied
 into the region at write time. A hole, a region cell and a linear handle
 each refuse that copy (``DestinationInLeaf``), at any depth in the payload.
 
-A raw cell is a single object, a ``CellRef``: it carries its region's id,
-its handle (its index in allocation order), its constructor and its slots,
-and callers hold and pass that object itself; there is no separate locator.
-Cells never move, so a cell stays valid for the region's whole lifetime.
+A raw cell is a single object, a ``CellRef``: its region's id, its handle
+(its index in allocation order), its constructor and its slots. Cells never
+move, so a cell stays valid for the region's whole lifetime.
 
 A field, of a raw cell or of a host object, holds what a host object's
 field holds: its region's own ``Hole``, ``region.hole``, until it is written
@@ -23,22 +22,13 @@ filled receiver. A host object's field never holds a raw cell.
 A root receiver, whose one hole takes an incomplete's whole value, is a raw
 cell of the private ``_INDIRECTION`` constructor; there is no receiver type.
 It stands for what it holds: ``write_field`` stores that value in its place.
-The builder's cells are host objects. Written into a receiver or into a host
-object, a constructor that the registry lets build in place (see ``shapes``)
-is allocated as its final host object: ``object.__new__`` of its ``make``,
-its ``__init__`` never run, with every field set to ``region.hole`` or to
-its leaf value. One allocator per such constructor, generated from source
-when its shape registers, does this in straight-line code, and one plug
-builds the constructor nested in a parent's fill; any call they do not
-cover goes to the generic checks. Given a builder ``Dest``, defined here
-for that reason, the allocator is the constructor's whole fill: it checks
-the hole's kind, builds, consumes the ``Dest``, counts the holes on its
-lineage and returns the new ``Dest``s, so a fill is one region call. Every
-field of a host object is written as the registry records for its class: by
-the builtin ``setattr`` (a plain attribute store), or by
-``object.__setattr__`` for a class with a ``__setattr__`` of its own, such
-as a frozen dataclass. Such a cell is charged exactly as a raw cell and has
-no handle; ``_hole`` checks its fields as it checks a raw cell's.
+Written into a receiver or into a host object, a constructor that builds in
+place (see ``shapes``) is allocated as its final host object, its
+``__init__`` never run, each field written with the setter the registry
+records for its class; it is charged exactly as a raw cell and has no
+handle. The allocator generated for each such constructor (``_compile``) is
+also its whole fill, given a builder ``Dest``, which is defined here for
+that reason: a fill is one region call.
 
 Decoding (``read_value``) walks the raw cell graph, checks that no
 reachable hole remains and that the graph is acyclic, and rebuilds the host
@@ -126,6 +116,9 @@ class CellRef(_NotALeaf):
     __slots__ = ("region_id", "handle", "ctor", "slots")
 
     def __init__(self, region: Region, handle: int, ctor: CtorDescriptor) -> None:
+        if not isinstance(region, Region) or not isinstance(ctor, CtorDescriptor):
+            raise TypeError(f"a CellRef takes a Region and a CtorDescriptor, not "
+                            f"{type(region).__name__} and {type(ctor).__name__}")
         self.region_id = region.region_id
         self.handle = handle
         self.ctor = ctor
@@ -137,8 +130,7 @@ class CellRef(_NotALeaf):
 
 class Dest(_NotALeaf):
     """The builder's handle to exactly one unfilled hole; consumable exactly
-    once (see ``builder``). It lives here because a fill of it is one
-    region call: ``alloc_hollow`` given ``dest``.
+    once (see ``builder``).
 
     ``cell`` is a region cell or a host object under construction; ``kind``
     is None exactly when the hole is a receiver's; ``lineage`` is the
@@ -160,6 +152,10 @@ class Dest(_NotALeaf):
         cell = self.cell
         where = cell.handle if isinstance(cell, CellRef) else type(cell).__name__
         return f"<Dest cell={where}[{self.index}] {state}>"
+
+
+def _no_region(region) -> TypeError:
+    return TypeError(f"expected a Region, got {type(region).__name__}")
 
 
 def _check_fillable(kind: FieldKind | None, type_id: str | None, what: str) -> None:
@@ -273,8 +269,10 @@ class Region:
                 shape = self.registry.shape(tid)
                 tag, parts = shape.classify(node)
                 ctor = shape.ctors[tag]
-                leaves = [parts[i] for i in ctor.leaves]
-                cell = alloc_hollow(self, ctor, parent, idx, leaves)
+                if any(parts[i] is ... for i in ctor.leaves):
+                    raise TypeError("... marks a hole; a copied leaf cannot be one")
+                args = [... if type(k) is Recursive else parts[i] for i, k in ctor.places]
+                cell = alloc_hollow(self, ctor, parent, idx, args)
                 if not ctor.kids:  # nothing below it
                     continue
                 on_path.add(id(node))
@@ -337,7 +335,7 @@ def _leaf_copies(payloads) -> tuple[list, int]:
         else:
             if type(v) not in _SCALARS:
                 if v is ...:
-                    raise TypeError("... marks a hole; a leaf field cannot hold it")
+                    raise TypeError("... is a hole only in the node a fill writes")
                 try:
                     v = copy.deepcopy(v)
                 except RecursionError:
@@ -361,20 +359,16 @@ def region_new(*, registry: ShapeRegistry | None = None) -> Region:
 
 
 def alloc_hollow(
-    region: Region, ctor: CtorDescriptor, into=None, index: int = 0, leaves=(), dest=None
+    region: Region, ctor: CtorDescriptor, into=None, index: int = 0, args=(), dest=None
 ):
-    """Allocate a cell for the constructor context ``ctor(*leaves)``: every
-    field of ``ctor`` a hole but those that ``leaves`` gives, one value per
-    leaf field or one per field (else TypeError). A leaf field's value is
-    kept, copied, refused and charged as ``write_field`` does a ``Leaf``'s
-    payload. A ``Recursive`` field takes ``...``, a hole; a registered
-    nullary constructor of its type; or a complete nested context
-    ``(c, *args)``: ``c`` a registered constructor of that type, ``args``
-    one per field of ``c`` by this same rule but with no ``...`` (else
-    TypeError, or UnknownCtor for a descriptor of another type, an
-    unregistered one or a bare one that is not nullary), so only the new
-    cell has holes. Each node is built, stored and charged as its own fill
-    would be. A ``ctor`` that is no descriptor raises TypeError.
+    """Allocate a cell for the constructor context ``ctor(*args)``, spelled
+    as ``builder.fill`` documents: ``args`` none or one per field, ``...`` a
+    hole; a leaf kept, copied, refused and charged as ``write_field`` does a
+    ``Leaf``'s payload; at a ``Recursive`` field a registered nullary
+    constructor or a complete nested context (else TypeError, or UnknownCtor
+    for a descriptor of another type or an unregistered one). Each node is
+    built, stored and charged as its own fill would be. A ``region`` that is
+    no ``Region`` or a ``ctor`` that is no descriptor raises TypeError.
 
     With ``into``, the new cell is also written into hole ``index`` of
     ``into``: a raw cell, a receiver, or a host object that a fill of this
@@ -391,22 +385,19 @@ def alloc_hollow(
     has admitted (TypeError for what is no ``Dest``), the call is its fill:
     the hole's kind is checked first (UnknownCtor, or TypeError for no
     descriptor), and once the cell is written ``dest`` is consumed, its
-    lineage root counts the holes opened and closed, and the ``Dest`` of
-    each hole of the new cell is returned as ``fill`` documents, in place
-    of the cell.
-
-    A constructor that builds in place runs the allocator generated for it
-    at registration (``_compile``), which is its whole fill too and leaves
-    any call it does not build, unchanged, to ``_alloc_generic``.
+    lineage root counts the holes opened and closed, and the ``Dest``s of
+    the new cell's holes are returned as ``fill`` returns them.
     """
     try:
         compiled = region.registry.allocators[ctor]
     except KeyError:
-        return _alloc_generic(region, ctor, into, index, leaves, dest)
-    return compiled(region, into, index, leaves, dest)
+        return _alloc_generic(region, ctor, into, index, args, dest)
+    except AttributeError:  # from 3.11 a try costs nothing until it catches
+        raise _no_region(region) from None
+    return compiled(region, into, index, args, dest)
 
 
-def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, leaves, dest=None):
+def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, args, dest=None):
     """``alloc_hollow``'s checks, in order, and what it builds and returns,
     for any call, a fill's too: a context of any depth is walked with a
     stack, not by recursion."""
@@ -434,35 +425,35 @@ def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, leave
     holes = -1 if into is not None else 0  # the hole the root fills
     # Fields still to check, next last: (constructor, its field values,
     # index, kind, argument); the root's kind is None.
-    todo = [(None, top, 0, None, (ctor, *leaves))]
+    todo = [(None, top, 0, None, (ctor, *args))]
     while todo:
         parent, fields, i, kind, a = todo.pop()
+        if a is ... and fields is nodes[0][1]:  # a hole of the root
+            continue
         if kind is not None and type(kind) is not Recursive:  # a leaf field
             (fields[i],), c = _leaf_copies((a,))
             charge += c
             copies += 1
             holes -= 1
             continue
-        if a is ... and fields is nodes[0][1]:  # a hole of the root
-            continue
         if type(a) is CtorDescriptor:
-            c, args = a, None
+            c, sub = a, None
         elif type(a) is tuple and a and type(a[0]) is CtorDescriptor:
-            c, args = a[0], a[1:]
+            c, sub = a[0], a[1:]
         else:  # a nested node has no hole
             raise TypeError(
                 f"field {i} of {parent.name} takes a constructor, a context or, in the root, ..."
             )
         if kind is not None:
-            if c.type_id != kind.type_id or args is None and c.arity:
+            if c.type_id != kind.type_id or sub is None and c.arity:
                 raise UnknownCtor(
                     f"field {i} of {parent.name} takes a nullary {kind.type_id} or a context"
                 )
             registry.resolve(c)
-            if args is not None and len(args) != c.arity:
+            if sub is not None and len(sub) != c.arity:
                 raise TypeError(f"a nested {c.name} takes one value per field, {c.arity}")
-        elif args and len(args) != c.arity and len(args) != len(c.leaves):
-            raise TypeError(f"{c.name} takes {len(c.leaves)} leaves or {c.arity} fields")
+        elif len(sub) not in (0, c.arity):
+            raise TypeError(f"{c.name} takes no arguments or one per field, {c.arity}")
         cells += 1
         charge += WORD * (1 + c.arity)
         holes += c.arity - (kind is not None)
@@ -471,9 +462,8 @@ def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, leave
             continue
         node = [hole] * c.arity
         nodes.append((c, node, fields, i))
-        if args:
-            places = c.places if len(args) == c.arity else [c.places[j] for j in c.leaves]
-            todo.extend((c, node, j, k, v) for (j, k), v in reversed(list(zip(places, args))))
+        if sub:
+            todo.extend((c, node, j, k, v) for (j, k), v in reversed(list(zip(c.places, sub))))
     # Nothing is refused past this point. A node is built as the root's
     # target takes it: host objects in place, else raw cells.
     in_place = into is not None and layout is not None and (
@@ -507,24 +497,19 @@ def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, leave
     if want is None:  # a receiver's hole
         lineage.type_id, lineage.dest = ctor.type_id, None
     lineage.holes += holes
-    if not leaves:
-        places = ctor.places
-    elif len(leaves) == ctor.arity:  # one per field: those marked ...
-        places = [(i, k) for i, k in ctor.kids if leaves[i] is ...]
-    else:
-        places = ctor.kids
-    dests = tuple([Dest(region, value, i, k, lineage) for i, k in places])
+    dests = tuple([Dest(region, value, i, k, lineage) for i, k in ctor.places
+                   if not args or args[i] is ...])
     return dests[0] if len(dests) == 1 else dests or None
 
 
 # What an allocator does with a call that it does not build.
-_GENERIC = "return _alloc_generic(region, ctor, into, index, leaves, dest)"
+_GENERIC = "return _alloc_generic(region, ctor, into, index, args, dest)"
 # The allocator of one in-place constructor, which is its fill given a Dest,
 # and its plug, which _compile completes. Each arm of {take} sets the
 # fields' locals and what the node and any nested ones are charged; {plug}
 # does the same or returns None; {dests} returns the Dests of a fill.
 _ALLOCATOR = """\
-def alloc(region, into, index, leaves, dest):
+def alloc(region, into, index, args, dest):
     if type(dest) is Dest:
         kind = dest.kind
         if kind is not None and (type(kind) is not Recursive or kind.type_id != type_id):
@@ -583,25 +568,23 @@ def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegist
     """The allocator of ``ctor``, which builds in place with fields
     ``names``, and its plug or None, generated from source at registration
     as ``dataclasses`` generates an ``__init__``, with its field names and
-    kinds, leaf positions, charges and setter, the nullary constructors of
-    each ``Recursive`` field and the plugs of that field's type as constants.
+    kinds, charges and setter, the nullary constructors of each
+    ``Recursive`` field and the plugs of that field's type as constants.
 
     The allocator builds into a live receiver or a hole of a host object of
-    the region, given no leaves, one per leaf field, or one per field with
-    ``...``, a nullary constructor of its type or a context that a plug of
-    its type builds at each ``Recursive`` one: a leaf of a type in
-    ``_ONE_WORD`` is kept, any other goes through ``_leaf_copies``. Given a
-    ``Dest``, it is that Dest's whole fill: it checks the hole's kind first
-    and, once the node is written, consumes the Dest, counts the holes on
-    its lineage root and makes each new hole's ``Dest`` in straight-line
-    code. The plug builds the node of a complete context ``(ctor, *args)``
-    nested in a parent's fill, with its charges (bytes, cells, leaf
-    copies), or returns None unless its leaves are exactly scalars and its
-    ``Recursive`` fields nullary constructors; so ``ctor`` has no plug when
-    one of those fields is of a type with no nullary constructor. A plug
-    changes nothing, so a parent charges a nested node only once every check
-    has passed. Any call that the allocator or a plug it calls does not
-    build goes, unchanged, to ``_alloc_generic``."""
+    the region, in an arm of constants given no arguments, else in one arm
+    for one per field: ``...``, a leaf (kept if its type is in
+    ``_ONE_WORD``, else through ``_leaf_copies``), a nullary constructor or
+    a context that a plug builds. Given a ``Dest``, it is that Dest's whole
+    fill: it checks the hole's kind first and, once the node is written,
+    consumes the Dest, counts the holes on its lineage root and makes the
+    ``Dest`` of each field left a hole. The plug builds the node of a
+    complete context ``(ctor, *args)`` nested in a parent's fill, with its
+    charges, and changes nothing, or returns None unless its leaves are
+    scalars and its ``Recursive`` fields nullary constructors, so ``ctor``
+    has none when a field's type has no nullary constructor. Any call that
+    the allocator or a plug does not build goes, unchanged, to
+    ``_alloc_generic``."""
     fields = [f"v{i}" for i in range(ctor.arity)]  # the local that holds each field
     leaves = [fields[i] for i in ctor.leaves]
     n, size = len(leaves), WORD * (1 + ctor.arity)
@@ -618,7 +601,7 @@ def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegist
         f"    if type({v}) is not bytes and type({v}) is not str: return None",
         f"    charge += (len({v}) + {WORD - 1}) // {WORD} * {WORD}",
     )]
-    kids, constants = [], {}  # the allocator's checks of the Recursive fields
+    given, constants = [], {}  # the argument arm's checks of each field, Recursive ones first
     for j, (i, kind) in enumerate(ctor.kids):
         v = fields[i]
         ctors = registry.shape(kind.type_id).ctors
@@ -627,7 +610,7 @@ def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegist
         constants[f"plugs{j}"] = registry.plugs.setdefault(kind.type_id, {})
         nullary = " or ".join(f"{v} is {name}" for name in nullaries)
         made = [f"{v} = {v}.make()", f"charge += {WORD}; cells += 1"]
-        kids += [
+        given += [
             f"if {v} is ...:", f"    {v} = hole; holes += 1",
             *([f"elif {nullary}:", *(f"    {line}" for line in made)] if nullary else ()),
             f"elif type({v}) is tuple and {v} and (p := plugs{j}.get(id({v}[0]))) "
@@ -637,41 +620,37 @@ def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegist
         ]
         if plug is not None:  # None once a field's type has no nullary constructor
             plug = [*plug, f"if not ({nullary}):", "    return None", *made] if nullary else None
+    given += [line for v in leaves for line in (
+        f"if type({v}) not in _ONE_WORD:",
+        f"    if {v} is ...: {v} = hole; holes += 1; charge -= {WORD}; copies -= 1",
+        f"    else: ({v},), c = _leaf_copies(({v},)); charge += c - {WORD}",
+    )]
+    take = [
+        "if not args:",
+        *(f"    {line}" for line in assign(fields, "hole, " * ctor.arity)),
+        f"    charge, cells, copies, holes = {size}, 1, 0, {ctor.arity - 1}",
+        f"elif len(args) == {ctor.arity}:",
+        *(f"    {line}" for line in assign(fields, "args")),
+        f"    charge, cells, copies, holes = {charged}, 1, {n}, -1",
+        *(f"    {line}" for line in given),
+        "else:", f"    {_GENERIC}",
+    ]
 
-    def new_dest(i):  # a fill's Dest of the hole at field i, as d{i}
-        return (f"d{i} = new(Dest); d{i}.region = region; d{i}.cell = obj; d{i}.index = {i}; "
-                f"d{i}.kind = kind{i}; d{i}.lineage = lineage; d{i}.alive = True")
-
-    def every(places):  # a fill's Dests of the holes at places, returned
-        ds = ", ".join(f"d{i}" for i, _ in places)
-        return [*(new_dest(i) for i, _ in places), f"return {ds or None}"]
-
-    # Per arm: the allocator's test, the fields given, the node's charges
-    # before its leaves' sizes and nested nodes (bytes, leaf copies, holes
-    # left), and a fill's Dests.
-    arms = [("not leaves", [], size, 0, ctor.arity, every(ctor.places))]
-    if leaves:
-        arms.append((f"len(leaves) == {n}", leaves, charged, n, ctor.arity - n, every(ctor.kids)))
-    if ctor.kids:  # those of the fields marked ...: all, one or none, or some
-        some = [line for i, _ in ctor.kids for line in (f"d{i} = None", f"if v{i} is hole: {new_dest(i)}")]
-        ds = [f"d{i}" for i, _ in ctor.kids]
-        one = " or ".join(ds)  # the one hole's Dest, or None for none
-        if len(ds) > 2:
-            one += f" if holes < 1 else tuple(filter(None, ({', '.join(ds)})))"
-        some += [f"if holes == {len(ds) - 1}:", f"    return {', '.join(ds)}", f"return {one}"]
-        arms.append((f"len(leaves) == {ctor.arity}", fields, charged, n, 0, some))
-    take, dests = [], []
-    for k, (test, given, charge, kept, left, out) in enumerate(arms):
-        take += [f"{'elif' if k else 'if'} {test}:", *(f"    {line}" for line in (
-            *assign([v for v in fields if v not in given], "hole, " * (ctor.arity - len(given))),
-            *assign(given, "leaves"),
-            f"charge, cells, copies, holes = {charge}, 1, {kept}, {left - 1}",
-            *(kids if given is fields else ()),
-            *(f"if type({v}) not in _ONE_WORD: ({v},), c = _leaf_copies(({v},)); "
-              f"charge += c - {WORD}" for v in leaves if given),  # other leaves: _leaf_copies
-        ))]
-        dests += out if k == len(arms) - 1 else [f"if {test}:", *(f"    {line}" for line in out)]
-    take += ["else:", f"    {_GENERIC}"]
+    # A fill's Dest of each field left a hole, and what it returns: the one
+    # or none, all, all but one, or some of them, as far as the arity reaches.
+    ds = [f"d{i}" for i in range(ctor.arity)]
+    every = "".join(f"{d}, " for d in ds)
+    but = [f"({''.join(f'{e}, ' for e in ds if e != d)}) if {d} is None else " for d in ds]
+    dests = [line for i in range(ctor.arity) for line in (
+        f"d{i} = None",
+        f"if v{i} is hole: d{i} = new(Dest); d{i}.region = region; d{i}.cell = obj; "
+        f"d{i}.index = {i}; d{i}.kind = kind{i}; d{i}.lineage = lineage; d{i}.alive = True",
+    )] + [
+        f"if holes < 1: return {' or '.join(ds) or None}",
+        f"if holes == {ctor.arity - 1}: return {every}",
+        f"if holes == {ctor.arity - 2}: return {''.join(but)}None",
+        f"return tuple([d for d in ({every}) if d is not None])",
+    ][: max(1, ctor.arity)]
     plain = registry.setters.get(ctor.make) is setattr
     build = ["obj = new(make)" if names else "obj = make()"] + [
         f"obj.{name} = {v}" if plain else f"put(obj, {name!r}, {v})"
@@ -695,21 +674,23 @@ def _hole(region: Region, cell, index: int):
     """Where field ``index`` of ``cell`` is stored, once that field is a hole
     of live ``region``: the index into the slots of a raw cell or receiver,
     or the field name of a host object that a fill built."""
-    if not region.alive:
-        region._require_alive()
-    if type(cell) is CellRef:
-        if cell.region_id != region.region_id:
-            raise region._foreign(cell, "cell")
-        names, arity = None, len(cell.slots)
-    else:
-        try:
-            names = region.registry.host_fields[type(cell)]
-        except KeyError:
-            raise TypeError(
-                f"expected a CellRef or a host object built in place, "
-                f"got {type(cell).__name__}"
-            ) from None
-        arity = len(names)
+    try:
+        if not region.alive:
+            region._require_alive()
+        if type(cell) is CellRef:
+            if cell.region_id != region.region_id:
+                raise region._foreign(cell, "cell")
+            names, arity = None, len(cell.slots)
+        else:
+            names = region.registry.host_fields.get(type(cell))
+            if names is None:
+                raise TypeError(
+                    f"expected a CellRef or a host object built in place, "
+                    f"got {type(cell).__name__}"
+                )
+            arity = len(names)
+    except AttributeError:  # from 3.11 a try costs nothing until it catches
+        raise _no_region(region) from None
     try:
         if 0 <= index < arity:
             slot = cell.slots[index] if names is None else getattr(cell, names[index])
@@ -798,6 +779,8 @@ def read_value(region: Region, root: CellRef):
     """
     if not isinstance(root, CellRef):
         raise TypeError(f"read_value expects a CellRef, got {type(root).__name__}")
+    if not isinstance(region, Region):
+        raise _no_region(region)
     if root.region_id != region.region_id:
         raise region._foreign(root, "cell")
     hosts = [] if region.outstanding_holes else None  # what to scan for a hole
@@ -851,4 +834,6 @@ def read_value(region: Region, root: CellRef):
 
 def region_stats(region: Region) -> AllocStats:
     """Snapshot of the allocation counters."""
+    if not isinstance(region, Region):
+        raise _no_region(region)
     return replace(region.stats)

@@ -42,10 +42,8 @@ builtin ``setattr`` when the class keeps ``object.__setattr__``, else
 ``object.__setattr__`` itself, past a frozen dataclass's refusal and any
 ``__setattr__`` of its own. Registration also generates, per constructor
 that builds in place, the allocator that is its whole fill (``allocators``)
-and, unless a ``Recursive`` field of it is of a type with no nullary
-constructor, so that no nested context of it could be complete with scalars
-and nullary constructors alone, the plug that builds it nested in a
-parent's fill (``plugs``, see ``region``).
+and the plug that builds it nested in a parent's fill (``plugs``), as
+``region._compile`` documents.
 """
 
 from __future__ import annotations
@@ -225,12 +223,8 @@ class ShapeRegistry:
         self._qualify(batch.values())
 
     def _qualify(self, shapes: Iterable[TypeShape]) -> None:
-        """Record the layout of every constructor of ``shapes``.
-
-        A type is tainted when one of its constructors has no host fields, or
-        when it reaches a tainted type. A constructor builds in place when it
-        has host fields and none of its Recursive fields is of a tainted type.
-        """
+        """Record the layout of every constructor of ``shapes``, tainting
+        types as the module docstring says."""
         kids = {t: set().union(*map(_kid_types, s.ctors)) for t, s in self._shapes.items()}
         tainted = {
             t for t, s in self._shapes.items() if any(_host_fields(c) is None for c in s.ctors)

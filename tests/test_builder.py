@@ -164,7 +164,7 @@ def test_minted_handles_set_every_slot_as_their_constructors_would():
         i = alloc(t1)
         same(i, (1, None, i.payload))
         same(i.payload)
-        i = map_b(i, lambda d: fill(d, TREE_NODE, 1))  # two holes, by the generated fill
+        i = map_b(i, lambda d: fill(d, TREE_NODE, 1, ..., ...))  # two holes, by the generated fill
         same(i, (2, "tree", None))
         for d in i.payload:
             same(d)
@@ -1246,20 +1246,20 @@ def test_a_refused_fill_with_leaves_changes_nothing(case, error):
     t1, t2 = token_dup2(Token(region))
     i, j = alloc(t1), alloc(t2)
     d, e = i.payload, j.payload
-    ctor, leaves = LIST_CONS, (1,)
+    ctor, leaves = LIST_CONS, (1, ...)
     if case == "one too many":
-        leaves = (1, 2)
+        leaves = (1, ..., 2)
     elif case == "one too few":
-        ctor = SEXPR_SINTEGER
+        ctor, leaves = SEXPR_SINTEGER, (1,)
     elif case == "nullary":
         ctor = LIST_NIL
     elif case == "live dest":
-        leaves = ([e],)
+        leaves = ([e], ...)
     elif case == "too deep":
-        leaves = (too_deep_leaf("nested list"),)
+        leaves = (too_deep_leaf("nested list"), ...)
     elif case == "closed":
         region._close()
-        leaves = ([e],)
+        leaves = ([e], ...)
     else:
         write_field(region, d.cell, d.index, Leaf(0))
     where = (d.cell, d.index, d.kind, d.cell.slots[0])
@@ -1286,6 +1286,8 @@ _CONTEXT_REFUSALS = ("not a descriptor", "not nullary", "another type", "unregis
     + [("Node", "... at a leaf place")],  # the one parent with a leaf place
 )
 def test_a_refused_context_fill_changes_nothing(parent, refusal):
+    """Each refusal at a Recursive place changes nothing; ``...`` at a leaf
+    place of the node a fill writes is no refusal, but a hole there."""
     registry, ctor, args, at, nil = _CONTEXTS[parent]
     region = region_new(registry=registry)
     t1, t2 = token_dup2(Token(region))
@@ -1296,9 +1298,15 @@ def test_a_refused_context_fill_changes_nothing(parent, refusal):
         "not nullary": (at, ctor, UnknownCtor),
         "another type": (at, LIST_NIL, UnknownCtor),
         "unregistered": (at, CtorDescriptor(nil.type_id, nil.name, (), nil.make), UnknownCtor),
-        "... at a leaf place": (0, ..., TypeError),
+        "... at a leaf place": (0, ..., None),
     }[refusal]
     args = (*args[:at], value, *args[at + 1 :])
+    if error is None:
+        holes = fill(d, ctor, *args)
+        assert [(h.index, h.kind, h.alive) for h in holes] == [
+            (0, ctor.fields[0], True), (2, ctor.fields[2], True)
+        ]
+        return
     where = (d.cell, d.index, d.kind, d.cell.slots[0])
     _refused(lambda: fill(d, ctor, *args), [region], [i, j, d, e], error)
     assert d.alive and (d.cell, d.index, d.kind, d.cell.slots[0]) == where
@@ -1445,7 +1453,7 @@ _LEAVES = st.one_of(st.integers(-5, 5), st.binary(max_size=9), st.tuples(st.inte
 
 
 def _draw_context(data, registry, ctor, depth, nested=False):
-    """Arguments of ``ctor``, one per field: each leaf drawn from
+    """Arguments of ``ctor``, one per field: each leaf ``...`` or drawn from
     ``_LEAVES``, each Recursive field ``...``, a nullary constructor of its
     type or, while ``depth`` lasts, a nested context of any of the three
     forms; and whether a hole stands in a nested context, below the node
@@ -1453,7 +1461,8 @@ def _draw_context(data, registry, ctor, depth, nested=False):
     args, holed = [], False
     for kind in ctor.fields:
         if type(kind) is not Recursive:
-            args.append(data.draw(_LEAVES))
+            args.append(data.draw(st.one_of(st.just(...), _LEAVES)))
+            holed = holed or nested and args[-1] is ...
             continue
         ctors = registry.shape(kind.type_id).ctors
         pick = data.draw(st.sampled_from(
@@ -1479,16 +1488,15 @@ def _draw_context(data, registry, ctor, depth, nested=False):
 
 
 def _fill_depth_one(d, ctor, args) -> list:
-    """Fill ``d`` with the context ``ctor(*args)`` one node per fill, each
-    node's leaves in its own fill; return the holes left, in declaration
-    order."""
-    if len(args) != ctor.arity or not ctor.kids:
-        return _holes(fill(d, ctor, *args))
+    """Fill ``d`` with the context ``ctor(*args)`` one node per fill, with
+    no arguments, and each leaf by ``fill_leaf``; return the holes left, in
+    declaration order."""
     holes = []
-    out = _holes(fill(d, ctor, *[args[i] for i in ctor.leaves]))
-    for (i, _), hole in zip(ctor.kids, out):
+    for (i, kind), hole in zip(ctor.places, _holes(fill(d, ctor))):
         if args[i] is ...:
             holes.append(hole)
+        elif type(kind) is not Recursive:
+            fill_leaf(args[i], hole)
         elif type(args[i]) is tuple:
             _fill_depth_one(hole, args[i][0], args[i][1:])
         else:
@@ -1499,12 +1507,14 @@ def _fill_depth_one(d, ctor, args) -> list:
 @given(st.sampled_from(sorted(_WITH_KIDS)), st.data())
 @settings(max_examples=150, deadline=None)
 def test_a_context_fill_equals_its_depth_one_fills(name, data):
-    """``fill`` with a context up to three nodes deep, ``...``, nullary
-    constructors and complete nested contexts at its Recursive fields,
-    leaves the same state as one fill per node, and, once the holes left are
-    filled in the order the fills returned them, releases an equal value,
-    with an object from ``make`` per nullary occurrence. A context with a
-    hole in a nested node is refused with TypeError and changes nothing."""
+    """``fill`` with a context up to three nodes deep, ``...`` or a leaf at
+    its leaf fields and ``...``, nullary constructors and complete nested
+    contexts at its Recursive fields, leaves the same state as one fill per
+    node with no arguments and a ``fill_leaf`` per leaf, and, once the holes
+    left are filled in the order the fills returned them, releases an equal
+    value, with an object from ``make`` per nullary occurrence. A context
+    with a hole in a nested node is refused with TypeError and changes
+    nothing. A fill with no arguments is one with ``...`` at every field."""
     registry, ctor = _WITH_KIDS[name]
     args, holed = _draw_context(data, registry, ctor, 3)
     if holed:
@@ -1534,6 +1544,9 @@ def test_a_context_fill_equals_its_depth_one_fills(name, data):
     expected, *expected_states = run(lambda d: _fill_depth_one(d, ctor, args))
     assert states == expected_states
     assert structurally_equal(built, expected)
+    none, *none_states = run(lambda d: _holes(fill(d, ctor)))
+    every, *every_states = run(lambda d: _holes(fill(d, ctor, *[...] * ctor.arity)))
+    assert none_states == every_states and structurally_equal(none, every)
     if ctor.type_id == "wide":  # w0 makes a fresh list each time
         made, stack = [], [built]
         while stack:
@@ -1550,13 +1563,25 @@ class _Tri:
     c: Any
 
 
-# The case studies' shapes and one with three Recursive fields, each built
-# in place in _IN_PLACE_REGISTRY; and per constructor a twin that builds as
-# raw cells, since its make is no class, so that every fill of it with
-# fields takes the generic path.
+@dataclass
+class _Quad:
+    n: Any
+    a: Any
+    b: Any
+    c: Any
+
+
+# The case studies' shapes, one with three Recursive fields and one with a
+# leaf and three Recursive fields, each built in place in
+# _IN_PLACE_REGISTRY; and per constructor a twin that builds as raw cells,
+# since its make is no class, so that every fill of it with fields takes
+# the generic path.
 _SHAPES = [DEFAULT_REGISTRY.shape(t) for t in ("list", "tree", "sexpr", "sexpr_list")] + [
     TypeShape("tri", (CtorDescriptor("tri", "nil", (), lambda: None),
-                      CtorDescriptor("tri", "tri", (Recursive("tri"),) * 3, _Tri)))
+                      CtorDescriptor("tri", "tri", (Recursive("tri"),) * 3, _Tri))),
+    TypeShape("quad", (CtorDescriptor("quad", "nil", (), lambda: None),
+                       CtorDescriptor("quad", "quad", (LeafType("int"), *(Recursive("quad"),) * 3),
+                                      _Quad))),
 ]
 _IN_PLACE_REGISTRY, _TWIN_REGISTRY = ShapeRegistry(), ShapeRegistry()
 _IN_PLACE_REGISTRY.register(*_SHAPES)
@@ -1599,7 +1624,7 @@ def _fill_once(registry, ctor, args, target, refusal):
     if refusal == "extra argument":
         args = (*args, 0)
     elif refusal == "dest in a leaf":
-        at = 0 if len(args) < ctor.arity else ctor.leaves[0]
+        at = ctor.leaves[0]
         args = (*args[:at], [e], *args[at + 1 :])
     elif refusal == "closed":
         region._close()
@@ -1639,7 +1664,7 @@ def test_the_generated_fill_agrees_with_the_generic_path(ctor, data):
     form = data.draw(st.sampled_from(["none", "leaves", "fields"]))
     args = ()
     if form == "leaves":
-        args = tuple(data.draw(_LEAVES) for _ in ctor.leaves)
+        args = tuple(... if type(k) is Recursive else data.draw(_LEAVES) for k in ctor.fields)
     elif form == "fields":
         args = tuple(_draw_context(data, _IN_PLACE_REGISTRY, ctor, 3)[0])
     refusal = data.draw(st.sampled_from([None] * 5 + _FILL_REFUSALS))
@@ -1714,8 +1739,8 @@ def test_a_context_nested_deep_builds_or_is_refused_without_recursion(case):
 # constructor and leaves, and a parent constructor, with its leaves, whose
 # first hole takes it.
 _ALLOCATIONS = {
-    "Node": (TREE_NODE, (1,), TREE_NODE, (0,)),
-    "Cons": (LIST_CONS, (1,), LIST_CONS, (0,)),
+    "Node": (TREE_NODE, (1, ..., ...), TREE_NODE, (0, ..., ...)),
+    "Cons": (LIST_CONS, (1, ...), LIST_CONS, (0, ...)),
     "SInteger": (SEXPR_SINTEGER, (3, 42), SEXPR_LIST_CONS, ()),
 }
 
@@ -1782,7 +1807,7 @@ def _build_list(xs, with_leaves, registry=None, cons=LIST_CONS, nil=LIST_NIL):
         def f(d):
             for x in xs:
                 if with_leaves:
-                    d = fill(d, cons, x)
+                    d = fill(d, cons, x, ...)
                 else:
                     dh, d = fill(d, cons)
                     fill_leaf(x, dh)
@@ -1808,7 +1833,7 @@ def test_a_leaf_of_a_fill_is_a_copy():
 
     def body(t):
         def f(d):
-            fill(fill(d, LIST_CONS, source), LIST_NIL)
+            fill(fill(d, LIST_CONS, source, ...), LIST_NIL)
             source[1].append(3)
 
         return from_incomplete_(map_b(alloc(t), f))
@@ -1832,12 +1857,12 @@ def test_a_scalar_subclass_in_a_leaf_is_copied_so_it_carries_no_handle():
     smuggler = _Str("a")
     smuggler.smuggled = e
     where = (d.cell, d.index, d.kind, d.cell.slots[0])
-    _refused(lambda: fill(d, LIST_CONS, smuggler), [region], [i, j, d, e])
+    _refused(lambda: fill(d, LIST_CONS, smuggler, ...), [region], [i, j, d, e])
     _refused(lambda: fill_leaf(smuggler, d), [region], [i, j, d, e])
     assert d.alive and (d.cell, d.index, d.kind, d.cell.slots[0]) == where
     tagged = _Str("b")
     tagged.tags = [1]
-    fill(fill(d, LIST_CONS, tagged), LIST_NIL)
+    fill(fill(d, LIST_CONS, tagged, ...), LIST_NIL)
     tagged.tags.append(2)
     fill_leaf(_Color.RED, e)
     built, red = from_incomplete(i)[0], from_incomplete(j)[0]
@@ -1883,9 +1908,9 @@ def test_a_fill_with_leaves_writes_a_raw_cell():
 
     def body(t):
         def f(d):
-            tail = fill(d, _LAMBDA_PAIR, 1)
+            tail = fill(d, _LAMBDA_PAIR, 1, ...)
             assert type(tail.cell) is CellRef and tail.cell.slots[0] == 1
-            fill(fill(tail, _LAMBDA_PAIR, [2]), _LAMBDA_NIL)
+            fill(fill(tail, _LAMBDA_PAIR, [2], ...), _LAMBDA_NIL)
 
         return from_incomplete_(map_b(alloc(t), f)), region_stats(t.region)
 
@@ -1902,7 +1927,7 @@ def test_a_fill_with_leaves_builds_frozen_dataclasses_in_place():
 
     def body(t):
         i = alloc(t)
-        d_children = fill(i.payload, SEXPR_SLIST, 9)
+        d_children = fill(i.payload, SEXPR_SLIST, 9, ...)
         d_head, d_tail = fill(d_children, SEXPR_LIST_CONS)
         assert fill(d_head, SEXPR_SINTEGER, 3, 42) is None
         fill(d_tail, SEXPR_LIST_NIL)
@@ -1930,7 +1955,7 @@ def test_a_class_with_its_own_setattr_builds_in_place_without_running_it():
 
     def body(t):
         def f(d):
-            da, db = fill(fill(d, pair, 1), pair)  # written by leaf and by fill_leaf
+            da, db = fill(fill(d, pair, 1, ...), pair)  # written by leaf and by fill_leaf
             fill_leaf(2, da)
             fill(db, nil)
 

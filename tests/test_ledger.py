@@ -297,32 +297,38 @@ class LedgerMachine(RuleBasedStateMachine):
         given=st.sampled_from(("none", "none", "right", "right", "wrong", "handle")),
     )
     def fill(self, data, given):
-        """Half the time the fill takes leaf values: one per leaf field,
-        one too many, or one that is a handle."""
+        """Half the time the fill takes one argument per field: ``...`` at
+        each Recursive field and a leaf value or ``...`` at each leaf field;
+        then one too many, or a handle in the last leaf."""
         d = self._pick(data, Dest, lambda m: not isinstance(m.kind, LeafType))
         fitting = [c for c in CTORS if c is not _UNREGISTERED and _fits(d.kind, c.type_id)]
         c = data.draw(st.sampled_from(fitting if fitting and data.draw(_MOSTLY) else CTORS))
-        leaves = [] if given == "none" else [7, (1, 2)][: len(c.leaves)]
+        args = [] if given == "none" else [
+            ... if isinstance(k, Recursive) else data.draw(st.sampled_from((7, (1, 2), ...)))
+            for k in c.fields
+        ]
         if given == "wrong":
-            leaves.append(8)
-        elif given == "handle" and leaves:
-            leaves[-1] = [data.draw(st.sampled_from(self.handles)).obj]
+            args.append(8)
+        elif given == "handle" and c.leaves:
+            args[c.leaves[-1]] = [data.draw(st.sampled_from(self.handles)).obj]
         fails = (
             not d.alive
             or c is _UNREGISTERED
             or not _fits(d.kind, c.type_id)
             or not d.region.alive
-            or given in ("wrong", "handle") and bool(leaves)
+            or given == "wrong"
+            or given == "handle" and bool(c.leaves)
         )
-        out = self._call(fails, lambda: fill(d.obj, c, *leaves))
+        out = self._call(fails, lambda: fill(d.obj, c, *args))
         if fails:
             return
         d.alive = False
         holes = tuple(_Hole() for _ in c.fields)
         d.hole.fill = ("node", c, holes)
-        for i, value in zip(c.leaves, leaves):
-            holes[i].fill = ("leaf", value)
-        kids = c.kids if leaves else tuple(enumerate(c.fields))
+        for i, value in enumerate(args):
+            if value is not ...:
+                holes[i].fill = ("leaf", value)
+        kids = [(i, k) for i, k in enumerate(c.fields) if not args or args[i] is ...]
         dests = () if not kids else (out,) if len(kids) == 1 else out
         self.handles += [
             _Model(x, lineage=d.lineage, hole=holes[i], kind=k)

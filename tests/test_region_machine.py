@@ -62,6 +62,8 @@ _UNREGISTERED = CtorDescriptor("list", "cons", LIST_CONS.fields, LIST_CONS.make)
 # one of another type, a wrong count, ... at a leaf or a hole in a leaf.
 # A nested context also refuses a hole: ... at a Recursive field, no
 # arguments or leaves only, for a constructor with fields to leave open.
+# A leaf field takes 7, or ... outside a nested context, and refuses a leaf
+# that holds a hole.
 _NULLARY = {"list": LIST_NIL, "pair": _PAIR[0]}
 _OF_TYPE = {"list": (LIST_NIL, LIST_CONS), "pair": _PAIR}
 _UNREGISTERED_NIL = CtorDescriptor("list", "nil", (), LIST_NIL.make)
@@ -223,9 +225,8 @@ class RegionMachine(RuleBasedStateMachine):
         counts[0] += c.arity
         counts[1] += 1
         counts[4] += WORD * (1 + c.arity)
-        given = dict(zip(range(c.arity) if len(args) == c.arity else c.leaves, args))
         for i in range(c.arity):
-            a, stored = given.get(i, ...), self._stored(new, i)
+            a, stored = args[i] if args else ..., self._stored(new, i)
             if a is ...:
                 assert stored is self.regions[r].hole
                 continue
@@ -264,7 +265,7 @@ class RegionMachine(RuleBasedStateMachine):
                     (cons, *[...] * cons.arity), (cons, [self.regions[r].hole]),
                 )
             else:
-                good, wrong = (7,), (...,)
+                good, wrong = (7, ...), ([self.regions[r].hole],)
             refused = not data.draw(st.integers(0, 7))
             a = data.draw(st.sampled_from(wrong if refused else good))
             refused = refused or nested and a is ...
@@ -289,9 +290,11 @@ class RegionMachine(RuleBasedStateMachine):
         given=st.sampled_from(("none", "right", "one too many", "fields", "fields")),
     )
     def alloc(self, data, r, c, into, given):
-        """The cell takes no arguments, one per leaf field, one too many, or
-        one per field: a leaf, or ``...``, a nullary constructor or a nested
-        context at a Recursive field, each refused one time in eight."""
+        """The cell takes no arguments; one per field, a leaf at a leaf
+        field and ``...`` at a Recursive one, or one too many; or one per
+        field: a leaf or ``...`` at a leaf field, and ``...``, a nullary
+        constructor or a nested context at a Recursive one, each refused one
+        time in eight."""
         region, counts = self.regions[r], self.counts[r]
         if c == "receiver":
             cell = region._alloc_receiver()
@@ -301,7 +304,9 @@ class RegionMachine(RuleBasedStateMachine):
             counts[4] += 2 * WORD
             return
         bad = c is _UNREGISTERED or given == "one too many"
-        args = [] if given == "none" else [7] * len(c.leaves) + [8] * (given == "one too many")
+        args = [] if given == "none" else [
+            ... if isinstance(k, Recursive) else 7 for k in c.fields
+        ] + [8] * (given == "one too many")
         if given == "fields":
             args, refused = self._fields(data, r, c, 2)
             bad = bad or refused

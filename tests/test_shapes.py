@@ -329,7 +329,7 @@ def test_a_dataclass_whose_call_does_more_than_assign_builds_as_cells(make):
     assert reg.resolve(pair) is None and make not in reg.host_fields
 
     def body(t):
-        return from_incomplete_(map_b(alloc(t), lambda d: fill(fill(d, pair, 1), nil)))
+        return from_incomplete_(map_b(alloc(t), lambda d: fill(fill(d, pair, 1, ...), nil)))
 
     built = with_region(body, registry=reg)
     assert type(built) is make and (built.a, built.b) == (2, None)
@@ -420,7 +420,7 @@ def test_fill_builds_what_make_builds(flags, a, with_leaves):
 
     def build(d):
         if with_leaves:
-            fill(fill(d, pair, a), nil)
+            fill(fill(d, pair, a, ...), nil)
         else:
             da, db = fill(d, pair)
             fill_leaf(a, da)
