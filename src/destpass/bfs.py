@@ -48,10 +48,11 @@ def map_accum_bfs(
 
     ``f(state, value) -> (state, mapped)``. Returns ``(new_tree, final_state)``
     where the new tree has exactly the input's shape. A ``tree`` with a node
-    that is neither a ``Node`` nor None, or a mapped value that is ``...``
-    (no leaf can hold it), raises TypeError. When ``counters`` is given,
-    ``counters["visits"]`` is set to the number of nodes dequeued and
-    ``counters["stats"]`` to the region's allocation counters.
+    that is neither a ``Node`` nor None, an ``f`` that returns no pair, or a
+    mapped value that is ``...`` (no leaf can hold it), raises TypeError.
+    When ``counters`` is given, ``counters["visits"]`` is set to the number
+    of nodes dequeued and ``counters["stats"]`` to the region's allocation
+    counters.
     """
     visits = 0
 
@@ -72,7 +73,11 @@ def map_accum_bfs(
                     value, left, right = subtree.value, subtree.left, subtree.right
                 except AttributeError:  # from 3.11 a try costs nothing until it catches
                     raise TypeError(f"not a tree: {type(subtree).__name__}") from None
-                st, y = f(st, value)
+                out = f(st, value)
+                try:
+                    st, y = out
+                except (TypeError, ValueError):  # from 3.11 a try costs nothing until it catches
+                    raise TypeError("f must return a (state, mapped) pair") from None
                 if y is ...:
                     raise TypeError("... marks a hole; a node value cannot be one")
                 if left is None:

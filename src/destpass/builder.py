@@ -445,13 +445,13 @@ def fill(d: Dest, ctor: CtorDescriptor, *args):
     ``fill(d, CONS, x, ...)``, ``fill(d, NODE, x, NIL, ...)`` and
     ``fill(d, CONS, (SINTEGER, 0, 7), NIL)``. Each node is written and
     charged as its own fill would be, in one region call that does all but
-    the admission of ``d``: ``alloc_hollow`` given ``d``. A refused fill
+    the admission of ``d``: ``alloc_hollow`` into ``d``. A refused fill
     changes nothing: every check comes first, RegionClosed before any leaf
     is copied. A ``ctor`` that is no descriptor raises TypeError.
     """
     if type(d) is not Dest or not d.alive:  # its region: alloc_hollow checks
         _admit(d, Dest, "fill")
-    return _region.alloc_hollow(d.region, ctor, d.cell, d.index, args, d)
+    return _region.alloc_hollow(d.region, ctor, d, 0, args)
 
 
 def fill_leaf(value, d: Dest) -> None:

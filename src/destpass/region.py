@@ -26,9 +26,10 @@ Written into a receiver or into a host object, a constructor that builds in
 place (see ``shapes``) is allocated as its final host object, its
 ``__init__`` never run, each field written with the setter the registry
 records for its class; it is charged exactly as a raw cell and has no
-handle. The allocator generated for each such constructor (``_compile``) is
-also its whole fill, given a builder ``Dest``, which is defined here for
-that reason: a fill is one region call.
+handle. The function generated for each such constructor (``_compile``) is
+its whole fill, given the builder ``Dest`` of the hole, which is defined
+here for that reason: a fill is one region call, and its ``Dest`` is the one
+name of its hole.
 
 Decoding (``read_value``) walks the raw cell graph, checks that no
 reachable hole remains and that the graph is acyclic, and rebuilds the host
@@ -57,6 +58,7 @@ from .errors import (
     RegionClosed,
     RegionMismatch,
     UnknownCtor,
+    UseAfterConsume,
 )
 from .shapes import (
     DEFAULT_REGISTRY,
@@ -358,9 +360,7 @@ def region_new(*, registry: ShapeRegistry | None = None) -> Region:
     return Region(registry)
 
 
-def alloc_hollow(
-    region: Region, ctor: CtorDescriptor, into=None, index: int = 0, args=(), dest=None
-):
+def alloc_hollow(region: Region, ctor: CtorDescriptor, into=None, index: int = 0, args=()):
     """Allocate a cell for the constructor context ``ctor(*args)``, spelled
     as ``builder.fill`` documents: ``args`` none or one per field, ``...`` a
     hole; a leaf kept, copied, refused and charged as ``write_field`` does a
@@ -381,29 +381,36 @@ def alloc_hollow(
     not build in place, else its host object; a nested node is built as its
     parent is. A host object's field takes no raw cell (TypeError).
 
-    Given ``dest``, the live ``Dest`` of that hole, which ``builder.fill``
-    has admitted (TypeError for what is no ``Dest``), the call is its fill:
-    the hole's kind is checked first (UnknownCtor, or TypeError for no
-    descriptor), and once the cell is written ``dest`` is consumed, its
-    lineage root counts the holes opened and closed, and the ``Dest``s of
-    the new cell's holes are returned as ``fill`` returns them.
+    An ``into`` that is a ``Dest`` names its hole alone, ``index`` unused,
+    and the call is that hole's fill: a consumed ``Dest`` raises
+    UseAfterConsume, then the hole's kind is checked (UnknownCtor, or
+    TypeError for no descriptor), and once the cell is written the ``Dest``
+    is consumed, its lineage root counts the holes opened and closed, and
+    the ``Dest``s of the new cell's holes are returned as ``fill`` returns
+    them.
     """
     try:
         compiled = region.registry.allocators[ctor]
     except KeyError:
-        return _alloc_generic(region, ctor, into, index, args, dest)
+        compiled = None
     except AttributeError:  # from 3.11 a try costs nothing until it catches
         raise _no_region(region) from None
-    return compiled(region, into, index, args, dest)
+    if compiled is None or type(into) is not Dest:
+        return _alloc_generic(region, ctor, into, index, args)
+    return compiled(region, into, args)
 
 
-def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, args, dest=None):
+def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, args):
     """``alloc_hollow``'s checks, in order, and what it builds and returns,
-    for any call, a fill's too: a context of any depth is walked with a
-    stack, not by recursion."""
+    for every call without a ``Dest`` and every fill that no generated fill
+    builds: a context of any depth is walked with a stack, not by
+    recursion."""
     registry = region.registry
-    if dest is not None and type(dest) is not Dest:
-        raise TypeError(f"alloc_hollow fills a Dest, not a {type(dest).__name__}")
+    dest = None
+    if type(into) is Dest:
+        dest, into, index = into, into.cell, into.index
+        if not dest.alive:
+            raise UseAfterConsume("alloc_hollow on an already-consumed Dest")
     want = dest and dest.kind  # what a fill's hole takes; None for anything
     try:
         if want is not None and (type(want) is not Recursive or want.type_id != ctor.type_id):
@@ -502,36 +509,31 @@ def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, args,
     return dests[0] if len(dests) == 1 else dests or None
 
 
-# What an allocator does with a call that it does not build.
-_GENERIC = "return _alloc_generic(region, ctor, into, index, args, dest)"
-# The allocator of one in-place constructor, which is its fill given a Dest,
-# and its plug, which _compile completes. Each arm of {take} sets the
-# fields' locals and what the node and any nested ones are charged; {plug}
-# does the same or returns None; {dests} returns the Dests of a fill.
+# What a fill does with a call that it does not build.
+_GENERIC = "return _alloc_generic(region, ctor, dest, 0, args)"
+# The fill of one in-place constructor, given the Dest of its hole, and its
+# plug, which _compile completes. Each arm of {take} sets the fields'
+# locals and what the node and any nested ones are charged; {plug} does the
+# same or returns None; {dests} returns the Dests of the node's holes.
 _ALLOCATOR = """\
-def alloc(region, into, index, args, dest):
-    if type(dest) is Dest:
-        kind = dest.kind
-        if kind is not None and (type(kind) is not Recursive or kind.type_id != type_id):
-            {generic}
-    elif dest is not None:
+def alloc(region, dest, args):
+    kind = dest.kind
+    if not dest.alive or kind is not None and (type(kind) is not Recursive or kind.type_id != type_id):
         {generic}
+    into = dest.cell
+    index = dest.index
     hole = region.hole
     if not region.alive:
         {generic}
-    try:
-        if type(into) is CellRef:
-            link = None
-            if (index or into.ctor is not _INDIRECTION
-                    or into.region_id != region.region_id or into.slots[index] is not hole):
-                {generic}
-        else:
-            link = host_fields.get(type(into))
-            if link is None or not 0 <= index < len(link) or getattr(into, link[index]) is not hole:
-                {generic}
-    except TypeError:  # _hole names an index that is no int; any other stands
-        _hole(region, into, index)
-        raise
+    if type(into) is CellRef:
+        link = None
+        if (index or into.ctor is not _INDIRECTION
+                or into.region_id != region.region_id or into.slots[index] is not hole):
+            {generic}
+    else:
+        link = host_fields.get(type(into))
+        if link is None or not 0 <= index < len(link) or getattr(into, link[index]) is not hole:
+            {generic}
 {take}
 {build}
     stats = region.stats
@@ -544,8 +546,6 @@ def alloc(region, into, index, args, dest):
         into.slots[0] = obj
     else:
         setters[type(into)](into, link[index], obj)
-    if dest is None:
-        return {result}
     dest.alive = False
     lineage = dest.lineage
     if lineage.parent is not None:
@@ -565,26 +565,26 @@ def plug(leaves):
 
 
 def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegistry):
-    """The allocator of ``ctor``, which builds in place with fields
-    ``names``, and its plug or None, generated from source at registration
-    as ``dataclasses`` generates an ``__init__``, with its field names and
+    """The fill of ``ctor``, which builds in place with fields ``names``,
+    and its plug or None, generated from source at registration as
+    ``dataclasses`` generates an ``__init__``, with its field names and
     kinds, charges and setter, the nullary constructors of each
     ``Recursive`` field and the plugs of that field's type as constants.
 
-    The allocator builds into a live receiver or a hole of a host object of
-    the region, in an arm of constants given no arguments, else in one arm
-    for one per field: ``...``, a leaf (kept if its type is in
+    The fill takes a live ``Dest`` of a receiver or of a hole of a host
+    object of the region, reads that hole from it and checks its kind
+    first. It builds in an arm of constants given no arguments, else in one
+    arm for one per field: ``...``, a leaf (kept if its type is in
     ``_ONE_WORD``, else through ``_leaf_copies``), a nullary constructor or
-    a context that a plug builds. Given a ``Dest``, it is that Dest's whole
-    fill: it checks the hole's kind first and, once the node is written,
-    consumes the Dest, counts the holes on its lineage root and makes the
-    ``Dest`` of each field left a hole. The plug builds the node of a
-    complete context ``(ctor, *args)`` nested in a parent's fill, with its
-    charges, and changes nothing, or returns None unless its leaves are
-    scalars and its ``Recursive`` fields nullary constructors, so ``ctor``
-    has none when a field's type has no nullary constructor. Any call that
-    the allocator or a plug does not build goes, unchanged, to
-    ``_alloc_generic``."""
+    a context that a plug builds. Once the node is written it consumes the
+    Dest, counts the holes on its lineage root and makes the ``Dest`` of
+    each field left a hole. The plug builds the node of a complete context
+    ``(ctor, *args)`` nested in a parent's fill, with its charges, and
+    changes nothing, or returns None unless its leaves are scalars and its
+    ``Recursive`` fields nullary constructors, so ``ctor`` has none when a
+    field's type has no nullary constructor. Any fill that the generated
+    code or a plug does not build goes, unchanged, to ``_alloc_generic``,
+    as does every call without a ``Dest``."""
     fields = [f"v{i}" for i in range(ctor.arity)]  # the local that holds each field
     leaves = [fields[i] for i in ctor.leaves]
     n, size = len(leaves), WORD * (1 + ctor.arity)
@@ -659,7 +659,6 @@ def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegist
     indent = lambda lines: "\n".join(f"    {line}" for line in lines)  # noqa: E731
     source = _ALLOCATOR.format(
         generic=_GENERIC, take=indent(take), build=indent(build), dests=indent(dests),
-        result="obj" if names else "None",
     ) + (_PLUG.format(plug=indent(plug), build=indent(build)) if plug is not None else "")
     namespace = dict(
         globals(), ctor=ctor, type_id=ctor.type_id, make=ctor.make, new=object.__new__,

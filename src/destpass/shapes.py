@@ -41,7 +41,7 @@ with the setter registration records for its class in ``setters``, the
 builtin ``setattr`` when the class keeps ``object.__setattr__``, else
 ``object.__setattr__`` itself, past a frozen dataclass's refusal and any
 ``__setattr__`` of its own. Registration also generates, per constructor
-that builds in place, the allocator that is its whole fill (``allocators``)
+that builds in place, its whole fill, given a ``Dest`` (``allocators``),
 and the plug that builds it nested in a parent's fill (``plugs``), as
 ``region._compile`` documents.
 """
@@ -186,9 +186,9 @@ class ShapeRegistry:
         # setter its fields are written with.
         self.host_fields: dict[type, tuple[str, ...]] = {}
         self.setters: dict[type, Callable[[Any, str, Any], None]] = {}
-        # Per descriptor that builds in place: its generated allocator, which
-        # is its fill too; and per type, by the id of each such descriptor
-        # that has one, its generated plug.
+        # Per descriptor that builds in place: its generated fill; and per
+        # type, by the id of each such descriptor that has one, its
+        # generated plug.
         self.allocators: dict[CtorDescriptor, Callable] = {}
         self.plugs: dict[str, dict[int, Callable]] = {}
 

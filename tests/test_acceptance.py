@@ -390,7 +390,7 @@ def test_criterion_6_asymptotic_separation():
     started = time.monotonic()
     ks = [10, 11, 12, 13]
     dps = run_series("dlist", "dps", ks, reps=15, warmup=2)
-    naive = run_series("dlist", "naive", ks, reps=3, warmup=1)
+    naive = run_series("dlist", "naive", ks, reps=5, warmup=1)
     dps_ratios = [
         dps[k].wall_time_ns / dps[k - 1].wall_time_ns for k in ks[1:]
     ]

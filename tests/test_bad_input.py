@@ -85,6 +85,20 @@ def test_an_ellipsis_is_a_hole_only_among_a_fills_own_arguments(op):
     assert ledger_state([region], [t2, i, i.payload]) == before
 
 
+@pytest.mark.parametrize("out", [(1, 2, 3), (1,), 5, None], ids=repr)
+def test_map_accum_bfs_names_the_pair_that_f_returns(out):
+    """An ``f`` that returns no (state, mapped) pair raises TypeError, and
+    an error that ``f`` raises itself passes through as it is."""
+    with pytest.raises(TypeError, match="pair"):
+        map_accum_bfs(lambda s, v: out, 0, Node(1, None, None))
+
+    def fails(s, v):
+        raise ValueError("f's own")
+
+    with pytest.raises(ValueError, match="f's own"):
+        map_accum_bfs(fails, 0, Node(1, None, None))
+
+
 # -- the sweep ----------------------------------------------------------------------
 
 _OTHER_REGISTRY = ShapeRegistry()

@@ -1425,6 +1425,24 @@ def test_a_fill_of_what_is_no_descriptor_is_a_type_error(hole, ctor):
     assert e.alive
 
 
+def test_a_raw_fill_names_its_hole_by_a_live_dest_alone():
+    """A Dest beside another target is refused by arity, and a consumed
+    Dest, whose hole fill_comp of an empty child left open behind the
+    child's Dest, raises UseAfterConsume: neither changes anything, and
+    the hole stays the live Dest's to fill."""
+    region = region_new()
+    t1, t2 = token_dup2(Token(region))
+    i, j = alloc(t1), alloc(t2)
+    d, e = i.payload, j.payload
+    fill_comp(j, d)
+    cons = alloc_hollow(region, LIST_CONS)
+    handles = [i, j, d, e]
+    _refused(lambda: alloc_hollow(region, LIST_NIL, cons, 1, (), e), [region], handles, TypeError)
+    _refused(lambda: alloc_hollow(region, LIST_NIL, d, 0, ()), [region], handles, UseAfterConsume)
+    assert fill(e, LIST_NIL) is None
+    assert to_pylist(from_incomplete_(map_b(i, lambda _: None))) == []
+
+
 def _holes(out) -> list:
     """The destinations a fill returned, as a list."""
     return [] if out is None else [out] if type(out) is not tuple else list(out)
@@ -1594,7 +1612,7 @@ _TWIN_REGISTRY.register(*(TypeShape(s.type_id, tuple(map(_TWINS.get, s.ctors))) 
 _IN_PLACE = [c for c in _TWINS if c.arity]
 # Per type, a constructor with a hole of that type, and that hole's place.
 _PARENTS = {k.type_id: (c, i) for c in _IN_PLACE for i, k in c.kids}
-_FILL_REFUSALS = ["extra argument", "dest in a leaf", "closed", "filled", "wrong kind"]
+_FILL_REFUSALS = ["extra argument", "dest in a leaf", "closed", "filled", "wrong kind", "consumed"]
 
 
 def _on_twin(a):
@@ -1630,10 +1648,14 @@ def _fill_once(registry, ctor, args, target, refusal):
         region._close()
     elif refusal == "filled":
         write_field(region, d.cell, d.index, Leaf(0))
+    call = lambda: fill(d, ctor, *args)  # noqa: E731
+    if refusal == "consumed":  # d's hole stays open, now behind e
+        fill_comp(j, d)
+        call = lambda: alloc_hollow(region, ctor, d, 0, args)  # noqa: E731
     handles = [i, j, d, e, *others]
     before = ledger_state([region], handles)
     try:
-        out = fill(d, ctor, *args)
+        out = call()
     except (DpsError, TypeError) as error:
         assert ledger_state([region], handles) == before
         return type(error)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import destpass.region
 from destpass import (
     CellRef,
     CyclicStructure,
@@ -20,6 +21,7 @@ from destpass import (
     RegionClosed,
     RegionMismatch,
     UnknownCtor,
+    UseAfterConsume,
     alloc_hollow,
     read_value,
     region_new,
@@ -28,7 +30,7 @@ from destpass import (
     write_field,
 )
 from destpass.dlist import Cons, LIST_CONS, LIST_NIL, LIST_SHAPE, NIL
-from destpass.region import WORD
+from destpass.region import WORD, Dest
 from destpass.shapes import CtorDescriptor, LeafType, Recursive, ShapeRegistry, TypeShape
 
 from support import structurally_equal, too_deep_leaf
@@ -345,15 +347,34 @@ def test_raw_api_refuses_what_is_not_a_cell_with_type_error():
     before = state()
     with pytest.raises(TypeError):
         alloc_hollow(r, LIST_NIL, object(), 0)
-    for ctor in (LIST_NIL, LIST_CONS):  # a fill of no Dest
-        with pytest.raises(TypeError):
-            alloc_hollow(r, ctor, hollow, 1, (), object())
+    consumed = Dest(r, hollow, 1, LIST_CONS.fields[1], None)
+    consumed.alive = False
+    for ctor in (LIST_NIL, LIST_CONS):  # a fill of a consumed Dest, its hole open
+        with pytest.raises(UseAfterConsume):
+            alloc_hollow(r, ctor, consumed, 0, ())
     with pytest.raises(TypeError):
         write_field(r, object(), 0, Leaf(1))
     with pytest.raises(TypeError):
         read_value(r, hollow)
     assert state() == before
     assert hollow.head is r.hole and hollow.tail is r.hole
+
+
+def test_a_call_without_a_dest_takes_the_generic_path(monkeypatch):
+    """Only a fill runs a generated function: a raw call, even into a
+    receiver or a host object, goes to ``_alloc_generic``."""
+    calls = []
+    real = destpass.region._alloc_generic
+
+    def counted(region, ctor, *args):
+        calls.append(ctor)
+        return real(region, ctor, *args)
+
+    monkeypatch.setattr(destpass.region, "_alloc_generic", counted)
+    r = region_new()
+    hollow = alloc_hollow(r, LIST_CONS, r._alloc_receiver(), 0)
+    alloc_hollow(r, LIST_NIL, hollow, 1)
+    assert calls == [LIST_CONS, LIST_NIL] and type(hollow) is Cons
 
 
 @pytest.mark.parametrize("target", ["raw cell", "receiver", "host object"])
@@ -368,9 +389,11 @@ def test_a_field_index_that_is_no_int_is_named(target, index):
     before = region_stats(r), r.outstanding_holes
     with pytest.raises(TypeError, match="field index is an int"):
         write_field(r, cell, index, Leaf(1))
-    for ctor in (LIST_NIL, LIST_CONS):  # the generic path and a generated one
-        with pytest.raises(TypeError, match="field index is an int"):
+    for ctor in (LIST_NIL, LIST_CONS):
+        with pytest.raises(TypeError, match="field index is an int"):  # no Dest: generic
             alloc_hollow(r, ctor, cell, index)
+        with pytest.raises(TypeError):  # the generated fill of a hand-made Dest
+            alloc_hollow(r, ctor, Dest(r, cell, index, None, None))
     assert (region_stats(r), r.outstanding_holes) == before
 
 
