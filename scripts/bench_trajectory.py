@@ -10,6 +10,10 @@ prints the parent's median, the change's median, ``change_over_parent`` and
 how many paired runs the change won. After each file's table it prints one
 ``host/dps`` line per workload: the host median of ``host_items_per_s`` over
 the dps median of ``dps_items_per_s``, for the parent and for the change.
+
+Exit code 0 on success, 1 when there is no file to read, 2 when a file
+cannot be read or holds no ``summary``; nothing is printed then but the
+error.
 """
 
 from __future__ import annotations
@@ -28,6 +32,20 @@ def bench_files(root: Path) -> list[Path]:
     """The ``BENCH_<n>.json`` files under ``root``, ordered by ``n``."""
     found = [(re.fullmatch(r"BENCH_(\d+)\.json", p.name), p) for p in root.iterdir()]
     return [p for _, p in sorted((int(m[1]), p) for m, p in found if m)]
+
+
+def load(path: Path) -> dict:
+    """The runs recorded in ``path``; ValueError if it cannot be read, is
+    not JSON or holds no ``summary``."""
+    try:
+        bench = json.loads(path.read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(bench, dict) or not isinstance(bench.get("summary"), dict):
+        raise ValueError(f"{path} holds no summary")
+    return bench
 
 
 def _number(x: float) -> str:
@@ -81,8 +99,12 @@ def main(argv: list[str] | None = None) -> int:
     if not files:
         print(f"no BENCH_*.json in {ROOT}", file=sys.stderr)
         return 1
-    for i, path in enumerate(files):
-        bench = json.loads(path.read_text())
+    try:
+        benches = [load(path) for path in files]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for i, (path, bench) in enumerate(zip(files, benches)):
         print(("\n" if i else "") + f"{path.name}: {bench.get('change', '')}")
         print(render([HEADER, *rows(bench)]))
         if ratios := host_over_dps(bench):

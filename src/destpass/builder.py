@@ -18,10 +18,13 @@ region has exactly one live ``Dest``, so the region's ``outstanding_holes``
 counts them.
 
 Handles are minted with ``object.__new__`` and one store per slot, as the
-generated fill mints its ``Dest``s (see ``region``); the constructors stay
-public. A live incomplete's lineage is always a root: only ``fill_comp``
-links a root under another, and it consumes the incomplete whose root that
-was. So only a destination's lineage may need ``find``.
+generated fill mints its ``Dest``s (see ``region``), and only by the
+operations that account for them: calling ``Dest``, ``Incomplete`` or
+``CellRef``, or copying or pickling any handle, raises TypeError;
+``Token(region)`` is public, and counts itself. A live incomplete's lineage
+is always a root: only ``fill_comp`` links a root under another, and it
+consumes the incomplete whose root that was. So only a destination's
+lineage may need ``find``.
 
 Consuming operations:
 
@@ -63,11 +66,11 @@ from .errors import (
 )
 from .region import (
     _SCALARS,
-    CellRef,
     Dest,
     Leaf,
     Region,
     _check_fillable,
+    _minted_only_by,
     _NotALeaf,
     region_new,
 )
@@ -130,18 +133,7 @@ class Incomplete(_NotALeaf):
     before it becomes readable."""
 
     __slots__ = ("region", "root", "payload", "lineage", "alive")
-
-    def __init__(
-        self, region: Region, root: CellRef, payload, lineage: _Lineage
-    ) -> None:
-        if not isinstance(region, Region):
-            raise TypeError(f"an Incomplete belongs to a Region, not a {type(region).__name__}")
-        self.region = region
-        self.root = root
-        self.payload = payload
-        self.lineage = lineage
-        self.alive = True
-        region._incompletes_alive += 1
+    __init__ = _minted_only_by("alloc, into_incomplete and map_b")
 
     @property
     def holes_outstanding(self) -> int:
@@ -320,7 +312,10 @@ def into_incomplete(t: Token, value, type_id: str) -> Incomplete:
     _admit(t, Token, "into_incomplete")
     root = t.region.copy_value(value, type_id)
     _consume_token(t, "into_incomplete")
-    return Incomplete(t.region, root, None, _Lineage(type_id))
+    i = _new(Incomplete)
+    i.region, i.root, i.payload, i.lineage, i.alive = t.region, root, None, _Lineage(type_id), True
+    i.region._incompletes_alive += 1
+    return i
 
 
 # -- transforming and releasing ---------------------------------------------------
@@ -350,9 +345,7 @@ def map_b(i: Incomplete, f: Callable[[Any], Any]) -> Incomplete:
         i.alive = True
         region._incompletes_alive += 1
         raise TypeError(f"map_b expects a callable, got {type(f).__name__}") from None
-    root = i.lineage
-    if root.parent is not None:
-        root = root.find()
+    root = i.lineage  # a live incomplete's lineage is a root
     if root.holes:
         if type(new_payload) is Dest:
             lineage = new_payload.lineage
@@ -385,8 +378,7 @@ def _check_release(i: Incomplete, op: str) -> None:
     release leaves ``i`` alive."""
     if type(i) is not Incomplete or not i.alive or not i.region.alive:
         _admit(i, Incomplete, op)
-    root = i.lineage  # a live incomplete's lineage is a root
-    holes = (root if root.parent is None else root.find()).holes
+    holes = i.lineage.holes  # a live incomplete's lineage is a root
     if holes > 0:
         raise UnfilledHoles(f"incomplete still has {holes} unfilled destination(s)")
 
@@ -494,9 +486,7 @@ def fill_comp(child: Incomplete, d: Dest):
     parent_root = d.lineage
     if parent_root.parent is not None:
         parent_root = parent_root.find()
-    child_root = child.lineage
-    if child_root.parent is not None:
-        child_root = child_root.find()
+    child_root = child.lineage  # a live incomplete's lineage is a root
     if parent_root is child_root:
         raise SelfPlug("incomplete plugged into a destination of its own lineage")
     region = d.region

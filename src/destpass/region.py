@@ -75,12 +75,17 @@ _region_ids = itertools.count(1)
 
 
 class _NotALeaf:
-    """What no leaf may hold: deep-copying one raises DestinationInLeaf."""
+    """What no leaf may hold: deep-copying one raises DestinationInLeaf. A
+    copy or a pickle would be a second handle of the same hole, cell or
+    count, so it raises TypeError."""
 
     __slots__ = ()
 
     def __deepcopy__(self, memo):
         raise DestinationInLeaf(f"a leaf payload cannot hold {self!r}")
+
+    def __reduce_ex__(self, protocol):
+        raise TypeError(f"{type(self).__name__} cannot be copied or pickled")
 
 
 # The marker in every unwritten field; each region has its own.
@@ -108,46 +113,43 @@ class Leaf:
         return f"Leaf({self.payload!r})"
 
 
+def _minted_only_by(operations: str):
+    """The ``__init__`` of a handle that only ``operations`` mint, with
+    ``object.__new__`` and one store per slot: a call raises TypeError."""
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is minted only by {operations}, not called")
+
+    return __init__
+
+
 class CellRef(_NotALeaf):
-    """One cell of one region: its constructor and its field slots.
+    """One cell of one region: its region's id, its constructor and its
+    field slots. Minted only by the operations that account for it.
 
     Compared and hashed by identity; ``handle`` is its index in the region's
     allocation order.
     """
 
     __slots__ = ("region_id", "handle", "ctor", "slots")
-
-    def __init__(self, region: Region, handle: int, ctor: CtorDescriptor) -> None:
-        if not isinstance(region, Region) or not isinstance(ctor, CtorDescriptor):
-            raise TypeError(f"a CellRef takes a Region and a CtorDescriptor, not "
-                            f"{type(region).__name__} and {type(ctor).__name__}")
-        self.region_id = region.region_id
-        self.handle = handle
-        self.ctor = ctor
-        self.slots = [region.hole] * ctor.arity
+    __init__ = _minted_only_by("alloc_hollow, alloc and into_incomplete")
 
     def __repr__(self) -> str:
         return f"<CellRef {self.ctor.name} {self.region_id}:{self.handle}>"
 
 
 class Dest(_NotALeaf):
-    """The builder's handle to exactly one unfilled hole; consumable exactly
-    once (see ``builder``).
+    """The builder's handle to exactly one unfilled hole of one region;
+    consumable exactly once (see ``builder``), and minted only by the
+    operations that open that hole.
 
-    ``cell`` is a region cell or a host object under construction; ``kind``
-    is None exactly when the hole is a receiver's; ``lineage`` is the
-    builder's count of the holes it belongs to.
+    ``region`` is the hole's region; ``cell`` is a region cell or a host
+    object under construction; ``kind`` is None exactly when the hole is a
+    receiver's; ``lineage`` is the builder's count of the holes it belongs to.
     """
 
     __slots__ = ("region", "cell", "index", "kind", "lineage", "alive")
-
-    def __init__(self, region: Region, cell, index: int, kind: FieldKind | None, lineage) -> None:
-        self.region = region
-        self.cell = cell
-        self.index = index
-        self.kind = kind
-        self.lineage = lineage
-        self.alive = True
+    __init__ = _minted_only_by("alloc and fill (alloc_hollow into a Dest)")
 
     def __repr__(self) -> str:
         state = "live" if self.alive else "consumed"
@@ -192,6 +194,8 @@ class Region:
     the host heap holds each one and reclaims it once unreferenced."""
 
     def __init__(self, registry: ShapeRegistry) -> None:
+        if not isinstance(registry, ShapeRegistry):
+            raise TypeError(f"expected a ShapeRegistry, got {type(registry).__name__}")
         self.region_id = next(_region_ids)
         self.hole = Hole()
         self.registry = registry
@@ -251,7 +255,9 @@ class Region:
         """
         self._require_alive()
         holes, stats = self.outstanding_holes, replace(self.stats)
-        holder = CellRef(self, -1, _INDIRECTION)
+        holder = object.__new__(CellRef)  # uncharged, so no handle
+        holder.region_id, holder.handle, holder.ctor, holder.slots = (
+            self.region_id, -1, _INDIRECTION, [self.hole])
         self.outstanding_holes += 1
         on_path: set[int] = set()  # ids of the host nodes being copied
         # Entries: (cell, field index, host node, type id) to copy the node
@@ -351,13 +357,9 @@ def _leaf_copies(payloads) -> tuple[list, int]:
 
 
 def region_new(*, registry: ShapeRegistry | None = None) -> Region:
-    """Create an empty region whose constructors come from ``registry``
-    (TypeError unless it is a ``ShapeRegistry``)."""
-    if registry is None:
-        return Region(DEFAULT_REGISTRY)
-    if not isinstance(registry, ShapeRegistry):
-        raise TypeError(f"expected a ShapeRegistry, got {type(registry).__name__}")
-    return Region(registry)
+    """Create an empty region whose constructors come from ``registry``, by
+    default ``DEFAULT_REGISTRY`` (TypeError unless it is a ``ShapeRegistry``)."""
+    return Region(DEFAULT_REGISTRY if registry is None else registry)
 
 
 def alloc_hollow(region: Region, ctor: CtorDescriptor, into=None, index: int = 0, args=()):
@@ -381,13 +383,14 @@ def alloc_hollow(region: Region, ctor: CtorDescriptor, into=None, index: int = 0
     not build in place, else its host object; a nested node is built as its
     parent is. A host object's field takes no raw cell (TypeError).
 
-    An ``into`` that is a ``Dest`` names its hole alone, ``index`` unused,
-    and the call is that hole's fill: a consumed ``Dest`` raises
-    UseAfterConsume, then the hole's kind is checked (UnknownCtor, or
-    TypeError for no descriptor), and once the cell is written the ``Dest``
-    is consumed, its lineage root counts the holes opened and closed, and
-    the ``Dest``s of the new cell's holes are returned as ``fill`` returns
-    them.
+    An ``into`` that is a ``Dest`` names its region and its hole alone,
+    ``index`` unused, and the call is that hole's fill: a consumed ``Dest``
+    raises UseAfterConsume, then the hole's kind is checked (UnknownCtor, or
+    TypeError for no descriptor), a ``Dest`` of another region is refused
+    as a raw write into its cell is (RegionMismatch), and once the cell is
+    written the ``Dest`` is consumed, its lineage root counts the holes
+    opened and closed, and the ``Dest``s of the new cell's holes are
+    returned as ``fill`` returns them.
     """
     try:
         compiled = region.registry.allocators[ctor]
@@ -395,7 +398,7 @@ def alloc_hollow(region: Region, ctor: CtorDescriptor, into=None, index: int = 0
         compiled = None
     except AttributeError:  # from 3.11 a try costs nothing until it catches
         raise _no_region(region) from None
-    if compiled is None or type(into) is not Dest:
+    if compiled is None or type(into) is not Dest or into.region is not region:
         return _alloc_generic(region, ctor, into, index, args)
     return compiled(region, into, args)
 
@@ -483,8 +486,9 @@ def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, args)
             for name, v in zip(registry.host_fields[c.make], node):
                 put(obj, name, v)
         else:
-            obj = CellRef(region, next(region._handles), c)
-            obj.slots = node
+            obj = object.__new__(CellRef)
+            obj.region_id, obj.handle, obj.ctor, obj.slots = (
+                region.region_id, next(region._handles), c, node)
         fields[i] = obj
     region.stats.bytes_allocated += charge
     region.stats.cells_allocated += cells
@@ -504,9 +508,12 @@ def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, args)
     if want is None:  # a receiver's hole
         lineage.type_id, lineage.dest = ctor.type_id, None
     lineage.holes += holes
-    dests = tuple([Dest(region, value, i, k, lineage) for i, k in ctor.places
-                   if not args or args[i] is ...])
-    return dests[0] if len(dests) == 1 else dests or None
+    dests = []
+    for i, k in ctor.places:
+        if not args or args[i] is ...:
+            dests.append(d := object.__new__(Dest))
+            d.region, d.cell, d.index, d.kind, d.lineage, d.alive = region, value, i, k, lineage, True
+    return dests[0] if len(dests) == 1 else tuple(dests) or None
 
 
 # What a fill does with a call that it does not build.
@@ -521,18 +528,16 @@ def alloc(region, dest, args):
     if not dest.alive or kind is not None and (type(kind) is not Recursive or kind.type_id != type_id):
         {generic}
     into = dest.cell
-    index = dest.index
     hole = region.hole
     if not region.alive:
         {generic}
     if type(into) is CellRef:
-        link = None
-        if (index or into.ctor is not _INDIRECTION
-                or into.region_id != region.region_id or into.slots[index] is not hole):
+        name = None
+        if into.ctor is not _INDIRECTION or into.slots[0] is not hole:
             {generic}
     else:
-        link = host_fields.get(type(into))
-        if link is None or not 0 <= index < len(link) or getattr(into, link[index]) is not hole:
+        name = host_fields[type(into)][dest.index]
+        if getattr(into, name) is not hole:
             {generic}
 {take}
 {build}
@@ -542,10 +547,10 @@ def alloc(region, dest, args):
     if copies:
         stats.leaf_copies += copies
     region.outstanding_holes += holes
-    if link is None:
+    if name is None:
         into.slots[0] = obj
     else:
-        setters[type(into)](into, link[index], obj)
+        setters[type(into)](into, name, obj)
     dest.alive = False
     lineage = dest.lineage
     if lineage.parent is not None:
@@ -571,20 +576,22 @@ def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegist
     kinds, charges and setter, the nullary constructors of each
     ``Recursive`` field and the plugs of that field's type as constants.
 
-    The fill takes a live ``Dest`` of a receiver or of a hole of a host
-    object of the region, reads that hole from it and checks its kind
-    first. It builds in an arm of constants given no arguments, else in one
-    arm for one per field: ``...``, a leaf (kept if its type is in
-    ``_ONE_WORD``, else through ``_leaf_copies``), a nullary constructor or
-    a context that a plug builds. Once the node is written it consumes the
-    Dest, counts the holes on its lineage root and makes the ``Dest`` of
-    each field left a hole. The plug builds the node of a complete context
-    ``(ctor, *args)`` nested in a parent's fill, with its charges, and
-    changes nothing, or returns None unless its leaves are scalars and its
-    ``Recursive`` fields nullary constructors, so ``ctor`` has none when a
-    field's type has no nullary constructor. Any fill that the generated
-    code or a plug does not build goes, unchanged, to ``_alloc_generic``,
-    as does every call without a ``Dest``."""
+    The fill is given a ``Dest`` of its region, which only the region's
+    fills mint, so its cell and index name a hole they opened. It checks
+    that the ``Dest`` is live, that the hole takes ``ctor``, that a raw cell
+    is a receiver and that no raw write has filled the hole. It builds in
+    an arm of constants given no arguments, else in one arm for one per
+    field: ``...``, a leaf (kept if its type is in ``_ONE_WORD``, else
+    through ``_leaf_copies``), a nullary constructor or a context that a
+    plug builds. Once the node is written it consumes the Dest, counts the
+    holes on its lineage root and makes the ``Dest`` of each field left a
+    hole. The plug builds the node of a complete context ``(ctor, *args)``
+    nested in a parent's fill, with its charges, and changes nothing, or
+    returns None unless its leaves are scalars and its ``Recursive`` fields
+    nullary constructors, so ``ctor`` has none when a field's type has no
+    nullary constructor. Any fill that the generated code or a plug does
+    not build goes, unchanged, to ``_alloc_generic``, as does every call
+    without a ``Dest`` of the region."""
     fields = [f"v{i}" for i in range(ctor.arity)]  # the local that holds each field
     leaves = [fields[i] for i in ctor.leaves]
     n, size = len(leaves), WORD * (1 + ctor.arity)

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
     "bench_trajectory", ROOT / "scripts" / "bench_trajectory.py"
@@ -36,3 +38,17 @@ def test_prints_host_over_dps_per_workload_after_the_table(capsys):
     workloads = ("bfs-relabel", "dlist-concat", "sexpr-stream")
     assert [row[:2] for row in tail] == [["host/dps", w] for w in workloads]
     assert tail[1] == ["host/dps", "dlist-concat", "parent", "9.11x", "change", "8.33x"]
+
+
+@pytest.mark.parametrize("content", [None, "{}", '{"change": "x"}', "[]", "not json"],
+                         ids=["missing", "empty", "no summary", "a list", "not json"])
+def test_a_file_that_cannot_be_read_or_has_no_summary_is_named(tmp_path, capsys, content):
+    """As ``sexpr parse`` does for an unreadable file: ``error: ...`` on
+    stderr, nothing on stdout, exit code 2, even after a good file."""
+    bad = tmp_path / "BENCH_7.json"
+    if content is not None:
+        bad.write_text(content)
+    assert bench_trajectory.main([str(ROOT / "BENCH_6.json"), str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and str(bad) in err

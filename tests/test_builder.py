@@ -1,5 +1,7 @@
 """Builder API: tokens, incompletes, destinations, and the consume-once rules."""
 
+import copy
+import pickle
 import random
 from dataclasses import dataclass
 from enum import IntEnum
@@ -41,8 +43,17 @@ from destpass import (
     with_region,
 )
 from destpass.bfs import TREE_NIL, TREE_NODE, Node
-from destpass.builder import Dest, Incomplete, Token, _Lineage
-from destpass.region import WORD, CellRef, Hole, Leaf, alloc_hollow, region_new, write_field
+from destpass.builder import Dest, Incomplete, Token
+from destpass.region import (
+    _INDIRECTION,
+    WORD,
+    CellRef,
+    Hole,
+    Leaf,
+    alloc_hollow,
+    region_new,
+    write_field,
+)
 from destpass.shapes import (
     DEFAULT_REGISTRY,
     CtorDescriptor,
@@ -134,51 +145,161 @@ def _slots(obj) -> dict:
     return {n: getattr(obj, n, "<unset>") for n in names}
 
 
-def test_minted_handles_set_every_slot_as_their_constructors_would():
-    def same(handle, lineage=None):
-        """``handle`` and its lineage against what their constructors
-        build from the same arguments; the tallies a reference bumps are
-        put back."""
-        region = handle.region
-        if type(handle) is Token:
-            reference = Token(region)
-            region._tokens_alive -= 1
-        elif type(handle) is Incomplete:
-            reference = Incomplete(region, handle.root, handle.payload, handle.lineage)
-            region._incompletes_alive -= 1
-        else:
-            reference = Dest(region, handle.cell, handle.index, handle.kind, handle.lineage)
-        assert _slots(handle) == _slots(reference)
-        if lineage is not None:
-            holes, type_id, dest = lineage
-            reference = _Lineage(type_id)
-            reference.holes, reference.dest = holes, dest
-            assert _slots(handle.lineage) == _slots(reference)
+def test_minted_handles_set_every_slot_to_its_value():
+    """Each path that mints a token, incomplete, destination, lineage or
+    cell sets every one of its slots, to the value it stands for."""
+
+    def expect(obj, **slots):
+        assert _slots(obj) == slots
 
     def body(t):
-        same(t)
+        region, hole = t.region, t.region.hole
+        expect(t, region=region, alive=True)
         t1, t2 = token_dup2(t)
-        same(t1)
-        same(t2)
-        token_consume(t2)
+        expect(t1, region=region, alive=True)
+        expect(t2, region=region, alive=True)
         i = alloc(t1)
-        same(i, (1, None, i.payload))
-        same(i.payload)
-        i = map_b(i, lambda d: fill(d, TREE_NODE, 1, ..., ...))  # two holes, by the generated fill
-        same(i, (2, "tree", None))
-        for d in i.payload:
-            same(d)
+        receiver, d, root = i.root, i.payload, i.lineage
+        expect(receiver, region_id=region.region_id, handle=0, ctor=_INDIRECTION, slots=[hole])
+        expect(i, region=region, root=receiver, payload=d, lineage=root, alive=True)
+        expect(d, region=region, cell=receiver, index=0, kind=None, lineage=root, alive=True)
+        expect(root, parent=None, holes=1, type_id=None, dest=d)
+        i = map_b(i, lambda d: fill(d, TREE_NODE, 1, ..., ...))  # by the generated fill
+        node = receiver.slots[0]
+        left, right = i.payload
+        expect(i, region=region, root=receiver, payload=(left, right), lineage=root, alive=True)
+        for d, index in ((left, 1), (right, 2)):
+            expect(d, region=region, cell=node, index=index, kind=TREE_NODE.fields[index],
+                   lineage=root, alive=True)
+        expect(root, parent=None, holes=2, type_id="tree", dest=None)
+        # A nested leaf that is no scalar leaves the plugs: the generic path.
+        value = fill(left, TREE_NODE, ..., (TREE_NODE, [2], TREE_NIL, TREE_NIL), TREE_NIL)
+        expect(value, region=region, cell=node.left, index=0, kind=TREE_NODE.fields[0],
+               lineage=root, alive=True)
+        fill_leaf(3, value)
+        j = into_incomplete(t2, Node(4, None, None), "tree")
+        expect(j.root, region_id=region.region_id, handle=-1, ctor=_INDIRECTION,
+               slots=[Node(4, None, None)])
+        expect(j, region=region, root=j.root, payload=None, lineage=j.lineage, alive=True)
+        expect(j.lineage, parent=None, holes=0, type_id="tree", dest=None)
+        assert fill_comp(j, right) is None
+        return from_incomplete(i)[0]  # its payload: the two consumed Dests
 
-        def left_nil_right_node(ds):
-            fill(ds[0], TREE_NIL)
-            return fill(ds[1], TREE_NODE, 2, TREE_NIL, ...)
+    assert with_region(body) == Node(1, Node(3, Node([2]), None), Node(4))
 
-        i = map_b(i, left_nil_right_node)
-        same(i, (1, "tree", None))
-        same(i.payload)
-        return from_incomplete_(map_b(i, lambda d: fill(d, TREE_NIL)))
+    def raw_cell(t):  # a constructor that does not build in place
+        i = alloc(t)
+        tail = fill(i.payload, _LAMBDA_PAIR, 1, ...)
+        expect(tail.cell, region_id=t.region.region_id, handle=1, ctor=_LAMBDA_PAIR,
+               slots=[1, t.region.hole])
+        expect(tail, region=t.region, cell=tail.cell, index=1, kind=_LAMBDA_PAIR.fields[1],
+               lineage=i.lineage, alive=True)
+        fill(tail, _LAMBDA_NIL)
+        return from_incomplete(i)[0]
 
-    assert with_region(body) == Node(1, None, Node(2, None, None))
+    assert with_region(raw_cell, registry=_LAMBDA_REGISTRY) == (1, None)
+    region = region_new()
+    expect(alloc_hollow(region, LIST_CONS), region_id=region.region_id, handle=0,
+           ctor=LIST_CONS, slots=[region.hole] * 2)
+
+
+# -- only the library mints a handle ---------------------------------------------
+
+
+@pytest.mark.parametrize("cls", [Dest, Incomplete, CellRef], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("how", ["no arguments", "its slots", "keywords"])
+def test_a_handle_class_refuses_every_call(cls, how):
+    """``Dest``, ``Incomplete`` and ``CellRef`` are minted only by the
+    operations that account for them: a call raises TypeError, names them,
+    and changes nothing."""
+    region = region_new()
+    i = alloc(Token(region))
+    d = i.payload
+    args = {
+        "no arguments": ((), {}),
+        "its slots": ({
+            Dest: (region, d.cell, d.index, d.kind, d.lineage),
+            Incomplete: (region, i.root, None, i.lineage),
+            CellRef: (region, 0, LIST_NIL),
+        }[cls], {}),
+        "keywords": ((), {"region": region}),
+    }[how]
+    before = ledger_state([region], [i, d])
+    with pytest.raises(TypeError, match=f"{cls.__name__} is minted only by alloc"):
+        cls(*args[0], **args[1])
+    assert ledger_state([region], [i, d]) == before
+
+
+@pytest.mark.parametrize("copy_of", [copy.copy, pickle.dumps], ids=["copy", "pickle"])
+def test_a_handle_is_neither_copied_nor_pickled(copy_of):
+    """A copy of a token, destination, incomplete or cell would be a second
+    handle of the same count, hole or cell, outside the ledger: a shallow
+    copy of a Token once took the live-token tally to -1 when both were
+    consumed."""
+    region = region_new()
+    t1, t2 = token_dup2(Token(region))
+    i = alloc(t2)
+    before = ledger_state([region], [t1, i, i.payload])
+    for handle in (t1, i, i.payload, i.root, region.hole):
+        with pytest.raises(TypeError, match="cannot be copied or pickled"):
+            copy_of(handle)
+    assert ledger_state([region], [t1, i, i.payload]) == before
+
+
+def test_a_fill_takes_no_hand_made_dest():
+    """A hand-made receiver Dest once made a fill write the receiver, then
+    raise AttributeError."""
+    region = region_new()
+    receiver = region._alloc_receiver()
+    before = region_stats(region), region.outstanding_holes
+    with pytest.raises(TypeError, match="minted only"):
+        alloc_hollow(region, LIST_NIL, Dest(region, receiver, 0, None, None))
+    assert (region_stats(region), region.outstanding_holes) == before
+    assert receiver.slots == [region.hole]
+
+
+def test_a_live_hole_has_one_dest():
+    """A second Dest of a live hole once filled it, so the real one raised
+    DoubleFill and the scope exited with no LinearityLeak."""
+
+    def body(t):
+        i = alloc(t)
+        d = i.payload
+        with pytest.raises(TypeError):
+            Dest(d.region, d.cell, d.index, d.kind, d.lineage)
+        fill(d, LIST_NIL)
+        return from_incomplete(i)[0]
+
+    assert with_region(body) is NIL
+
+
+def test_an_incomplete_is_released_once():
+    """A hand-made Incomplete of a finished one once let from_incomplete_
+    release the same value twice."""
+
+    def body(t):
+        i = map_b(alloc(t), lambda d: fill(d, LIST_CONS, 1, LIST_NIL))
+        with pytest.raises(TypeError):
+            Incomplete(i.region, i.root, None, i.lineage)
+        assert t.region._incompletes_alive == 1
+        value = from_incomplete_(i)
+        with pytest.raises(UseAfterConsume):
+            from_incomplete_(i)
+        return value
+
+    assert to_pylist(with_region(body)) == [1]
+
+
+def test_a_cell_has_one_cell_ref():
+    """A hand-made CellRef of a live cell's handle, written into that
+    cell's tail, once made read_value raise a false CyclicStructure."""
+    region = region_new()
+    c1 = alloc_hollow(region, LIST_CONS)
+    write_field(region, c1, 0, Leaf(1))
+    with pytest.raises(TypeError):
+        CellRef(region, c1.handle, LIST_NIL)
+    write_field(region, c1, 1, alloc_hollow(region, LIST_NIL))
+    assert structurally_equal(read_value(region, c1), Cons(1, NIL))
 
 
 def test_consume_twice_fails():

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import random
 import tracemalloc
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -19,18 +20,24 @@ from destpass import (
     Leaf,
     LeafTooDeep,
     RegionClosed,
+    Region,
     RegionMismatch,
+    Token,
     UnknownCtor,
     UseAfterConsume,
+    alloc,
     alloc_hollow,
+    fill,
+    fill_comp,
     read_value,
     region_new,
     region_stats,
+    token_dup2,
     with_region,
     write_field,
 )
 from destpass.dlist import Cons, LIST_CONS, LIST_NIL, LIST_SHAPE, NIL
-from destpass.region import WORD, Dest
+from destpass.region import WORD
 from destpass.shapes import CtorDescriptor, LeafType, Recursive, ShapeRegistry, TypeShape
 
 from support import structurally_equal, too_deep_leaf
@@ -164,6 +171,53 @@ def _refused_unchanged(call, error, regions, field):
     with pytest.raises(error):
         call()
     assert state() == before
+
+
+@dataclass
+class _OtherCons:
+    head: object
+    tail: object
+
+
+# A list whose cons builds in place as another class, which _PAIR_REGISTRY's
+# regions never hold.
+_OTHER_LIST_CONS = CtorDescriptor("list", "cons", LIST_CONS.fields, _OtherCons)
+_OTHER_LIST_REGISTRY = ShapeRegistry()
+_OTHER_LIST_REGISTRY.register(TypeShape("list", (LIST_NIL, _OTHER_LIST_CONS)))
+
+
+@pytest.mark.parametrize("target, ctor, registry, error", [
+    ("receiver", LIST_CONS, _PAIR_REGISTRY, RegionMismatch),
+    ("receiver", LIST_NIL, _PAIR_REGISTRY, RegionMismatch),
+    ("receiver", _PAIR, _PAIR_REGISTRY, RegionMismatch),  # no generated fill
+    ("host object", LIST_CONS, _PAIR_REGISTRY, RegionMismatch),
+    ("host object", LIST_NIL, _PAIR_REGISTRY, RegionMismatch),
+    ("raw cell", LIST_CONS, _PAIR_REGISTRY, RegionMismatch),
+    ("raw cell", LIST_NIL, _PAIR_REGISTRY, RegionMismatch),
+    ("receiver", _OTHER_LIST_CONS, _OTHER_LIST_REGISTRY, RegionMismatch),
+    # A host object of a class that r2's registry does not build, as a raw call.
+    ("host object", _OTHER_LIST_CONS, _OTHER_LIST_REGISTRY, TypeError),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_a_fill_of_a_dest_of_another_region_changes_nothing(target, ctor, registry, error):
+    """A raw fill into a live Dest of another region goes to the generic
+    checks, which refuse it: no generated fill runs on it. A host object's
+    hole takes no raw-cell constructor, so ``_PAIR`` fills a receiver only."""
+    r1, r2 = region_new(registry=_PAIR_REGISTRY), region_new(registry=registry)
+    i = alloc(Token(r1))
+    d = {
+        "receiver": lambda: i.payload,
+        "host object": lambda: fill(i.payload, LIST_CONS)[1],
+        "raw cell": lambda: fill(i.payload, _PAIR)[0],
+    }[target]()
+
+    def state():
+        return [(region_stats(r), r.outstanding_holes) for r in (r1, r2)], d.alive
+
+    before = state()
+    with pytest.raises(error):
+        alloc_hollow(r2, ctor, d)
+    assert state() == before
+    fill(d, LIST_NIL)  # the hole is still the live Dest's to fill
 
 
 def test_a_hollow_host_object_of_another_region_is_no_reference():
@@ -338,7 +392,10 @@ def test_written_fields_do_not_alias_the_callers_wrappers():
 
 def test_raw_api_refuses_what_is_not_a_cell_with_type_error():
     r = region_new()
-    hollow = alloc_hollow(r, LIST_CONS, r._alloc_receiver(), 0)
+    t1, t2 = token_dup2(Token(r))
+    _, consumed = fill(alloc(t1).payload, LIST_CONS)
+    fill_comp(alloc(t2), consumed)  # consumed; its hole is open behind the child's Dest
+    hollow = consumed.cell
     assert type(hollow) is Cons
 
     def state():
@@ -347,8 +404,6 @@ def test_raw_api_refuses_what_is_not_a_cell_with_type_error():
     before = state()
     with pytest.raises(TypeError):
         alloc_hollow(r, LIST_NIL, object(), 0)
-    consumed = Dest(r, hollow, 1, LIST_CONS.fields[1], None)
-    consumed.alive = False
     for ctor in (LIST_NIL, LIST_CONS):  # a fill of a consumed Dest, its hole open
         with pytest.raises(UseAfterConsume):
             alloc_hollow(r, ctor, consumed, 0, ())
@@ -392,8 +447,6 @@ def test_a_field_index_that_is_no_int_is_named(target, index):
     for ctor in (LIST_NIL, LIST_CONS):
         with pytest.raises(TypeError, match="field index is an int"):  # no Dest: generic
             alloc_hollow(r, ctor, cell, index)
-        with pytest.raises(TypeError):  # the generated fill of a hand-made Dest
-            alloc_hollow(r, ctor, Dest(r, cell, index, None, None))
     assert (region_stats(r), r.outstanding_holes) == before
 
 
@@ -405,6 +458,17 @@ def test_a_region_refuses_a_registry_that_is_no_shape_registry(registry):
     with pytest.raises(TypeError):
         with_region(ran.append, registry=registry)
     assert not ran
+
+
+@pytest.mark.parametrize("registry", [5, None], ids=repr)
+def test_a_region_checks_its_own_registry(registry):
+    """``Region`` refuses what is no ShapeRegistry before it takes an id,
+    so no region holds one, whose first fill would raise a TypeError that
+    names a Region."""
+    first = region_new().region_id
+    with pytest.raises(TypeError, match="expected a ShapeRegistry, got"):
+        Region(registry)
+    assert region_new().region_id == first + 1
 
 
 def test_read_cost_follows_the_value_not_the_region():
