@@ -14,14 +14,15 @@ never corrupt the region.
 Besides the flags, the ledger is one hole count per lineage (``_Lineage``)
 and two tallies on the region, of live tokens and live incompletes. Live
 destinations need no tally of their own: every unfilled hole of a builder
-region has exactly one live ``Dest``, so the region's ``outstanding_holes``
-counts them.
+region holds its one live ``Dest``, the only thing that can write it, so the
+region's ``outstanding_holes`` counts them.
 
 Handles are minted with ``object.__new__`` and one store per slot, as the
 generated fill mints its ``Dest``s (see ``region``), and only by the
 operations that account for them: calling ``Dest``, ``Incomplete`` or
 ``CellRef``, or copying or pickling any handle, raises TypeError;
-``Token(region)`` is public, and counts itself. A live incomplete's lineage
+``Token(region)`` is public, and counts itself (RegionClosed on a closed
+region). A live incomplete's lineage
 is always a root: only ``fill_comp`` links a root under another, and it
 consumes the incomplete whose root that was. So only a destination's
 lineage may need ``find``.
@@ -88,17 +89,16 @@ class _Lineage:
     has one count.
 
     A root also stands for its incomplete's one receiver: ``type_id`` is the
-    type of what filled the receiver's hole (None for a leaf or while empty)
-    and ``dest`` the live destination of that hole while it is empty.
+    type of what filled the receiver's hole, None for a leaf or while empty;
+    an empty hole holds its live destination, as every builder hole does.
     """
 
-    __slots__ = ("parent", "holes", "type_id", "dest")
+    __slots__ = ("parent", "holes", "type_id")
 
     def __init__(self, type_id: str | None = None) -> None:
         self.parent: _Lineage | None = None
         self.holes = 0
         self.type_id = type_id
-        self.dest: Dest | None = None
 
     def find(self) -> "_Lineage":
         node = self
@@ -119,6 +119,7 @@ class Token(_NotALeaf):
     def __init__(self, region: Region) -> None:
         if not isinstance(region, Region):
             raise TypeError(f"a Token belongs to a Region, not a {type(region).__name__}")
+        region._require_alive()
         self.region = region
         self.alive = True
         region._tokens_alive += 1
@@ -284,7 +285,7 @@ def alloc(t: Token) -> Incomplete:
     lineage.parent = None
     lineage.holes = 1
     lineage.type_id = None
-    lineage.dest = dest
+    receiver.slots[0] = dest
     dest.region = region
     dest.cell = receiver
     dest.index = 0
@@ -459,14 +460,7 @@ def fill_leaf(value, d: Dest) -> None:
         _admit(d, Dest, "fill_leaf")
     if type(d.kind) is Recursive:
         _check_fillable(d.kind, None, "a leaf")
-    _region.write_field(d.region, d.cell, d.index, Leaf(value))
-    d.alive = False
-    lineage = d.lineage
-    if lineage.parent is not None:
-        lineage = lineage.find()
-    if d.kind is None:  # a receiver's hole
-        lineage.dest = None
-    lineage.holes -= 1
+    _region.write_field(d.region, d, 0, Leaf(value))
 
 
 def fill_comp(child: Incomplete, d: Dest):
@@ -474,7 +468,7 @@ def fill_comp(child: Incomplete, d: Dest):
 
     No cell is allocated and nothing is copied: child's receiver is written
     into the hole, which takes its value, or, while child is still empty,
-    the live destination of child's receiver is re-pointed at the hole. The
+    the live destination of child's receiver moves into the hole. The
     value must fit the hole's kind as a fill would (else UnknownCtor); an
     empty child is checked when its destination is filled. The child's
     remaining destinations re-home into d's lineage before this returns.
@@ -484,8 +478,8 @@ def fill_comp(child: Incomplete, d: Dest):
     if type(d) is not Dest or not d.alive or not d.region.alive:
         _admit(d, Dest, "fill_comp")
     parent_root = d.lineage
-    if parent_root.parent is not None:
-        parent_root = parent_root.find()
+    if parent_root.parent is not None:  # and d's own link, for write_field
+        parent_root = d.lineage = parent_root.find()
     child_root = child.lineage  # a live incomplete's lineage is a root
     if parent_root is child_root:
         raise SelfPlug("incomplete plugged into a destination of its own lineage")
@@ -494,25 +488,23 @@ def fill_comp(child: Incomplete, d: Dest):
     if child.region is not region:
         raise region._foreign(receiver, "incomplete")
     kind = d.kind
-    content = receiver.slots[0]
-    if content is region.hole:
-        moved = child_root.dest
-        moved.cell, moved.index, moved.kind = d.cell, d.index, kind
-        if kind is None:
-            parent_root.dest = moved
+    moved = receiver.slots[0]
+    if type(moved) is Dest:  # child is empty: its receiver's Dest takes d's hole
+        _region._store(region, d.cell, _region._hole(region, d, 0), moved)
+        moved.cell, moved.index, moved.kind, d.alive = d.cell, d.index, kind, False
         region.outstanding_holes -= 1  # child's receiver hole is given up
+        parent_root.holes -= 1
     else:
         if kind is not None and (
             type(kind) is not Recursive or kind.type_id != child_root.type_id
         ):
             _check_fillable(kind, child_root.type_id, "the plugged incomplete")
-        _region.write_field(region, d.cell, d.index, receiver)
+        _region.write_field(region, d, 0, receiver)
         if kind is None:
-            parent_root.type_id, parent_root.dest = child_root.type_id, None
-    parent_root.holes += child_root.holes - 1
+            parent_root.type_id = child_root.type_id
+    parent_root.holes += child_root.holes
     child_root.holes = 0
     child_root.parent = parent_root
-    d.alive = False
     child.alive = False
     region._incompletes_alive -= 1
     return child.payload

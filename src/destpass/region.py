@@ -13,11 +13,12 @@ A raw cell is a single object, a ``CellRef``: its region's id, its handle
 move, so a cell stays valid for the region's whole lifetime.
 
 A field, of a raw cell or of a host object, holds what a host object's
-field holds: its region's own ``Hole``, ``region.hole``, until it is written
-(so no other region can write it), then either a raw cell of the region,
-which the field refers to, or the finished value itself: a leaf's payload
-(the region's copy), a nullary constructor's ``make()``, or the value of a
-filled receiver. A host object's field never holds a raw cell.
+field holds. A hole that a builder operation opened holds its ``Dest``, its
+one writer, and any other its region's own ``Hole``, ``region.hole`` (so no
+other region can write it). A written field holds a raw cell of the region,
+which it refers to, or the finished value itself: a leaf's payload (the
+region's copy), a nullary constructor's ``make()``, or the value of a filled
+receiver, never a raw cell in a host object's field.
 
 A root receiver, whose one hole takes an incomplete's whole value, is a raw
 cell of the private ``_INDIRECTION`` constructor; there is no receiver type.
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import linecache
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -424,7 +426,7 @@ def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, args)
         region._require_alive()
         layout = registry.resolve(ctor)
     else:
-        key = _hole(region, into, index)
+        key = _hole(region, dest or into, index)
         layout = registry.resolve(ctor)
         if layout is None and type(into) is not CellRef:
             raise TypeError(f"a {type(into).__name__} cannot hold a region cell")
@@ -474,8 +476,16 @@ def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, args)
         nodes.append((c, node, fields, i))
         if sub:
             todo.extend((c, node, j, k, v) for (j, k), v in reversed(list(zip(c.places, sub))))
-    # Nothing is refused past this point. A node is built as the root's
-    # target takes it: host objects in place, else raw cells.
+    # Nothing is refused past this point. A fill's holes hold their Dests. A
+    # node is built as the root's target takes it: in place, else raw cells.
+    dests = []
+    if dest is not None:
+        lineage = dest.lineage.find()
+        for i, k in ctor.places:  # a root with fields is nodes[0]
+            if not args or args[i] is ...:
+                nodes[0][1][i] = d = object.__new__(Dest)
+                d.region, d.index, d.kind, d.lineage, d.alive = region, i, k, lineage, True
+                dests.append(d)
     in_place = into is not None and layout is not None and (
         type(into) is not CellRef or into.ctor is _INDIRECTION
     )
@@ -497,49 +507,37 @@ def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, args)
     value = top[0]
     if into is None:
         return value
-    if type(into) is CellRef:
-        into.slots[key] = value
-    else:
-        registry.setters[type(into)](into, key, value)
+    _store(region, into, key, value)
     if dest is None:
         return value if ctor.arity else None
     dest.alive = False
-    lineage = dest.lineage.find()
     if want is None:  # a receiver's hole
-        lineage.type_id, lineage.dest = ctor.type_id, None
+        lineage.type_id = ctor.type_id
     lineage.holes += holes
-    dests = []
-    for i, k in ctor.places:
-        if not args or args[i] is ...:
-            dests.append(d := object.__new__(Dest))
-            d.region, d.cell, d.index, d.kind, d.lineage, d.alive = region, value, i, k, lineage, True
+    for d in dests:
+        d.cell = value
     return dests[0] if len(dests) == 1 else tuple(dests) or None
 
 
 # What a fill does with a call that it does not build.
 _GENERIC = "return _alloc_generic(region, ctor, dest, 0, args)"
 # The fill of one in-place constructor, given the Dest of its hole, and its
-# plug, which _compile completes. Each arm of {take} sets the fields'
-# locals and what the node and any nested ones are charged; {plug} does the
-# same or returns None; {dests} returns the Dests of the node's holes.
+# plug, which _compile completes. Each arm of {take} sets the fields' locals
+# (``...`` a hole) and what the node and any nested ones are charged; {plug}
+# does the same or returns None; {dests} returns the Dests {build} stores.
 _ALLOCATOR = """\
-def alloc(region, dest, args):
+def fill(region, dest, args):
     kind = dest.kind
     if not dest.alive or kind is not None and (type(kind) is not Recursive or kind.type_id != type_id):
         {generic}
     into = dest.cell
-    hole = region.hole
-    if not region.alive:
+    name = None if type(into) is CellRef else host_fields[type(into)][dest.index]
+    if not region.alive or name is None and into.ctor is not _INDIRECTION:
         {generic}
-    if type(into) is CellRef:
-        name = None
-        if into.ctor is not _INDIRECTION or into.slots[0] is not hole:
-            {generic}
-    else:
-        name = host_fields[type(into)][dest.index]
-        if getattr(into, name) is not hole:
-            {generic}
 {take}
+    lineage = dest.lineage
+    if lineage.parent is not None:
+        lineage = lineage.find()
 {build}
     stats = region.stats
     stats.bytes_allocated += charge
@@ -552,12 +550,8 @@ def alloc(region, dest, args):
     else:
         setters[type(into)](into, name, obj)
     dest.alive = False
-    lineage = dest.lineage
-    if lineage.parent is not None:
-        lineage = lineage.find()
     if kind is None:
         lineage.type_id = type_id
-        lineage.dest = None
     lineage.holes += holes
 {dests}
 """
@@ -577,21 +571,22 @@ def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegist
     ``Recursive`` field and the plugs of that field's type as constants.
 
     The fill is given a ``Dest`` of its region, which only the region's
-    fills mint, so its cell and index name a hole they opened. It checks
-    that the ``Dest`` is live, that the hole takes ``ctor``, that a raw cell
-    is a receiver and that no raw write has filled the hole. It builds in
-    an arm of constants given no arguments, else in one arm for one per
-    field: ``...``, a leaf (kept if its type is in ``_ONE_WORD``, else
-    through ``_leaf_copies``), a nullary constructor or a context that a
-    plug builds. Once the node is written it consumes the Dest, counts the
-    holes on its lineage root and makes the ``Dest`` of each field left a
-    hole. The plug builds the node of a complete context ``(ctor, *args)``
-    nested in a parent's fill, with its charges, and changes nothing, or
-    returns None unless its leaves are scalars and its ``Recursive`` fields
-    nullary constructors, so ``ctor`` has none when a field's type has no
-    nullary constructor. Any fill that the generated code or a plug does
-    not build goes, unchanged, to ``_alloc_generic``, as does every call
-    without a ``Dest`` of the region."""
+    fills mint, so its cell and index name a hole they opened, which holds
+    it while it is live. It checks that the ``Dest`` is live, that the hole
+    takes ``ctor``, that the region is open and that a raw cell is a
+    receiver. It builds in an arm of constants given no arguments, else in
+    one arm for one per field: ``...``, a leaf (kept if its type is in
+    ``_ONE_WORD``, else through ``_leaf_copies``), a nullary constructor or
+    a context that a plug builds. It makes the ``Dest`` of each field left a
+    hole, which that field then holds; once the node is written it consumes
+    the Dest and counts the holes on its lineage root. The plug builds the
+    node of a complete context ``(ctor, *args)`` nested in a parent's fill,
+    with its charges, and changes nothing, or returns None unless its leaves
+    are scalars and its ``Recursive`` fields nullary constructors, so
+    ``ctor`` has none when a field's type has no nullary constructor. Any
+    fill that the generated code or a plug does not build goes, unchanged,
+    to ``_alloc_generic``, as does every call without a ``Dest`` of the
+    region."""
     fields = [f"v{i}" for i in range(ctor.arity)]  # the local that holds each field
     leaves = [fields[i] for i in ctor.leaves]
     n, size = len(leaves), WORD * (1 + ctor.arity)
@@ -612,13 +607,13 @@ def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegist
     for j, (i, kind) in enumerate(ctor.kids):
         v = fields[i]
         ctors = registry.shape(kind.type_id).ctors
-        nullaries = {f"nullary{id(c)}": c for c in ctors if not c.arity}
+        nullaries = {f"nullary{j}_{t}": c for t, c in enumerate(ctors) if not c.arity}
         constants.update(nullaries)
         constants[f"plugs{j}"] = registry.plugs.setdefault(kind.type_id, {})
         nullary = " or ".join(f"{v} is {name}" for name in nullaries)
         made = [f"{v} = {v}.make()", f"charge += {WORD}; cells += 1"]
         given += [
-            f"if {v} is ...:", f"    {v} = hole; holes += 1",
+            f"if {v} is ...:", "    holes += 1",
             *([f"elif {nullary}:", *(f"    {line}" for line in made)] if nullary else ()),
             f"elif type({v}) is tuple and {v} and (p := plugs{j}.get(id({v}[0]))) "
             f"and (got := p({v})):",
@@ -629,12 +624,12 @@ def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegist
             plug = [*plug, f"if not ({nullary}):", "    return None", *made] if nullary else None
     given += [line for v in leaves for line in (
         f"if type({v}) not in _ONE_WORD:",
-        f"    if {v} is ...: {v} = hole; holes += 1; charge -= {WORD}; copies -= 1",
+        f"    if {v} is ...: holes += 1; charge -= {WORD}; copies -= 1",
         f"    else: ({v},), c = _leaf_copies(({v},)); charge += c - {WORD}",
     )]
     take = [
         "if not args:",
-        *(f"    {line}" for line in assign(fields, "hole, " * ctor.arity)),
+        *(f"    {line}" for line in assign(fields, "..., " * ctor.arity)),
         f"    charge, cells, copies, holes = {size}, 1, 0, {ctor.arity - 1}",
         f"elif len(args) == {ctor.arity}:",
         *(f"    {line}" for line in assign(fields, "args")),
@@ -643,46 +638,73 @@ def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegist
         "else:", f"    {_GENERIC}",
     ]
 
-    # A fill's Dest of each field left a hole, and what it returns: the one
-    # or none, all, all but one, or some of them, as far as the arity reaches.
+    # A fill's Dest of each field left a hole, which it stores there, and what
+    # it returns: the one or none, all, all but one or some, as far as the arity reaches.
     ds = [f"d{i}" for i in range(ctor.arity)]
     every = "".join(f"{d}, " for d in ds)
     but = [f"({''.join(f'{e}, ' for e in ds if e != d)}) if {d} is None else " for d in ds]
-    dests = [line for i in range(ctor.arity) for line in (
+    mint = [line for i in range(ctor.arity) for line in (
         f"d{i} = None",
-        f"if v{i} is hole: d{i} = new(Dest); d{i}.region = region; d{i}.cell = obj; "
+        f"if v{i} is ...: v{i} = d{i} = new(Dest); d{i}.region = region; d{i}.cell = obj; "
         f"d{i}.index = {i}; d{i}.kind = kind{i}; d{i}.lineage = lineage; d{i}.alive = True",
-    )] + [
+    )]
+    dests = [
         f"if holes < 1: return {' or '.join(ds) or None}",
         f"if holes == {ctor.arity - 1}: return {every}",
         f"if holes == {ctor.arity - 2}: return {''.join(but)}None",
         f"return tuple([d for d in ({every}) if d is not None])",
     ][: max(1, ctor.arity)]
     plain = registry.setters.get(ctor.make) is setattr
-    build = ["obj = new(make)" if names else "obj = make()"] + [
+    made = "obj = new(make)" if names else "obj = make()"
+    stores = [
         f"obj.{name} = {v}" if plain else f"put(obj, {name!r}, {v})"
         for v, name in zip(fields, names)
     ]
     indent = lambda lines: "\n".join(f"    {line}" for line in lines)  # noqa: E731
-    source = _ALLOCATOR.format(
-        generic=_GENERIC, take=indent(take), build=indent(build), dests=indent(dests),
-    ) + (_PLUG.format(plug=indent(plug), build=indent(build)) if plug is not None else "")
     namespace = dict(
         globals(), ctor=ctor, type_id=ctor.type_id, make=ctor.make, new=object.__new__,
         put=object.__setattr__, host_fields=registry.host_fields, setters=registry.setters,
         **{f"kind{i}": k for i, k in ctor.places}, **constants,
     )
-    exec(source, namespace)
-    return namespace["alloc"], namespace.get("plug")
+    fill = _define("fill", ctor, namespace, _ALLOCATOR.format(
+        generic=_GENERIC, take=indent(take), build=indent([made, *mint, *stores]),
+        dests=indent(dests),
+    ))
+    if plug is not None:
+        plug = _define("plug", ctor, namespace, _PLUG.format(
+            plug=indent(plug), build=indent([made, *stores])))
+    return fill, plug
+
+
+def _define(what: str, ctor: CtorDescriptor, namespace: dict, source: str):
+    """Define the function ``what`` of ``source`` in ``namespace``, compiled
+    under a filename that names it and ``ctor``, such as ``<destpass fill
+    list.cons>`` (numbered if another source has that name), with its lines
+    in ``linecache`` for tracebacks and ``inspect``."""
+    lines, label = source.splitlines(True), f"{ctor.type_id}.{ctor.name}"
+    filename, n = f"<destpass {what} {label}>", 1
+    while linecache.cache.setdefault(filename, (len(source), None, lines, filename))[2] != lines:
+        n += 1
+        filename = f"<destpass {what} {label} #{n}>"
+    exec(compile(source, filename, "exec"), namespace)
+    namespace[what].__qualname__ = f"{label}.{what}"
+    return namespace[what]
 
 
 def _hole(region: Region, cell, index: int):
-    """Where field ``index`` of ``cell`` is stored, once that field is a hole
-    of live ``region``: the index into the slots of a raw cell or receiver,
-    or the field name of a host object that a fill built."""
+    """Where the hole that ``cell`` names is stored (a slot index or a host
+    object's field name) once it is a hole of live ``region``: a live
+    ``Dest``'s own, or raw hole ``index`` (TypeError if a Dest holds it)."""
     try:
         if not region.alive:
             region._require_alive()
+        if type(cell) is Dest:
+            if cell.region is not region:
+                raise RegionMismatch(f"a Dest of another region used in region {region.region_id}")
+            if not cell.alive:
+                raise UseAfterConsume("a write through an already-consumed Dest")
+            cell, index = cell.cell, cell.index
+            return index if type(cell) is CellRef else region.registry.host_fields[type(cell)][index]
         if type(cell) is CellRef:
             if cell.region_id != region.region_id:
                 raise region._foreign(cell, "cell")
@@ -707,21 +729,34 @@ def _hole(region: Region, cell, index: int):
     what = repr(cell) if names is None else f"a {type(cell).__name__}"
     if not 0 <= index < arity:
         raise FieldIndexOutOfRange(f"field {index} out of range for {what} (arity {arity})")
-    if type(slot) is Hole:  # another region's: a raw cell's region is checked above
+    if type(slot) is Dest and slot.region is region:
+        raise TypeError(f"field {index} of {what} is the hole of {slot!r}; only it writes there")
+    if type(slot) is Hole or type(slot) is Dest:  # another region's: a raw cell's is checked above
         raise RegionMismatch(f"{what} of another region used in region {region.region_id}")
     raise DoubleFill(f"field {index} of {what} already written")
 
 
+def _store(region: Region, cell, key, value) -> None:
+    """Write ``value`` where ``_hole`` found the hole of ``cell``."""
+    if type(cell) is CellRef:
+        cell.slots[key] = value
+    else:
+        region.registry.setters[type(cell)](cell, key, value)
+
+
 def write_field(region: Region, cell, index: int, value) -> None:
-    """Write one hole of a ``CellRef``, or of a host object that a fill of
-    this same region built (else RegionMismatch), forever, with a ``Leaf``
-    or a cell. The field keeps a scalar payload as given and deep-copies
+    """Write one hole of this region forever (else RegionMismatch), with a
+    ``Leaf`` or a cell: a live ``Dest``'s (UseAfterConsume once consumed),
+    which the write consumes and counts closed on its lineage root, or field
+    ``index`` of a ``CellRef`` or host object that no ``Dest`` holds (else
+    TypeError). The field keeps a scalar payload as given and deep-copies
     any other, which raises DestinationInLeaf on a hole, region cell or
-    handle inside it, and LeafTooDeep on one too deep to copy. It refers
-    to a raw cell of this region (else RegionMismatch), and holds a
-    receiver's value in its place. TypeError on anything else, an empty
-    receiver, a raw cell into a host object, or an index that is no int."""
+    handle inside it, and LeafTooDeep on one too deep to copy. It refers to
+    a raw cell of this region (else RegionMismatch), and holds a receiver's
+    value in its place. TypeError on anything else, an empty receiver, a
+    raw cell into a host object, or an index that is no int."""
     key = _hole(region, cell, index)
+    dest, cell = (cell, cell.cell) if type(cell) is Dest else (None, cell)
     if isinstance(value, Leaf):
         value = value.payload
         if type(value) in _ONE_WORD:
@@ -731,7 +766,7 @@ def write_field(region: Region, cell, index: int, value) -> None:
         region.stats.bytes_allocated += charge
         region.stats.leaf_copies += 1
     elif type(value) is CellRef:
-        if value.ctor is _INDIRECTION and type(value.slots[0]) is Hole:
+        if value.ctor is _INDIRECTION and isinstance(value.slots[0], (Hole, Dest)):
             raise TypeError(f"empty receiver {value!r} has no value to write")
         if value.region_id != region.region_id:
             raise region._foreign(value, "reference")
@@ -746,6 +781,10 @@ def write_field(region: Region, cell, index: int, value) -> None:
     else:
         region.registry.setters[type(cell)](cell, key, value)
     region.outstanding_holes -= 1
+    if dest is not None:
+        dest.alive = False
+        lineage = dest.lineage if dest.lineage.parent is None else dest.lineage.find()
+        lineage.holes -= 1
 
 
 _ON_PATH = object()  # value of a cell while its children are decoded
@@ -753,7 +792,7 @@ _ON_PATH = object()  # value of a cell while its children are decoded
 
 def _scan_hosts(region: Region, values) -> None:
     """Raise IncompleteRead if a host object among ``values``, or reached
-    from one through the fields of host objects, holds ``region.hole``."""
+    from one through host objects' fields, holds ``region.hole`` or a Dest."""
     host_fields = region.registry.host_fields
     seen: set[int] = set()
     stack = list(values)
@@ -765,7 +804,7 @@ def _scan_hosts(region: Region, values) -> None:
         seen.add(id(v))
         for n in names:
             x = getattr(v, n)
-            if x is region.hole:
+            if x is region.hole or type(x) is Dest:
                 raise IncompleteRead(f"hole at field {n!r} of a {type(v).__name__}")
             stack.append(x)
 
@@ -792,7 +831,7 @@ def read_value(region: Region, root: CellRef):
     hosts = [] if region.outstanding_holes else None  # what to scan for a hole
     if root.ctor is _INDIRECTION:
         content = root.slots[0]
-        if content is region.hole:
+        if content is region.hole or type(content) is Dest:
             raise IncompleteRead(f"hole at field 0 of receiver cell {root.handle}")
         if type(content) is not CellRef:
             if hosts is not None:
@@ -816,7 +855,7 @@ def read_value(region: Region, root: CellRef):
                 slot = slots[idx]
                 if type(slot) is CellRef:
                     stack.append(slot)
-                elif slot is region.hole:
+                elif slot is region.hole or type(slot) is Dest:
                     stack.append((cell, idx))
                 elif hosts is not None:
                     hosts.append(slot)

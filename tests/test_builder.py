@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 from dataclasses import dataclass
 from enum import IntEnum
 from types import SimpleNamespace
@@ -153,17 +154,17 @@ def test_minted_handles_set_every_slot_to_its_value():
         assert _slots(obj) == slots
 
     def body(t):
-        region, hole = t.region, t.region.hole
+        region = t.region
         expect(t, region=region, alive=True)
         t1, t2 = token_dup2(t)
         expect(t1, region=region, alive=True)
         expect(t2, region=region, alive=True)
         i = alloc(t1)
         receiver, d, root = i.root, i.payload, i.lineage
-        expect(receiver, region_id=region.region_id, handle=0, ctor=_INDIRECTION, slots=[hole])
+        expect(receiver, region_id=region.region_id, handle=0, ctor=_INDIRECTION, slots=[d])
         expect(i, region=region, root=receiver, payload=d, lineage=root, alive=True)
         expect(d, region=region, cell=receiver, index=0, kind=None, lineage=root, alive=True)
-        expect(root, parent=None, holes=1, type_id=None, dest=d)
+        expect(root, parent=None, holes=1, type_id=None)
         i = map_b(i, lambda d: fill(d, TREE_NODE, 1, ..., ...))  # by the generated fill
         node = receiver.slots[0]
         left, right = i.payload
@@ -171,7 +172,8 @@ def test_minted_handles_set_every_slot_to_its_value():
         for d, index in ((left, 1), (right, 2)):
             expect(d, region=region, cell=node, index=index, kind=TREE_NODE.fields[index],
                    lineage=root, alive=True)
-        expect(root, parent=None, holes=2, type_id="tree", dest=None)
+        assert (node.left, node.right) == (left, right)  # each hole holds its Dest
+        expect(root, parent=None, holes=2, type_id="tree")
         # A nested leaf that is no scalar leaves the plugs: the generic path.
         value = fill(left, TREE_NODE, ..., (TREE_NODE, [2], TREE_NIL, TREE_NIL), TREE_NIL)
         expect(value, region=region, cell=node.left, index=0, kind=TREE_NODE.fields[0],
@@ -181,7 +183,7 @@ def test_minted_handles_set_every_slot_to_its_value():
         expect(j.root, region_id=region.region_id, handle=-1, ctor=_INDIRECTION,
                slots=[Node(4, None, None)])
         expect(j, region=region, root=j.root, payload=None, lineage=j.lineage, alive=True)
-        expect(j.lineage, parent=None, holes=0, type_id="tree", dest=None)
+        expect(j.lineage, parent=None, holes=0, type_id="tree")
         assert fill_comp(j, right) is None
         return from_incomplete(i)[0]  # its payload: the two consumed Dests
 
@@ -191,7 +193,7 @@ def test_minted_handles_set_every_slot_to_its_value():
         i = alloc(t)
         tail = fill(i.payload, _LAMBDA_PAIR, 1, ...)
         expect(tail.cell, region_id=t.region.region_id, handle=1, ctor=_LAMBDA_PAIR,
-               slots=[1, t.region.hole])
+               slots=[1, tail])
         expect(tail, region=t.region, cell=tail.cell, index=1, kind=_LAMBDA_PAIR.fields[1],
                lineage=i.lineage, alive=True)
         fill(tail, _LAMBDA_NIL)
@@ -550,7 +552,7 @@ def test_a_region_cell_is_refused_as_a_leaf_payload():
             before = state()
             with pytest.raises(TypeError):
                 fill_leaf(other, d)
-            assert d.alive and field() is region.hole and state() == before
+            assert d.alive and field() is d and state() == before
 
         def f(d):
             refused(d, lambda: d.cell.slots[0])  # a receiver's hole
@@ -597,7 +599,7 @@ def test_a_leaf_refuses_what_holds_a_hole(what):
             "fresh hole": lambda: {"x": Hole()},
         }[what]()
         _refused(lambda: fill_leaf(payload, e), [region, other], [i, j, dh, dt, e])
-        assert e.cell.slots[0] is region.hole
+        assert e.cell.slots[0] is e
         fill_leaf(1, dh)
         fill(dt, LIST_NIL)
         fill_leaf(2, e)
@@ -652,7 +654,7 @@ def test_fill_leaf_of_a_too_deep_payload_changes_nothing(what):
         i = alloc(t)
         d = i.payload
         _refused(lambda: fill_leaf(payload, d), [t.region], [i, d], LeafTooDeep)
-        assert d.cell.slots[0] is t.region.hole
+        assert d.cell.slots[0] is d
         fill_leaf(1, d)
         return from_incomplete(i)[0]
 
@@ -687,7 +689,7 @@ def test_a_host_object_of_another_region_refuses_its_writes(op):
         i = alloc(t)
         dh, dt = fill(i.payload, LIST_CONS)
         _refused(lambda: call(dh), [region, other], [i, dh, dt], RegionMismatch)
-        assert dh.cell.head is region.hole and dh.cell.tail is region.hole
+        assert dh.cell.head is dh and dh.cell.tail is dt
         fill_leaf(1, dh)
         fill(dt, LIST_NIL)
         return from_incomplete(i)[0]
@@ -750,7 +752,108 @@ def test_writes_into_closed_region_rejected():
     with pytest.raises(RegionClosed):
         destpass.region.write_field(d.region, d.cell, d.index, Leaf(5))
     assert d.alive and child.alive
-    assert d.cell.slots == [d.region.hole]
+    assert d.cell.slots == [d]
+
+
+def test_a_token_of_a_closed_region_is_refused():
+    """A token minted after the scope audit would count as live forever."""
+    kept = []
+
+    def body(t):
+        kept.append(t.region)
+        token_consume(t)
+
+    with_region(body)
+    (region,) = kept
+    with pytest.raises(RegionClosed):
+        Token(region)
+    assert region._tokens_alive == 0
+
+
+# -- a hole has one writer: the Dest that it holds -------------------------------
+
+
+@pytest.mark.parametrize("op", ["write_field", "alloc_hollow"])
+def test_a_raw_write_into_a_hole_that_a_dest_owns_is_refused(op):
+    """A raw write at a live Dest's cell and index once filled the hole and
+    left the Dest live: ``write_field`` into a receiver's hole left no
+    outstanding hole for one live Dest, and ``alloc_hollow`` into a tail
+    hole made the release raise UnfilledHoles. Each is refused, names the
+    Dest and changes nothing; the build then finishes through the Dest."""
+
+    def body(t):
+        region = t.region
+        i = alloc(t)
+        d = i.payload
+        if op == "write_field":
+            owner, call = d, lambda: write_field(region, d.cell, d.index, Leaf(5))
+        else:
+            hd, owner = fill(d, LIST_CONS)
+            call = lambda: alloc_hollow(region, LIST_NIL, owner.cell, owner.index)  # noqa: E731
+        _refused(call, [region], [i, d, owner], TypeError)
+        assert _field(owner.cell, owner.index) is owner
+        with pytest.raises(TypeError, match=re.escape(repr(owner))):
+            call()
+        if op == "alloc_hollow":
+            fill_leaf(1, hd)
+        fill(owner, LIST_NIL)
+        return from_incomplete(i)[0]
+
+    assert with_region(body) == (NIL if op == "write_field" else Cons(1, NIL))
+
+
+def test_a_write_through_a_dest_of_another_region_is_refused():
+    r1, r2 = region_new(), region_new()
+    i = alloc(Token(r1))
+    d = i.payload
+    _refused(lambda: write_field(r2, d, 0, Leaf(1)), [r1, r2], [i, d], RegionMismatch)
+    write_field(r1, d, 0, Leaf(1))  # the hole's one write: it consumes d
+    _refused(lambda: write_field(r1, d, 0, Leaf(2)), [r1, r2], [i, d], UseAfterConsume)
+    assert from_incomplete(i)[0] == 1
+
+
+def test_an_empty_child_plugged_into_a_field_leaves_its_dest_there():
+    """The empty child's receiver Dest takes over the field's hole, and the
+    field holds it, so a raw write there is refused as at any owned hole."""
+
+    def body(t):
+        region = t.region
+        t1, t2 = token_dup2(t)
+        i, child = alloc(t1), alloc(t2)
+        hd, tl = fill(i.payload, LIST_CONS)
+        moved = child.payload
+        fill_comp(child, tl)
+        assert hd.cell.tail is moved and (moved.cell, moved.index) == (hd.cell, 1)
+        for call in (lambda: write_field(region, hd.cell, 1, Leaf(5)),
+                     lambda: alloc_hollow(region, LIST_NIL, hd.cell, 1)):
+            _refused(call, [region], [i, hd, tl, moved], TypeError)
+        fill_leaf(1, hd)
+        fill(moved, LIST_NIL)
+        return from_incomplete(i)[0]
+
+    assert list(with_region(body)) == [1]
+
+
+@pytest.mark.parametrize("how", ["no arguments", "one per field", "generic"])
+def test_each_hole_that_a_fill_opens_holds_its_dest(how):
+    """The generated fill and the generic path both store each Dest they
+    return in the field that is its hole."""
+
+    def body(t):
+        i = alloc(t)
+        if how == "generic":  # a nested leaf that is no scalar leaves the plugs
+            hd, tl = fill(i.payload, TREE_NODE, ..., (TREE_NODE, [2], TREE_NIL, TREE_NIL), ...)
+            assert hd.cell.value is hd and hd.cell.right is tl
+            nil = TREE_NIL
+        else:
+            hd, tl = fill(i.payload, LIST_CONS, *(() if how == "no arguments" else (..., ...)))
+            assert hd.cell.head is hd and hd.cell.tail is tl
+            nil = LIST_NIL
+        fill_leaf(1, hd)
+        fill(tl, nil)
+        return from_incomplete(i)[0]
+
+    assert with_region(body) == (Node(1, Node([2]), None) if how == "generic" else Cons(1, NIL))
 
 
 _TOKEN_OPS = {
@@ -901,7 +1004,7 @@ def test_fill_comp_rejects_a_child_of_another_type():
             with pytest.raises(UnknownCtor):
                 fill_comp(tree, dt)
             assert state() == before
-            assert dh.cell.tail is region.hole
+            assert dh.cell.tail is dt
             fill(dt, LIST_NIL)
             return None
 
@@ -935,7 +1038,7 @@ def test_fill_comp_rejects_a_copied_child_of_another_type():
             with pytest.raises(UnknownCtor):
                 fill_comp(tree, dt)
             assert state() == before
-            assert dh.cell.tail is region.hole
+            assert dh.cell.tail is dt
             fill(dt, LIST_NIL)
             return None
 
@@ -1381,10 +1484,13 @@ def test_a_refused_fill_with_leaves_changes_nothing(case, error):
     elif case == "closed":
         region._close()
         leaves = ([e], ...)
-    else:
-        write_field(region, d.cell, d.index, Leaf(0))
     where = (d.cell, d.index, d.kind, d.cell.slots[0])
-    _refused(lambda: fill(d, ctor, *leaves), [region], [i, j, d, e], error)
+    call = lambda: fill(d, ctor, *leaves)  # noqa: E731
+    if case == "filled":  # only a raw hole can be written while a fill is pending
+        raw = region._alloc_receiver()
+        write_field(region, raw, 0, Leaf(0))
+        call = lambda: alloc_hollow(region, ctor, raw, 0, leaves)  # noqa: E731
+    _refused(call, [region], [i, j, d, e], error)
     assert d.alive and (d.cell, d.index, d.kind, d.cell.slots[0]) == where
 
 
@@ -1767,8 +1873,8 @@ def _fill_once(registry, ctor, args, target, refusal):
         args = (*args[:at], [e], *args[at + 1 :])
     elif refusal == "closed":
         region._close()
-    elif refusal == "filled":
-        write_field(region, d.cell, d.index, Leaf(0))
+    elif refusal == "filled":  # through its Dest, the one writer of its hole
+        write_field(region, d, 0, Leaf(0))
     call = lambda: fill(d, ctor, *args)  # noqa: E731
     if refusal == "consumed":  # d's hole stays open, now behind e
         fill_comp(j, d)
@@ -1785,7 +1891,7 @@ def _fill_once(registry, ctor, args, target, refusal):
         type(out).__name__,
         [(h.index, h.kind, h.alive) for h in holes],
         [h.lineage.find().holes for h in holes],
-        (i.lineage.type_id, i.lineage.dest),  # what filled the receiver, if anything
+        (i.lineage.type_id, type(i.root.slots[0]) is Dest),  # what filled the receiver, if anything
         ledger_state([region], handles),
     )
     for n, hole in enumerate(holes + others):
@@ -1910,17 +2016,18 @@ def _field(cell, index):
     ],
 )
 def test_a_refused_allocation_changes_nothing(cls, target, refusal, error):
-    """The allocator generated for each class hands every call it does not
-    build to the generic checks, which raise as they always have."""
+    """A raw allocation of each class, into a raw receiver or into the first
+    hole of a host parent that a raw allocation built, raises each refusal
+    as it always has and changes nothing."""
     ctor, leaves, parent, parent_leaves = _ALLOCATIONS[cls]
     region, other = region_new(), region_new()
-    t1, t2 = token_dup2(Token(region))
-    i, j = alloc(t1), alloc(t2)
-    d, e = i.payload, j.payload
+    j = alloc(Token(region))
+    e = j.payload
+    into, index, at = region._alloc_receiver(), 0, region
     if target == "host parent":
-        d = fill(d, parent, *parent_leaves)
-        d = d[0] if type(d) is tuple else d
-    into, index, at = d.cell, d.index, region
+        into = alloc_hollow(region, parent, into, 0, parent_leaves)
+        index = (*parent_leaves, ...).index(...)
+    hole = index
     if refusal == "closed region":
         region._close()
     elif refusal == "another region's hole":
@@ -1936,11 +2043,9 @@ def test_a_refused_allocation_changes_nothing(cls, target, refusal, error):
     else:
         payload = [e] if refusal == "leaf holds a dest" else too_deep_leaf("nested list")
         leaves = (payload, *leaves[1:])
-    where = (d.cell, d.index, d.kind, _field(d.cell, d.index))
-    _refused(
-        lambda: alloc_hollow(at, ctor, into, index, leaves), [region, other], [i, j, d, e], error
-    )
-    assert d.alive and (d.cell, d.index, d.kind, _field(d.cell, d.index)) == where
+    where = _field(into, hole)
+    _refused(lambda: alloc_hollow(at, ctor, into, index, leaves), [region, other], [j, e], error)
+    assert _field(into, hole) is where
 
 
 def _build_list(xs, with_leaves, registry=None, cons=LIST_CONS, nil=LIST_NIL):

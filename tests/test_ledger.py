@@ -41,7 +41,7 @@ from destpass import (
 )
 from destpass.builder import Dest, Incomplete, Token
 from destpass.dlist import LIST_CONS, LIST_NIL, LIST_SHAPE, NIL, Cons, from_pylist
-from destpass.region import alloc_hollow, region_new
+from destpass.region import CellRef, Leaf, alloc_hollow, region_new, write_field
 from destpass.shapes import CtorDescriptor, LeafType, Recursive, ShapeRegistry, TypeShape
 
 from support import structurally_equal
@@ -448,6 +448,21 @@ class LedgerMachine(RuleBasedStateMachine):
             i.alive = False
             assert structurally_equal(value, _value(i.root))
 
+    @rule(data=st.data(), op=st.sampled_from(("write_field", "alloc_hollow")))
+    def raw_write(self, data, op):
+        """A raw write at the cell and index of a Dest, live or consumed:
+        a live one is its hole's one writer, and a consumed one's hole is
+        written or owned by the Dest that took it over."""
+        d = data.draw(st.sampled_from([m for m in self.handles if type(m.obj) is Dest]))
+        cell, index, region = d.obj.cell, d.obj.index, d.region
+        call = {
+            "write_field": lambda: write_field(region, cell, index, Leaf(7)),
+            "alloc_hollow": lambda: alloc_hollow(region, LIST_NIL, cell, index),
+        }[op]
+        before = _field(cell, index)
+        self._call(True, call)
+        assert _field(cell, index) is before
+
     # -- invariants ----------------------------------------------------------
 
     @invariant()
@@ -466,6 +481,28 @@ class LedgerMachine(RuleBasedStateMachine):
                 assert roots.setdefault(m.lineage, root) is root
                 assert root.holes == holes[m.lineage]
         assert len(set(map(id, roots.values()))) == len(roots)
+
+    @invariant()
+    def each_hole_is_counted_once(self):
+        """Per region, the outstanding holes, the live Dests and the holes
+        of the lineage roots agree, and each live Dest's field holds it."""
+        for r in self.regions:
+            live = [m.obj for m in self.handles if m.alive and m.region is r and type(m.obj) is Dest]
+            roots = {
+                id(root): root.holes
+                for m in self.handles
+                if m.lineage is not None and m.region is r
+                for root in (m.obj.lineage.find(),)
+            }
+            assert r.outstanding_holes == len(live) == sum(roots.values())
+            assert all(_field(d.cell, d.index) is d for d in live)
+
+
+def _field(cell, index):
+    """What field ``index`` of a raw cell or a host object holds."""
+    if type(cell) is CellRef:
+        return cell.slots[index]
+    return getattr(cell, REGISTRY.host_fields[type(cell)][index])
 
 
 LedgerMachine.TestCase.settings = settings(

@@ -1,8 +1,12 @@
 """Region core: allocation, write-once fields, decoding, stats."""
 
 import contextlib
+import cProfile
 import gc
+import linecache
+import pstats
 import random
+import traceback
 import tracemalloc
 from dataclasses import dataclass
 
@@ -14,6 +18,7 @@ import destpass.region
 from destpass import (
     CellRef,
     CyclicStructure,
+    DestinationInLeaf,
     DoubleFill,
     FieldIndexOutOfRange,
     IncompleteRead,
@@ -38,7 +43,15 @@ from destpass import (
 )
 from destpass.dlist import Cons, LIST_CONS, LIST_NIL, LIST_SHAPE, NIL
 from destpass.region import WORD
-from destpass.shapes import CtorDescriptor, LeafType, Recursive, ShapeRegistry, TypeShape
+from destpass.sexpr import parse_dps
+from destpass.shapes import (
+    DEFAULT_REGISTRY,
+    CtorDescriptor,
+    LeafType,
+    Recursive,
+    ShapeRegistry,
+    TypeShape,
+)
 
 from support import structurally_equal, too_deep_leaf
 
@@ -195,8 +208,9 @@ _OTHER_LIST_REGISTRY.register(TypeShape("list", (LIST_NIL, _OTHER_LIST_CONS)))
     ("raw cell", LIST_CONS, _PAIR_REGISTRY, RegionMismatch),
     ("raw cell", LIST_NIL, _PAIR_REGISTRY, RegionMismatch),
     ("receiver", _OTHER_LIST_CONS, _OTHER_LIST_REGISTRY, RegionMismatch),
-    # A host object of a class that r2's registry does not build, as a raw call.
-    ("host object", _OTHER_LIST_CONS, _OTHER_LIST_REGISTRY, TypeError),
+    # A host object of a class that r2's registry does not build: the Dest
+    # is another region's, whatever its cell.
+    ("host object", _OTHER_LIST_CONS, _OTHER_LIST_REGISTRY, RegionMismatch),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_a_fill_of_a_dest_of_another_region_changes_nothing(target, ctor, registry, error):
     """A raw fill into a live Dest of another region goes to the generic
@@ -393,8 +407,9 @@ def test_written_fields_do_not_alias_the_callers_wrappers():
 def test_raw_api_refuses_what_is_not_a_cell_with_type_error():
     r = region_new()
     t1, t2 = token_dup2(Token(r))
-    _, consumed = fill(alloc(t1).payload, LIST_CONS)
-    fill_comp(alloc(t2), consumed)  # consumed; its hole is open behind the child's Dest
+    head, consumed = fill(alloc(t1).payload, LIST_CONS)
+    child = alloc(t2)
+    fill_comp(child, consumed)  # consumed; its hole is open behind the child's Dest
     hollow = consumed.cell
     assert type(hollow) is Cons
 
@@ -412,7 +427,7 @@ def test_raw_api_refuses_what_is_not_a_cell_with_type_error():
     with pytest.raises(TypeError):
         read_value(r, hollow)
     assert state() == before
-    assert hollow.head is r.hole and hollow.tail is r.hole
+    assert hollow.head is head and hollow.tail is child.payload
 
 
 def test_a_call_without_a_dest_takes_the_generic_path(monkeypatch):
@@ -719,3 +734,40 @@ def test_refs_stable_under_later_allocations(items, extra):
         alloc_hollow(r, LIST_NIL)
     assert structurally_equal(read_value(r, root), before)
     assert list(before) == items
+
+
+# -- generated code that profilers and tracebacks can tell apart ------------------
+
+
+def test_each_generated_function_has_its_own_file_and_source():
+    """pstats keys a row by file, line and name, so two generated functions
+    that share a file would share a row."""
+    fills = list(DEFAULT_REGISTRY.allocators.values())
+    plugs = [p for by_id in DEFAULT_REGISTRY.plugs.values() for p in by_id.values()]
+    functions = fills + plugs
+    files = [f.__code__.co_filename for f in functions]
+    assert len(set(files)) == len(files) and fills and plugs
+    for f, file in zip(functions, files):
+        what = "fill" if f in fills else "plug"
+        assert file.startswith(f"<destpass {what} ") and f.__qualname__.endswith(f".{what}")
+        assert linecache.getline(file, f.__code__.co_firstlineno).startswith(f"def {what}(")
+    cons = DEFAULT_REGISTRY.allocators[LIST_CONS]
+    assert cons.__code__.co_filename == "<destpass fill list.cons>"
+    assert cons.__qualname__ == "list.cons.fill"
+
+
+def test_a_refused_leaf_copy_in_a_generated_fill_names_its_constructor():
+    r = region_new()
+    d = alloc(Token(r)).payload
+    with pytest.raises(DestinationInLeaf) as info:
+        fill(d, LIST_CONS, [d], ...)
+    text = "".join(traceback.format_exception(info.value))
+    assert 'File "<destpass fill list.cons>"' in text
+    assert "_leaf_copies((v0,))" in text  # its source line
+
+
+def test_a_profile_of_a_parse_has_one_row_per_generated_fill():
+    profile = cProfile.Profile()
+    profile.runcall(parse_dps, b"(1 (2 3) () x)")
+    rows = [f for f, _, _ in pstats.Stats(profile).stats if f.startswith("<destpass fill ")]
+    assert len(rows) == len(set(rows)) >= 2
