@@ -73,9 +73,8 @@ from .region import (
     _check_fillable,
     _minted_only_by,
     _NotALeaf,
-    region_new,
 )
-from .shapes import CtorDescriptor, Recursive, ShapeRegistry
+from .shapes import DEFAULT_REGISTRY, CtorDescriptor, Recursive, ShapeRegistry
 
 _new = object.__new__  # mints a handle without an __init__ frame; every slot is set after
 
@@ -204,13 +203,6 @@ def _consume_token(t: Token, op: str) -> None:
     t.region._tokens_alive -= 1
 
 
-def _consume_incomplete(i: Incomplete, op: str) -> None:
-    if type(i) is not Incomplete or not i.alive or not i.region.alive:
-        _admit(i, Incomplete, op)
-    i.alive = False
-    i.region._incompletes_alive -= 1
-
-
 # -- scope ---------------------------------------------------------------------
 
 
@@ -224,7 +216,7 @@ def with_region(
     checks that the body left no live token, destination, or incomplete and
     raises LinearityLeak otherwise. The region is closed either way.
     """
-    region = region_new(registry=registry)
+    region = Region(DEFAULT_REGISTRY if registry is None else registry)
     token = _new(Token)
     token.region, token.alive = region, True
     region._tokens_alive += 1
@@ -390,13 +382,15 @@ def from_incomplete_(i: Incomplete):
     On failure the incomplete is left alive, so the caller can finish the
     remaining holes and try again. RegionClosed once the region is closed.
     """
-    _check_release(i, "from_incomplete_")
+    if type(i) is not Incomplete or not i.alive or not i.region.alive or i.lineage.holes:
+        _check_release(i, "from_incomplete_")
     if i.payload is not None:
         raise TypeError(
             f"from_incomplete_ needs a unit payload, got {type(i.payload).__name__}"
         )
     value = _region.read_value(i.region, i.root)
-    _consume_incomplete(i, "from_incomplete_")
+    i.alive = False
+    i.region._incompletes_alive -= 1
     return value
 
 
@@ -407,7 +401,8 @@ def from_incomplete(i: Incomplete):
     from the payload, as ``_collect_linear`` searches it. RegionClosed once
     the region is closed.
     """
-    _check_release(i, "from_incomplete")
+    if type(i) is not Incomplete or not i.alive or not i.region.alive or i.lineage.holes:
+        _check_release(i, "from_incomplete")
     payload = i.payload  # a scalar holds no handle
     if type(payload) not in _SCALARS and any(
         getattr(x, "alive", False) for x in _collect_linear(payload)
@@ -416,7 +411,8 @@ def from_incomplete(i: Incomplete):
             "from_incomplete payload still carries live linear values"
         )
     value = _region.read_value(i.region, i.root)
-    _consume_incomplete(i, "from_incomplete")
+    i.alive = False
+    i.region._incompletes_alive -= 1
     return value, payload
 
 
@@ -456,10 +452,8 @@ def fill_leaf(value, d: Dest) -> None:
     incomplete, region cell or hole anywhere: none of them can be copied.
     A value nested too deep to copy raises LeafTooDeep and changes nothing.
     """
-    if type(d) is not Dest or not d.alive:  # its region: write_field checks
+    if type(d) is not Dest or not d.alive:  # its region and kind: write_field checks
         _admit(d, Dest, "fill_leaf")
-    if type(d.kind) is Recursive:
-        _check_fillable(d.kind, None, "a leaf")
     _region.write_field(d.region, d, 0, Leaf(value))
 
 

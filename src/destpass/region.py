@@ -1,7 +1,9 @@
 """Arena heap of immovable, tagged, write-once cells.
 
 A region counts the cells and bytes allocated in it but holds none of them:
-a cell lives as long as something refers to it. A cell is one constructor
+a cell lives as long as something refers to it. A region is one slotted
+object, and its counters are its own slots, which ``region_stats`` copies
+into an ``AllocStats`` snapshot. A cell is one constructor
 application: a constructor plus a fixed number of field slots, each of which
 starts as a hole and is written exactly once, either with a reference to
 another cell of the same region or with a leaf payload that is deep-copied
@@ -48,7 +50,7 @@ from __future__ import annotations
 import copy
 import itertools
 import linecache
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (
     CyclicStructure,
@@ -183,7 +185,8 @@ def _check_fillable(kind: FieldKind | None, type_id: str | None, what: str) -> N
 
 @dataclass
 class AllocStats:
-    """Monotone allocation counters, snapshot via region_stats."""
+    """A snapshot of a region's monotone allocation counters, as
+    ``region_stats`` returns it."""
 
     cells_allocated: int = 0
     bytes_allocated: int = 0
@@ -193,7 +196,17 @@ class AllocStats:
 
 class Region:
     """The scope of a set of immovable cells: counts and checks them, while
-    the host heap holds each one and reclaims it once unreferenced."""
+    the host heap holds each one and reclaims it once unreferenced. Its
+    counters are its own slots, which every charge bumps in place:
+    ``cells_allocated`` (constructor cells, stored nullary ones included),
+    ``receiver_cells``, ``leaf_copies`` (leaf fields written) and
+    ``bytes_allocated`` (the words of every cell and each leaf's charge)."""
+
+    __slots__ = (
+        "region_id", "hole", "registry", "outstanding_holes", "cells_allocated",
+        "bytes_allocated", "leaf_copies", "receiver_cells", "alive", "_handles",
+        "_tokens_alive", "_incompletes_alive",
+    )
 
     def __init__(self, registry: ShapeRegistry) -> None:
         if not isinstance(registry, ShapeRegistry):
@@ -201,19 +214,18 @@ class Region:
         self.region_id = next(_region_ids)
         self.hole = Hole()
         self.registry = registry
-        self.outstanding_holes = 0
-        self.stats = AllocStats()
+        self.outstanding_holes = self.cells_allocated = self.bytes_allocated = 0
+        self.leaf_copies = self.receiver_cells = 0
         self.alive = True
         self._handles = itertools.count()
         # Live tokens and incompletes minted against this region, counted
         # by the builder for its scope audit.
-        self._tokens_alive = 0
-        self._incompletes_alive = 0
+        self._tokens_alive = self._incompletes_alive = 0
 
     def __repr__(self) -> str:
         return (
             f"<Region {self.region_id}: "
-            f"{self.stats.cells_allocated + self.stats.receiver_cells} cells, "
+            f"{self.cells_allocated + self.receiver_cells} cells, "
             f"{self.outstanding_holes} holes>"
         )
 
@@ -225,8 +237,8 @@ class Region:
 
     def _alloc_receiver(self) -> CellRef:
         """Allocate a root-receiver indirection cell (not a user cell)."""
-        self.stats.receiver_cells += 1
-        self.stats.bytes_allocated += 2 * WORD
+        self.receiver_cells += 1
+        self.bytes_allocated += 2 * WORD
         self.outstanding_holes += 1
         receiver = object.__new__(CellRef)
         receiver.region_id = self.region_id
@@ -253,10 +265,11 @@ class Region:
         Iterative depth-first; a node reachable from itself raises
         CyclicStructure. A copy that fails part way, as on a leaf that holds a
         hole or a handle, is unreachable and owes no writes, so its holes and
-        charges are taken back out of ``outstanding_holes`` and ``stats``.
+        charges are taken back out of ``outstanding_holes`` and the counters.
         """
         self._require_alive()
-        holes, stats = self.outstanding_holes, replace(self.stats)
+        saved = (self.outstanding_holes, self.cells_allocated, self.bytes_allocated,
+                 self.leaf_copies, self.receiver_cells)
         holder = object.__new__(CellRef)  # uncharged, so no handle
         holder.region_id, holder.handle, holder.ctor, holder.slots = (
             self.region_id, -1, _INDIRECTION, [self.hole])
@@ -290,7 +303,8 @@ class Region:
                 for i, kind in reversed(ctor.kids):
                     stack.append((cell, i, parts[i], kind.type_id))
         except BaseException:
-            self.outstanding_holes, self.stats = holes, stats
+            (self.outstanding_holes, self.cells_allocated, self.bytes_allocated,
+             self.leaf_copies, self.receiver_cells) = saved
             raise
         return holder
 
@@ -500,9 +514,9 @@ def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, args)
             obj.region_id, obj.handle, obj.ctor, obj.slots = (
                 region.region_id, next(region._handles), c, node)
         fields[i] = obj
-    region.stats.bytes_allocated += charge
-    region.stats.cells_allocated += cells
-    region.stats.leaf_copies += copies
+    region.bytes_allocated += charge
+    region.cells_allocated += cells
+    region.leaf_copies += copies
     region.outstanding_holes += holes
     value = top[0]
     if into is None:
@@ -539,11 +553,10 @@ def fill(region, dest, args):
     if lineage.parent is not None:
         lineage = lineage.find()
 {build}
-    stats = region.stats
-    stats.bytes_allocated += charge
-    stats.cells_allocated += cells
+    region.bytes_allocated += charge
+    region.cells_allocated += cells
     if copies:
-        stats.leaf_copies += copies
+        region.leaf_copies += copies
     region.outstanding_holes += holes
     if name is None:
         into.slots[0] = obj
@@ -746,8 +759,9 @@ def _store(region: Region, cell, key, value) -> None:
 
 def write_field(region: Region, cell, index: int, value) -> None:
     """Write one hole of this region forever (else RegionMismatch), with a
-    ``Leaf`` or a cell: a live ``Dest``'s (UseAfterConsume once consumed),
-    which the write consumes and counts closed on its lineage root, or field
+    ``Leaf`` or a cell: a live ``Dest``'s (UseAfterConsume once consumed;
+    first of all, UnknownCtor for a ``Leaf`` into a ``Recursive`` hole), which the write
+    consumes and counts closed on its lineage root, or field
     ``index`` of a ``CellRef`` or host object that no ``Dest`` holds (else
     TypeError). The field keeps a scalar payload as given and deep-copies
     any other, which raises DestinationInLeaf on a hole, region cell or
@@ -755,6 +769,8 @@ def write_field(region: Region, cell, index: int, value) -> None:
     a raw cell of this region (else RegionMismatch), and holds a receiver's
     value in its place. TypeError on anything else, an empty receiver, a
     raw cell into a host object, or an index that is no int."""
+    if type(cell) is Dest and type(cell.kind) is Recursive and isinstance(value, Leaf):
+        _check_fillable(cell.kind, None, "a leaf")  # first, as a fill checks its kind
     key = _hole(region, cell, index)
     dest, cell = (cell, cell.cell) if type(cell) is Dest else (None, cell)
     if isinstance(value, Leaf):
@@ -763,8 +779,8 @@ def write_field(region: Region, cell, index: int, value) -> None:
             charge = WORD
         else:
             (value,), charge = _leaf_copies((value,))
-        region.stats.bytes_allocated += charge
-        region.stats.leaf_copies += 1
+        region.bytes_allocated += charge
+        region.leaf_copies += 1
     elif type(value) is CellRef:
         if value.ctor is _INDIRECTION and isinstance(value.slots[0], (Hole, Dest)):
             raise TypeError(f"empty receiver {value!r} has no value to write")
@@ -878,7 +894,10 @@ def read_value(region: Region, root: CellRef):
 
 
 def region_stats(region: Region) -> AllocStats:
-    """Snapshot of the allocation counters."""
+    """A new snapshot of the region's allocation counters."""
     if not isinstance(region, Region):
         raise _no_region(region)
-    return replace(region.stats)
+    return AllocStats(
+        cells_allocated=region.cells_allocated, bytes_allocated=region.bytes_allocated,
+        leaf_copies=region.leaf_copies, receiver_cells=region.receiver_cells,
+    )

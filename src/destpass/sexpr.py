@@ -32,6 +32,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 from .builder import alloc, fill, fill_leaf, from_incomplete, map_b, with_region
@@ -40,25 +41,25 @@ from .region import region_stats
 from .shapes import DEFAULT_REGISTRY, CtorDescriptor, LeafType, Recursive, TypeShape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SList:
     end_pos: int
     children: Any  # linked list of SExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SInteger:
     end_pos: int
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SString:
     end_pos: int
     text: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SSymbol:
     end_pos: int
     text: bytes
@@ -349,6 +350,15 @@ def _parse_sexpr_dps(bs: bytes, i: int, d):
             i += 1
 
 
+def _parse_in_region(bs: bytes, start: int, stats_out: dict | None, token):
+    """The body of ``parse_dps``'s region: (the value, the outcome)."""
+    inc = map_b(alloc(token), partial(_parse_sexpr_dps, bs, start))
+    value, outcome = from_incomplete(inc)
+    if stats_out is not None:
+        stats_out["stats"] = region_stats(token.region)
+    return value, outcome
+
+
 def parse_dps(data: bytes, *, stats_out: dict | None = None):
     """Parse like ``parse_naive`` but build the AST top-down in a region.
 
@@ -358,17 +368,7 @@ def parse_dps(data: bytes, *, stats_out: dict | None = None):
     counters (one cell per AST node, no accumulator cells).
     """
     bs = _as_bytes(data)
-    start = _skip_ws(bs, 0)
-
-    def run(token):
-        region = token.region
-        inc = map_b(alloc(token), lambda d: _parse_sexpr_dps(bs, start, d))
-        value, outcome = from_incomplete(inc)
-        if stats_out is not None:
-            stats_out["stats"] = region_stats(region)
-        return value, outcome
-
-    value, outcome = with_region(run)
+    value, outcome = with_region(partial(_parse_in_region, bs, _skip_ws(bs, 0), stats_out))
     if isinstance(outcome, ParseError):
         return outcome
     return value

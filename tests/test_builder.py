@@ -812,6 +812,38 @@ def test_a_write_through_a_dest_of_another_region_is_refused():
     assert from_incomplete(i)[0] == 1
 
 
+def test_a_leaf_written_through_a_recursive_dest_is_refused():
+    """A list's tail hole takes a list, so a raw leaf write through its Dest
+    fails as ``fill_leaf`` does, and changes nothing: it once released
+    ``Cons(1, 5)``."""
+    r = region_new()
+    i = alloc(Token(r))
+    hd, tl = fill(i.payload, LIST_CONS)
+    _refused(lambda: write_field(r, tl, 0, Leaf(5)), [r], [i, hd, tl], UnknownCtor)
+    fill_leaf(1, hd)
+    fill(tl, LIST_NIL)
+    assert from_incomplete(i)[0] == Cons(1, NIL)
+
+
+def test_a_leaf_into_a_recursive_hole_is_refused_before_the_region_is_checked():
+    """``fill_leaf`` names the kind first, as a fill does, even for a Dest kept
+    past a failed scope."""
+    kept = []
+
+    def body(t):
+        kept.extend(fill(alloc(t).payload, LIST_CONS))
+        raise RuntimeError("leave the scope with both still live")
+
+    with pytest.raises(RuntimeError):
+        with_region(body)
+    hd, tl = kept
+    with pytest.raises(UnknownCtor):
+        fill_leaf(5, tl)
+    with pytest.raises(RegionClosed):
+        fill_leaf(5, hd)
+    assert hd.alive and tl.alive
+
+
 def test_an_empty_child_plugged_into_a_field_leaves_its_dest_there():
     """The empty child's receiver Dest takes over the field's hole, and the
     field holds it, so a raw write there is refused as at any owned hole."""
@@ -1291,6 +1323,23 @@ def test_failed_into_incomplete_leaves_no_holes_to_audit():
         return 0
 
     assert with_region(body) == 0
+
+
+def test_a_refused_copy_takes_back_every_counter():
+    """The copy charges the outer cons before the inner one's leaf, which
+    holds a Dest, refuses: the region's counters are all taken back."""
+
+    def body(t):
+        t1, t2 = token_dup2(t)
+        i = alloc(t1)
+        d = i.payload
+        copy = lambda: into_incomplete(t2, Cons(1, Cons([d], NIL)), "list")  # noqa: E731
+        _refused(copy, [t.region], [t2, i, d])
+        token_consume(t2)
+        fill(d, LIST_NIL)
+        return from_incomplete(i)[0]
+
+    assert with_region(body) == NIL
 
 
 def test_into_incomplete_of_cyclic_value_is_cyclic_structure():
@@ -1874,7 +1923,10 @@ def _fill_once(registry, ctor, args, target, refusal):
     elif refusal == "closed":
         region._close()
     elif refusal == "filled":  # through its Dest, the one writer of its hole
-        write_field(region, d, 0, Leaf(0))
+        if type(d.kind) is Recursive:  # which refuses a leaf
+            _finish(d, registry)
+        else:
+            write_field(region, d, 0, Leaf(0))
     call = lambda: fill(d, ctor, *args)  # noqa: E731
     if refusal == "consumed":  # d's hole stays open, now behind e
         fill_comp(j, d)

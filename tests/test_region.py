@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import destpass.region
 from destpass import (
+    AllocStats,
     CellRef,
     CyclicStructure,
     DestinationInLeaf,
@@ -73,6 +74,20 @@ def test_new_region_is_empty():
     s = region_stats(r)
     assert (s.cells_allocated, s.bytes_allocated, s.leaf_copies) == (0, 0, 0)
     assert s.receiver_cells == 0
+
+
+def test_a_region_keeps_its_counters_in_its_own_slots():
+    r = region_new()
+    assert not hasattr(r, "__dict__")
+    i = alloc(Token(r))
+    snapshot = region_stats(r)
+    assert snapshot == AllocStats(
+        r.cells_allocated, r.bytes_allocated, r.leaf_copies, r.receiver_cells
+    ) == AllocStats(0, 2 * WORD, 0, 1)
+    assert region_stats(r) is not snapshot
+    fill(i.payload, LIST_CONS, 1, LIST_NIL)  # a cons cell, its leaf and a nil
+    assert snapshot == AllocStats(0, 2 * WORD, 0, 1)
+    assert region_stats(r) == AllocStats(2, 7 * WORD, 1, 1)
 
 
 def test_handles_stay_valid_across_many_allocations():

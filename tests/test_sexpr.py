@@ -1,7 +1,12 @@
 """Parsers, printer, and generator for s-expressions."""
 
+import copy
+import dataclasses
 import gc
+import pickle
+import platform
 import random
+import statistics
 import tracemalloc
 
 import pytest
@@ -11,6 +16,10 @@ from hypothesis import strategies as st
 from destpass import sexpr, sexpr_cli
 from destpass.dlist import NIL, Cons, from_pylist, to_pylist
 from destpass.sexpr import (
+    SEXPR_SINTEGER,
+    SEXPR_SLIST,
+    SEXPR_SSTRING,
+    SEXPR_SSYMBOL,
     InvalidAtom,
     ParseError,
     SInteger,
@@ -27,6 +36,7 @@ from destpass.sexpr import (
     reset_counters,
     reversal_count,
 )
+from destpass.shapes import DEFAULT_REGISTRY
 
 from support import count_sexpr_cells, mutate_bytes, structurally_equal
 
@@ -166,6 +176,48 @@ def test_dps_peak_memory_on_a_flat_list_is_below_the_naive_peak():
     data = b"(" + b" ".join(b"%d" % i for i in range(2**12)) + b")"
     naive, dps = _peak_bytes(parse_naive, data), _peak_bytes(parse_dps, data)
     assert dps <= 0.9 * naive, f"dps peak {dps} B vs naive {naive} B"
+
+
+_NODES = {
+    "SList": SList(4, Cons(SInteger(1, 7), Cons(SSymbol(3, b"a"), NIL))),
+    "SInteger": SInteger(0, -7),
+    "SString": SString(3, b'x"'),
+    "SSymbol": SSymbol(0, b"a"),
+}
+
+
+@pytest.mark.parametrize("node", _NODES.values(), ids=_NODES)
+def test_ast_nodes_are_slotted_and_round_trip(node):
+    assert not hasattr(node, "__dict__")
+    assert pickle.loads(pickle.dumps(node)) == node
+    assert copy.deepcopy(node) == node
+    assert node != dataclasses.replace(node, end_pos=node.end_pos + 1)
+
+
+def test_ast_constructors_still_build_in_place():
+    for ctor in (SEXPR_SLIST, SEXPR_SINTEGER, SEXPR_SSTRING, SEXPR_SSYMBOL):
+        assert ctor in DEFAULT_REGISTRY.allocators
+    assert type(parse_dps(b"(1)").children.head) is SInteger
+
+
+@pytest.mark.skipif(
+    platform.python_implementation() != "CPython", reason="pins CPython object sizes"
+)
+def test_one_parse_holds_little_besides_its_value():
+    """What one ``parse_dps`` call keeps alive beyond its result: a slotted
+    region, its token and receiver, and no closure. Measured as perfbench
+    measures a message, warm and with tracemalloc running."""
+    tracemalloc.start()
+    try:
+        peaks = []
+        for _ in range(50):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            parse_dps(b"()")
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert statistics.median(peaks) <= 1024, peaks
 
 
 # Per input: its fills and fill_leaf calls, and the cells, bytes and leaf
