@@ -72,6 +72,8 @@ class BenchCase:
             )
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.warmup < 0:
+            raise ValueError("warmup must be >= 0")
 
 
 @dataclass(frozen=True)

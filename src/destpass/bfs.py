@@ -47,9 +47,11 @@ def map_accum_bfs(
     """Map ``f`` over node values in breadth-first order, threading a state.
 
     ``f(state, value) -> (state, mapped)``. Returns ``(new_tree, final_state)``
-    where the new tree has exactly the input's shape. A ``tree`` with a node
-    that is neither a ``Node`` nor None, an ``f`` that returns no pair, or a
-    mapped value that is ``...`` (no leaf can hold it), raises TypeError.
+    where the new tree has exactly the input's shape. ``tree`` must be a
+    tree: a node reached twice is visited twice, and a cycle never ends. A
+    ``tree`` with a node that is neither a ``Node`` nor None, an ``f`` that
+    returns no pair, or a mapped value that is ``...`` (no leaf can hold
+    it), raises TypeError.
     When ``counters`` is given, ``counters["visits"]`` is set to the number
     of nodes dequeued and ``counters["stats"]`` to the region's allocation
     counters.
@@ -105,13 +107,16 @@ def map_accum_bfs(
 
 
 def relabel_dps(tree: Node | None) -> Node | None:
-    """Replace node values with 1..n in breadth-first order, single pass."""
+    """Replace node values with 1..n in breadth-first order, single pass.
+    ``tree`` must be a tree, as ``map_accum_bfs`` requires."""
     out, _ = map_accum_bfs(lambda st, _x: (st + 1, st), 1, tree)
     return out
 
 
 def relabel_two_pass(tree: Node | None) -> Node | None:
-    """Baseline relabeling: one pass to count level order, one to rebuild."""
+    """Baseline relabeling: one pass to count level order, one to rebuild.
+    ``tree`` must be a tree: a shared node keeps its last label, and a cycle
+    never ends."""
     order: list[Node] = []
     queue = deque([tree])
     while queue:

@@ -125,7 +125,7 @@ class Token(_NotALeaf):
 
     def __repr__(self) -> str:
         state = "live" if self.alive else "consumed"
-        return f"<Token region={self.region.region_id} {state}>"
+        return f"<Token of {self.region!r} {state}>"
 
 
 class Incomplete(_NotALeaf):
@@ -141,10 +141,7 @@ class Incomplete(_NotALeaf):
 
     def __repr__(self) -> str:
         state = "live" if self.alive else "consumed"
-        return (
-            f"<Incomplete root={self.root.handle} "
-            f"holes={self.holes_outstanding} {state}>"
-        )
+        return f"<Incomplete holes={self.holes_outstanding} {state}>"
 
 
 # -- linear-value scanning ----------------------------------------------------
@@ -480,7 +477,7 @@ def fill_comp(child: Incomplete, d: Dest):
     region = d.region
     receiver = child.root
     if child.region is not region:
-        raise region._foreign(receiver, "incomplete")
+        raise region._foreign("incomplete")
     kind = d.kind
     moved = receiver.slots[0]
     if type(moved) is Dest:  # child is empty: its receiver's Dest takes d's hole

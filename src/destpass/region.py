@@ -10,9 +10,9 @@ another cell of the same region or with a leaf payload that is deep-copied
 into the region at write time. A hole, a region cell and a linear handle
 each refuse that copy (``DestinationInLeaf``), at any depth in the payload.
 
-A raw cell is a single object, a ``CellRef``: its region's id, its handle
-(its index in allocation order), its constructor and its slots. Cells never
-move, so a cell stays valid for the region's whole lifetime.
+A raw cell is a single object, a ``CellRef``: its region, its constructor
+and its slots. It is its own name, as a region is: neither is numbered.
+Cells never move, so a cell stays valid for the region's whole lifetime.
 
 A field, of a raw cell or of a host object, holds what a host object's
 field holds. A hole that a builder operation opened holds its ``Dest``, its
@@ -28,11 +28,10 @@ It stands for what it holds: ``write_field`` stores that value in its place.
 Written into a receiver or into a host object, a constructor that builds in
 place (see ``shapes``) is allocated as its final host object, its
 ``__init__`` never run, each field written with the setter the registry
-records for its class; it is charged exactly as a raw cell and has no
-handle. The function generated for each such constructor (``_compile``) is
-its whole fill, given the builder ``Dest`` of the hole, which is defined
-here for that reason: a fill is one region call, and its ``Dest`` is the one
-name of its hole.
+records for its class; it is charged exactly as a raw cell. The function
+generated for each such constructor (``_compile``) is its whole fill, given
+the builder ``Dest`` of the hole, which is defined here for that reason: a
+fill is one region call, and its ``Dest`` is the one name of its hole.
 
 Decoding (``read_value``) walks the raw cell graph, checks that no
 reachable hole remains and that the graph is acyclic, and rebuilds the host
@@ -48,7 +47,6 @@ none of these operations synchronize.
 from __future__ import annotations
 
 import copy
-import itertools
 import linecache
 from dataclasses import dataclass
 
@@ -74,8 +72,6 @@ from .shapes import (
 )
 
 WORD = 8
-
-_region_ids = itertools.count(1)
 
 
 class _NotALeaf:
@@ -128,18 +124,21 @@ def _minted_only_by(operations: str):
 
 
 class CellRef(_NotALeaf):
-    """One cell of one region: its region's id, its constructor and its
+    """One cell of one region: its ``Region``, its constructor and its
     field slots. Minted only by the operations that account for it.
 
-    Compared and hashed by identity; ``handle`` is its index in the region's
-    allocation order.
+    Compared and hashed by identity; ``handle`` is ``id(cell)``.
     """
 
-    __slots__ = ("region_id", "handle", "ctor", "slots")
+    __slots__ = ("region", "ctor", "slots")
     __init__ = _minted_only_by("alloc_hollow, alloc and into_incomplete")
 
+    @property
+    def handle(self) -> int:
+        return id(self)
+
     def __repr__(self) -> str:
-        return f"<CellRef {self.ctor.name} {self.region_id}:{self.handle}>"
+        return f"<CellRef {self.ctor.name} at {id(self):#x}>"
 
 
 class Dest(_NotALeaf):
@@ -158,7 +157,7 @@ class Dest(_NotALeaf):
     def __repr__(self) -> str:
         state = "live" if self.alive else "consumed"
         cell = self.cell
-        where = cell.handle if isinstance(cell, CellRef) else type(cell).__name__
+        where = cell.ctor.name if isinstance(cell, CellRef) else type(cell).__name__
         return f"<Dest cell={where}[{self.index}] {state}>"
 
 
@@ -203,28 +202,25 @@ class Region:
     ``bytes_allocated`` (the words of every cell and each leaf's charge)."""
 
     __slots__ = (
-        "region_id", "hole", "registry", "outstanding_holes", "cells_allocated",
-        "bytes_allocated", "leaf_copies", "receiver_cells", "alive", "_handles",
-        "_tokens_alive", "_incompletes_alive",
+        "hole", "registry", "outstanding_holes", "cells_allocated", "bytes_allocated",
+        "leaf_copies", "receiver_cells", "alive", "_tokens_alive", "_incompletes_alive",
     )
 
     def __init__(self, registry: ShapeRegistry) -> None:
         if not isinstance(registry, ShapeRegistry):
             raise TypeError(f"expected a ShapeRegistry, got {type(registry).__name__}")
-        self.region_id = next(_region_ids)
         self.hole = Hole()
         self.registry = registry
         self.outstanding_holes = self.cells_allocated = self.bytes_allocated = 0
         self.leaf_copies = self.receiver_cells = 0
         self.alive = True
-        self._handles = itertools.count()
         # Live tokens and incompletes minted against this region, counted
         # by the builder for its scope audit.
         self._tokens_alive = self._incompletes_alive = 0
 
     def __repr__(self) -> str:
         return (
-            f"<Region {self.region_id}: "
+            f"<Region at {id(self):#x}: "
             f"{self.cells_allocated + self.receiver_cells} cells, "
             f"{self.outstanding_holes} holes>"
         )
@@ -233,7 +229,7 @@ class Region:
 
     def _require_alive(self):
         if not self.alive:
-            raise RegionClosed(f"region {self.region_id} is closed")
+            raise RegionClosed(f"{self!r} is closed")
 
     def _alloc_receiver(self) -> CellRef:
         """Allocate a root-receiver indirection cell (not a user cell)."""
@@ -241,16 +237,13 @@ class Region:
         self.bytes_allocated += 2 * WORD
         self.outstanding_holes += 1
         receiver = object.__new__(CellRef)
-        receiver.region_id = self.region_id
-        receiver.handle = next(self._handles)
+        receiver.region = self
         receiver.ctor = _INDIRECTION
         receiver.slots = [self.hole]
         return receiver
 
-    def _foreign(self, cell: CellRef, what: str) -> RegionMismatch:
-        return RegionMismatch(
-            f"{what} of region {cell.region_id} used in region {self.region_id}"
-        )
+    def _foreign(self, what: str) -> RegionMismatch:
+        return RegionMismatch(f"{what} of another region used in {self!r}")
 
     def _close(self) -> None:
         self.alive = False
@@ -258,9 +251,9 @@ class Region:
     def copy_value(self, value, type_id: str) -> CellRef:
         """Structurally copy a complete host value into fresh region cells.
 
-        Returns an uncharged receiver (no handle) whose hole holds the copy,
-        written exactly as the fills of a build would write it: host objects
-        for a type that builds in place, else raw cells. Leaf fields become
+        Returns an uncharged receiver whose hole holds the copy, written
+        exactly as the fills of a build would write it: host objects for a
+        type that builds in place, else raw cells. Leaf fields become
         region-owned leaf copies; a node reached twice is copied twice.
         Iterative depth-first; a node reachable from itself raises
         CyclicStructure. A copy that fails part way, as on a leaf that holds a
@@ -270,9 +263,8 @@ class Region:
         self._require_alive()
         saved = (self.outstanding_holes, self.cells_allocated, self.bytes_allocated,
                  self.leaf_copies, self.receiver_cells)
-        holder = object.__new__(CellRef)  # uncharged, so no handle
-        holder.region_id, holder.handle, holder.ctor, holder.slots = (
-            self.region_id, -1, _INDIRECTION, [self.hole])
+        holder = object.__new__(CellRef)  # uncharged
+        holder.region, holder.ctor, holder.slots = self, _INDIRECTION, [self.hole]
         self.outstanding_holes += 1
         on_path: set[int] = set()  # ids of the host nodes being copied
         # Entries: (cell, field index, host node, type id) to copy the node
@@ -511,8 +503,7 @@ def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, args)
                 put(obj, name, v)
         else:
             obj = object.__new__(CellRef)
-            obj.region_id, obj.handle, obj.ctor, obj.slots = (
-                region.region_id, next(region._handles), c, node)
+            obj.region, obj.ctor, obj.slots = region, c, node
         fields[i] = obj
     region.bytes_allocated += charge
     region.cells_allocated += cells
@@ -713,14 +704,14 @@ def _hole(region: Region, cell, index: int):
             region._require_alive()
         if type(cell) is Dest:
             if cell.region is not region:
-                raise RegionMismatch(f"a Dest of another region used in region {region.region_id}")
+                raise region._foreign("a Dest")
             if not cell.alive:
                 raise UseAfterConsume("a write through an already-consumed Dest")
             cell, index = cell.cell, cell.index
             return index if type(cell) is CellRef else region.registry.host_fields[type(cell)][index]
         if type(cell) is CellRef:
-            if cell.region_id != region.region_id:
-                raise region._foreign(cell, "cell")
+            if cell.region is not region:
+                raise region._foreign("cell")
             names, arity = None, len(cell.slots)
         else:
             names = region.registry.host_fields.get(type(cell))
@@ -745,7 +736,7 @@ def _hole(region: Region, cell, index: int):
     if type(slot) is Dest and slot.region is region:
         raise TypeError(f"field {index} of {what} is the hole of {slot!r}; only it writes there")
     if type(slot) is Hole or type(slot) is Dest:  # another region's: a raw cell's is checked above
-        raise RegionMismatch(f"{what} of another region used in region {region.region_id}")
+        raise region._foreign(what)
     raise DoubleFill(f"field {index} of {what} already written")
 
 
@@ -784,8 +775,8 @@ def write_field(region: Region, cell, index: int, value) -> None:
     elif type(value) is CellRef:
         if value.ctor is _INDIRECTION and isinstance(value.slots[0], (Hole, Dest)):
             raise TypeError(f"empty receiver {value!r} has no value to write")
-        if value.region_id != region.region_id:
-            raise region._foreign(value, "reference")
+        if value.region is not region:
+            raise region._foreign("reference")
         if value.ctor is _INDIRECTION:
             value = value.slots[0]
         if type(value) is CellRef and type(cell) is not CellRef:
@@ -842,28 +833,28 @@ def read_value(region: Region, root: CellRef):
         raise TypeError(f"read_value expects a CellRef, got {type(root).__name__}")
     if not isinstance(region, Region):
         raise _no_region(region)
-    if root.region_id != region.region_id:
-        raise region._foreign(root, "cell")
+    if root.region is not region:
+        raise region._foreign("cell")
     hosts = [] if region.outstanding_holes else None  # what to scan for a hole
     if root.ctor is _INDIRECTION:
         content = root.slots[0]
         if content is region.hole or type(content) is Dest:
-            raise IncompleteRead(f"hole at field 0 of receiver cell {root.handle}")
+            raise IncompleteRead(f"hole at field 0 of receiver {root!r}")
         if type(content) is not CellRef:
             if hosts is not None:
                 _scan_hosts(region, (content,))
             return content
         root = content
-    values: dict = {}  # by handle: _ON_PATH, then the decoded value
+    values: dict = {}  # by cell: _ON_PATH, then the decoded value
     # Entries: a cell to enter, (cell, index) of a hole, in slot order, or
     # (cell, None) to complete an entered cell once its children are done.
     stack: list = [root]
     while stack:
         cell = stack.pop()
         if type(cell) is CellRef:
-            if cell.handle in values:
-                if values[cell.handle] is _ON_PATH:
-                    raise CyclicStructure(f"cell {cell.handle} is reachable from itself")
+            if cell in values:
+                if values[cell] is _ON_PATH:
+                    raise CyclicStructure(f"{cell!r} is reachable from itself")
                 continue
             slots = cell.slots
             base = len(stack)
@@ -876,21 +867,19 @@ def read_value(region: Region, root: CellRef):
                 elif hosts is not None:
                     hosts.append(slot)
             if len(stack) > base:
-                values[cell.handle] = _ON_PATH
+                values[cell] = _ON_PATH
                 stack.insert(base, (cell, None))
                 continue
         else:
             cell, idx = cell
             if idx is not None:
-                raise IncompleteRead(
-                    f"hole at field {idx} of {cell.ctor.name} cell {cell.handle}"
-                )
-        values[cell.handle] = cell.ctor.make(
-            *[values[s.handle] if type(s) is CellRef else s for s in cell.slots]
+                raise IncompleteRead(f"hole at field {idx} of {cell!r}")
+        values[cell] = cell.ctor.make(
+            *[values[s] if type(s) is CellRef else s for s in cell.slots]
         )
     if hosts:
         _scan_hosts(region, hosts)
-    return values[root.handle]
+    return values[root]
 
 
 def region_stats(region: Region) -> AllocStats:

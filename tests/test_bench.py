@@ -176,7 +176,7 @@ def test_cli_rejects_out_of_bounds_k(capsys):
     assert bench_cli.main(["run", "--case", "sexpr", "--sizes", "5"]) == 1
     assert "outside" in capsys.readouterr().err
     # every plan error is reported before anything runs
-    for bad in (["--reps", "0"], ["--sizes", "6..x"]):
+    for bad in (["--reps", "0"], ["--sizes", "6..x"], ["--warmup", "-1"]):
         assert bench_cli.main(["run", *bad]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""

@@ -161,7 +161,7 @@ def test_minted_handles_set_every_slot_to_its_value():
         expect(t2, region=region, alive=True)
         i = alloc(t1)
         receiver, d, root = i.root, i.payload, i.lineage
-        expect(receiver, region_id=region.region_id, handle=0, ctor=_INDIRECTION, slots=[d])
+        expect(receiver, region=region, ctor=_INDIRECTION, slots=[d])
         expect(i, region=region, root=receiver, payload=d, lineage=root, alive=True)
         expect(d, region=region, cell=receiver, index=0, kind=None, lineage=root, alive=True)
         expect(root, parent=None, holes=1, type_id=None)
@@ -180,8 +180,7 @@ def test_minted_handles_set_every_slot_to_its_value():
                lineage=root, alive=True)
         fill_leaf(3, value)
         j = into_incomplete(t2, Node(4, None, None), "tree")
-        expect(j.root, region_id=region.region_id, handle=-1, ctor=_INDIRECTION,
-               slots=[Node(4, None, None)])
+        expect(j.root, region=region, ctor=_INDIRECTION, slots=[Node(4, None, None)])
         expect(j, region=region, root=j.root, payload=None, lineage=j.lineage, alive=True)
         expect(j.lineage, parent=None, holes=0, type_id="tree")
         assert fill_comp(j, right) is None
@@ -192,8 +191,7 @@ def test_minted_handles_set_every_slot_to_its_value():
     def raw_cell(t):  # a constructor that does not build in place
         i = alloc(t)
         tail = fill(i.payload, _LAMBDA_PAIR, 1, ...)
-        expect(tail.cell, region_id=t.region.region_id, handle=1, ctor=_LAMBDA_PAIR,
-               slots=[1, tail])
+        expect(tail.cell, region=t.region, ctor=_LAMBDA_PAIR, slots=[1, tail])
         expect(tail, region=t.region, cell=tail.cell, index=1, kind=_LAMBDA_PAIR.fields[1],
                lineage=i.lineage, alive=True)
         fill(tail, _LAMBDA_NIL)
@@ -201,8 +199,8 @@ def test_minted_handles_set_every_slot_to_its_value():
 
     assert with_region(raw_cell, registry=_LAMBDA_REGISTRY) == (1, None)
     region = region_new()
-    expect(alloc_hollow(region, LIST_CONS), region_id=region.region_id, handle=0,
-           ctor=LIST_CONS, slots=[region.hole] * 2)
+    expect(alloc_hollow(region, LIST_CONS), region=region, ctor=LIST_CONS,
+           slots=[region.hole] * 2)
 
 
 # -- only the library mints a handle ---------------------------------------------

@@ -1,5 +1,10 @@
 """Difference lists: O(1) append/concat via hole plugging, plus baselines."""
 
+import gc
+import platform
+import statistics
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -252,6 +257,37 @@ def test_op_sequences_keep_the_ledger_and_match_the_oracle(steps):
 
 
 # -- baselines ------------------------------------------------------------------
+
+
+@pytest.mark.skipif(
+    platform.python_implementation() != "CPython", reason="pins CPython object sizes"
+)
+def test_a_live_singleton_dlist_holds_little():
+    """4,096 live singleton dlists, built as the dlist-concat benchmark
+    builds them, hold at most 430 B each (median of 5): a raw cell is its
+    own name, so its receiver carries no handle and no region number."""
+    n = 4096
+
+    def body(token):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            singles = []
+            for k in range(n - 1):
+                token, t = token_dup2(token)
+                singles.append(dlist_append(dlist_new(t), k))
+            singles.append(dlist_append(dlist_new(token), n - 1))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        acc = singles[0]
+        for nxt in singles[1:]:
+            acc = dlist_concat(acc, nxt)
+        assert to_pylist(dlist_to_list(acc)) == list(range(n))
+        return held / n
+
+    per_list = statistics.median(with_region(body) for _ in range(5))
+    assert per_list <= 430, f"{per_list:.1f} B per live singleton dlist"
 
 
 def test_linked_list_helpers():

@@ -96,6 +96,9 @@ def test_handles_stay_valid_across_many_allocations():
     # every earlier handle still decodes to the value it was created for
     for ref in refs:
         assert read_value(r, ref) == NIL
+    # each names its own region, and no two cells share a handle
+    assert all(ref.region is r for ref in refs)
+    assert len({ref.handle for ref in refs}) == len(refs)
 
 
 def test_alloc_hollow_cons_has_two_holes():
@@ -492,13 +495,10 @@ def test_a_region_refuses_a_registry_that_is_no_shape_registry(registry):
 
 @pytest.mark.parametrize("registry", [5, None], ids=repr)
 def test_a_region_checks_its_own_registry(registry):
-    """``Region`` refuses what is no ShapeRegistry before it takes an id,
-    so no region holds one, whose first fill would raise a TypeError that
-    names a Region."""
-    first = region_new().region_id
+    """``Region`` refuses what is no ShapeRegistry, so no region holds one,
+    whose first fill would raise a TypeError that names a Region."""
     with pytest.raises(TypeError, match="expected a ShapeRegistry, got"):
         Region(registry)
-    assert region_new().region_id == first + 1
 
 
 def test_read_cost_follows_the_value_not_the_region():
