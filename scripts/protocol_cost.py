@@ -14,7 +14,10 @@ host contention slows them all alike. Printed as one JSON object:
   ``parse_naive(b"1")`` row.
 
 ``with_region(one_sinteger)`` builds one ``SInteger`` through ``alloc``,
-``map_b``, ``fill`` and ``from_incomplete``. destpass is imported from this
+``map_b``, ``fill`` and ``from_incomplete``; ``with_region(empty_list)``
+builds and releases an empty list through ``alloc``, ``map_b``, a nullary
+``fill`` and ``from_incomplete_``, so the root receiver's cost shows on its
+own. destpass is imported from this
 checkout's ``src/``. Compare only numbers taken in one invocation.
 """
 
@@ -34,10 +37,12 @@ from destpass.builder import (  # noqa: E402
     alloc,
     fill,
     from_incomplete,
+    from_incomplete_,
     map_b,
     token_consume,
     with_region,
 )
+from destpass.dlist import LIST_NIL  # noqa: E402
 from destpass.region import Region, region_new  # noqa: E402
 from destpass.sexpr import SEXPR_SINTEGER, parse_dps, parse_naive  # noqa: E402
 from destpass.shapes import DEFAULT_REGISTRY  # noqa: E402
@@ -51,6 +56,7 @@ STATEMENTS = (
     "with_region(one_sinteger)",
     'parse_dps(b"1")',
     'parse_naive(b"1")',
+    "with_region(empty_list)",
 )
 
 
@@ -62,9 +68,18 @@ def one_sinteger(token):
     return from_incomplete(map_b(alloc(token), _fill_sinteger))
 
 
+def _fill_nil(d) -> None:
+    fill(d, LIST_NIL)
+
+
+def empty_list(token):
+    return from_incomplete_(map_b(alloc(token), _fill_nil))
+
+
 NAMESPACE = dict(
     region_new=region_new, Region=Region, DEFAULT_REGISTRY=DEFAULT_REGISTRY,
     with_region=with_region, token_consume=token_consume, one_sinteger=one_sinteger,
+    empty_list=empty_list,
     parse_dps=parse_dps, parse_naive=parse_naive,
 )
 

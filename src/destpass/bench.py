@@ -65,6 +65,10 @@ class BenchCase:
                 f"engine {self.engine!r} not valid for case {self.case} "
                 f"(valid: {', '.join(VALID_ENGINES[self.case])})"
             )
+        for name in ("k", "reps", "warmup"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, not {type(value).__name__}")
         lo, hi = K_BOUNDS[self.case]
         if not lo <= self.k <= hi:
             raise ValueError(

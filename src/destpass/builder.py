@@ -11,21 +11,22 @@ closed, for once ``with_region`` has closed a region and read its counts, no
 operation may change them. A refused call changes nothing, so violations
 never corrupt the region.
 
-Besides the flags, the ledger is one hole count per lineage (``_Lineage``)
-and two tallies on the region, of live tokens and live incompletes. Live
-destinations need no tally of their own: every unfilled hole of a builder
-region holds its one live ``Dest``, the only thing that can write it, so the
-region's ``outstanding_holes`` counts them.
+Besides the flags, the ledger is one hole count per lineage, on its root
+``Receiver`` (see ``region``), and two tallies on the region, of live tokens
+and live incompletes. Live destinations need no tally of their own: every
+unfilled hole of a builder region holds its one live ``Dest``, the only
+thing that can write it, so the region's ``outstanding_holes`` counts them.
 
 Handles are minted with ``object.__new__`` and one store per slot, as the
 generated fill mints its ``Dest``s (see ``region``), and only by the
-operations that account for them: calling ``Dest``, ``Incomplete`` or
-``CellRef``, or copying or pickling any handle, raises TypeError;
+operations that account for them: calling ``Dest``, ``Incomplete``,
+``CellRef`` or ``Receiver``, or copying or pickling any handle, raises
+TypeError;
 ``Token(region)`` is public, and counts itself (RegionClosed on a closed
 region). A live incomplete's lineage
-is always a root: only ``fill_comp`` links a root under another, and it
-consumes the incomplete whose root that was. So only a destination's
-lineage may need ``find``.
+is always a root, its own receiver: only ``fill_comp`` links a root under
+another, and it consumes the incomplete whose root that was. So only a
+destination's lineage may need ``find``.
 
 Consuming operations:
 
@@ -38,8 +39,8 @@ Incomplete      map_b, from_incomplete_, from_incomplete,
                 fill_comp (as the child)
 ==============  =====================================================
 
-Each incomplete's value sits in the hole of its root receiver, a plain
-region cell whose lineage root records what filled it, and a fill builds a
+Each incomplete's value sits in the hole of its root receiver, which is also
+its lineage root and records what filled it, and a fill builds a
 constructor that qualifies (see ``shapes``) as its final host object in
 place. So a release reads the receiver's one slot in O(1) and decodes
 nothing; only a value of a type that does not qualify is decoded from region
@@ -79,37 +80,6 @@ from .shapes import DEFAULT_REGISTRY, CtorDescriptor, Recursive, ShapeRegistry
 _new = object.__new__  # mints a handle without an __init__ frame; every slot is set after
 
 
-class _Lineage:
-    """Union-find node counting one incomplete's outstanding obligations.
-
-    ``holes`` is the number of live destinations of the lineage, and is only
-    meaningful on a root; ``fill_comp`` adds the child's count to the
-    parent's and links the child's root under the parent's, so each lineage
-    has one count.
-
-    A root also stands for its incomplete's one receiver: ``type_id`` is the
-    type of what filled the receiver's hole, None for a leaf or while empty;
-    an empty hole holds its live destination, as every builder hole does.
-    """
-
-    __slots__ = ("parent", "holes", "type_id")
-
-    def __init__(self, type_id: str | None = None) -> None:
-        self.parent: _Lineage | None = None
-        self.holes = 0
-        self.type_id = type_id
-
-    def find(self) -> "_Lineage":
-        node = self
-        while node.parent is not None:
-            node = node.parent
-        # path compression
-        walk = self
-        while walk.parent is not None:
-            walk.parent, walk = node, walk.parent
-        return node
-
-
 class Token(_NotALeaf):
     """Linear capability to mint one incomplete in its region."""
 
@@ -130,9 +100,10 @@ class Token(_NotALeaf):
 
 class Incomplete(_NotALeaf):
     """A structure under construction plus the payload that must be consumed
-    before it becomes readable."""
+    before it becomes readable. ``lineage`` is its ``Receiver``, which holds
+    the structure and, while the incomplete is live, is its lineage root."""
 
-    __slots__ = ("region", "root", "payload", "lineage", "alive")
+    __slots__ = ("region", "payload", "lineage", "alive")
     __init__ = _minted_only_by("alloc, into_incomplete and map_b")
 
     @property
@@ -259,9 +230,10 @@ def token_dup2(t: Token) -> tuple[Token, Token]:
 def alloc(t: Token) -> Incomplete:
     """Exchange a token for an empty incomplete.
 
-    Allocates a root-receiver cell in the region; the returned payload is the
-    single destination pointing at its hole, so whatever fills the
-    destination is exactly the value the incomplete will hold.
+    Allocates a root receiver in the region, the incomplete's lineage root;
+    the returned payload is the single destination pointing at its hole, so
+    whatever fills the destination is exactly the value the incomplete will
+    hold.
     """
     if type(t) is not Token or not t.alive or not t.region.alive:
         _admit(t, Token, "alloc")
@@ -269,23 +241,19 @@ def alloc(t: Token) -> Incomplete:
     region = t.region
     region._tokens_alive -= 1
     receiver = region._alloc_receiver()
-    lineage = _new(_Lineage)
     dest = _new(Dest)
-    lineage.parent = None
-    lineage.holes = 1
-    lineage.type_id = None
-    receiver.slots[0] = dest
+    receiver.value = dest
+    receiver.holes = 1
     dest.region = region
     dest.cell = receiver
     dest.index = 0
     dest.kind = None
-    dest.lineage = lineage
+    dest.lineage = receiver
     dest.alive = True
     i = _new(Incomplete)
     i.region = region
-    i.root = receiver
     i.payload = dest
-    i.lineage = lineage
+    i.lineage = receiver
     i.alive = True
     region._incompletes_alive += 1
     return i
@@ -303,7 +271,7 @@ def into_incomplete(t: Token, value, type_id: str) -> Incomplete:
     root = t.region.copy_value(value, type_id)
     _consume_token(t, "into_incomplete")
     i = _new(Incomplete)
-    i.region, i.root, i.payload, i.lineage, i.alive = t.region, root, None, _Lineage(type_id), True
+    i.region, i.payload, i.lineage, i.alive = t.region, None, root, True
     i.region._incompletes_alive += 1
     return i
 
@@ -355,7 +323,6 @@ def map_b(i: Incomplete, f: Callable[[Any], Any]) -> Incomplete:
             )
     out = _new(Incomplete)
     out.region = region
-    out.root = i.root
     out.payload = new_payload
     out.lineage = root
     out.alive = True
@@ -385,7 +352,7 @@ def from_incomplete_(i: Incomplete):
         raise TypeError(
             f"from_incomplete_ needs a unit payload, got {type(i.payload).__name__}"
         )
-    value = _region.read_value(i.region, i.root)
+    value = _region.read_value(i.region, i.lineage)
     i.alive = False
     i.region._incompletes_alive -= 1
     return value
@@ -407,7 +374,7 @@ def from_incomplete(i: Incomplete):
         raise LinearityLeak(
             "from_incomplete payload still carries live linear values"
         )
-    value = _region.read_value(i.region, i.root)
+    value = _region.read_value(i.region, i.lineage)
     i.alive = False
     i.region._incompletes_alive -= 1
     return value, payload
@@ -457,12 +424,13 @@ def fill_leaf(value, d: Dest) -> None:
 def fill_comp(child: Incomplete, d: Dest):
     """Plug ``child`` into the hole behind ``d`` and return child's payload.
 
-    No cell is allocated and nothing is copied: child's receiver is written
-    into the hole, which takes its value, or, while child is still empty,
-    the live destination of child's receiver moves into the hole. The
-    value must fit the hole's kind as a fill would (else UnknownCtor); an
-    empty child is checked when its destination is filled. The child's
-    remaining destinations re-home into d's lineage before this returns.
+    No cell is allocated and nothing is copied: child's receiver, its
+    lineage root, is written into the hole, which takes its value, or, while
+    child is still empty, the live destination of child's receiver moves
+    into the hole. The value must fit the hole's kind as a fill would (else
+    UnknownCtor); an empty child is checked when its destination is filled.
+    The child's remaining destinations re-home into d's lineage before this
+    returns.
     """
     if type(child) is not Incomplete or not child.alive or not child.region.alive:
         _admit(child, Incomplete, "fill_comp")
@@ -471,18 +439,19 @@ def fill_comp(child: Incomplete, d: Dest):
     parent_root = d.lineage
     if parent_root.parent is not None:  # and d's own link, for write_field
         parent_root = d.lineage = parent_root.find()
-    child_root = child.lineage  # a live incomplete's lineage is a root
+    child_root = child.lineage  # a live incomplete's lineage is its receiver
     if parent_root is child_root:
         raise SelfPlug("incomplete plugged into a destination of its own lineage")
     region = d.region
-    receiver = child.root
     if child.region is not region:
         raise region._foreign("incomplete")
     kind = d.kind
-    moved = receiver.slots[0]
+    moved = child_root.value
     if type(moved) is Dest:  # child is empty: its receiver's Dest takes d's hole
         _region._store(region, d.cell, _region._hole(region, d, 0), moved)
-        moved.cell, moved.index, moved.kind, d.alive = d.cell, d.index, kind, False
+        # and d's lineage, so that no reference cycle runs through child's receiver
+        moved.cell, moved.index, moved.kind, moved.lineage = d.cell, d.index, kind, parent_root
+        d.alive = False
         region.outstanding_holes -= 1  # child's receiver hole is given up
         parent_root.holes -= 1
     else:
@@ -490,7 +459,7 @@ def fill_comp(child: Incomplete, d: Dest):
             type(kind) is not Recursive or kind.type_id != child_root.type_id
         ):
             _check_fillable(kind, child_root.type_id, "the plugged incomplete")
-        _region.write_field(region, d, 0, receiver)
+        _region.write_field(region, d, 0, child_root)
         if kind is None:
             parent_root.type_id = child_root.type_id
     parent_root.holes += child_root.holes

@@ -22,9 +22,10 @@ which it refers to, or the finished value itself: a leaf's payload (the
 region's copy), a nullary constructor's ``make()``, or the value of a filled
 receiver, never a raw cell in a host object's field.
 
-A root receiver, whose one hole takes an incomplete's whole value, is a raw
-cell of the private ``_INDIRECTION`` constructor; there is no receiver type.
-It stands for what it holds: ``write_field`` stores that value in its place.
+A root receiver, whose one hole takes an incomplete's whole value, is one
+``Receiver``: its region, that one field, and the builder's union-find node
+of the incomplete's lineage, of which it is the root. It stands for what it
+holds: ``write_field`` stores that value in its place.
 Written into a receiver or into a host object, a constructor that builds in
 place (see ``shapes``) is allocated as its final host object, its
 ``__init__`` never run, each field written with the setter the registry
@@ -91,11 +92,6 @@ class _NotALeaf:
 # The marker in every unwritten field; each region has its own.
 Hole = type("Hole", (_NotALeaf,), {"__repr__": lambda self: "HOLE", "__slots__": ()})
 
-# The constructor that makes a raw cell a root receiver: one field, which
-# read_value returns as the receiver's value, and which write_field stores
-# where the receiver is written. Never registered.
-_INDIRECTION = CtorDescriptor("_indirection", "_ind", (LeafType("any"),))
-
 _SCALARS = frozenset({int, float, bool, str, bytes, type(None)})  # kept as given, by exact type
 _ONE_WORD = frozenset({int, float, bool, type(None)})  # scalars _nominal_size charges WORD
 
@@ -141,14 +137,42 @@ class CellRef(_NotALeaf):
         return f"<CellRef {self.ctor.name} at {id(self):#x}>"
 
 
+class Receiver(_NotALeaf):
+    """The root of one value, and of its incomplete's lineage: its
+    ``Region``; ``value``, its one field, which ``read_value`` returns and
+    ``write_field`` stores where the receiver is written; and the builder's
+    union-find node of the holes the value owes. ``parent`` is None on a
+    root; ``holes``, meaningful on a root only, counts the lineage's live
+    destinations (``fill_comp`` adds a child's count to the parent's and
+    links the child's root under it); ``type_id`` is the type of what filled
+    ``value``, None for a leaf or while empty.
+
+    Minted only by the operations that account for it; compared and hashed
+    by identity.
+    """
+
+    __slots__ = ("region", "value", "parent", "holes", "type_id")
+    __init__ = _minted_only_by("alloc, into_incomplete and _alloc_receiver")
+
+    def find(self) -> "Receiver":
+        node = self
+        while node.parent is not None:
+            node = node.parent
+        # path compression
+        walk = self
+        while walk.parent is not None:
+            walk.parent, walk = node, walk.parent
+        return node
+
+
 class Dest(_NotALeaf):
     """The builder's handle to exactly one unfilled hole of one region;
     consumable exactly once (see ``builder``), and minted only by the
     operations that open that hole.
 
-    ``region`` is the hole's region; ``cell`` is a region cell or a host
-    object under construction; ``kind`` is None exactly when the hole is a
-    receiver's; ``lineage`` is the builder's count of the holes it belongs to.
+    ``region`` is the hole's region; ``cell`` is a region cell, a receiver
+    or a host object under construction; ``kind`` is None exactly when the
+    hole is a receiver's; ``lineage`` is a receiver whose lineage counts it.
     """
 
     __slots__ = ("region", "cell", "index", "kind", "lineage", "alive")
@@ -231,15 +255,17 @@ class Region:
         if not self.alive:
             raise RegionClosed(f"{self!r} is closed")
 
-    def _alloc_receiver(self) -> CellRef:
-        """Allocate a root-receiver indirection cell (not a user cell)."""
+    def _alloc_receiver(self) -> Receiver:
+        """Allocate and charge an empty root receiver (not a user cell)."""
         self.receiver_cells += 1
         self.bytes_allocated += 2 * WORD
         self.outstanding_holes += 1
-        receiver = object.__new__(CellRef)
+        receiver = object.__new__(Receiver)
         receiver.region = self
-        receiver.ctor = _INDIRECTION
-        receiver.slots = [self.hole]
+        receiver.value = self.hole
+        receiver.parent = None
+        receiver.holes = 0
+        receiver.type_id = None
         return receiver
 
     def _foreign(self, what: str) -> RegionMismatch:
@@ -248,10 +274,11 @@ class Region:
     def _close(self) -> None:
         self.alive = False
 
-    def copy_value(self, value, type_id: str) -> CellRef:
+    def copy_value(self, value, type_id: str) -> Receiver:
         """Structurally copy a complete host value into fresh region cells.
 
-        Returns an uncharged receiver whose hole holds the copy, written
+        Returns an uncharged receiver, a lineage root that owes nothing and
+        was filled by ``type_id``, whose hole holds the copy, written
         exactly as the fills of a build would write it: host objects for a
         type that builds in place, else raw cells. Leaf fields become
         region-owned leaf copies; a node reached twice is copied twice.
@@ -263,8 +290,9 @@ class Region:
         self._require_alive()
         saved = (self.outstanding_holes, self.cells_allocated, self.bytes_allocated,
                  self.leaf_copies, self.receiver_cells)
-        holder = object.__new__(CellRef)  # uncharged
-        holder.region, holder.ctor, holder.slots = self, _INDIRECTION, [self.hole]
+        holder = object.__new__(Receiver)  # uncharged
+        holder.region, holder.value, holder.parent, holder.holes = self, self.hole, None, 0
+        holder.type_id = type_id
         self.outstanding_holes += 1
         on_path: set[int] = set()  # ids of the host nodes being copied
         # Entries: (cell, field index, host node, type id) to copy the node
@@ -387,9 +415,9 @@ def alloc_hollow(region: Region, ctor: CtorDescriptor, into=None, index: int = 0
     depth first in declaration order, each leaf copied where it stands. A
     nullary constructor is stored as its ``make()``, charged as one cell,
     and None is returned. Otherwise the new cell is returned: a raw cell
-    into a raw cell that is not a receiver or for a constructor that does
-    not build in place, else its host object; a nested node is built as its
-    parent is. A host object's field takes no raw cell (TypeError).
+    into a raw cell or for a constructor that does not build in place, else
+    its host object; a nested node is built as its parent is. A host
+    object's field takes no raw cell (TypeError).
 
     An ``into`` that is a ``Dest`` names its region and its hole alone,
     ``index`` unused, and the call is that hole's fill: a consumed ``Dest``
@@ -434,7 +462,7 @@ def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, args)
     else:
         key = _hole(region, dest or into, index)
         layout = registry.resolve(ctor)
-        if layout is None and type(into) is not CellRef:
+        if layout is None and type(into) is not CellRef and type(into) is not Receiver:
             raise TypeError(f"a {type(into).__name__} cannot hold a region cell")
     hole = region.hole
     top = [hole]  # the one field the context's root goes in
@@ -492,9 +520,7 @@ def _alloc_generic(region: Region, ctor: CtorDescriptor, into, index: int, args)
                 nodes[0][1][i] = d = object.__new__(Dest)
                 d.region, d.index, d.kind, d.lineage, d.alive = region, i, k, lineage, True
                 dests.append(d)
-    in_place = into is not None and layout is not None and (
-        type(into) is not CellRef or into.ctor is _INDIRECTION
-    )
+    in_place = into is not None and layout is not None and type(into) is not CellRef
     for c, node, fields, i in reversed(nodes):  # children first
         if in_place:
             obj = object.__new__(c.make)
@@ -536,9 +562,9 @@ def fill(region, dest, args):
     if not dest.alive or kind is not None and (type(kind) is not Recursive or kind.type_id != type_id):
         {generic}
     into = dest.cell
-    name = None if type(into) is CellRef else host_fields[type(into)][dest.index]
-    if not region.alive or name is None and into.ctor is not _INDIRECTION:
+    if not region.alive or type(into) is CellRef:
         {generic}
+    name = None if type(into) is Receiver else host_fields[type(into)][dest.index]
 {take}
     lineage = dest.lineage
     if lineage.parent is not None:
@@ -550,7 +576,7 @@ def fill(region, dest, args):
         region.leaf_copies += copies
     region.outstanding_holes += holes
     if name is None:
-        into.slots[0] = obj
+        into.value = obj
     else:
         setters[type(into)](into, name, obj)
     dest.alive = False
@@ -577,8 +603,8 @@ def _compile(ctor: CtorDescriptor, names: tuple[str, ...], registry: ShapeRegist
     The fill is given a ``Dest`` of its region, which only the region's
     fills mint, so its cell and index name a hole they opened, which holds
     it while it is live. It checks that the ``Dest`` is live, that the hole
-    takes ``ctor``, that the region is open and that a raw cell is a
-    receiver. It builds in an arm of constants given no arguments, else in
+    takes ``ctor``, that the region is open and that the hole is no raw
+    cell's. It builds in an arm of constants given no arguments, else in
     one arm for one per field: ``...``, a leaf (kept if its type is in
     ``_ONE_WORD``, else through ``_leaf_copies``), a nullary constructor or
     a context that a plug builds. It makes the ``Dest`` of each field left a
@@ -708,11 +734,15 @@ def _hole(region: Region, cell, index: int):
             if not cell.alive:
                 raise UseAfterConsume("a write through an already-consumed Dest")
             cell, index = cell.cell, cell.index
-            return index if type(cell) is CellRef else region.registry.host_fields[type(cell)][index]
-        if type(cell) is CellRef:
+            if type(cell) is CellRef or type(cell) is Receiver:
+                return index
+            return region.registry.host_fields[type(cell)][index]
+        if type(cell) is CellRef or type(cell) is Receiver:
             if cell.region is not region:
                 raise region._foreign("cell")
-            names, arity = None, len(cell.slots)
+            names = None
+            slots = cell.slots if type(cell) is CellRef else (cell.value,)
+            arity = len(slots)
         else:
             names = region.registry.host_fields.get(type(cell))
             if names is None:
@@ -725,7 +755,7 @@ def _hole(region: Region, cell, index: int):
         raise _no_region(region) from None
     try:
         if 0 <= index < arity:
-            slot = cell.slots[index] if names is None else getattr(cell, names[index])
+            slot = slots[index] if names is None else getattr(cell, names[index])
             if slot is region.hole:
                 return index if names is None else names[index]
     except TypeError:  # from 3.11 a try costs nothing until it catches
@@ -744,6 +774,8 @@ def _store(region: Region, cell, key, value) -> None:
     """Write ``value`` where ``_hole`` found the hole of ``cell``."""
     if type(cell) is CellRef:
         cell.slots[key] = value
+    elif type(cell) is Receiver:
+        cell.value = value
     else:
         region.registry.setters[type(cell)](cell, key, value)
 
@@ -752,8 +784,8 @@ def write_field(region: Region, cell, index: int, value) -> None:
     """Write one hole of this region forever (else RegionMismatch), with a
     ``Leaf`` or a cell: a live ``Dest``'s (UseAfterConsume once consumed;
     first of all, UnknownCtor for a ``Leaf`` into a ``Recursive`` hole), which the write
-    consumes and counts closed on its lineage root, or field
-    ``index`` of a ``CellRef`` or host object that no ``Dest`` holds (else
+    consumes and counts closed on its lineage root, or field ``index`` of a
+    raw cell, a receiver or a host object that no ``Dest`` holds (else
     TypeError). The field keeps a scalar payload as given and deep-copies
     any other, which raises DestinationInLeaf on a hole, region cell or
     handle inside it, and LeafTooDeep on one too deep to copy. It refers to
@@ -772,21 +804,18 @@ def write_field(region: Region, cell, index: int, value) -> None:
             (value,), charge = _leaf_copies((value,))
         region.bytes_allocated += charge
         region.leaf_copies += 1
-    elif type(value) is CellRef:
-        if value.ctor is _INDIRECTION and isinstance(value.slots[0], (Hole, Dest)):
+    elif type(value) is CellRef or type(value) is Receiver:
+        if type(value) is Receiver and isinstance(value.value, (Hole, Dest)):
             raise TypeError(f"empty receiver {value!r} has no value to write")
         if value.region is not region:
             raise region._foreign("reference")
-        if value.ctor is _INDIRECTION:
-            value = value.slots[0]
-        if type(value) is CellRef and type(cell) is not CellRef:
+        if type(value) is Receiver:
+            value = value.value
+        if type(value) is CellRef and type(cell) is not CellRef and type(cell) is not Receiver:
             raise TypeError(f"a {type(cell).__name__} cannot hold a region cell")
     else:
         raise TypeError(f"expected a CellRef or a Leaf, got {type(value).__name__}")
-    if type(cell) is CellRef:
-        cell.slots[key] = value
-    else:
-        region.registry.setters[type(cell)](cell, key, value)
+    _store(region, cell, key, value)
     region.outstanding_holes -= 1
     if dest is not None:
         dest.alive = False
@@ -816,8 +845,9 @@ def _scan_hosts(region: Region, values) -> None:
             stack.append(x)
 
 
-def read_value(region: Region, root: CellRef):
-    """Decode the value rooted at raw cell ``root`` back into a host value.
+def read_value(region: Region, root: CellRef | Receiver):
+    """Decode the value rooted at raw cell or receiver ``root`` back into a
+    host value.
 
     A receiver holding anything but a raw cell returns it at once. Otherwise
     an iterative depth-first walk in slot order; raises IncompleteRead on
@@ -829,15 +859,15 @@ def read_value(region: Region, root: CellRef):
     host objects returned or met in a slot are also scanned for one
     (IncompleteRead); with none outstanding, no hole can be reached.
     """
-    if not isinstance(root, CellRef):
+    if not isinstance(root, (CellRef, Receiver)):
         raise TypeError(f"read_value expects a CellRef, got {type(root).__name__}")
     if not isinstance(region, Region):
         raise _no_region(region)
     if root.region is not region:
         raise region._foreign("cell")
     hosts = [] if region.outstanding_holes else None  # what to scan for a hole
-    if root.ctor is _INDIRECTION:
-        content = root.slots[0]
+    if type(root) is Receiver:
+        content = root.value
         if content is region.hole or type(content) is Dest:
             raise IncompleteRead(f"hole at field 0 of receiver {root!r}")
         if type(content) is not CellRef:

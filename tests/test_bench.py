@@ -32,6 +32,17 @@ def test_case_validation():
         BenchCase(case="dlist", engine="dps", k=8, reps=0)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("k", 6.5), ("reps", 2.5), ("warmup", 1.5), ("k", "8"), ("reps", True)]
+)
+def test_a_count_that_is_no_int_is_refused_before_anything_runs(field, value):
+    """A float size or repeat count once built a case that ``run_case``
+    refused mid-run with ``'float' object cannot be interpreted as an integer``."""
+    given = {"k": 8, "reps": 1, "warmup": 1, field: value}
+    with pytest.raises(TypeError, match=f"{field} must be an int"):
+        BenchCase(case="dlist", engine="dps", **given)
+
+
 def test_dlist_dps_row_counts_cells():
     row = run_case(quick("dlist", "dps", 6))
     # 2^6 cons cells plus the final nil

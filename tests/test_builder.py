@@ -1,6 +1,8 @@
 """Builder API: tokens, incompletes, destinations, and the consume-once rules."""
 
 import copy
+import dataclasses
+import gc
 import pickle
 import random
 import re
@@ -46,11 +48,11 @@ from destpass import (
 from destpass.bfs import TREE_NIL, TREE_NODE, Node
 from destpass.builder import Dest, Incomplete, Token
 from destpass.region import (
-    _INDIRECTION,
     WORD,
     CellRef,
     Hole,
     Leaf,
+    Receiver,
     alloc_hollow,
     region_new,
     write_field,
@@ -160,29 +162,28 @@ def test_minted_handles_set_every_slot_to_its_value():
         expect(t1, region=region, alive=True)
         expect(t2, region=region, alive=True)
         i = alloc(t1)
-        receiver, d, root = i.root, i.payload, i.lineage
-        expect(receiver, region=region, ctor=_INDIRECTION, slots=[d])
-        expect(i, region=region, root=receiver, payload=d, lineage=root, alive=True)
-        expect(d, region=region, cell=receiver, index=0, kind=None, lineage=root, alive=True)
-        expect(root, parent=None, holes=1, type_id=None)
+        d, root = i.payload, i.lineage
+        expect(root, region=region, value=d, parent=None, holes=1, type_id=None)
+        expect(i, region=region, payload=d, lineage=root, alive=True)
+        expect(d, region=region, cell=root, index=0, kind=None, lineage=root, alive=True)
         i = map_b(i, lambda d: fill(d, TREE_NODE, 1, ..., ...))  # by the generated fill
-        node = receiver.slots[0]
+        node = root.value
         left, right = i.payload
-        expect(i, region=region, root=receiver, payload=(left, right), lineage=root, alive=True)
+        expect(i, region=region, payload=(left, right), lineage=root, alive=True)
         for d, index in ((left, 1), (right, 2)):
             expect(d, region=region, cell=node, index=index, kind=TREE_NODE.fields[index],
                    lineage=root, alive=True)
         assert (node.left, node.right) == (left, right)  # each hole holds its Dest
-        expect(root, parent=None, holes=2, type_id="tree")
+        expect(root, region=region, value=node, parent=None, holes=2, type_id="tree")
         # A nested leaf that is no scalar leaves the plugs: the generic path.
         value = fill(left, TREE_NODE, ..., (TREE_NODE, [2], TREE_NIL, TREE_NIL), TREE_NIL)
         expect(value, region=region, cell=node.left, index=0, kind=TREE_NODE.fields[0],
                lineage=root, alive=True)
         fill_leaf(3, value)
         j = into_incomplete(t2, Node(4, None, None), "tree")
-        expect(j.root, region=region, ctor=_INDIRECTION, slots=[Node(4, None, None)])
-        expect(j, region=region, root=j.root, payload=None, lineage=j.lineage, alive=True)
-        expect(j.lineage, parent=None, holes=0, type_id="tree")
+        expect(j.lineage, region=region, value=Node(4, None, None), parent=None, holes=0,
+               type_id="tree")
+        expect(j, region=region, payload=None, lineage=j.lineage, alive=True)
         assert fill_comp(j, right) is None
         return from_incomplete(i)[0]  # its payload: the two consumed Dests
 
@@ -201,15 +202,114 @@ def test_minted_handles_set_every_slot_to_its_value():
     region = region_new()
     expect(alloc_hollow(region, LIST_CONS), region=region, ctor=LIST_CONS,
            slots=[region.hole] * 2)
+    expect(region._alloc_receiver(), region=region, value=region.hole, parent=None, holes=0,
+           type_id=None)
+
+
+def test_an_incomplete_has_one_root(monkeypatch):
+    """``alloc``, ``map_b`` and ``into_incomplete`` each leave a live
+    incomplete whose lineage is its one receiver: the lineage root, the
+    cell its first destination fills, and the object a release reads."""
+    read = []
+    real = destpass.region.read_value
+
+    def recorded(region, root):
+        read.append(root)
+        return real(region, root)
+
+    monkeypatch.setattr(destpass.region, "read_value", recorded)
+
+    def body(t):
+        t1, t2 = token_dup2(t)
+        i = alloc(t1)
+        root = i.lineage
+        assert type(root) is Receiver and root.parent is None
+        assert i.payload.cell is root and i.payload.lineage is root
+        i = map_b(i, lambda d: fill(d, LIST_CONS, 1, ...))
+        assert i.lineage is root and i.payload.lineage is root
+        i = map_b(i, lambda d: fill(d, LIST_NIL))
+        assert i.lineage is root
+        assert from_incomplete_(i) is root.value and read == [root]
+        j = into_incomplete(t2, from_pylist([2]), "list")
+        copied = j.lineage
+        assert type(copied) is Receiver and copied.parent is None and copied is not root
+        assert from_incomplete(j) == (copied.value, None) and read == [root, copied]
+        return [to_pylist(root.value), to_pylist(copied.value)]
+
+    assert with_region(body) == [[1], [2]]
+
+
+def test_plugging_an_empty_child_leaves_no_reference_cycle():
+    """The empty child's ``Dest`` moves into ``d``'s hole and lineage, so the
+    child's receiver, which still holds it, is freed by its reference count,
+    not by the cyclic collector."""
+
+    def body(t):
+        t1, t2 = token_dup2(t)
+        parent = alloc(t1)
+        tail = fill(parent.payload, LIST_CONS, 1, ...)
+        moved = fill_comp(alloc(t2), tail)
+        assert moved.lineage is parent.lineage
+        fill(moved, LIST_NIL)
+        return to_pylist(from_incomplete_(map_b(parent, lambda _: None)))
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert [with_region(body) for _ in range(10)] == [[1]] * 10
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _charged(region, call):
+    """What ``call`` adds to each counter of ``region_stats(region)`` and to
+    ``outstanding_holes``, and what it returned."""
+    before = dataclasses.astuple(region_stats(region)), region.outstanding_holes
+    out = call()
+    after = dataclasses.astuple(region_stats(region)), region.outstanding_holes
+    return (*(a - b for a, b in zip(after[0], before[0])), after[1] - before[1]), out
+
+
+def test_a_root_is_charged_as_one_receiver_cell():
+    """Per counter (cells, bytes, leaf copies, receiver cells) and
+    outstanding holes: ``alloc`` and a raw ``_alloc_receiver`` charge one
+    receiver of two words and its hole, ``into_incomplete`` no receiver,
+    only its copy, and ``fill_comp`` of an empty or of a filled child only
+    closes the hole it plugs."""
+
+    def body(t):
+        region = t.region
+        t1, t2 = token_dup2(t)
+        t2, t3 = token_dup2(t2)
+        t3, t4 = token_dup2(t3)
+        charged, parent = _charged(region, lambda: alloc(t1))
+        assert charged == (0, 2 * WORD, 0, 1, 1)
+        charged, copied = _charged(region, lambda: into_incomplete(t2, NIL, "list"))
+        assert charged == (1, WORD, 0, 0, 0)
+        tail = fill(parent.payload, LIST_CONS, 1, ...)
+        empty = alloc(t3)
+        charged, _ = _charged(region, lambda: fill_comp(empty, tail))
+        assert charged == (0, 0, 0, 0, -1)
+        filled = map_b(alloc(t4), lambda d: fill(d, LIST_NIL))
+        charged, _ = _charged(region, lambda: fill_comp(filled, empty.payload))
+        assert charged == (0, 0, 0, 0, -1)
+        charged, raw = _charged(region, region._alloc_receiver)
+        assert charged == (0, 2 * WORD, 0, 1, 1)
+        write_field(region, raw, 0, copied.lineage)
+        assert from_incomplete(copied)[0] is NIL
+        return to_pylist(from_incomplete(parent)[0])
+
+    assert with_region(body) == [1]
 
 
 # -- only the library mints a handle ---------------------------------------------
 
 
-@pytest.mark.parametrize("cls", [Dest, Incomplete, CellRef], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", [Dest, Incomplete, CellRef, Receiver], ids=lambda c: c.__name__)
 @pytest.mark.parametrize("how", ["no arguments", "its slots", "keywords"])
 def test_a_handle_class_refuses_every_call(cls, how):
-    """``Dest``, ``Incomplete`` and ``CellRef`` are minted only by the
+    """``Dest``, ``Incomplete``, ``CellRef`` and ``Receiver`` are minted only by the
     operations that account for them: a call raises TypeError, names them,
     and changes nothing."""
     region = region_new()
@@ -219,8 +319,9 @@ def test_a_handle_class_refuses_every_call(cls, how):
         "no arguments": ((), {}),
         "its slots": ({
             Dest: (region, d.cell, d.index, d.kind, d.lineage),
-            Incomplete: (region, i.root, None, i.lineage),
+            Incomplete: (region, None, i.lineage),
             CellRef: (region, 0, LIST_NIL),
+            Receiver: (region, region.hole, None, 0, None),
         }[cls], {}),
         "keywords": ((), {"region": region}),
     }[how]
@@ -240,7 +341,7 @@ def test_a_handle_is_neither_copied_nor_pickled(copy_of):
     t1, t2 = token_dup2(Token(region))
     i = alloc(t2)
     before = ledger_state([region], [t1, i, i.payload])
-    for handle in (t1, i, i.payload, i.root, region.hole):
+    for handle in (t1, i, i.payload, i.lineage, region.hole):
         with pytest.raises(TypeError, match="cannot be copied or pickled"):
             copy_of(handle)
     assert ledger_state([region], [t1, i, i.payload]) == before
@@ -255,7 +356,7 @@ def test_a_fill_takes_no_hand_made_dest():
     with pytest.raises(TypeError, match="minted only"):
         alloc_hollow(region, LIST_NIL, Dest(region, receiver, 0, None, None))
     assert (region_stats(region), region.outstanding_holes) == before
-    assert receiver.slots == [region.hole]
+    assert receiver.value is region.hole
 
 
 def test_a_live_hole_has_one_dest():
@@ -280,7 +381,7 @@ def test_an_incomplete_is_released_once():
     def body(t):
         i = map_b(alloc(t), lambda d: fill(d, LIST_CONS, 1, LIST_NIL))
         with pytest.raises(TypeError):
-            Incomplete(i.region, i.root, None, i.lineage)
+            Incomplete(i.region, None, i.lineage)
         assert t.region._incompletes_alive == 1
         value = from_incomplete_(i)
         with pytest.raises(UseAfterConsume):
@@ -553,7 +654,7 @@ def test_a_region_cell_is_refused_as_a_leaf_payload():
             assert d.alive and field() is d and state() == before
 
         def f(d):
-            refused(d, lambda: d.cell.slots[0])  # a receiver's hole
+            refused(d, lambda: d.cell.value)  # a receiver's hole
             dh, dt = fill(d, LIST_CONS)
             refused(dh, lambda: dh.cell.head)  # a host object's field
             fill_leaf(1, dh)
@@ -591,13 +692,13 @@ def test_a_leaf_refuses_what_holds_a_hole(what):
         e = j.payload
         payload = {
             "hollow host object": lambda: dh.cell,
-            "incomplete root": lambda: [j.root],
+            "incomplete root": lambda: [j.lineage],
             "own hole": lambda: region.hole,
             "other region's hole": lambda: (1, other.hole),
             "fresh hole": lambda: {"x": Hole()},
         }[what]()
         _refused(lambda: fill_leaf(payload, e), [region, other], [i, j, dh, dt, e])
-        assert e.cell.slots[0] is e
+        assert e.cell.value is e
         fill_leaf(1, dh)
         fill(dt, LIST_NIL)
         fill_leaf(2, e)
@@ -634,7 +735,7 @@ def test_a_failed_copy_changes_nothing(what, error):
             "cyclic": cyclic,
             "live destination": Cons(d, NIL),
             "hole deep inside": from_pylist([1, 2, (3, region.hole)]),
-            "cell deep inside": from_pylist([1, {"cell": other.root}]),
+            "cell deep inside": from_pylist([1, {"cell": other.lineage}]),
         }[what]
         _refused(lambda: into_incomplete(t1, value, "list"), [region], [t1, other, d], error)
         token_consume(t1)
@@ -652,7 +753,7 @@ def test_fill_leaf_of_a_too_deep_payload_changes_nothing(what):
         i = alloc(t)
         d = i.payload
         _refused(lambda: fill_leaf(payload, d), [t.region], [i, d], LeafTooDeep)
-        assert d.cell.slots[0] is d
+        assert d.cell.value is d
         fill_leaf(1, d)
         return from_incomplete(i)[0]
 
@@ -750,7 +851,7 @@ def test_writes_into_closed_region_rejected():
     with pytest.raises(RegionClosed):
         destpass.region.write_field(d.region, d.cell, d.index, Leaf(5))
     assert d.alive and child.alive
-    assert d.cell.slots == [d]
+    assert d.cell.value is d
 
 
 def test_a_token_of_a_closed_region_is_refused():
@@ -1531,14 +1632,14 @@ def test_a_refused_fill_with_leaves_changes_nothing(case, error):
     elif case == "closed":
         region._close()
         leaves = ([e], ...)
-    where = (d.cell, d.index, d.kind, d.cell.slots[0])
+    where = (d.cell, d.index, d.kind, d.cell.value)
     call = lambda: fill(d, ctor, *leaves)  # noqa: E731
     if case == "filled":  # only a raw hole can be written while a fill is pending
         raw = region._alloc_receiver()
         write_field(region, raw, 0, Leaf(0))
         call = lambda: alloc_hollow(region, ctor, raw, 0, leaves)  # noqa: E731
     _refused(call, [region], [i, j, d, e], error)
-    assert d.alive and (d.cell, d.index, d.kind, d.cell.slots[0]) == where
+    assert d.alive and (d.cell, d.index, d.kind, d.cell.value) == where
 
 
 # -- fill with one argument per field ---------------------------------------------
@@ -1581,9 +1682,9 @@ def test_a_refused_context_fill_changes_nothing(parent, refusal):
             (0, ctor.fields[0], True), (2, ctor.fields[2], True)
         ]
         return
-    where = (d.cell, d.index, d.kind, d.cell.slots[0])
+    where = (d.cell, d.index, d.kind, d.cell.value)
     _refused(lambda: fill(d, ctor, *args), [region], [i, j, d, e], error)
-    assert d.alive and (d.cell, d.index, d.kind, d.cell.slots[0]) == where
+    assert d.alive and (d.cell, d.index, d.kind, d.cell.value) == where
 
 
 # Per parent, built in place (Node, Cons) or as a raw cell (w2): its
@@ -1670,9 +1771,9 @@ def test_a_refused_nested_context_fill_changes_nothing(parent, refusal):
     else:
         bad = refusals[refusal]
     args = (*args[:at], bad, *args[at + 1 :])
-    where = (d.cell, d.index, d.kind, d.cell.slots[0])
+    where = (d.cell, d.index, d.kind, d.cell.value)
     _refused(lambda: fill(d, ctor, *args), [region], [i, j, d, e], _NESTED_ERRORS[refusal])
-    assert d.alive and (d.cell, d.index, d.kind, d.cell.slots[0]) == where
+    assert d.alive and (d.cell, d.index, d.kind, d.cell.value) == where
 
 
 @pytest.mark.parametrize("hole", ["receiver", "Recursive", "leaf", "raw", "raw into"])
@@ -1941,7 +2042,7 @@ def _fill_once(registry, ctor, args, target, refusal):
         type(out).__name__,
         [(h.index, h.kind, h.alive) for h in holes],
         [h.lineage.find().holes for h in holes],
-        (i.lineage.type_id, type(i.root.slots[0]) is Dest),  # what filled the receiver, if anything
+        (i.lineage.type_id, type(i.lineage.value) is Dest),  # what filled the receiver, if anything
         ledger_state([region], handles),
     )
     for n, hole in enumerate(holes + others):
@@ -2045,6 +2146,8 @@ _ALLOCATIONS = {
 
 
 def _field(cell, index):
+    if type(cell) is Receiver:
+        return cell.value
     if type(cell) is CellRef:
         return cell.slots[index]
     return getattr(cell, DEFAULT_REGISTRY.host_fields[type(cell)][index])
@@ -2154,10 +2257,10 @@ def test_a_scalar_subclass_in_a_leaf_is_copied_so_it_carries_no_handle():
     d, e = i.payload, j.payload
     smuggler = _Str("a")
     smuggler.smuggled = e
-    where = (d.cell, d.index, d.kind, d.cell.slots[0])
+    where = (d.cell, d.index, d.kind, d.cell.value)
     _refused(lambda: fill(d, LIST_CONS, smuggler, ...), [region], [i, j, d, e])
     _refused(lambda: fill_leaf(smuggler, d), [region], [i, j, d, e])
-    assert d.alive and (d.cell, d.index, d.kind, d.cell.slots[0]) == where
+    assert d.alive and (d.cell, d.index, d.kind, d.cell.value) == where
     tagged = _Str("b")
     tagged.tags = [1]
     fill(fill(d, LIST_CONS, tagged, ...), LIST_NIL)
@@ -2271,12 +2374,12 @@ def test_a_raw_read_of_a_receiver_refuses_a_hollow_host_object():
         i = alloc(t)
         dh, dt = fill(i.payload, LIST_CONS)
         with pytest.raises(IncompleteRead):
-            read_value(t.region, i.root)
+            read_value(t.region, i.lineage)
         fill_leaf(0, dh)
         with pytest.raises(IncompleteRead):
-            read_value(t.region, i.root)
+            read_value(t.region, i.lineage)
         fill(dt, LIST_NIL)
-        assert list(read_value(t.region, i.root)) == [0]
+        assert list(read_value(t.region, i.lineage)) == [0]
         return from_incomplete(i)[0]
 
     assert list(with_region(body)) == [0]
@@ -2289,7 +2392,7 @@ def test_a_raw_read_refuses_a_hollow_host_object_in_a_raw_slot():
         dh, dt = fill(i.payload, LIST_CONS)
         raw = alloc_hollow(region, LIST_CONS)
         write_field(region, raw, 0, Leaf(0))
-        write_field(region, raw, 1, i.root)
+        write_field(region, raw, 1, i.lineage)
         with pytest.raises(IncompleteRead):
             read_value(region, raw)
         fill_leaf(1, dh)

@@ -264,8 +264,9 @@ def test_op_sequences_keep_the_ledger_and_match_the_oracle(steps):
 )
 def test_a_live_singleton_dlist_holds_little():
     """4,096 live singleton dlists, built as the dlist-concat benchmark
-    builds them, hold at most 430 B each (median of 5): a raw cell is its
-    own name, so its receiver carries no handle and no region number."""
+    builds them, hold at most 310 B each (median of 5): an incomplete's
+    receiver is its lineage root, one object, so each list is that, its
+    incomplete, its tail Dest, one Cons and its element."""
     n = 4096
 
     def body(token):
@@ -287,7 +288,7 @@ def test_a_live_singleton_dlist_holds_little():
         return held / n
 
     per_list = statistics.median(with_region(body) for _ in range(5))
-    assert per_list <= 430, f"{per_list:.1f} B per live singleton dlist"
+    assert per_list <= 310, f"{per_list:.1f} B per live singleton dlist"
 
 
 def test_linked_list_helpers():

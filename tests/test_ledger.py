@@ -41,7 +41,7 @@ from destpass import (
 )
 from destpass.builder import Dest, Incomplete, Token
 from destpass.dlist import LIST_CONS, LIST_NIL, LIST_SHAPE, NIL, Cons, from_pylist
-from destpass.region import CellRef, Leaf, alloc_hollow, region_new, write_field
+from destpass.region import CellRef, Leaf, Receiver, alloc_hollow, region_new, write_field
 from destpass.shapes import CtorDescriptor, LeafType, Recursive, ShapeRegistry, TypeShape
 
 from support import structurally_equal
@@ -354,7 +354,7 @@ class LedgerMachine(RuleBasedStateMachine):
             "cell": lambda: _RAW_CELL,
             "handle": lambda: [handle],
             "dest cell": lambda: [data.draw(st.sampled_from(live)).cell if live else _RAW_CELL],
-            "root": lambda: [data.draw(st.sampled_from(incompletes)).root],
+            "root": lambda: [data.draw(st.sampled_from(incompletes)).lineage],
             "boxed": lambda: _Box(handle),
         }[what]()
         fails = (
@@ -499,7 +499,9 @@ class LedgerMachine(RuleBasedStateMachine):
 
 
 def _field(cell, index):
-    """What field ``index`` of a raw cell or a host object holds."""
+    """What field ``index`` of a raw cell, a receiver or a host object holds."""
+    if type(cell) is Receiver:
+        return cell.value
     if type(cell) is CellRef:
         return cell.slots[index]
     return getattr(cell, REGISTRY.host_fields[type(cell)][index])

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from destpass.dlist import NIL
 from destpass.sexpr import SInteger
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,4 +31,5 @@ def test_each_row_does_the_work_it_names():
     values = [eval(s, dict(protocol_cost.NAMESPACE)) for s in protocol_cost.STATEMENTS]
     assert values[3] == (SInteger(0, 1), None)
     assert values[4] == values[5] == SInteger(0, 1)
+    assert values[6] is NIL
 

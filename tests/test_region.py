@@ -331,7 +331,7 @@ def test_a_filled_receiver_writes_what_it_holds(holds):
         write_field(r, receiver, 0, Leaf((2, 3)))
     holes = r.outstanding_holes
     write_field(r, cell, 1, receiver)
-    assert cell.slots[1] is receiver.slots[0]
+    assert cell.slots[1] is receiver.value
     assert r.outstanding_holes == holes - 1
 
 
@@ -352,7 +352,8 @@ def test_every_kind_of_hole_is_checked_alike(into, case, error):
         cell, index = alloc_hollow(r, LIST_CONS, r._alloc_receiver(), 0), 1
 
     def state():
-        fields = cell.slots if into != "host" else [cell.head, cell.tail]
+        fields = {"raw": lambda: cell.slots, "receiver": lambda: [cell.value],
+                  "host": lambda: [cell.head, cell.tail]}[into]()
         return region_stats(r), r.outstanding_holes, list(fields)
 
     value = 7 if case == "bare" else Leaf(7)  # neither a CellRef nor a Leaf

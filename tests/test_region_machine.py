@@ -26,7 +26,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from destpass import DpsError, Leaf, read_value, region_new, region_stats, write_field
 from destpass.dlist import LIST_CONS, LIST_NIL, LIST_SHAPE, NIL, Cons, from_pylist
-from destpass.region import _INDIRECTION, WORD, CellRef, Hole, alloc_hollow
+from destpass.region import WORD, CellRef, Hole, Receiver, alloc_hollow
 from destpass.shapes import CtorDescriptor, LeafType, Recursive, ShapeRegistry, TypeShape
 
 from support import structurally_equal
@@ -84,8 +84,8 @@ class _Node:
     def __init__(self, obj, region: int, arity: int) -> None:
         self.obj = obj
         self.region = region
-        self.raw = type(obj) is CellRef
-        self.receiver = self.raw and obj.ctor is _INDIRECTION
+        self.receiver = type(obj) is Receiver
+        self.raw = type(obj) is CellRef or self.receiver
         self.fields: list = [None] * arity
 
 
@@ -208,6 +208,8 @@ class RegionMachine(RuleBasedStateMachine):
     def _stored(self, node: _Node, index: int):
         """What field ``index`` of ``node``'s object holds."""
         obj = node.obj
+        if node.receiver:
+            return obj.value
         if node.raw:
             return obj.slots[index]
         return getattr(obj, REGISTRY.host_fields[type(obj)][index])
@@ -433,10 +435,10 @@ class RegionMachine(RuleBasedStateMachine):
         # object is 1 word, 4 and (5, 6) are 1 and 5.
         counts[4] += 5 * WORD if what == "node" else 13 * WORD
         node = _Node(holder, r, 1)
-        node.fields[0] = ("value", holder.slots[0])
+        node.fields[0] = ("value", holder.value)
         self.nodes.append(node)
         # A held host object may be cyclic, which structurally_equal cannot walk.
-        assert what == "node" or structurally_equal(holder.slots[0], value)
+        assert what == "node" or structurally_equal(holder.value, value)
 
     # -- invariants ----------------------------------------------------------
 

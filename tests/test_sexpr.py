@@ -205,8 +205,9 @@ def test_ast_constructors_still_build_in_place():
 )
 def test_one_parse_holds_little_besides_its_value():
     """What one ``parse_dps`` call keeps alive beyond its result: a slotted
-    region, its token and receiver, and no closure. Measured as perfbench
-    measures a message, warm and with tracemalloc running."""
+    region, its token and its receiver, which is also its lineage root, and
+    no closure. Measured as perfbench measures a message, warm and with
+    tracemalloc running."""
     tracemalloc.start()
     try:
         peaks = []
@@ -217,7 +218,7 @@ def test_one_parse_holds_little_besides_its_value():
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()
-    assert statistics.median(peaks) <= 1024, peaks
+    assert statistics.median(peaks) <= 800, peaks
 
 
 # Per input: its fills and fill_leaf calls, and the cells, bytes and leaf
